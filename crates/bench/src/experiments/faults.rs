@@ -114,12 +114,6 @@ impl FaultSender {
 }
 
 impl Actor for FaultSender {
-    /// Fault cells run to quiescence (the retransmission machinery must
-    /// drain); neither side ever calls `stop()`.
-    fn may_stop(&self) -> bool {
-        false
-    }
-
     fn on_start(&mut self, ctx: &mut ActorCtx) {
         self.pump(ctx);
     }
@@ -148,11 +142,6 @@ struct FaultReceiver {
 }
 
 impl Actor for FaultReceiver {
-    /// See `FaultSender::may_stop`.
-    fn may_stop(&self) -> bool {
-        false
-    }
-
     fn blocking_waits(&self) -> bool {
         true
     }

@@ -46,11 +46,6 @@ struct FlowSender {
 }
 
 impl Actor for FlowSender {
-    /// Only the receiver counts deliveries and stops the run.
-    fn may_stop(&self) -> bool {
-        false
-    }
-
     fn on_start(&mut self, ctx: &mut ActorCtx) {
         while self.posted < self.remaining.min(self.inflight_cap) {
             ctx.post_send(self.dst, 128, u64::from(self.posted), 0);

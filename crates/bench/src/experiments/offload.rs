@@ -17,9 +17,8 @@
 //! the sim-sanitizer invariants (offload frames included: posted =
 //! delivered = completed byte conservation, no stranded schedule state).
 //! Per-cell seeds are fixed, cells fan out through [`super::parallel_map`]
-//! and commit in cell-index order, and the drained runs are eligible for
-//! the conservative parallel engine — `results/offload.json` is
-//! byte-identical across processes, `--jobs`, and `--sim-jobs` values.
+//! and commit in cell-index order, so `results/offload.json` is
+//! byte-identical across processes and `--jobs` values.
 //! Completion-latency SLOs (p50/p99/p999 over per-rank per-iteration
 //! samples) are always collected: latency is the axis the offload trades
 //! against, not an optional extra.

@@ -1,10 +1,10 @@
 //! Experiment CLI — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! omx-bench <experiment> [--quick] [--slo] [--jobs N] [--sim-jobs N] [--trace[=FILE]]
+//! omx-bench <experiment> [--quick] [--slo] [--jobs N] [--trace[=FILE]]
 //! omx-bench trace <experiment> [--quick]
 //! omx-bench timeline <experiment> [--quick] [--jobs N]
-//! omx-bench perf [--smoke] [--iters N] [--jobs N] [--sim-jobs N]
+//! omx-bench perf [--smoke] [--iters N] [--jobs N]
 //!
 //! experiments:
 //!   fig4               message rate vs coalescing delay (Fig. 4)
@@ -57,16 +57,12 @@
 //! simulations with fixed seeds and results commit in cell-index order
 //! (DESIGN §11) — so `--jobs` only changes wall-clock time.
 //!
-//! `--sim-jobs N` sets how many worker threads the conservative parallel
-//! DES core (DESIGN §12) uses *inside* each drained simulation (default 1
-//! = serial engine; or the `OMX_SIM_JOBS` environment variable). It is
-//! orthogonal to `--jobs`: one splits a single big simulation across
-//! cores, the other runs independent cells concurrently. Any value
-//! produces byte-identical artifacts.
-//!
 //! `--iters N` (perf only) overrides every benchmark's timed iteration
 //! count; the `--smoke` regression gate still applies to the means it
 //! produces.
+//!
+//! Any other `--flag` is an error (exit status 2): a mistyped `--quick`
+//! must not silently run the full sweep.
 
 use omx_bench::experiments::{
     adaptive, coexistence, faults, fig4, jumbo, multiqueue, nas, offload, overhead, pingpong,
@@ -135,6 +131,9 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ("all", "every experiment above (except perf)"),
 ];
 
+/// Every flag `omx-bench` accepts, as listed in the unknown-flag error.
+const FLAGS: &str = "--quick, --slo, --jobs N, --iters N, --smoke, --trace[=FILE]";
+
 /// Extract `--NAME N` / `--NAME=N` from `args`, returning the parsed value
 /// and removing the flag (and its detached value) so the positional scan
 /// below never mistakes `N` for an experiment name. Exits with status 2 on
@@ -171,15 +170,15 @@ fn main() {
     if let Some(jobs) = take_numeric_flag(&mut args, "--jobs") {
         omx_sim::pool::set_jobs(jobs as usize);
     }
-    // Engine parallelism: `--sim-jobs N` sets how many worker threads the
-    // conservative parallel DES core uses *inside* one drained simulation
-    // (over OMX_SIM_JOBS; default 1 = serial). Orthogonal to `--jobs`,
-    // which parallelizes across campaign cells. Output is byte-identical
-    // at any value (DESIGN §12).
-    if let Some(jobs) = take_numeric_flag(&mut args, "--sim-jobs") {
-        omx_sim::pool::set_sim_jobs(jobs as usize);
-    }
     let iters_override = take_numeric_flag(&mut args, "--iters").map(|n| n as u32);
+    if let Some(flag) = args.iter().find(|a| {
+        a.starts_with("--")
+            && !matches!(a.as_str(), "--quick" | "--slo" | "--smoke" | "--trace")
+            && !a.starts_with("--trace=")
+    }) {
+        eprintln!("unknown flag '{flag}'; known flags: {FLAGS}");
+        std::process::exit(2);
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let slo = args.iter().any(|a| a == "--slo");
     // Global --trace[=FILE] flag: capture a trace after the experiment.
@@ -464,20 +463,11 @@ fn run_perf(smoke: bool, iters: Option<u32>) {
         "campaign speedup comparison",
         omx_bench::perf::write_campaign_comparison(&report),
     );
-    // Likewise the e2e/*_par parallel-engine comparison:
-    // results/engine_speedup.json.
-    persist(
-        "engine speedup comparison",
-        omx_bench::perf::write_engine_comparison(&report),
-    );
     // Smoke mode doubles as CI's perf regression gate: any bench with a
     // recorded baseline that regressed past 2× fails the run; on a
     // multi-core runner the campaign/* parallel benches must clear 2×
     // over their same-run serial baselines (vacuous at --jobs 1 or on
-    // hosts with fewer than 4 cores, where the speedup cannot exist),
-    // and the e2e/*_par parallel-engine benches must clear 1.5× over
-    // their same-run serial-engine baselines (vacuous below --sim-jobs 4
-    // or 4 cores — epoch barriers only pay off with real parallelism).
+    // hosts with fewer than 4 cores, where the speedup cannot exist).
     if smoke {
         let regressed = omx_bench::perf::regressions(&report, 2.0);
         for (id, mean, baseline) in &regressed {
@@ -487,13 +477,7 @@ fn run_perf(smoke: bool, iters: Option<u32>) {
         for (id, speedup) in &shortfalls {
             eprintln!("campaign speedup shortfall: {id} at {speedup:.2}x, expected >= 2x serial");
         }
-        let engine_shortfalls = omx_bench::perf::engine_speedup_shortfalls(&report, 1.5, 4, 4);
-        for (id, speedup) in &engine_shortfalls {
-            eprintln!(
-                "engine speedup shortfall: {id} at {speedup:.2}x, expected >= 1.5x serial engine"
-            );
-        }
-        if !regressed.is_empty() || !shortfalls.is_empty() || !engine_shortfalls.is_empty() {
+        if !regressed.is_empty() || !shortfalls.is_empty() {
             std::process::exit(3);
         }
     }

@@ -1,11 +1,9 @@
-//! Minimal wall-clock micro-benchmark harness.
+//! Minimal wall-clock micro-benchmark timer behind `omx-bench perf`.
 //!
-//! The original harness used Criterion; this self-contained replacement
-//! keeps the same bench entry points (`cargo bench`) without an external
-//! dependency. It runs a warmup pass, then a fixed number of timed
-//! iterations, and prints mean / min per-iteration wall time. Numbers are
-//! indicative, not statistically rigorous — good enough to spot an
-//! order-of-magnitude regression in the simulator hot paths.
+//! It runs a warmup pass, then a fixed number of timed iterations, and
+//! reports mean / min per-iteration wall time. Numbers are indicative, not
+//! statistically rigorous — good enough to spot an order-of-magnitude
+//! regression in the simulator hot paths.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -41,60 +39,5 @@ pub fn measure<T>(warmup: u32, iters: u32, mut f: impl FnMut() -> T) -> BenchSta
         mean_ns: (total_ns / iters as u128) as u64,
         min_ns: min_ns as u64,
         iters,
-    }
-}
-
-/// Like [`measure`], printing the result under the given `group/name` label.
-///
-/// Setting the `OMX_BENCH_SMOKE` environment variable clamps every bench to
-/// one warmup and one timed iteration — CI uses this to prove the bench
-/// binaries still run without paying for real statistics.
-pub fn bench<T>(group: &str, name: &str, warmup: u32, iters: u32, f: impl FnMut() -> T) {
-    let (warmup, iters) = if std::env::var_os("OMX_BENCH_SMOKE").is_some() {
-        (1, 1)
-    } else {
-        (warmup, iters)
-    };
-    let stats = measure(warmup, iters, f);
-    println!(
-        "{group}/{name:<32} mean {:>12}  min {:>12}  ({} iters)",
-        fmt_ns(stats.mean_ns as u128),
-        fmt_ns(stats.min_ns as u128),
-        stats.iters
-    );
-}
-
-fn fmt_ns(ns: u128) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.3} s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.3} ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.3} µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns} ns")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_runs_and_counts() {
-        let mut calls = 0u32;
-        bench("test", "counter", 2, 5, || {
-            calls += 1;
-            calls
-        });
-        assert_eq!(calls, 7, "warmup + timed iterations all execute");
-    }
-
-    #[test]
-    fn ns_formatting() {
-        assert_eq!(fmt_ns(999), "999 ns");
-        assert_eq!(fmt_ns(1_500), "1.500 µs");
-        assert_eq!(fmt_ns(2_500_000), "2.500 ms");
-        assert_eq!(fmt_ns(3_000_000_000), "3.000 s");
     }
 }

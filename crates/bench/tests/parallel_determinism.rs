@@ -1,5 +1,5 @@
-//! Cross-process determinism of the parallel campaign executor (ISSUE 7,
-//! satellite 3).
+//! Cross-process determinism of the parallel campaign executor, and the
+//! CLI's rejection of malformed or unknown flags.
 //!
 //! The determinism contract (DESIGN §11): **parallelism may reorder
 //! execution, but never observable output**. Campaign cells are
@@ -112,4 +112,53 @@ fn scale_golden_cell_is_jobs_invariant() {
         pooled == golden,
         "pooled golden cell diverged from the committed golden"
     );
+}
+
+/// A malformed `--jobs` value must exit 2 with a pointed message, not fall
+/// back to a default and run the wrong configuration. Unknown flags —
+/// including a flag the CLI no longer accepts and a mistyped `--quick` —
+/// are the same error class: exit 2, naming the flag, instead of being
+/// dropped while the run goes ahead.
+#[test]
+fn malformed_jobs_flags_exit_nonzero() {
+    let bin = PathBuf::from(env!("CARGO_BIN_EXE_omx-bench"));
+    let run = |args: &[&str]| {
+        Command::new(&bin)
+            .args(args)
+            .output()
+            .expect("spawn omx-bench")
+    };
+    for value in ["abc", "0", "-2"] {
+        let output = run(&["scale", "--quick", "--jobs", value]);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "omx-bench --jobs {value} should exit 2"
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("positive integer"),
+            "missing diagnostic for --jobs {value}: {stderr}"
+        );
+    }
+    // A trailing flag with no value at all is the same error class.
+    let output = run(&["scale", "--quick", "--jobs"]);
+    assert_eq!(output.status.code(), Some(2), "bare --jobs should exit 2");
+    for (args, flag) in [
+        (&["scale", "--quick", "--sim-jobs", "2"][..], "--sim-jobs"),
+        (&["scale", "--quick", "--sim-jobs=2"][..], "--sim-jobs=2"),
+        (&["fig5", "--qiuck"][..], "--qiuck"),
+    ] {
+        let output = run(args);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "omx-bench {args:?} should exit 2"
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag '{flag}'")) && stderr.contains("--quick"),
+            "missing diagnostic for {args:?}: {stderr}"
+        );
+    }
 }

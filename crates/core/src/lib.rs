@@ -50,7 +50,6 @@ pub mod latency;
 pub mod marking;
 pub mod matching;
 pub mod metrics;
-pub mod par_run;
 pub mod proto;
 pub mod sanitizer;
 pub mod system;
@@ -61,7 +60,6 @@ pub mod workloads;
 
 pub use config::ClusterConfig;
 pub use omx_nic::offload;
-pub use par_run::{take_engine_segments, EngineSegments};
 pub use system::{Cluster, ClusterBuilder};
 
 /// Convenience re-exports for examples and downstream users.

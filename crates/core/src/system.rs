@@ -222,10 +222,8 @@ pub struct RecvCompletion {
 /// process). Callbacks run in simulated time; all interaction goes through
 /// [`ActorCtx`].
 ///
-/// `Send` because the conservative parallel engine moves each node's
-/// actors (with the rest of the node's state) onto a worker thread for the
-/// duration of a run; actors never run concurrently with each other's
-/// observable effects, so no `Sync` is required.
+/// `Send` so a built cluster can be handed to another thread; actors only
+/// ever run on the thread driving their cluster, so no `Sync` is required.
 pub trait Actor: Any + Send {
     /// Called once at simulation start.
     fn on_start(&mut self, ctx: &mut ActorCtx);
@@ -252,22 +250,6 @@ pub trait Actor: Any + Send {
     /// MPI microbenchmarks poll; background daemons and blocking apps don't.
     fn blocking_waits(&self) -> bool {
         false
-    }
-    /// Whether this actor can ever call [`ActorCtx::stop`] during this run.
-    ///
-    /// The parallel engine uses this to schedule the global stop vote: an
-    /// epoch that dispatches only actors with `may_stop() == false` can run
-    /// its partitions concurrently, while epochs touching a stop-capable
-    /// actor are dispatched in exact serial order so the run ends at the
-    /// same stop ordinal the serial engine would pick. The default is the
-    /// conservative `true`; pure responders (echoers, sinks, sources that
-    /// run to quiescence) should override to `false` to stay eligible for
-    /// parallel dispatch. Must be constant over the actor's lifetime — the
-    /// engine samples it once at partition time — and an actor returning
-    /// `false` here must never call `stop()` (the engine panics if one
-    /// does).
-    fn may_stop(&self) -> bool {
-        true
     }
     /// Upcast for report extraction after the run.
     fn as_any(&self) -> &dyn Any;
@@ -387,7 +369,7 @@ impl ActorCtx<'_> {
 // ---------------------------------------------------------------------------
 
 #[derive(Debug)]
-pub(crate) enum Ev {
+enum Ev {
     /// A frame arrived at a node's NIC from the wire.
     FrameArrival { node: u16, pkt: WireFrame },
     /// A NIC DMA transfer completed.
@@ -428,7 +410,7 @@ pub(crate) enum Ev {
 /// What travels on the fabric: an Open-MX packet, a raw frame, or a
 /// NIC-resident collective frame.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum WireFrame {
+enum WireFrame {
     Omx(Packet),
     Raw {
         payload_len: u32,
@@ -439,7 +421,7 @@ pub(crate) enum WireFrame {
 }
 
 impl WireFrame {
-    pub(crate) fn wire_len(&self) -> u32 {
+    fn wire_len(&self) -> u32 {
         match self {
             WireFrame::Omx(p) => p.wire_len(),
             WireFrame::Raw { payload_len } => ETH_HEADER_BYTES + payload_len,
@@ -507,60 +489,29 @@ impl NodeRt {
 // The system model
 // ---------------------------------------------------------------------------
 
-/// The side-effect interface a [`Shard`] dispatch reaches the rest of the
-/// world through: event scheduling, the (shared) fabric, tracing, and the
-/// sanitizer.
-///
-/// Two implementations exist. The serial engine's [`SerialCtx`] applies
-/// every effect immediately — scheduling goes to the engine's
-/// [`Scheduler`], transmits hit the fabric inline. The parallel engine's
-/// worker context (`par_run::ParCtx`) applies *node-local* effects to the
-/// shard's own queue immediately and logs the rest (transmit intents,
-/// trace and sanitizer records) for the coordinator to replay at the epoch
-/// barrier in exact serial dispatch order — which is what keeps output
-/// byte-identical (DESIGN §12).
-pub(crate) trait SimCtx {
-    /// Schedule a node-local event. Every event a dispatch schedules must
-    /// target the same node the dispatch ran on — cross-node effects only
-    /// travel through the fabric.
-    fn schedule_at(&mut self, at: Time, ev: Ev) -> EventToken;
-    /// Cancel a previously scheduled (node-local) event.
-    fn cancel(&mut self, tok: EventToken);
-    /// Hand an Open-MX packet to the fabric at `t` (doorbell already paid).
-    fn transmit_omx_wire(&mut self, t: Time, pkt: Packet);
-    /// Hand a raw Ethernet frame to the fabric at `t`.
-    fn transmit_raw_wire(&mut self, t: Time, src: u16, dst: NodeId, payload_len: u32);
-    /// Hand a NIC-resident collective frame to the fabric at `t` (the
-    /// firmware hop cost is already folded into `t`).
-    fn transmit_coll_wire(&mut self, t: Time, frame: CollFrame);
-    /// Record a trace event. The payload is built lazily: when tracing is
-    /// disabled the closure never runs, so tracing costs one branch.
-    fn trace(&mut self, at: Time, node: u16, kind: TraceKind, data: impl FnOnce() -> TraceData);
-    /// Sanitizer taps (order-sensitive; the parallel path replays them in
-    /// serial dispatch order).
-    fn san_send_posted(&mut self, src: u16, dst: u16, len: u32);
-    fn san_send_completed(&mut self);
-    fn san_delivered(&mut self, src: u16, dst: u16, msg: u64, len: u32);
-}
-
-/// The serial context: effects apply immediately, exactly as the
-/// pre-refactor monolithic model did.
-pub(crate) struct SerialCtx<'a> {
+/// The side effects a [`Nodes`] dispatch reaches the rest of the world
+/// through: the engine's scheduler, the (shared) fabric, tracing, and the
+/// sanitizer. Borrowed field-by-field from [`SystemModel`] so a handler can
+/// mutate node state and apply effects at the same time.
+struct Ctx<'a> {
     sched: &'a mut Scheduler<Ev>,
     fabric: &'a mut EthernetFabric,
     tracer: &'a mut Option<Tracer>,
     sanitizer: &'a mut Sanitizer,
 }
 
-impl SimCtx for SerialCtx<'_> {
+impl Ctx<'_> {
+    /// Schedule an event.
     fn schedule_at(&mut self, at: Time, ev: Ev) -> EventToken {
         self.sched.schedule_at(at, ev)
     }
 
+    /// Cancel a previously scheduled event.
     fn cancel(&mut self, tok: EventToken) {
         self.sched.cancel(tok);
     }
 
+    /// Hand an Open-MX packet to the fabric at `t` (doorbell already paid).
     fn transmit_omx_wire(&mut self, t: Time, pkt: Packet) {
         let src = pkt.hdr.src.node.0;
         let dst = pkt.hdr.dst.node.0;
@@ -586,6 +537,7 @@ impl SimCtx for SerialCtx<'_> {
         }
     }
 
+    /// Hand a raw Ethernet frame to the fabric at `t`.
     fn transmit_raw_wire(&mut self, t: Time, src: u16, dst: NodeId, payload_len: u32) {
         let frame = WireFrame::Raw { payload_len };
         match self.fabric.transmit(
@@ -607,6 +559,8 @@ impl SimCtx for SerialCtx<'_> {
         }
     }
 
+    /// Hand a NIC-resident collective frame to the fabric at `t` (the
+    /// firmware hop cost is already folded into `t`).
     fn transmit_coll_wire(&mut self, t: Time, frame: CollFrame) {
         match self.fabric.transmit(
             t,
@@ -629,12 +583,15 @@ impl SimCtx for SerialCtx<'_> {
         }
     }
 
+    /// Record a trace event. The payload is built lazily: when tracing is
+    /// disabled the closure never runs, so tracing costs one branch.
     fn trace(&mut self, at: Time, node: u16, kind: TraceKind, data: impl FnOnce() -> TraceData) {
         if let Some(t) = self.tracer.as_mut() {
             t.record(at, node, kind, data());
         }
     }
 
+    /// Sanitizer taps.
     fn san_send_posted(&mut self, src: u16, dst: u16, len: u32) {
         self.sanitizer.on_send_posted(src, dst, len);
     }
@@ -648,28 +605,21 @@ impl SimCtx for SerialCtx<'_> {
     }
 }
 
-/// One partition of the cluster: a contiguous range of nodes with *all*
-/// their mutable state — NIC/driver/host runtime, actors, per-endpoint CPU
-/// cursors, scratch buffers. The serial engine owns exactly one shard
-/// covering every node; the parallel engine splits the cluster into one
-/// shard per worker and moves them onto threads for the duration of a run
-/// (hence `Actor: Send`).
+/// Every node's mutable state — NIC/driver/host runtime, actors,
+/// per-endpoint CPU cursors, scratch buffers — kept apart from the shared
+/// fabric, tracer and sanitizer that handlers reach through [`Ctx`].
 ///
-/// Every event handler is shard-local by construction: each [`Ev`] names
-/// one node, handlers only touch that node's state, and every event they
-/// schedule targets the same node. Cross-node interaction happens solely
-/// through the [`SimCtx`] fabric methods.
-pub(crate) struct Shard {
-    /// First global node id of this shard (0 for the serial full-cluster
-    /// shard); `nodes[i]` is global node `base + i`.
-    pub(crate) base: u16,
-    pub(crate) cfg: ClusterConfig,
-    nodes: Vec<NodeRt>,
+/// Each [`Ev`] names one node, handlers only touch that node's state, and
+/// every event they schedule targets the same node. Cross-node interaction
+/// happens solely through the [`Ctx`] fabric methods.
+struct Nodes {
+    cfg: ClusterConfig,
+    rts: Vec<NodeRt>,
     actors: HashMap<(u16, u8), Box<dyn Actor>>,
     /// Per-endpoint application CPU cursor: an actor's callbacks and the
     /// work they issue are serialised on its core.
     app_busy: HashMap<(u16, u8), Time>,
-    pub(crate) stop: bool,
+    stop: bool,
     /// Scratch buffer for actor commands (reused across callbacks).
     cmd_buf: Vec<ActorCmd>,
     /// Scratch buffer for driver actions (reused across dispatches).
@@ -685,20 +635,20 @@ pub(crate) struct Shard {
     /// Scratch for draining the offload engine's emit queue.
     offload_scratch: Vec<OffloadEmit>,
     /// Per-node cumulative application-payload bytes delivered — the
-    /// goodput tap, indexed by `node - base`. Tracked here (not in
+    /// goodput tap, indexed by node. Tracked here (not in
     /// `DriverCounters`) so the serialized counter shape stays stable.
     delivered_bytes: Vec<u64>,
 }
 
-pub(crate) struct SystemModel {
-    pub(crate) shard: Shard,
-    pub(crate) fabric: EthernetFabric,
+struct SystemModel {
+    nodes: Nodes,
+    fabric: EthernetFabric,
     /// Optional packet-level event trace.
-    pub(crate) tracer: Option<Tracer>,
+    tracer: Option<Tracer>,
     /// Optional windowed telemetry sampler (driven by the engine tick).
-    pub(crate) telemetry: Option<Telemetry>,
+    telemetry: Option<Telemetry>,
     /// Invariant recorder (posted / delivered / completed accounting).
-    pub(crate) sanitizer: Sanitizer,
+    sanitizer: Sanitizer,
 }
 
 impl SystemModel {
@@ -708,14 +658,14 @@ impl SystemModel {
     /// window; `Telemetry::begin_window` rejects non-advancing boundaries,
     /// so the drain-path call is idempotent. Pure reads of layer state —
     /// nothing here touches the event queue.
-    pub(crate) fn sample_telemetry(&mut self, end: Time) {
+    fn sample_telemetry(&mut self, end: Time) {
         let Some(tel) = self.telemetry.as_mut() else {
             return;
         };
         if !tel.begin_window(end) {
             return;
         }
-        self.shard.sample_nodes(tel);
+        self.nodes.sample(tel);
         for p in 0..self.fabric.ports() {
             tel.sample_port(
                 p,
@@ -728,22 +678,21 @@ impl SystemModel {
     }
 }
 
-impl Shard {
-    /// This shard's runtime state for global node id `node`.
+impl Nodes {
+    /// Runtime state of node `node`.
     #[inline]
     fn rt(&mut self, node: u16) -> &mut NodeRt {
-        &mut self.nodes[(node - self.base) as usize]
+        &mut self.rts[node as usize]
     }
 
-    /// Snapshot this shard's node taps into an already-open telemetry
-    /// window (global node indices). The caller opens the window and
-    /// samples the fabric ports.
-    pub(crate) fn sample_nodes(&self, tel: &mut Telemetry) {
-        for (i, n) in self.nodes.iter().enumerate() {
+    /// Snapshot every node tap into an already-open telemetry window. The
+    /// caller opens the window and samples the fabric ports.
+    fn sample(&self, tel: &mut Telemetry) {
+        for (i, n) in self.rts.iter().enumerate() {
             let nc = n.nic.counters();
             let dc = n.driver.counters();
             tel.sample_node(
-                self.base as usize + i,
+                i,
                 NodeTap {
                     interrupts: nc.interrupts.get(),
                     hold_sum_ns: nc.coalesce_hold_ns.sum(),
@@ -757,85 +706,6 @@ impl Shard {
                 },
             );
         }
-    }
-
-    /// Keys of every attached actor, in the global priming order (the
-    /// serial `run` primes `AppStart` events in sorted key order, and the
-    /// parallel runner must reproduce exactly that order).
-    pub(crate) fn actor_keys_sorted(&self) -> Vec<(u16, u8)> {
-        let mut keys: Vec<(u16, u8)> = self.actors.keys().copied().collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    /// Whether any actor in this shard may call [`ActorCtx::stop`]
-    /// (see [`Actor::may_stop`]). Sampled once per run, right after the
-    /// split, to classify each partition for the parallel engine's global
-    /// stop vote.
-    pub(crate) fn may_stop(&self) -> bool {
-        self.actors.values().any(|a| a.may_stop())
-    }
-
-    /// Split this shard into `parts` contiguous sub-shards, moving all node
-    /// state out (this shard keeps its `base`/`cfg` but owns zero nodes
-    /// until [`Shard::absorb`] reassembles it). Nodes are balanced so any
-    /// two parts differ by at most one node.
-    pub(crate) fn split(&mut self, parts: usize) -> Vec<Shard> {
-        let n = self.nodes.len();
-        assert!(self.base == 0, "only the full-cluster shard splits");
-        assert!((1..=n).contains(&parts), "bad split: {parts} of {n} nodes");
-        let mut nodes = std::mem::take(&mut self.nodes);
-        let mut delivered = std::mem::take(&mut self.delivered_bytes);
-        let mut shards: Vec<Shard> = Vec::with_capacity(parts);
-        for p in (0..parts).rev() {
-            let start = p * n / parts;
-            shards.push(Shard {
-                base: start as u16,
-                cfg: self.cfg.clone(),
-                nodes: nodes.split_off(start),
-                actors: HashMap::new(),
-                app_busy: HashMap::new(),
-                stop: false,
-                cmd_buf: Vec::new(),
-                action_buf: Vec::new(),
-                woken_scratch: Vec::new(),
-                ready_scratch: Vec::new(),
-                frame_scratch: Vec::new(),
-                batch_pool: Vec::new(),
-                offload_scratch: Vec::new(),
-                delivered_bytes: delivered.split_off(start),
-            });
-        }
-        shards.reverse();
-        let bases: Vec<u16> = shards.iter().map(|s| s.base).collect();
-        let owner = |node: u16| {
-            bases
-                .partition_point(|b| *b <= node)
-                .checked_sub(1)
-                .expect("node below first shard base")
-        };
-        for ((node, ep), a) in self.actors.drain() {
-            shards[owner(node)].actors.insert((node, ep), a);
-        }
-        for ((node, ep), t) in self.app_busy.drain() {
-            shards[owner(node)].app_busy.insert((node, ep), t);
-        }
-        shards
-    }
-
-    /// Reassemble a sub-shard produced by [`Shard::split`]. Must be called
-    /// in ascending `base` order.
-    pub(crate) fn absorb(&mut self, mut w: Shard) {
-        debug_assert_eq!(
-            self.base as usize + self.nodes.len(),
-            w.base as usize,
-            "shards must be absorbed in base order"
-        );
-        self.nodes.append(&mut w.nodes);
-        self.delivered_bytes.append(&mut w.delivered_bytes);
-        self.actors.extend(w.actors.drain());
-        self.app_busy.extend(w.app_busy.drain());
-        self.stop |= w.stop;
     }
 
     fn tx_cost_ns(&self, pkt: &Packet) -> u64 {
@@ -901,9 +771,8 @@ impl Shard {
     }
 
     /// Transmit one Open-MX packet: the intra-node shared-memory shortcut
-    /// stays shard-local; the wire path goes through the context (inline
-    /// fabric call in serial mode, replayed intent in parallel mode).
-    fn transmit_omx(&mut self, now: Time, pkt: Packet, ctx: &mut impl SimCtx) {
+    /// schedules a local delivery; the wire path goes through the fabric.
+    fn transmit_omx(&mut self, now: Time, pkt: Packet, ctx: &mut Ctx) {
         let src = pkt.hdr.src.node.0;
         let dst = pkt.hdr.dst.node.0;
         ctx.trace(now, src, TraceKind::Transmit, || TraceData::Packet {
@@ -926,7 +795,7 @@ impl Shard {
         ctx.transmit_omx_wire(t, pkt);
     }
 
-    fn apply_nic_outcome(&mut self, node: u16, now: Time, out: NicOutcome, ctx: &mut impl SimCtx) {
+    fn apply_nic_outcome(&mut self, node: u16, now: Time, out: NicOutcome, ctx: &mut Ctx) {
         if let Some((desc, at)) = out.dma {
             ctx.schedule_at(at, Ev::DmaComplete { node, desc });
         }
@@ -965,7 +834,7 @@ impl Shard {
         now: Time,
         actions: &mut Vec<DriverAction>,
         irq_core: Option<CoreId>,
-        ctx: &mut impl SimCtx,
+        ctx: &mut Ctx,
     ) {
         let mut cursor = now;
         for action in actions.drain(..) {
@@ -1027,9 +896,8 @@ impl Shard {
     /// Drain and apply the offload engine's queued emits for `node`. The
     /// engine is a passive state machine; this is the single point where
     /// its decisions touch the wire, the sanitizer, the host IRQ path and
-    /// the event queue — all through `ctx`, so serial and parallel engines
-    /// replay identical effect sequences.
-    fn run_offload_emits(&mut self, node: u16, now: Time, ctx: &mut impl SimCtx) {
+    /// the event queue.
+    fn run_offload_emits(&mut self, node: u16, now: Time, ctx: &mut Ctx) {
         let mut emits = std::mem::take(&mut self.offload_scratch);
         self.rt(node).offload.drain_emits(&mut emits);
         for e in emits.drain(..) {
@@ -1109,7 +977,7 @@ impl Shard {
         node: u16,
         ep: u8,
         now: Time,
-        ctx: &mut impl SimCtx,
+        ctx: &mut Ctx,
         f: impl FnOnce(&mut dyn Actor, &mut ActorCtx),
     ) {
         let Some(mut actor) = self.actors.remove(&(node, ep)) else {
@@ -1245,12 +1113,11 @@ fn channel_group(pkt: &Packet) -> u64 {
         + d.endpoint as u64
 }
 
-impl Shard {
-    /// Dispatch one event against this shard's node state. Every event is
-    /// node-local by construction (cross-node traffic only exists as wire
-    /// transmissions through the [`SimCtx`]), which is what lets the
-    /// parallel engine hand disjoint node ranges to different workers.
-    pub(crate) fn dispatch(&mut self, now: Time, event: Ev, ctx: &mut impl SimCtx) {
+impl Nodes {
+    /// Dispatch one event against its node's state. Every event is
+    /// node-local (cross-node traffic only exists as wire transmissions
+    /// through the [`Ctx`]).
+    fn dispatch(&mut self, now: Time, event: Ev, ctx: &mut Ctx) {
         match event {
             Ev::FrameArrival { node, pkt } => {
                 if let WireFrame::Coll(frame) = pkt {
@@ -1378,7 +1245,7 @@ impl Shard {
             }
             Ev::AppRecv { node, ep, c } => {
                 ctx.san_delivered(c.src.node.0, node, c.msg.0, c.len);
-                self.delivered_bytes[(node - self.base) as usize] += u64::from(c.len);
+                self.delivered_bytes[node as usize] += u64::from(c.len);
                 ctx.trace(now, node, TraceKind::AppDelivery, || TraceData::Recv {
                     ep,
                     src: c.src.node.0,
@@ -1456,19 +1323,19 @@ impl Model for SystemModel {
 
     fn handle(&mut self, now: Time, event: Ev, sched: &mut Scheduler<Ev>) {
         let SystemModel {
-            shard,
+            nodes,
             fabric,
             tracer,
             sanitizer,
             ..
         } = self;
-        let mut ctx = SerialCtx {
+        let mut ctx = Ctx {
             sched,
             fabric,
             tracer,
             sanitizer,
         };
-        shard.dispatch(now, event, &mut ctx);
+        nodes.dispatch(now, event, &mut ctx);
     }
 
     fn tick(&mut self, now: Time) {
@@ -1482,8 +1349,8 @@ impl Model for SystemModel {
 
 /// A runnable simulated cluster.
 pub struct Cluster {
-    pub(crate) engine: Engine<SystemModel>,
-    pub(crate) started: bool,
+    engine: Engine<SystemModel>,
+    started: bool,
 }
 
 impl Cluster {
@@ -1501,7 +1368,7 @@ impl Cluster {
             },
             rng.fork(1),
         );
-        let nodes = (0..cfg.nodes)
+        let rts = (0..cfg.nodes)
             .map(|i| NodeRt {
                 driver: NodeDriver::new(i as u16, cfg.endpoints_per_node, cfg.proto),
                 nic: Nic::new(cfg.nic.clone()),
@@ -1516,10 +1383,9 @@ impl Cluster {
             .collect();
         let model_nodes = cfg.nodes;
         let model = SystemModel {
-            shard: Shard {
-                base: 0,
+            nodes: Nodes {
                 cfg,
-                nodes,
+                rts,
                 actors: HashMap::new(),
                 app_busy: HashMap::new(),
                 stop: false,
@@ -1545,7 +1411,7 @@ impl Cluster {
 
     /// The configuration in force.
     pub fn config(&self) -> &ClusterConfig {
-        &self.engine.model().shard.cfg
+        &self.engine.model().nodes.cfg
     }
 
     /// Enable packet-level event tracing, keeping the last `capacity`
@@ -1566,7 +1432,7 @@ impl Cluster {
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
         let window_ns = cfg.window_ns;
         let model = self.engine.model_mut();
-        let nodes = model.shard.cfg.nodes;
+        let nodes = model.nodes.cfg.nodes;
         // One egress port per node in this fabric.
         model.telemetry = Some(Telemetry::new(cfg, nodes, nodes));
         self.engine.set_tick_period(window_ns);
@@ -1588,7 +1454,7 @@ impl Cluster {
     /// not expressible as a [`CoalescingStrategy`]).
     pub fn set_node_strategy(&mut self, node: u16, strategy: Box<dyn omx_nic::Coalescer>) {
         assert!(!self.started, "strategies must be set before the first run");
-        self.engine.model_mut().shard.nodes[node as usize]
+        self.engine.model_mut().nodes.rts[node as usize]
             .nic
             .set_strategy(strategy);
     }
@@ -1599,68 +1465,44 @@ impl Cluster {
         assert!(!self.started, "actors must be added before the first run");
         let model = self.engine.model_mut();
         assert!(
-            (node as usize) < model.shard.cfg.nodes,
+            (node as usize) < model.nodes.cfg.nodes,
             "node {node} out of range"
         );
         assert!(
-            (ep as usize) < model.shard.cfg.endpoints_per_node,
+            (ep as usize) < model.nodes.cfg.endpoints_per_node,
             "endpoint {ep} out of range"
         );
         // Polling ranks keep their core busy (interrupts preempt them);
         // ranks that block in `mx_wait` leave it idle.
-        let core = ep as usize % model.shard.cfg.host.cores;
+        let core = ep as usize % model.nodes.cfg.host.cores;
         let polls = !actor.blocking_waits();
-        model.shard.nodes[node as usize]
+        model.nodes.rts[node as usize]
             .host
             .set_app_active(core, polls, Time::ZERO);
-        let prev = model.shard.actors.insert((node, ep), actor);
+        let prev = model.nodes.actors.insert((node, ep), actor);
         assert!(
             prev.is_none(),
             "endpoint ({node}, {ep}) already has an actor"
         );
     }
 
-    /// Parallel-engine eligibility for the next run: `Some(parts)` when
-    /// [`omx_sim::pool::effective_sim_jobs`] exceeds 1 and this run shape
-    /// can be partitioned, `None` for the serial engine. Requesting
-    /// `--sim-jobs` on a shape that still forces serial emits a one-shot
-    /// stderr warning naming the reason — a silent serial fallback would
-    /// make every "--sim-jobs made no difference" report a debugging
-    /// session.
-    fn parallel_parts(&self) -> Option<usize> {
-        let jobs = omx_sim::pool::effective_sim_jobs();
-        if jobs <= 1 {
-            return None;
-        }
-        let m = self.engine.model();
-        let reason = if self.started {
-            Some("the cluster already ran (mid-run state cannot be partitioned)")
-        } else if m.shard.cfg.nodes < 2 {
-            Some("the cluster has a single node (nothing to partition)")
-        } else if m.fabric.config().lookahead_ns() == 0 {
-            Some("the fabric lookahead is zero (disturbance jitter swallows the minimum transit time)")
-        } else {
-            None
-        };
-        match reason {
-            None => Some(jobs.min(m.shard.cfg.nodes)),
-            Some(reason) => {
-                use std::sync::atomic::{AtomicBool, Ordering};
-                static WARNED: AtomicBool = AtomicBool::new(false);
-                if !WARNED.swap(true, Ordering::Relaxed) {
-                    eprintln!(
-                        "warning: --sim-jobs {jobs} requested but this run \
-                         uses the serial engine: {reason}"
-                    );
-                }
-                None
+    /// Run until quiescence, the horizon, or an actor-requested stop.
+    ///
+    /// A horizon cut leaves in-flight events queued, so a follow-up `run`
+    /// resumes where this one stopped.
+    pub fn run(&mut self, horizon: Time) -> StopCondition {
+        if !self.started {
+            self.started = true;
+            let mut keys: Vec<(u16, u8)> =
+                self.engine.model().nodes.actors.keys().copied().collect();
+            keys.sort_unstable();
+            for (node, ep) in keys {
+                self.engine.prime(Time::ZERO, Ev::AppStart { node, ep });
             }
         }
-    }
-
-    /// Shared run epilogue: close the open telemetry window and, at
-    /// quiescence, assert the sanitizer invariants.
-    fn finish_run(&mut self, stop: StopCondition) -> StopCondition {
+        let stop = self
+            .engine
+            .run_until(horizon, u64::MAX, |m: &SystemModel| m.nodes.stop);
         // Ticks only fire while events flow, so the tail of the run — from
         // the last aligned boundary to the final event — is still an open
         // window. Close it at the stop point (idempotent; skipped when the
@@ -1689,52 +1531,6 @@ impl Cluster {
         stop
     }
 
-    /// Run until quiescence, the horizon, or an actor-requested stop.
-    ///
-    /// Eligible for the conservative parallel engine (DESIGN §12) when
-    /// [`omx_sim::pool::effective_sim_jobs`] exceeds 1: the global stop
-    /// vote dispatches stop-capable epochs in exact serial order, so the
-    /// run ends at the same stop ordinal — and with byte-identical metrics,
-    /// telemetry, trace and sanitizer output — as the serial engine, at
-    /// any worker count. A horizon cut in parallel mode discards in-flight
-    /// events past the horizon (the serial path keeps them queued for a
-    /// follow-up `run`); no workload in this repo re-runs a cluster after
-    /// a horizon cut.
-    pub fn run(&mut self, horizon: Time) -> StopCondition {
-        if let Some(parts) = self.parallel_parts() {
-            self.started = true;
-            let stop = crate::par_run::run_parallel(self, horizon, parts, true);
-            return self.finish_run(stop);
-        }
-        if !self.started {
-            self.started = true;
-            let mut keys: Vec<(u16, u8)> =
-                self.engine.model().shard.actors.keys().copied().collect();
-            keys.sort_unstable();
-            for (node, ep) in keys {
-                self.engine.prime(Time::ZERO, Ev::AppStart { node, ep });
-            }
-        }
-        let stop = self
-            .engine
-            .run_until(horizon, u64::MAX, |m: &SystemModel| m.shard.stop);
-        self.finish_run(stop)
-    }
-
-    /// Run until quiescence or the horizon — [`Cluster::run`] with the
-    /// promise that no actor calls `stop()` (the parallel engine panics if
-    /// one does). Drain workloads take this path so every epoch stays
-    /// eligible for concurrent dispatch regardless of
-    /// [`Actor::may_stop`] declarations.
-    pub fn run_drain(&mut self, horizon: Time) -> StopCondition {
-        if let Some(parts) = self.parallel_parts() {
-            self.started = true;
-            let stop = crate::par_run::run_parallel(self, horizon, parts, false);
-            return self.finish_run(stop);
-        }
-        self.run(horizon)
-    }
-
     /// Check the sim-sanitizer invariants against the current state: the
     /// run-time delivery accounting plus, per node, stranded protocol state
     /// ([`NodeDriver::pending_report`]) and NIC interrupt liveness
@@ -1745,7 +1541,7 @@ impl Cluster {
         let m = self.engine.model();
         let mut report = m.sanitizer.report();
         let mut pending = Vec::new();
-        for rt in &m.shard.nodes {
+        for rt in &m.nodes.rts {
             rt.driver.pending_report(&mut pending);
         }
         report.violations.extend(
@@ -1753,7 +1549,7 @@ impl Cluster {
                 .drain(..)
                 .map(|e| format!("stranded message [{}]: {}", e.phase, e.detail)),
         );
-        for (i, rt) in m.shard.nodes.iter().enumerate() {
+        for (i, rt) in m.nodes.rts.iter().enumerate() {
             let owed = rt.nic.pending_work();
             if owed > 0 {
                 report.violations.push(format!(
@@ -1767,7 +1563,7 @@ impl Cluster {
                 ));
             }
         }
-        for rt in &m.shard.nodes {
+        for rt in &m.nodes.rts {
             // Offload liveness: incomplete operations, un-acked frames and
             // stranded early-arrival buffers are bugs at quiescence.
             rt.offload.pending_report(&mut report.violations);
@@ -1789,7 +1585,7 @@ impl Cluster {
     pub fn actor<T: Actor>(&self, node: u16, ep: u8) -> Option<&T> {
         self.engine
             .model()
-            .shard
+            .nodes
             .actors
             .get(&(node, ep))
             .and_then(|a| a.as_any().downcast_ref::<T>())
@@ -1811,12 +1607,12 @@ impl Cluster {
             frames_dropped: m.fabric.frames_dropped(),
             switch_drops: m.fabric.switch_drops(),
             switch_occupancy_peak: m.fabric.switch_occupancy_peak(),
-            switch_queue_depth: (0..m.shard.cfg.nodes)
+            switch_queue_depth: (0..m.nodes.cfg.nodes)
                 .map(|p| m.fabric.switch_queue_depth_at(PortId(p)).finalized(now))
                 .collect(),
             nodes: m
-                .shard
                 .nodes
+                .rts
                 .iter()
                 .map(|n| NodeMetrics {
                     nic: n.nic.counters().clone(),
@@ -1836,8 +1632,8 @@ impl Cluster {
     pub fn offload_counters(&self) -> Vec<OffloadCounters> {
         self.engine
             .model()
-            .shard
             .nodes
+            .rts
             .iter()
             .map(|n| n.offload.counters().clone())
             .collect()
@@ -1848,8 +1644,8 @@ impl Cluster {
     pub fn total_interrupts(&self) -> u64 {
         self.engine
             .model()
-            .shard
             .nodes
+            .rts
             .iter()
             .map(|n| n.nic.counters().interrupts.get())
             .sum()

@@ -126,12 +126,6 @@ impl PongActor {
 }
 
 impl Actor for PongActor {
-    /// Pure echo responder: never calls `stop()`, so a partition holding
-    /// only pong endpoints stays eligible for concurrent dispatch.
-    fn may_stop(&self) -> bool {
-        false
-    }
-
     fn on_start(&mut self, ctx: &mut ActorCtx) {
         ctx.post_recv(0, PONG_BIT, 0); // match any ping (bit 63 clear)
     }

@@ -89,12 +89,6 @@ impl StreamSender {
 }
 
 impl Actor for StreamSender {
-    /// The sender runs until its send budget drains; only the receiver
-    /// calls `stop()`.
-    fn may_stop(&self) -> bool {
-        false
-    }
-
     fn on_start(&mut self, ctx: &mut ActorCtx) {
         self.pump(ctx);
     }

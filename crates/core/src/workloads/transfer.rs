@@ -134,11 +134,6 @@ impl TransferReceiver {
 }
 
 impl Actor for TransferReceiver {
-    /// Echo-only endpoint: the sender owns the `stop()` call.
-    fn may_stop(&self) -> bool {
-        false
-    }
-
     fn blocking_waits(&self) -> bool {
         true
     }

@@ -58,43 +58,6 @@ impl Default for FabricConfig {
     }
 }
 
-impl FabricConfig {
-    /// Undisturbed lower bound, in nanoseconds, on how long *any* frame
-    /// spends in the fabric between [`EthernetFabric::transmit`] and its
-    /// arrival: two zero-byte serializations (host egress and switch
-    /// egress are both finite-rate), two cable propagations, and the
-    /// switch store-and-forward latency. Queueing, frame payload, and
-    /// injected delay only ever add to this.
-    pub fn min_transit_ns(&self) -> u64 {
-        2 * self.link.serialization(0).as_nanos() as u64
-            + 2 * self.link.propagation_ns
-            + self.switch_latency_ns
-    }
-
-    /// Conservative-parallel lookahead, in nanoseconds: a frame handed to
-    /// the fabric at time `t` is guaranteed to arrive no earlier than
-    /// `t + lookahead_ns()`. This is [`FabricConfig::min_transit_ns`]
-    /// minus the disturbance jitter spread, the one injector term that can
-    /// be *negative* (delay injection only adds; loss delivers nothing).
-    /// A parallel DES engine may process events up to this far ahead of
-    /// the global minimum time without ever seeing a cross-node frame
-    /// land in its past. Returns 0 — "no safe lookahead, run serial" —
-    /// if the jitter spread swallows the whole transit floor.
-    pub fn lookahead_ns(&self) -> u64 {
-        self.min_transit_ns()
-            .saturating_sub(self.disturbance.jitter_ns)
-    }
-
-    /// Earliest possible arrival, in nanoseconds, of a frame handed to the
-    /// fabric at `tx_ns` — the cross-partition intent bound the adaptive
-    /// epoch scheduler clamps against. Saturates at `u64::MAX` so callers
-    /// can fold it into a running `min` with "no intent in flight"
-    /// represented as `u64::MAX`.
-    pub fn earliest_arrival_ns(&self, tx_ns: u64) -> u64 {
-        tx_ns.saturating_add(self.lookahead_ns())
-    }
-}
-
 /// Result of submitting a frame to the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransmitOutcome {
@@ -326,71 +289,6 @@ mod tests {
             TransmitOutcome::Lost => panic!("frame lost unexpectedly"),
             TransmitOutcome::SwitchDropped => panic!("frame switch-dropped unexpectedly"),
         }
-    }
-
-    #[test]
-    fn lookahead_matches_transit_components() {
-        let cfg = FabricConfig::default();
-        // 10 GbE: ser(0) = ceil(24 B · 8 / 10 bpns) = 20 ns, propagation
-        // 200 ns per hop, switch 300 ns.
-        assert_eq!(cfg.min_transit_ns(), 2 * 20 + 2 * 200 + 300);
-        assert_eq!(cfg.lookahead_ns(), cfg.min_transit_ns());
-
-        let mut jittery = FabricConfig::default();
-        jittery.disturbance.jitter_ns = 100;
-        assert_eq!(jittery.lookahead_ns(), jittery.min_transit_ns() - 100);
-
-        // Pathological jitter swallows the transit floor: no safe lookahead.
-        jittery.disturbance.jitter_ns = u64::MAX;
-        assert_eq!(jittery.lookahead_ns(), 0);
-    }
-
-    #[test]
-    fn earliest_arrival_is_tx_plus_lookahead_and_saturates() {
-        let cfg = FabricConfig::default();
-        assert_eq!(cfg.earliest_arrival_ns(1_000), 1_000 + cfg.lookahead_ns());
-        assert_eq!(cfg.earliest_arrival_ns(u64::MAX - 1), u64::MAX);
-    }
-
-    #[test]
-    fn every_arrival_respects_the_lookahead_bound() {
-        // The conservative-parallel safety contract: under load, random
-        // loss, delay injection, *and* negative jitter, a frame handed to
-        // the fabric at `t` never arrives before `t + lookahead_ns()`.
-        let cfg = FabricConfig {
-            switch_buffer_frames: 4,
-            disturbance: DisturbanceConfig {
-                delay_probability: 0.2,
-                delay_min_ns: 50,
-                delay_max_ns: 5_000,
-                loss_probability: 0.1,
-                jitter_ns: 120,
-            },
-            ..FabricConfig::default()
-        };
-        let lookahead = TimeDelta::from_nanos(cfg.lookahead_ns() as i64);
-        let mut f = EthernetFabric::new(8, cfg, SimRng::new(0xFEED));
-        let mut rng = SimRng::new(0x5EED);
-        let mut now = Time::ZERO;
-        let mut arrivals = 0u32;
-        for _ in 0..5_000 {
-            now += TimeDelta::from_nanos(rng.range_u64(0, 400) as i64);
-            let src = PortId(rng.range_u64(0, 8) as usize);
-            let mut dst = PortId(rng.range_u64(0, 8) as usize);
-            if dst == src {
-                dst = PortId((dst.0 + 1) % 8);
-            }
-            let bytes = rng.range_u64(64, 1_500) as u32;
-            if let TransmitOutcome::Arrives(at) = f.transmit(now, src, dst, bytes) {
-                assert!(
-                    at >= now + lookahead,
-                    "frame sent at {now:?} arrived at {at:?}, inside the \
-                     {lookahead:?} lookahead window"
-                );
-                arrivals += 1;
-            }
-        }
-        assert!(arrivals > 1_000, "disturbance ate the sample ({arrivals})");
     }
 
     #[test]

@@ -421,18 +421,6 @@ impl RankActor {
 }
 
 impl Actor for RankActor {
-    /// Stop-capable only in stop-when-done mode. In drain mode the shared
-    /// `done_counter` still increments from concurrent epochs, but its
-    /// ordering is unobservable: with `stop_when_done == false` the
-    /// `done == total_ranks` branch never runs, so declaring `false` here
-    /// keeps drained MPI worlds eligible for parallel dispatch. In
-    /// stop-when-done mode the engine serializes every epoch that touches
-    /// a rank, which makes the counter's increment order — and thus the
-    /// stop ordinal — exactly the serial one.
-    fn may_stop(&self) -> bool {
-        self.stop_when_done
-    }
-
     fn on_start(&mut self, ctx: &mut ActorCtx) {
         self.advance(ctx);
     }

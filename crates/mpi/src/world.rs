@@ -203,17 +203,7 @@ impl MpiWorld {
                 Box::new(actor),
             );
         }
-        // Both paths are `--sim-jobs`-eligible: drain runs promise no stop
-        // (every epoch may run concurrently), while stop-when-done runs go
-        // through the engine's global stop vote (rank-touching epochs are
-        // dispatched in exact serial order so the run ends at the serial
-        // stop ordinal). Output is byte-identical to the serial path
-        // either way.
-        let stop = if drain {
-            self.cluster.run_drain(Time::from_secs(3_600))
-        } else {
-            self.cluster.run(Time::from_secs(3_600))
-        };
+        let stop = self.cluster.run(Time::from_secs(3_600));
         let expected = if drain {
             StopCondition::QueueEmpty
         } else {
@@ -282,48 +272,6 @@ mod tests {
             },
             ClusterConfig::default(),
         )
-    }
-
-    /// The conservative parallel drain engine must be *byte-identical* to
-    /// the serial engine — every report field, the full metrics tree, and
-    /// the windowed telemetry stream — at any worker count, including one
-    /// that doesn't divide the node count.
-    #[test]
-    fn parallel_drain_is_byte_identical_to_serial() {
-        use omx_sim::json::ToJson;
-        let program = |rank: usize| {
-            ProgramBuilder::new()
-                .op(Op::Compute(10_000 * (rank as u64 + 1)))
-                .op(Op::Alltoall { bytes: 2_000 })
-                .op(Op::Allreduce { bytes: 64 })
-                .op(Op::Bcast {
-                    root: 3,
-                    bytes: 4096,
-                })
-                .build()
-        };
-        let run = |jobs: usize| {
-            omx_sim::pool::with_sim_jobs(jobs, || {
-                let mut w = world(16, 2);
-                w.enable_telemetry(TelemetryConfig::default());
-                let (report, san) = w.run_drained(program);
-                format!(
-                    "{}|{:?}|{}|{}|{}|{}|{}|{:?}",
-                    report.elapsed_ns,
-                    report.per_rank_finish_ns,
-                    report.compute_wall_ns,
-                    report.stolen_ns,
-                    report.op_latency.to_json().render(),
-                    report.metrics.to_json().render(),
-                    report.telemetry.expect("telemetry enabled").to_jsonl(),
-                    san.all_violations(),
-                )
-            })
-        };
-        let serial = run(1);
-        for jobs in [2, 5, 8] {
-            assert_eq!(serial, run(jobs), "divergence at --sim-jobs {jobs}");
-        }
     }
 
     #[test]

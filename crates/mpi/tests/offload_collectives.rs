@@ -85,46 +85,6 @@ fn loss_injected_run_drains_to_quiescence() {
     assert!(san.all_violations().is_empty());
 }
 
-/// The conservative parallel engine must produce byte-identical reports
-/// for offloaded collectives at any worker count — including the offload
-/// counter harvest and the loss-injected path.
-#[test]
-fn parallel_offload_drain_is_byte_identical_to_serial() {
-    use omx_sim::json::ToJson;
-    let run = |jobs: usize, loss: bool| {
-        omx_sim::pool::with_sim_jobs(jobs, || {
-            let mut cfg = ClusterConfig::default();
-            if loss {
-                cfg.fabric.disturbance.loss_probability = 0.02;
-            }
-            let (report, san) = offload_world(16, 2, cfg).run_drained(coll_program);
-            let offload: Vec<String> = report
-                .offload
-                .iter()
-                .map(|c| c.to_json().render())
-                .collect();
-            format!(
-                "{}|{:?}|{}|{:?}|{:?}",
-                report.elapsed_ns,
-                report.per_rank_finish_ns,
-                report.metrics.to_json().render(),
-                offload,
-                san.all_violations(),
-            )
-        })
-    };
-    for loss in [false, true] {
-        let serial = run(1, loss);
-        for jobs in [2, 8] {
-            assert_eq!(
-                serial,
-                run(jobs, loss),
-                "divergence at --sim-jobs {jobs} (loss={loss})"
-            );
-        }
-    }
-}
-
 /// Collectives the firmware cannot run (payload over the cap, alltoall)
 /// transparently fall back to host execution inside the same program.
 #[test]

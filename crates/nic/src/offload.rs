@@ -64,10 +64,10 @@
 //! ([`OffloadEngine::post`], [`OffloadEngine::on_frame`],
 //! [`OffloadEngine::on_timer`]) mutate node-local state and push
 //! [`OffloadEmit`]s into an internal queue; the cluster orchestrator drains
-//! and applies them through the same `SimCtx` indirection the NIC/driver
-//! layers use. All internal maps are `BTreeMap`/`BTreeSet` (deterministic
-//! iteration), so serial and `--sim-jobs` parallel engines replay the same
-//! emit order byte-for-byte.
+//! and applies them in order, at the one place where offload decisions
+//! reach the event queue and the wire. All internal maps are
+//! `BTreeMap`/`BTreeSet` (deterministic iteration), so a fixed seed
+//! replays the same emit order byte-for-byte.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -136,8 +136,7 @@ impl Default for OffloadConfig {
 }
 
 /// A collective frame on the wire. `Copy` and all-scalar: it rides inside
-/// the cluster's wire-frame enum and the parallel engine's effect log by
-/// value.
+/// the cluster's wire-frame enum by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollFrame {
     /// Source node (fabric ingress port).
@@ -263,9 +262,8 @@ impl OffloadCounters {
 ///
 /// The engine never touches the event queue, fabric, sanitizer or host
 /// directly: every entry point pushes emits into an internal queue that the
-/// orchestrator drains ([`OffloadEngine::drain_emits`]) and applies through
-/// the cluster's scheduling context — the indirection that keeps the
-/// `--sim-jobs` parallel engine's replay byte-identical.
+/// orchestrator drains ([`OffloadEngine::drain_emits`]) and applies in
+/// order, so the NIC model stays independent of the cluster's event type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OffloadEmit {
     /// Put `frame` on the wire at time `at`.

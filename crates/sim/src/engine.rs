@@ -214,30 +214,6 @@ impl<M: Model> Engine<M> {
         self.tick_period_ns
     }
 
-    /// Adopt the outcome of running this engine's model elsewhere: advance
-    /// the clock to `now` and credit `events` dispatched events.
-    ///
-    /// Used by the conservative parallel runner, which executes the model
-    /// on partition-local schedulers and hands the finished state back so
-    /// `now()` / `events_processed()` keep reporting the truth. The tick
-    /// grid realigns exactly as [`Engine::set_tick_period`] would.
-    ///
-    /// # Panics
-    /// Panics if the queue is non-empty (the parallel runner owns all
-    /// pending work) or if `now` would move time backwards.
-    pub fn fast_forward(&mut self, now: Time, events: u64) {
-        assert!(
-            self.sched.queue.is_empty(),
-            "fast_forward with events still queued"
-        );
-        assert!(now >= self.sched.now, "fast_forward must not rewind time");
-        self.sched.now = now;
-        self.events_processed += events;
-        if let Some(period_ns) = self.tick_period_ns {
-            self.next_tick_ns = (now.as_nanos() / period_ns + 1) * period_ns;
-        }
-    }
-
     /// Schedule an initial event before running.
     ///
     /// # Panics

@@ -22,29 +22,20 @@
 //!   writers and the trace exporters (no external serialisation crates),
 //! * [`pool`] — a dependency-free work-stealing thread pool ([`Pool`])
 //!   with ordered fork-join commit, plus the process-wide `--jobs` /
-//!   `OMX_JOBS` worker-count policy and the `--sim-jobs` / `OMX_SIM_JOBS`
-//!   policy for the parallel engine,
-//! * [`par`] — the substrate for the conservative parallel DES engine:
-//!   per-partition event queues, lineage stamps, and the deterministic
-//!   merge that reconstructs serial dispatch order across partitions.
+//!   `OMX_JOBS` worker-count policy.
 //!
 //! Determinism is a hard requirement for the paper reproduction
-//! (identical seeds must produce identical interrupt counts), and it is
-//! preserved at every level of parallelism. The [`engine`] event loop
-//! itself is single-threaded; the experiment harness runs many
-//! *independent* simulations at once on the [`pool`], committing their
-//! results in input order (see the `pool` module docs for the determinism
-//! contract); and a single simulation can be partitioned across workers
-//! by the conservative epoch engine built on [`par`] (`--sim-jobs N`,
-//! DESIGN §12), whose merge replays cross-partition effects in exact
-//! serial dispatch order — every report is byte-identical to a serial
-//! run either way.
+//! (identical seeds must produce identical interrupt counts). The
+//! [`engine`] event loop is single-threaded (DESIGN §12 records why); the
+//! experiment harness runs many *independent* simulations at once on the
+//! [`pool`], committing their results in input order (see the `pool`
+//! module docs for the determinism contract), so every report is
+//! byte-identical to a serial run.
 
 #![warn(missing_docs)]
 
 pub mod engine;
 pub mod json;
-pub mod par;
 pub mod pool;
 pub mod queue;
 pub mod rng;

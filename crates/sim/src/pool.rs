@@ -477,69 +477,6 @@ pub fn global() -> &'static Pool {
     GLOBAL.get_or_init(|| Pool::new(configured_jobs()))
 }
 
-// ---------------------------------------------------------------------------
-// Intra-simulation worker-count policy (`--sim-jobs`)
-// ---------------------------------------------------------------------------
-//
-// Orthogonal to the campaign-level `--jobs` policy above: `--jobs` says how
-// many *whole simulations* run concurrently on the shared pool, `--sim-jobs`
-// says how many partition workers one simulation's conservative parallel DES
-// engine (see `omx_sim::par`) may use. The default is 1 — the serial engine —
-// because intra-sim parallelism is opt-in: it spawns dedicated scoped threads
-// per run and only pays off for large worlds.
-
-/// Sim-worker count pinned by [`set_sim_jobs`] (0 = unset → fall through to
-/// the `OMX_SIM_JOBS` environment variable, then the serial default of 1).
-static SET_SIM_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Thread-local sim-jobs override installed by [`with_sim_jobs`].
-    static SIM_JOBS_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Pin the process-wide sim-worker count (the CLI `--sim-jobs N` flag).
-/// Takes precedence over `OMX_SIM_JOBS`. `0` resets to unset.
-pub fn set_sim_jobs(n: usize) {
-    SET_SIM_JOBS.store(n, Ordering::SeqCst);
-}
-
-/// The process-wide sim-jobs setting: [`set_sim_jobs`] if set, else a
-/// positive-integer `OMX_SIM_JOBS` environment variable (invalid values are
-/// rejected with a warning, like `OMX_JOBS`), else 1 (serial engine).
-pub fn configured_sim_jobs() -> usize {
-    let pinned = SET_SIM_JOBS.load(Ordering::SeqCst);
-    if pinned > 0 {
-        return pinned;
-    }
-    static WARNED: AtomicBool = AtomicBool::new(false);
-    jobs_env("OMX_SIM_JOBS", &WARNED).unwrap_or(1)
-}
-
-/// The sim-jobs value the engine should honour *right now*: the innermost
-/// [`with_sim_jobs`] override on this thread, else [`configured_sim_jobs`].
-/// 1 means "run the serial engine".
-pub fn effective_sim_jobs() -> usize {
-    SIM_JOBS_OVERRIDE
-        .with(|o| o.get())
-        .unwrap_or_else(configured_sim_jobs)
-}
-
-/// Run `f` with [`effective_sim_jobs`] forced to `n` on this thread
-/// (restored on exit, panic included). Note the override is thread-local:
-/// it reaches simulations run *on the calling thread*, not cells dispatched
-/// to [`global`] pool workers — use [`set_sim_jobs`] (or the env var) to
-/// parallelize campaign cells executed via [`Pool::map`].
-pub fn with_sim_jobs<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SIM_JOBS_OVERRIDE.with(|o| o.set(self.0));
-        }
-    }
-    let _restore = Restore(SIM_JOBS_OVERRIDE.with(|o| o.replace(Some(n.max(1)))));
-    f()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,37 +575,6 @@ mod tests {
         assert_eq!(parse_jobs_value("abc"), None);
         assert_eq!(parse_jobs_value(""), None);
         assert_eq!(parse_jobs_value("2x"), None);
-    }
-
-    #[test]
-    fn invalid_sim_jobs_env_warns_and_falls_back_to_serial() {
-        // `OMX_SIM_JOBS` is read only by this policy family, so mutating it
-        // here cannot race the `OMX_JOBS` resolution tests.
-        std::env::set_var("OMX_SIM_JOBS", "abc");
-        assert_eq!(configured_sim_jobs(), 1, "malformed env → serial default");
-        std::env::set_var("OMX_SIM_JOBS", "0");
-        assert_eq!(configured_sim_jobs(), 1, "zero env → serial default");
-        std::env::set_var("OMX_SIM_JOBS", "3");
-        assert_eq!(configured_sim_jobs(), 3);
-        std::env::remove_var("OMX_SIM_JOBS");
-        assert_eq!(configured_sim_jobs(), 1);
-        // A pinned value (the CLI flag) beats the environment.
-        std::env::set_var("OMX_SIM_JOBS", "5");
-        set_sim_jobs(2);
-        assert_eq!(configured_sim_jobs(), 2);
-        set_sim_jobs(0);
-        assert_eq!(configured_sim_jobs(), 5);
-        std::env::remove_var("OMX_SIM_JOBS");
-    }
-
-    #[test]
-    fn sim_jobs_override_nests_and_restores() {
-        assert_eq!(with_sim_jobs(4, effective_sim_jobs), 4);
-        let nested = with_sim_jobs(6, || with_sim_jobs(0, effective_sim_jobs));
-        assert_eq!(nested, 1, "override clamps to at least 1");
-        // The thread-local override is fully unwound (avoid reading the
-        // env-backed global here — a sibling test may be mutating it).
-        assert!(SIM_JOBS_OVERRIDE.with(|o| o.get()).is_none());
     }
 
     #[test]

@@ -59,22 +59,6 @@ pub struct EventToken {
     gen: u32,
 }
 
-impl EventToken {
-    /// Assemble a token from its raw slab coordinates. Reserved for sibling
-    /// queue implementations (the partition-local [`crate::par::ParQueue`])
-    /// that hand out tokens with the same cancel-safety contract.
-    #[inline]
-    pub(crate) fn from_parts(slot: u32, gen: u32) -> Self {
-        EventToken { slot, gen }
-    }
-
-    /// The raw `(slot, gen)` coordinates, inverse of [`EventToken::from_parts`].
-    #[inline]
-    pub(crate) fn parts(self) -> (u32, u32) {
-        (self.slot, self.gen)
-    }
-}
-
 /// Where a live event currently resides.
 #[derive(Debug, Clone, Copy)]
 enum Loc {
@@ -191,8 +175,8 @@ impl<E> EventQueue<E> {
     /// Schedule `event` at absolute time `time`; returns a cancellation token.
     ///
     /// `#[inline]`: push/cancel are the two halves of the coalescing-timer
-    /// re-arm pattern and are called from other crates (the engine, the
-    /// partition queues); without the hint the call stays an opaque
+    /// re-arm pattern and are called from another crate (the engine);
+    /// without the hint the call stays an opaque
     /// cross-crate call and the wheel fast path cannot fold into the
     /// caller's loop.
     #[inline]
