@@ -453,31 +453,16 @@ fn run_perf(smoke: bool, iters: Option<u32>) {
     );
     let report = omx_bench::perf::run(smoke, iters);
     omx_bench::perf::print_summary(&report);
-    match omx_bench::perf::write_report(&report) {
-        Ok(()) => println!("wrote BENCH_sim.json"),
-        Err(e) => eprintln!("failed to write BENCH_sim.json: {e}"),
-    }
-    // The campaign/* serial-vs-parallel comparison doubles as a CI
-    // artifact: results/campaign_speedup.json.
-    persist(
-        "campaign speedup comparison",
-        omx_bench::perf::write_campaign_comparison(&report),
-    );
-    // Smoke mode doubles as CI's perf regression gate: any bench with a
-    // recorded baseline that regressed past 2× fails the run; on a
-    // multi-core runner the campaign/* parallel benches must clear 2×
-    // over their same-run serial baselines (vacuous at --jobs 1 or on
-    // hosts with fewer than 4 cores, where the speedup cannot exist).
+    persist("BENCH_sim.json", omx_bench::perf::write_report(&report));
+    println!("wrote BENCH_sim.json");
+    // Smoke mode doubles as CI's perf regression gate: any bench whose
+    // mean regressed past 2x its baseline fails the run.
     if smoke {
         let regressed = omx_bench::perf::regressions(&report, 2.0);
         for (id, mean, baseline) in &regressed {
             eprintln!("perf regression: {id} mean {mean} ns > 2x baseline {baseline} ns");
         }
-        let shortfalls = omx_bench::perf::speedup_shortfalls(&report, 2.0, 4);
-        for (id, speedup) in &shortfalls {
-            eprintln!("campaign speedup shortfall: {id} at {speedup:.2}x, expected >= 2x serial");
-        }
-        if !regressed.is_empty() || !shortfalls.is_empty() {
+        if !regressed.is_empty() {
             std::process::exit(3);
         }
     }

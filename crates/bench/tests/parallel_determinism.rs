@@ -1,5 +1,6 @@
-//! Cross-process determinism of the parallel campaign executor, and the
-//! CLI's rejection of malformed or unknown flags.
+//! Cross-process determinism of the parallel campaign executor, the CLI's
+//! rejection of malformed or unknown flags, and its exit status when a
+//! report cannot be written.
 //!
 //! The determinism contract (DESIGN §11): **parallelism may reorder
 //! execution, but never observable output**. Campaign cells are
@@ -161,4 +162,30 @@ fn malformed_jobs_flags_exit_nonzero() {
             "missing diagnostic for {args:?}: {stderr}"
         );
     }
+}
+
+/// `perf` must fail loudly when it cannot write its report: a run whose
+/// `BENCH_sim.json` silently vanished is indistinguishable from one that
+/// succeeded. A directory squatting on the report path makes the write fail.
+#[test]
+fn perf_report_write_failure_exits_nonzero() {
+    let dir = std::env::temp_dir().join(format!("omx_perf_unwritable_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("BENCH_sim.json")).expect("create scratch dir");
+    let output = Command::new(PathBuf::from(env!("CARGO_BIN_EXE_omx-bench")))
+        .args(["perf", "--smoke"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn omx-bench");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "unwritable report should exit 1"
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("failed to write BENCH_sim.json"),
+        "missing diagnostic: {stderr}"
+    );
 }

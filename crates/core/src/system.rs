@@ -1449,16 +1449,6 @@ impl Cluster {
         self.engine.model_mut().telemetry.take()
     }
 
-    /// Replace one node's NIC coalescing strategy with a custom
-    /// [`omx_nic::Coalescer`] implementation (downstream strategies that are
-    /// not expressible as a [`CoalescingStrategy`]).
-    pub fn set_node_strategy(&mut self, node: u16, strategy: Box<dyn omx_nic::Coalescer>) {
-        assert!(!self.started, "strategies must be set before the first run");
-        self.engine.model_mut().nodes.rts[node as usize]
-            .nic
-            .set_strategy(strategy);
-    }
-
     /// Attach an actor to `(node, endpoint)`. The endpoint is pinned to core
     /// `endpoint % cores` and marked application-active (it polls).
     pub fn add_actor(&mut self, node: u16, ep: u8, actor: Box<dyn Actor>) {

@@ -1,12 +1,11 @@
 //! Interrupt coalescing strategies — the paper's contribution.
 //!
-//! The [`Coalescer`] trait exposes exactly the firmware hook points the
-//! paper patches in myri10ge (§III-B: "less than 20 lines of code (in the
-//! main incoming packet processing routine and in the write DMA completion
-//! routine)"):
+//! [`Coalescer`] exposes exactly the firmware hook points the paper patches
+//! in myri10ge (§III-B: "less than 20 lines of code (in the main incoming
+//! packet processing routine and in the write DMA completion routine)"):
 //!
 //! * [`Coalescer::on_packet_arrival`] — a frame was received off the wire
-//!   and its descriptor created (the strategy may inspect the marker flag),
+//!   and its descriptor created,
 //! * [`Coalescer::on_dma_complete`] — the frame now sits in host memory and
 //!   *could* be processed if the host were interrupted,
 //! * [`Coalescer::on_timer`] — the classic coalescing timeout expired,
@@ -19,7 +18,6 @@
 //! interrupts are only delivered when the host has them enabled, and only
 //! when there is at least one ready packet to report.
 
-use crate::packet::PacketMeta;
 use omx_sim::{Time, TimeDelta};
 
 /// What to do with the NIC's coalescing timer.
@@ -63,465 +61,54 @@ impl Decision {
     }
 }
 
-/// A NIC interrupt coalescing strategy (the firmware's decision logic).
-///
-/// Implement this trait to experiment with your own firmware logic; the
-/// built-in strategies cover the paper. A minimal "raise every other
-/// packet" strategy:
-///
-/// ```
-/// use omx_nic::{Coalescer, Decision, PacketMeta};
-/// use omx_sim::Time;
-///
-/// struct EveryOther(bool);
-///
-/// impl Coalescer for EveryOther {
-///     fn name(&self) -> &'static str { "every-other" }
-///     fn on_packet_arrival(&mut self, _: Time, _: &PacketMeta) -> Decision {
-///         Decision::NONE
-///     }
-///     fn on_dma_complete(&mut self, _: Time, _: bool, _: usize, _: u32) -> Decision {
-///         self.0 = !self.0;
-///         if self.0 { Decision::RAISE } else { Decision::NONE }
-///     }
-///     fn on_timer(&mut self, _: Time) -> Decision { Decision::NONE }
-///     fn on_interrupt(&mut self, _: Time) {}
-/// }
-///
-/// let mut s = EveryOther(false);
-/// assert!(s.on_dma_complete(Time::ZERO, false, 0, 1).raise);
-/// assert!(!s.on_dma_complete(Time::ZERO, false, 0, 2).raise);
-/// ```
-pub trait Coalescer: Send {
-    /// Short human-readable name used in result tables.
-    fn name(&self) -> &'static str;
-
-    /// Hook: a frame arrived off the wire; its descriptor was just created.
-    /// `meta.marked` is the Open-MX latency-sensitive flag.
-    fn on_packet_arrival(&mut self, now: Time, meta: &PacketMeta) -> Decision;
-
-    /// Hook: the write DMA for a descriptor completed. `marked` is the
-    /// descriptor's stored marker; `pending_dmas` counts transfers still in
-    /// flight behind this one; `ready_packets` counts packets already in host
-    /// memory but not yet claimed by the host.
-    fn on_dma_complete(
-        &mut self,
-        now: Time,
-        marked: bool,
-        pending_dmas: usize,
-        ready_packets: u32,
-    ) -> Decision;
-
-    /// Hook: the coalescing timer fired.
-    fn on_timer(&mut self, now: Time) -> Decision;
-
-    /// Notification: an interrupt was raised (by any path).
-    fn on_interrupt(&mut self, now: Time);
-
-    /// The fallback coalescing delay, if the strategy has one. The NIC uses
-    /// it as a safety re-arm: whenever packets sit in host memory unclaimed
-    /// and no timer is pending, an interrupt must still happen within this
-    /// delay (real firmware re-arms its timer per unclaimed event).
-    fn fallback_delay(&self) -> Option<TimeDelta> {
-        None
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Disabled
-// ---------------------------------------------------------------------------
-
-/// Coalescing disabled (ethtool `rx-usecs 0`): every completed packet raises
-/// an interrupt immediately. Best small-message latency, worst host load.
-#[derive(Debug, Default)]
-pub struct DisabledCoalescing;
-
-impl Coalescer for DisabledCoalescing {
-    fn name(&self) -> &'static str {
-        "disabled"
-    }
-
-    fn on_packet_arrival(&mut self, _now: Time, _meta: &PacketMeta) -> Decision {
-        Decision::NONE
-    }
-
-    fn on_dma_complete(
-        &mut self,
-        _now: Time,
-        _marked: bool,
-        _pending: usize,
-        _ready: u32,
-    ) -> Decision {
-        Decision::RAISE
-    }
-
-    fn on_timer(&mut self, _now: Time) -> Decision {
-        Decision::NONE
-    }
-
-    fn on_interrupt(&mut self, _now: Time) {}
-}
-
-// ---------------------------------------------------------------------------
-// Timeout (classic)
-// ---------------------------------------------------------------------------
-
-/// Classic timeout-based coalescing: the interrupt is delayed until `delay`
-/// after the first packet since the last interrupt, or until `max_frames`
-/// packets are ready, whichever comes first. This is the only knob generic
-/// Ethernet hardware exposes (§II-C).
-#[derive(Debug)]
-pub struct TimeoutCoalescing {
-    delay: TimeDelta,
-    max_frames: Option<u32>,
-    timer_armed: bool,
-}
-
-impl TimeoutCoalescing {
-    /// Standard configuration with only a delay (Myri-10G default: 75 µs).
-    pub fn new(delay_us: u64) -> Self {
-        TimeoutCoalescing {
-            delay: TimeDelta::from_micros(delay_us as i64),
-            max_frames: None,
-            timer_armed: false,
-        }
-    }
-
-    /// Configuration with both a delay and a packet-count bound.
-    pub fn with_max_frames(delay_us: u64, max_frames: u32) -> Self {
-        TimeoutCoalescing {
-            delay: TimeDelta::from_micros(delay_us as i64),
-            max_frames: Some(max_frames),
-            timer_armed: false,
-        }
-    }
-}
-
-impl Coalescer for TimeoutCoalescing {
-    fn name(&self) -> &'static str {
-        "timeout"
-    }
-
-    fn on_packet_arrival(&mut self, now: Time, _meta: &PacketMeta) -> Decision {
-        if self.timer_armed {
-            Decision::NONE
-        } else {
-            self.timer_armed = true;
-            Decision::arm(now + self.delay)
-        }
-    }
-
-    fn on_dma_complete(
-        &mut self,
-        _now: Time,
-        _marked: bool,
-        _pending: usize,
-        ready: u32,
-    ) -> Decision {
-        match self.max_frames {
-            Some(max) if ready >= max => Decision::RAISE,
-            _ => Decision::NONE,
-        }
-    }
-
-    fn on_timer(&mut self, _now: Time) -> Decision {
-        self.timer_armed = false;
-        Decision {
-            raise: true,
-            timer: TimerAction::Disarm,
-        }
-    }
-
-    fn on_interrupt(&mut self, _now: Time) {
-        self.timer_armed = false;
-    }
-
-    fn fallback_delay(&self) -> Option<TimeDelta> {
-        Some(self.delay)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Open-MX coalescing (Algorithm 1)
-// ---------------------------------------------------------------------------
-
-/// The paper's Algorithm 1. On packet arrival the descriptor inherits the
-/// Open-MX latency-sensitive marker; when the *DMA of a marked descriptor
-/// completes*, the interrupt is raised immediately. Unmarked traffic (IP,
-/// acks, non-final fragments) keeps the classic timeout behaviour, so TCP
-/// flows are unaffected.
-#[derive(Debug)]
-pub struct OpenMxCoalescing {
-    fallback: TimeoutCoalescing,
-}
-
-impl OpenMxCoalescing {
-    /// Create with the fallback timeout used for unmarked packets.
-    pub fn new(delay_us: u64) -> Self {
-        OpenMxCoalescing {
-            fallback: TimeoutCoalescing::new(delay_us),
-        }
-    }
-}
-
-impl Coalescer for OpenMxCoalescing {
-    fn name(&self) -> &'static str {
-        "open-mx"
-    }
-
-    fn on_packet_arrival(&mut self, now: Time, meta: &PacketMeta) -> Decision {
-        // Algorithm 1: "Create packet Descriptor; if Packet is Marked then
-        // Mark packet Descriptor" — the descriptor marking is done by the
-        // Nic; the timer behaviour is the fallback's.
-        self.fallback.on_packet_arrival(now, meta)
-    }
-
-    fn on_dma_complete(&mut self, now: Time, marked: bool, pending: usize, ready: u32) -> Decision {
-        // Algorithm 1: "if Descriptor is Marked then Raise Interrupt".
-        if marked {
-            Decision::RAISE
-        } else {
-            self.fallback.on_dma_complete(now, marked, pending, ready)
-        }
-    }
-
-    fn on_timer(&mut self, now: Time) -> Decision {
-        self.fallback.on_timer(now)
-    }
-
-    fn on_interrupt(&mut self, now: Time) {
-        self.fallback.on_interrupt(now);
-    }
-
-    fn fallback_delay(&self) -> Option<TimeDelta> {
-        self.fallback.fallback_delay()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Stream coalescing (Algorithm 2)
-// ---------------------------------------------------------------------------
-
-/// The paper's Algorithm 2. Like [`OpenMxCoalescing`], but when a marked
-/// descriptor's DMA completes while *other DMAs are still pending* the
-/// interrupt is **deferred**: the firmware waits for the DMA queue to drain
-/// so a burst of small messages is reported with a single interrupt. The
-/// classic timeout still bounds the deferral for very long streams.
-#[derive(Debug)]
-pub struct StreamCoalescing {
-    fallback: TimeoutCoalescing,
-    deferred: bool,
-}
-
-impl StreamCoalescing {
-    /// Create with the fallback timeout used for unmarked packets.
-    pub fn new(delay_us: u64) -> Self {
-        StreamCoalescing {
-            fallback: TimeoutCoalescing::new(delay_us),
-            deferred: false,
-        }
-    }
-
-    /// Whether an interrupt is currently deferred (visible for tests and
-    /// instrumentation).
-    pub fn is_deferred(&self) -> bool {
-        self.deferred
-    }
-}
-
-impl Coalescer for StreamCoalescing {
-    fn name(&self) -> &'static str {
-        "stream"
-    }
-
-    fn on_packet_arrival(&mut self, now: Time, meta: &PacketMeta) -> Decision {
-        self.fallback.on_packet_arrival(now, meta)
-    }
-
-    fn on_dma_complete(&mut self, now: Time, marked: bool, pending: usize, ready: u32) -> Decision {
-        // Algorithm 2, transcribed:
-        //   if no other DMA is pending then
-        //       if Descriptor is Marked or DeferredInterrupt is set then
-        //           Raise Interrupt; Clear DeferredInterrupt
-        //   else if Descriptor is Marked then
-        //       Set DeferredInterrupt
-        if pending == 0 {
-            if marked || self.deferred {
-                self.deferred = false;
-                return Decision::RAISE;
-            }
-            self.fallback.on_dma_complete(now, marked, pending, ready)
-        } else {
-            if marked {
-                self.deferred = true;
-            }
-            self.fallback.on_dma_complete(now, marked, pending, ready)
-        }
-    }
-
-    fn on_timer(&mut self, now: Time) -> Decision {
-        // Algorithm 2: "Raise Interrupt; Clear DeferredInterrupt; Reset
-        // coalescing timeout".
-        self.deferred = false;
-        self.fallback.on_timer(now)
-    }
-
-    fn on_interrupt(&mut self, now: Time) {
-        self.deferred = false;
-        self.fallback.on_interrupt(now);
-    }
-
-    fn fallback_delay(&self) -> Option<TimeDelta> {
-        self.fallback.fallback_delay()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive coalescing (the paper's future-work §VI)
-// ---------------------------------------------------------------------------
-
-/// Adaptive coalescing: the delay is tuned from the recent packet rate, the
-/// way Linux dynamic interrupt moderation works. Low traffic behaves like
-/// disabled coalescing (good latency); high traffic converges to the maximum
-/// delay (good host load). The paper's early tests found this "helps
-/// microbenchmarks but cannot help real applications as well as our firmware
-/// modifications do" — the bench harness reproduces that comparison.
-#[derive(Debug)]
-pub struct AdaptiveCoalescing {
-    /// Delay applied when the rate is at or below `low_pps`.
-    min_delay: TimeDelta,
-    /// Delay applied when the rate is at or above `high_pps`.
-    max_delay: TimeDelta,
-    low_pps: f64,
-    high_pps: f64,
-    /// Rate-sampling window length.
-    window: TimeDelta,
-    window_start: Time,
-    window_packets: u32,
-    /// Delay currently in force (recomputed each window).
-    current_delay: TimeDelta,
-    timer_armed: bool,
-}
-
-impl AdaptiveCoalescing {
-    /// Create with the given delay range (µs) and rate thresholds (packets/s).
-    pub fn new(min_delay_us: u64, max_delay_us: u64, low_pps: f64, high_pps: f64) -> Self {
-        assert!(high_pps > low_pps, "rate thresholds must be ordered");
-        AdaptiveCoalescing {
-            min_delay: TimeDelta::from_micros(min_delay_us as i64),
-            max_delay: TimeDelta::from_micros(max_delay_us as i64),
-            low_pps,
-            high_pps,
-            window: TimeDelta::from_micros(500),
-            window_start: Time::ZERO,
-            window_packets: 0,
-            current_delay: TimeDelta::from_micros(min_delay_us as i64),
-            timer_armed: false,
-        }
-    }
-
-    /// Delay currently in force (for instrumentation).
-    pub fn current_delay(&self) -> TimeDelta {
-        self.current_delay
-    }
-
-    fn roll_window(&mut self, now: Time) {
-        let elapsed = now.saturating_since(self.window_start);
-        if elapsed < self.window {
-            return;
-        }
-        let secs = elapsed.as_secs_f64();
-        let rate = if secs > 0.0 {
-            self.window_packets as f64 / secs
-        } else {
-            0.0
-        };
-        let frac = ((rate - self.low_pps) / (self.high_pps - self.low_pps)).clamp(0.0, 1.0);
-        let min = self.min_delay.as_nanos() as f64;
-        let max = self.max_delay.as_nanos() as f64;
-        self.current_delay = TimeDelta::from_nanos((min + frac * (max - min)) as i64);
-        self.window_start = now;
-        self.window_packets = 0;
-    }
-}
-
-impl Coalescer for AdaptiveCoalescing {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
-    fn on_packet_arrival(&mut self, now: Time, _meta: &PacketMeta) -> Decision {
-        self.window_packets += 1;
-        self.roll_window(now);
-        if self.timer_armed {
-            Decision::NONE
-        } else {
-            self.timer_armed = true;
-            Decision::arm(now + self.current_delay)
-        }
-    }
-
-    fn on_dma_complete(
-        &mut self,
-        _now: Time,
-        _marked: bool,
-        _pending: usize,
-        _ready: u32,
-    ) -> Decision {
-        // With a near-zero current delay the timer path raises promptly; the
-        // completion hook itself stays passive, like the timeout strategy.
-        Decision::NONE
-    }
-
-    fn on_timer(&mut self, _now: Time) -> Decision {
-        self.timer_armed = false;
-        Decision {
-            raise: true,
-            timer: TimerAction::Disarm,
-        }
-    }
-
-    fn on_interrupt(&mut self, _now: Time) {
-        self.timer_armed = false;
-    }
-
-    fn fallback_delay(&self) -> Option<TimeDelta> {
-        Some(self.current_delay)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Strategy selector (plain-data config)
-// ---------------------------------------------------------------------------
-
 /// Declarative strategy configuration, used by experiment configs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CoalescingStrategy {
-    /// Interrupt per packet.
+    /// Coalescing disabled (ethtool `rx-usecs 0`): every completed packet
+    /// raises an interrupt immediately. Best small-message latency, worst
+    /// host load.
     Disabled,
-    /// Classic timeout (µs).
+    /// Classic timeout coalescing: the interrupt is delayed until `delay_us`
+    /// after the first packet since the last interrupt. This is the only
+    /// knob generic Ethernet hardware exposes (§II-C).
     Timeout {
         /// Coalescing delay in microseconds.
         delay_us: u64,
     },
-    /// Paper Algorithm 1 with this fallback delay (µs).
+    /// The paper's Algorithm 1: when the *DMA of a latency-sensitive-marked
+    /// descriptor completes*, the interrupt is raised immediately. Unmarked
+    /// traffic (IP, acks, non-final fragments) keeps the classic timeout, so
+    /// TCP flows are unaffected.
     OpenMx {
         /// Fallback coalescing delay for unmarked packets, in microseconds.
         delay_us: u64,
     },
-    /// Paper Algorithm 2 with this fallback delay (µs).
+    /// The paper's Algorithm 2: like `OpenMx`, but a marked completion
+    /// while *other DMAs are still pending* **defers** the interrupt until
+    /// the DMA queue drains, so a burst of small messages costs a single
+    /// interrupt. The classic timeout still bounds the deferral.
     Stream {
         /// Fallback coalescing delay for unmarked packets, in microseconds.
         delay_us: u64,
     },
-    /// Future-work adaptive strategy.
+    /// Future-work adaptive strategy (§VI): the delay is tuned from the
+    /// recent packet rate, the way Linux dynamic interrupt moderation
+    /// works. Low traffic behaves like disabled coalescing, high traffic
+    /// converges to the maximum delay. The paper found this "helps
+    /// microbenchmarks but cannot help real applications as well as our
+    /// firmware modifications do" — `omx-bench adaptive` reproduces that.
     Adaptive {
-        /// Delay at/below the low rate threshold (µs).
+        /// Delay at/below 25 kpps (µs).
         min_delay_us: u64,
-        /// Delay at/above the high rate threshold (µs).
+        /// Delay at/above 250 kpps (µs); interpolated linearly between.
         max_delay_us: u64,
     },
 }
+
+/// Adaptive rate thresholds (packets/s) and rate-sampling window.
+const ADAPTIVE_LOW_PPS: f64 = 25_000.0;
+const ADAPTIVE_HIGH_PPS: f64 = 250_000.0;
+const ADAPTIVE_WINDOW: TimeDelta = TimeDelta::from_micros(500);
 
 impl CoalescingStrategy {
     /// The Myri-10G factory default (75 µs timeout), per §IV-B1.
@@ -529,22 +116,22 @@ impl CoalescingStrategy {
         CoalescingStrategy::Timeout { delay_us: 75 }
     }
 
-    /// Instantiate the strategy.
-    pub fn build(self) -> Box<dyn Coalescer> {
-        match self {
-            CoalescingStrategy::Disabled => Box::new(DisabledCoalescing),
-            CoalescingStrategy::Timeout { delay_us } => Box::new(TimeoutCoalescing::new(delay_us)),
-            CoalescingStrategy::OpenMx { delay_us } => Box::new(OpenMxCoalescing::new(delay_us)),
-            CoalescingStrategy::Stream { delay_us } => Box::new(StreamCoalescing::new(delay_us)),
-            CoalescingStrategy::Adaptive {
-                min_delay_us,
-                max_delay_us,
-            } => Box::new(AdaptiveCoalescing::new(
-                min_delay_us,
-                max_delay_us,
-                25_000.0,
-                250_000.0,
-            )),
+    /// Instantiate the strategy's firmware state.
+    pub fn build(self) -> Coalescer {
+        let delay_us = match self {
+            CoalescingStrategy::Disabled => 0,
+            CoalescingStrategy::Timeout { delay_us }
+            | CoalescingStrategy::OpenMx { delay_us }
+            | CoalescingStrategy::Stream { delay_us } => delay_us,
+            CoalescingStrategy::Adaptive { min_delay_us, .. } => min_delay_us,
+        };
+        Coalescer {
+            strategy: self,
+            delay: TimeDelta::from_micros(delay_us as i64),
+            timer_armed: false,
+            deferred: false,
+            window_start: Time::ZERO,
+            window_packets: 0,
         }
     }
 
@@ -558,149 +145,151 @@ impl CoalescingStrategy {
             CoalescingStrategy::Adaptive { .. } => "adaptive",
         }
     }
+}
 
-    /// Instantiate the strategy with static dispatch (what the NIC stores).
-    pub fn build_active(self) -> ActiveCoalescer {
-        match self {
-            CoalescingStrategy::Disabled => ActiveCoalescer::Disabled(DisabledCoalescing),
-            CoalescingStrategy::Timeout { delay_us } => {
-                ActiveCoalescer::Timeout(TimeoutCoalescing::new(delay_us))
-            }
-            CoalescingStrategy::OpenMx { delay_us } => {
-                ActiveCoalescer::OpenMx(OpenMxCoalescing::new(delay_us))
-            }
-            CoalescingStrategy::Stream { delay_us } => {
-                ActiveCoalescer::Stream(StreamCoalescing::new(delay_us))
-            }
+/// A NIC's coalescing firmware state: the strategy tag plus the little
+/// state the strategies keep. Built by [`CoalescingStrategy::build`]; each
+/// hook is one `match` on the tag.
+///
+/// ```
+/// use omx_nic::{CoalescingStrategy, TimerAction};
+/// use omx_sim::Time;
+///
+/// let mut c = CoalescingStrategy::OpenMx { delay_us: 75 }.build();
+/// // An arrival arms the fallback timeout…
+/// let d = c.on_packet_arrival(Time::ZERO);
+/// assert_eq!(d.timer, TimerAction::ArmAt(Time::from_micros(75)));
+/// // …but a marked descriptor's completion raises at once (Algorithm 1).
+/// assert!(c.on_dma_complete(true, 0).raise);
+/// assert!(!c.on_dma_complete(false, 0).raise);
+/// ```
+#[derive(Debug)]
+pub struct Coalescer {
+    strategy: CoalescingStrategy,
+    /// Fallback timeout; for `Adaptive`, the delay currently in force
+    /// (recomputed each rate window).
+    delay: TimeDelta,
+    timer_armed: bool,
+    /// Algorithm 2's DeferredInterrupt flag (`Stream` only).
+    deferred: bool,
+    /// Adaptive rate window: start time and packets seen since.
+    window_start: Time,
+    window_packets: u32,
+}
+
+impl Coalescer {
+    /// Hook: a frame arrived off the wire; its descriptor was just created
+    /// (the [`crate::Nic`] copies the Open-MX marker onto the descriptor —
+    /// Algorithm 1's "if Packet is Marked then Mark packet Descriptor").
+    pub fn on_packet_arrival(&mut self, now: Time) -> Decision {
+        match self.strategy {
+            CoalescingStrategy::Disabled => return Decision::NONE,
             CoalescingStrategy::Adaptive {
                 min_delay_us,
                 max_delay_us,
-            } => ActiveCoalescer::Adaptive(AdaptiveCoalescing::new(
-                min_delay_us,
-                max_delay_us,
-                25_000.0,
-                250_000.0,
-            )),
+            } => {
+                self.window_packets += 1;
+                self.roll_window(now, min_delay_us, max_delay_us);
+            }
+            CoalescingStrategy::Timeout { .. }
+            | CoalescingStrategy::OpenMx { .. }
+            | CoalescingStrategy::Stream { .. } => {}
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Static dispatch
-// ---------------------------------------------------------------------------
-
-/// The coalescer the NIC actually drives. The five built-in strategies are
-/// enum variants, so the per-frame hooks (`on_packet_arrival` /
-/// `on_dma_complete` run once per frame) compile to a jump table over
-/// inlined bodies instead of a `Box<dyn Coalescer>` virtual call through a
-/// heap pointer. User-supplied [`Coalescer`] implementations (via
-/// `Nic::set_strategy`) keep working through the [`ActiveCoalescer::Custom`]
-/// escape hatch, which preserves the old dynamic dispatch for exactly the
-/// code that needs it.
-pub enum ActiveCoalescer {
-    /// [`DisabledCoalescing`].
-    Disabled(DisabledCoalescing),
-    /// [`TimeoutCoalescing`].
-    Timeout(TimeoutCoalescing),
-    /// [`OpenMxCoalescing`].
-    OpenMx(OpenMxCoalescing),
-    /// [`StreamCoalescing`].
-    Stream(StreamCoalescing),
-    /// [`AdaptiveCoalescing`].
-    Adaptive(AdaptiveCoalescing),
-    /// A user-supplied strategy behind the original trait object.
-    Custom(Box<dyn Coalescer>),
-}
-
-impl ActiveCoalescer {
-    /// See [`Coalescer::name`].
-    pub fn name(&self) -> &'static str {
-        match self {
-            ActiveCoalescer::Disabled(c) => c.name(),
-            ActiveCoalescer::Timeout(c) => c.name(),
-            ActiveCoalescer::OpenMx(c) => c.name(),
-            ActiveCoalescer::Stream(c) => c.name(),
-            ActiveCoalescer::Adaptive(c) => c.name(),
-            ActiveCoalescer::Custom(c) => c.name(),
+        // Arm once per interrupt cycle: later arrivals ride the same timer.
+        if self.timer_armed {
+            Decision::NONE
+        } else {
+            self.timer_armed = true;
+            Decision::arm(now + self.delay)
         }
     }
 
-    /// See [`Coalescer::on_packet_arrival`].
-    pub fn on_packet_arrival(&mut self, now: Time, meta: &PacketMeta) -> Decision {
-        match self {
-            ActiveCoalescer::Disabled(c) => c.on_packet_arrival(now, meta),
-            ActiveCoalescer::Timeout(c) => c.on_packet_arrival(now, meta),
-            ActiveCoalescer::OpenMx(c) => c.on_packet_arrival(now, meta),
-            ActiveCoalescer::Stream(c) => c.on_packet_arrival(now, meta),
-            ActiveCoalescer::Adaptive(c) => c.on_packet_arrival(now, meta),
-            ActiveCoalescer::Custom(c) => c.on_packet_arrival(now, meta),
-        }
-    }
-
-    /// See [`Coalescer::on_dma_complete`].
-    pub fn on_dma_complete(
-        &mut self,
-        now: Time,
-        marked: bool,
-        pending_dmas: usize,
-        ready_packets: u32,
-    ) -> Decision {
-        match self {
-            ActiveCoalescer::Disabled(c) => {
-                c.on_dma_complete(now, marked, pending_dmas, ready_packets)
+    /// Hook: the write DMA for a descriptor completed. `marked` is the
+    /// descriptor's stored marker; `pending_dmas` counts transfers still in
+    /// flight behind this one.
+    pub fn on_dma_complete(&mut self, marked: bool, pending_dmas: usize) -> Decision {
+        match self.strategy {
+            CoalescingStrategy::Disabled => Decision::RAISE,
+            // The timer governs; with a near-zero adaptive delay it raises
+            // promptly.
+            CoalescingStrategy::Timeout { .. } | CoalescingStrategy::Adaptive { .. } => {
+                Decision::NONE
             }
-            ActiveCoalescer::Timeout(c) => {
-                c.on_dma_complete(now, marked, pending_dmas, ready_packets)
+            // Algorithm 1: "if Descriptor is Marked then Raise Interrupt".
+            CoalescingStrategy::OpenMx { .. } => {
+                if marked {
+                    Decision::RAISE
+                } else {
+                    Decision::NONE
+                }
             }
-            ActiveCoalescer::OpenMx(c) => {
-                c.on_dma_complete(now, marked, pending_dmas, ready_packets)
-            }
-            ActiveCoalescer::Stream(c) => {
-                c.on_dma_complete(now, marked, pending_dmas, ready_packets)
-            }
-            ActiveCoalescer::Adaptive(c) => {
-                c.on_dma_complete(now, marked, pending_dmas, ready_packets)
-            }
-            ActiveCoalescer::Custom(c) => {
-                c.on_dma_complete(now, marked, pending_dmas, ready_packets)
+            // Algorithm 2, transcribed:
+            //   if no other DMA is pending then
+            //       if Descriptor is Marked or DeferredInterrupt is set then
+            //           Raise Interrupt; Clear DeferredInterrupt
+            //   else if Descriptor is Marked then
+            //       Set DeferredInterrupt
+            CoalescingStrategy::Stream { .. } => {
+                if pending_dmas == 0 {
+                    if marked || self.deferred {
+                        self.deferred = false;
+                        return Decision::RAISE;
+                    }
+                } else if marked {
+                    self.deferred = true;
+                }
+                Decision::NONE
             }
         }
     }
 
-    /// See [`Coalescer::on_timer`].
-    pub fn on_timer(&mut self, now: Time) -> Decision {
-        match self {
-            ActiveCoalescer::Disabled(c) => c.on_timer(now),
-            ActiveCoalescer::Timeout(c) => c.on_timer(now),
-            ActiveCoalescer::OpenMx(c) => c.on_timer(now),
-            ActiveCoalescer::Stream(c) => c.on_timer(now),
-            ActiveCoalescer::Adaptive(c) => c.on_timer(now),
-            ActiveCoalescer::Custom(c) => c.on_timer(now),
+    /// Hook: the coalescing timer fired.
+    pub fn on_timer(&mut self) -> Decision {
+        // Algorithm 2: "Raise Interrupt; Clear DeferredInterrupt; Reset
+        // coalescing timeout".
+        self.deferred = false;
+        self.timer_armed = false;
+        match self.strategy {
+            CoalescingStrategy::Disabled => Decision::NONE,
+            _ => Decision {
+                raise: true,
+                timer: TimerAction::Disarm,
+            },
         }
     }
 
-    /// See [`Coalescer::on_interrupt`].
-    pub fn on_interrupt(&mut self, now: Time) {
-        match self {
-            ActiveCoalescer::Disabled(c) => c.on_interrupt(now),
-            ActiveCoalescer::Timeout(c) => c.on_interrupt(now),
-            ActiveCoalescer::OpenMx(c) => c.on_interrupt(now),
-            ActiveCoalescer::Stream(c) => c.on_interrupt(now),
-            ActiveCoalescer::Adaptive(c) => c.on_interrupt(now),
-            ActiveCoalescer::Custom(c) => c.on_interrupt(now),
-        }
+    /// Notification: an interrupt was raised (by any path).
+    pub fn on_interrupt(&mut self) {
+        self.deferred = false;
+        self.timer_armed = false;
     }
 
-    /// See [`Coalescer::fallback_delay`].
+    /// The fallback coalescing delay, if the strategy has one. The NIC uses
+    /// it as a safety re-arm: whenever packets sit in host memory unclaimed
+    /// and no timer is pending, an interrupt must still happen within this
+    /// delay (real firmware re-arms its timer per unclaimed event).
     pub fn fallback_delay(&self) -> Option<TimeDelta> {
-        match self {
-            ActiveCoalescer::Disabled(c) => c.fallback_delay(),
-            ActiveCoalescer::Timeout(c) => c.fallback_delay(),
-            ActiveCoalescer::OpenMx(c) => c.fallback_delay(),
-            ActiveCoalescer::Stream(c) => c.fallback_delay(),
-            ActiveCoalescer::Adaptive(c) => c.fallback_delay(),
-            ActiveCoalescer::Custom(c) => c.fallback_delay(),
+        match self.strategy {
+            CoalescingStrategy::Disabled => None,
+            _ => Some(self.delay),
         }
+    }
+
+    /// Close the adaptive rate window once it spans [`ADAPTIVE_WINDOW`] and
+    /// interpolate the delay from the rate it measured.
+    fn roll_window(&mut self, now: Time, min_delay_us: u64, max_delay_us: u64) {
+        let elapsed = now.saturating_since(self.window_start);
+        if elapsed < ADAPTIVE_WINDOW {
+            return;
+        }
+        let rate = self.window_packets as f64 / elapsed.as_secs_f64();
+        let frac =
+            ((rate - ADAPTIVE_LOW_PPS) / (ADAPTIVE_HIGH_PPS - ADAPTIVE_LOW_PPS)).clamp(0.0, 1.0);
+        let min = TimeDelta::from_micros(min_delay_us as i64).as_nanos() as f64;
+        let max = TimeDelta::from_micros(max_delay_us as i64).as_nanos() as f64;
+        self.delay = TimeDelta::from_nanos((min + frac * (max - min)) as i64);
+        self.window_start = now;
+        self.window_packets = 0;
     }
 }
 
@@ -712,63 +301,66 @@ mod tests {
         Time::from_micros(us)
     }
 
-    fn omx_marked() -> PacketMeta {
-        PacketMeta::omx(128, true)
+    fn timeout(delay_us: u64) -> Coalescer {
+        CoalescingStrategy::Timeout { delay_us }.build()
     }
 
-    fn omx_plain() -> PacketMeta {
-        PacketMeta::omx(1500, false)
+    fn openmx(delay_us: u64) -> Coalescer {
+        CoalescingStrategy::OpenMx { delay_us }.build()
+    }
+
+    fn stream(delay_us: u64) -> Coalescer {
+        CoalescingStrategy::Stream { delay_us }.build()
+    }
+
+    fn adaptive(min_delay_us: u64, max_delay_us: u64) -> Coalescer {
+        CoalescingStrategy::Adaptive {
+            min_delay_us,
+            max_delay_us,
+        }
+        .build()
     }
 
     #[test]
     fn disabled_raises_on_every_completion() {
-        let mut c = DisabledCoalescing;
-        assert_eq!(c.on_packet_arrival(t(0), &omx_plain()), Decision::NONE);
-        assert!(c.on_dma_complete(t(1), false, 3, 1).raise);
-        assert!(c.on_dma_complete(t(2), true, 0, 1).raise);
+        let mut c = CoalescingStrategy::Disabled.build();
+        assert_eq!(c.on_packet_arrival(t(0)), Decision::NONE);
+        assert!(c.on_dma_complete(false, 3).raise);
+        assert!(c.on_dma_complete(true, 0).raise);
     }
 
     #[test]
     fn timeout_arms_once_and_raises_on_timer() {
-        let mut c = TimeoutCoalescing::new(75);
-        let d = c.on_packet_arrival(t(0), &omx_plain());
+        let mut c = timeout(75);
+        let d = c.on_packet_arrival(t(0));
         assert_eq!(d.timer, TimerAction::ArmAt(t(75)));
         // Second packet does not re-arm.
-        assert_eq!(c.on_packet_arrival(t(1), &omx_plain()), Decision::NONE);
-        // Completion does not raise (no max_frames).
-        assert!(!c.on_dma_complete(t(2), false, 0, 2).raise);
+        assert_eq!(c.on_packet_arrival(t(1)), Decision::NONE);
+        // Completion does not raise.
+        assert!(!c.on_dma_complete(false, 0).raise);
         // Timer fires: raise and disarm.
-        let d = c.on_timer(t(75));
+        let d = c.on_timer();
         assert!(d.raise);
         assert_eq!(d.timer, TimerAction::Disarm);
         // Next packet re-arms.
-        let d = c.on_packet_arrival(t(80), &omx_plain());
+        let d = c.on_packet_arrival(t(80));
         assert_eq!(d.timer, TimerAction::ArmAt(t(155)));
     }
 
     #[test]
     fn timeout_interrupt_resets_arming() {
-        let mut c = TimeoutCoalescing::new(75);
-        c.on_packet_arrival(t(0), &omx_plain());
-        c.on_interrupt(t(10)); // e.g. raised by the max_frames path
-        let d = c.on_packet_arrival(t(20), &omx_plain());
+        let mut c = timeout(75);
+        c.on_packet_arrival(t(0));
+        c.on_interrupt(); // e.g. raised by the NIC's latched-raise path
+        let d = c.on_packet_arrival(t(20));
         assert_eq!(d.timer, TimerAction::ArmAt(t(95)));
     }
 
     #[test]
-    fn timeout_max_frames_bound() {
-        let mut c = TimeoutCoalescing::with_max_frames(75, 3);
-        c.on_packet_arrival(t(0), &omx_plain());
-        assert!(!c.on_dma_complete(t(1), false, 0, 1).raise);
-        assert!(!c.on_dma_complete(t(2), false, 0, 2).raise);
-        assert!(c.on_dma_complete(t(3), false, 0, 3).raise);
-    }
-
-    #[test]
     fn openmx_marked_completion_raises_immediately() {
-        let mut c = OpenMxCoalescing::new(75);
-        c.on_packet_arrival(t(0), &omx_marked());
-        let d = c.on_dma_complete(t(1), true, 5, 1);
+        let mut c = openmx(75);
+        c.on_packet_arrival(t(0));
+        let d = c.on_dma_complete(true, 5);
         assert!(
             d.raise,
             "marked descriptor raises regardless of pending DMAs"
@@ -777,121 +369,123 @@ mod tests {
 
     #[test]
     fn openmx_unmarked_falls_back_to_timeout() {
-        let mut c = OpenMxCoalescing::new(75);
-        let d = c.on_packet_arrival(t(0), &omx_plain());
+        let mut c = openmx(75);
+        let d = c.on_packet_arrival(t(0));
         assert_eq!(d.timer, TimerAction::ArmAt(t(75)));
-        assert!(!c.on_dma_complete(t(1), false, 0, 1).raise);
-        assert!(c.on_timer(t(75)).raise);
+        assert!(!c.on_dma_complete(false, 0).raise);
+        assert!(c.on_timer().raise);
     }
 
     #[test]
     fn openmx_ip_traffic_is_unaffected() {
-        // §IV: "IP connections and Open-MX management packets are unaffected".
-        let mut c = OpenMxCoalescing::new(75);
-        c.on_packet_arrival(t(0), &PacketMeta::ip(1500));
-        let d = c.on_dma_complete(t(1), false, 0, 1);
+        // §IV: "IP connections and Open-MX management packets are
+        // unaffected" — IP descriptors are never marked.
+        let mut c = openmx(75);
+        c.on_packet_arrival(t(0));
+        let d = c.on_dma_complete(crate::PacketMeta::ip(1500).marked, 0);
         assert!(!d.raise);
     }
 
     #[test]
     fn stream_raises_when_queue_empty_and_marked() {
-        let mut c = StreamCoalescing::new(75);
-        c.on_packet_arrival(t(0), &omx_marked());
-        let d = c.on_dma_complete(t(1), true, 0, 1);
+        let mut c = stream(75);
+        c.on_packet_arrival(t(0));
+        let d = c.on_dma_complete(true, 0);
         assert!(d.raise);
-        assert!(!c.is_deferred());
+        assert!(!c.deferred);
     }
 
     #[test]
     fn stream_defers_marked_completion_while_dmas_pending() {
-        let mut c = StreamCoalescing::new(75);
-        c.on_packet_arrival(t(0), &omx_marked());
-        c.on_packet_arrival(t(0), &omx_plain());
+        let mut c = stream(75);
+        c.on_packet_arrival(t(0));
+        c.on_packet_arrival(t(0));
         // Marked completes while another DMA is pending: defer.
-        let d = c.on_dma_complete(t(1), true, 1, 1);
+        let d = c.on_dma_complete(true, 1);
         assert!(!d.raise);
-        assert!(c.is_deferred());
+        assert!(c.deferred);
         // The trailing unmarked completion drains the queue: deferred fires.
-        let d = c.on_dma_complete(t(2), false, 0, 2);
+        let d = c.on_dma_complete(false, 0);
         assert!(d.raise);
-        assert!(!c.is_deferred());
+        assert!(!c.deferred);
     }
 
     #[test]
     fn stream_defer_chains_across_burst() {
         // A stream of N marked small messages, all DMAs overlapping: only the
         // last completion raises.
-        let mut c = StreamCoalescing::new(75);
+        let mut c = stream(75);
         for _ in 0..5 {
-            c.on_packet_arrival(t(0), &omx_marked());
+            c.on_packet_arrival(t(0));
         }
         for pending in (1..5).rev() {
-            assert!(!c.on_dma_complete(t(1), true, pending, 1).raise);
+            assert!(!c.on_dma_complete(true, pending).raise);
         }
-        assert!(c.on_dma_complete(t(2), true, 0, 5).raise);
+        assert!(c.on_dma_complete(true, 0).raise);
     }
 
     #[test]
     fn stream_unmarked_drain_without_defer_stays_quiet() {
-        let mut c = StreamCoalescing::new(75);
-        c.on_packet_arrival(t(0), &omx_plain());
-        let d = c.on_dma_complete(t(1), false, 0, 1);
+        let mut c = stream(75);
+        c.on_packet_arrival(t(0));
+        let d = c.on_dma_complete(false, 0);
         assert!(!d.raise, "unmarked, not deferred: timeout path governs");
     }
 
     #[test]
     fn stream_timer_clears_deferred() {
-        let mut c = StreamCoalescing::new(75);
-        c.on_packet_arrival(t(0), &omx_marked());
-        c.on_packet_arrival(t(0), &omx_plain());
-        c.on_dma_complete(t(1), true, 1, 1);
-        assert!(c.is_deferred());
-        let d = c.on_timer(t(75));
+        let mut c = stream(75);
+        c.on_packet_arrival(t(0));
+        c.on_packet_arrival(t(0));
+        c.on_dma_complete(true, 1);
+        assert!(c.deferred);
+        let d = c.on_timer();
         assert!(d.raise);
-        assert!(!c.is_deferred());
+        assert!(!c.deferred);
     }
 
     #[test]
     fn stream_interrupt_notification_clears_deferred() {
-        let mut c = StreamCoalescing::new(75);
-        c.on_packet_arrival(t(0), &omx_marked());
-        c.on_packet_arrival(t(0), &omx_plain());
-        c.on_dma_complete(t(1), true, 1, 1);
-        c.on_interrupt(t(2));
-        assert!(!c.is_deferred());
+        let mut c = stream(75);
+        c.on_packet_arrival(t(0));
+        c.on_packet_arrival(t(0));
+        c.on_dma_complete(true, 1);
+        c.on_interrupt();
+        assert!(!c.deferred);
     }
 
     #[test]
     fn adaptive_low_rate_uses_min_delay() {
-        let mut c = AdaptiveCoalescing::new(0, 75, 1_000.0, 100_000.0);
+        let mut c = adaptive(0, 75);
         // Sparse packets: rate stays low, delay stays at min (0 µs) so the
         // timer fires immediately.
-        let d = c.on_packet_arrival(t(10_000), &omx_plain());
+        let d = c.on_packet_arrival(t(10_000));
         assert_eq!(d.timer, TimerAction::ArmAt(t(10_000)));
     }
 
     #[test]
     fn adaptive_high_rate_converges_to_max_delay() {
-        let mut c = AdaptiveCoalescing::new(0, 75, 1_000.0, 100_000.0);
+        let mut c = adaptive(0, 75);
         // Feed a dense packet train: 1 packet/µs for 2 ms >> high_pps.
         for i in 0..2_000u64 {
             let now = Time::from_micros(i);
-            c.on_packet_arrival(now, &omx_plain());
-            c.on_interrupt(now); // keep the timer logic out of the way
+            c.on_packet_arrival(now);
+            c.on_interrupt(); // keep the timer logic out of the way
         }
-        assert_eq!(c.current_delay(), TimeDelta::from_micros(75));
+        assert_eq!(c.delay, TimeDelta::from_micros(75));
     }
 
     #[test]
     fn adaptive_rate_between_thresholds_interpolates() {
-        let mut c = AdaptiveCoalescing::new(0, 100, 0.0, 1_000_000.0);
-        // 500k pps = halfway: expect ~50 µs.
+        let mut c = adaptive(0, 100);
+        // One packet per 7 273 ns ≈ 137.5 kpps, the midpoint of the
+        // production thresholds: expect ~50 µs.
         for i in 0..1_000u64 {
-            let now = Time::from_nanos(i * 2_000);
-            c.on_packet_arrival(now, &omx_plain());
-            c.on_interrupt(now);
+            let now = Time::from_nanos(i * 7_273);
+            c.on_packet_arrival(now);
+            c.on_interrupt();
         }
-        let d = c.current_delay().as_nanos();
+        let d = c.delay.as_nanos();
         assert!((45_000..=55_000).contains(&d), "expected ~50us, got {d}ns");
     }
 
@@ -911,7 +505,7 @@ mod tests {
             ),
         ] {
             assert_eq!(strategy.label(), label);
-            assert_eq!(strategy.build().name(), label);
+            assert_eq!(strategy.build().strategy, strategy);
         }
         assert_eq!(
             CoalescingStrategy::myri10g_default(),

@@ -11,21 +11,21 @@
 //!          coalescing heuristics ──► interrupt (MSI) to a host core
 //! ```
 //!
-//! The scientific payload lives in [`coalesce`]: the [`Coalescer`] trait
-//! captures exactly the three firmware hook points the paper patches
-//! (packet arrival, write-DMA completion, coalescing timer), and the five
-//! provided strategies are:
+//! The scientific payload lives in [`coalesce`]: one concrete [`Coalescer`]
+//! type exposes exactly the firmware hook points the paper patches (packet
+//! arrival, write-DMA completion, coalescing timer), and a
+//! [`CoalescingStrategy`] tag selects which of the five strategies its
+//! hooks run:
 //!
-//! * [`coalesce::DisabledCoalescing`] — an interrupt per received packet,
-//! * [`coalesce::TimeoutCoalescing`] — classic delay/packet-count coalescing
-//!   (the Myri-10G default is 75 µs),
-//! * [`coalesce::OpenMxCoalescing`] — the paper's Algorithm 1: raise as soon
-//!   as the DMA of a *latency-sensitive-marked* packet completes,
-//! * [`coalesce::StreamCoalescing`] — the paper's Algorithm 2: additionally
-//!   defer the interrupt while other DMAs are pending, so a stream of small
-//!   messages costs a single interrupt,
-//! * [`coalesce::AdaptiveCoalescing`] — the future-work strategy: adjust the
-//!   delay from the recent packet rate (Linux-DIM-style).
+//! * `Disabled` — an interrupt per received packet,
+//! * `Timeout` — classic delay coalescing (the Myri-10G default is 75 µs),
+//! * `OpenMx` — the paper's Algorithm 1: raise as soon as the DMA of a
+//!   *latency-sensitive-marked* packet completes,
+//! * `Stream` — the paper's Algorithm 2: additionally defer the interrupt
+//!   while other DMAs are pending, so a stream of small messages costs a
+//!   single interrupt,
+//! * `Adaptive` — the future-work strategy: adjust the delay from the
+//!   recent packet rate (Linux-DIM-style).
 //!
 //! [`Nic`] composes ring, DMA engine and strategy into one passive state
 //! machine driven by the cluster orchestrator.
@@ -44,10 +44,7 @@ pub mod nic;
 pub mod offload;
 pub mod packet;
 
-pub use coalesce::{
-    ActiveCoalescer, AdaptiveCoalescing, Coalescer, CoalescingStrategy, Decision,
-    DisabledCoalescing, OpenMxCoalescing, StreamCoalescing, TimeoutCoalescing, TimerAction,
-};
+pub use coalesce::{Coalescer, CoalescingStrategy, Decision, TimerAction};
 pub use dma::{DmaConfig, DmaEngine};
 pub use nic::{Nic, NicConfig, NicCounters, NicOutcome, ReadyPacket};
 pub use offload::{

@@ -14,7 +14,7 @@
 //! All methods return a [`NicOutcome`] describing the events the caller must
 //! schedule (DMA completion, timer expiry) or act on (interrupt delivery).
 
-use crate::coalesce::{ActiveCoalescer, Coalescer, CoalescingStrategy, Decision, TimerAction};
+use crate::coalesce::{Coalescer, CoalescingStrategy, Decision, TimerAction};
 use crate::dma::{DmaConfig, DmaEngine};
 use crate::packet::{DescId, PacketClass, PacketMeta};
 use omx_sim::stats::{Counter, Histogram};
@@ -114,7 +114,7 @@ omx_sim::impl_from_json!(NicCounters {
 /// The simulated NIC.
 pub struct Nic {
     cfg: NicConfig,
-    strategy: ActiveCoalescer,
+    strategy: Coalescer,
     dma: DmaEngine,
     /// Metadata of descriptors whose DMA is in flight, FIFO order.
     inflight_meta: std::collections::VecDeque<(DescId, PacketMeta)>,
@@ -147,7 +147,7 @@ pub struct Nic {
 impl Nic {
     /// Build a NIC from its configuration.
     pub fn new(cfg: NicConfig) -> Self {
-        let strategy = cfg.strategy.build_active();
+        let strategy = cfg.strategy.build();
         Nic {
             cfg,
             strategy,
@@ -170,19 +170,6 @@ impl Nic {
     fn with_dma_cfg(mut self) -> Self {
         self.dma = DmaEngine::new(self.cfg.dma);
         self
-    }
-
-    /// Replace the coalescing strategy (for custom [`Coalescer`] impls that
-    /// are not expressible as a [`CoalescingStrategy`]). Built-in strategies
-    /// installed through [`NicConfig`] use static dispatch; a strategy set
-    /// here runs behind the trait object it arrived in.
-    pub fn set_strategy(&mut self, strategy: Box<dyn Coalescer>) {
-        self.strategy = ActiveCoalescer::Custom(strategy);
-    }
-
-    /// The active strategy's name.
-    pub fn strategy_name(&self) -> &'static str {
-        self.strategy.name()
     }
 
     /// Account one completion interrupt raised by the collective-offload
@@ -267,7 +254,7 @@ impl Nic {
         let completes_at = self.dma.submit(now, desc, meta.len_bytes);
         out.dma = Some((desc, completes_at));
 
-        let decision = self.strategy.on_packet_arrival(now, &meta);
+        let decision = self.strategy.on_packet_arrival(now);
         self.apply(now, decision, &mut out);
         out
     }
@@ -286,9 +273,7 @@ impl Nic {
             meta,
             completed_at: now,
         });
-        let decision =
-            self.strategy
-                .on_dma_complete(now, meta.marked, pending, self.ready.len() as u32);
+        let decision = self.strategy.on_dma_complete(meta.marked, pending);
         self.apply(now, decision, &mut out);
         // A raise latched earlier (e.g. timer fired before any DMA finished)
         // can be delivered now that a packet is ready.
@@ -304,7 +289,7 @@ impl Nic {
             return out; // superseded arming: stale event
         }
         self.timer_armed = false;
-        let decision = self.strategy.on_timer(now);
+        let decision = self.strategy.on_timer();
         self.apply(now, decision, &mut out);
         out
     }
@@ -400,7 +385,7 @@ impl Nic {
         // not allocate in steady state.
         let fresh = self.spare_claims.pop().unwrap_or_default();
         let claim = std::mem::replace(&mut self.ready, fresh);
-        self.strategy.on_interrupt(now);
+        self.strategy.on_interrupt();
         // The strategy considers its timer reset after an interrupt;
         // invalidate any physically scheduled expiry to match.
         self.timer_epoch += 1;
@@ -635,33 +620,6 @@ mod tests {
         let out = n.on_timer(at, ep);
         assert!(out.interrupt, "packet C claimed via the safety timer");
         assert_eq!(n.drain_ready().len(), 1);
-    }
-
-    #[test]
-    fn custom_strategy_runs_behind_the_trait_object() {
-        struct AlwaysRaise;
-        impl Coalescer for AlwaysRaise {
-            fn name(&self) -> &'static str {
-                "always-raise"
-            }
-            fn on_packet_arrival(&mut self, _: Time, _: &PacketMeta) -> Decision {
-                Decision::NONE
-            }
-            fn on_dma_complete(&mut self, _: Time, _: bool, _: usize, _: u32) -> Decision {
-                Decision::RAISE
-            }
-            fn on_timer(&mut self, _: Time) -> Decision {
-                Decision::NONE
-            }
-            fn on_interrupt(&mut self, _: Time) {}
-        }
-        let mut n = nic(CoalescingStrategy::Timeout { delay_us: 75 });
-        n.set_strategy(Box::new(AlwaysRaise));
-        assert_eq!(n.strategy_name(), "always-raise");
-        let out = n.on_frame(t(0), PacketMeta::omx(100, false));
-        let (d, a) = out.dma.unwrap();
-        let out = n.on_dma_complete(a, d);
-        assert!(out.interrupt, "custom strategy raises per completion");
     }
 
     #[test]

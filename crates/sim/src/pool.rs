@@ -28,7 +28,7 @@
 //! * [`set_jobs`] / [`configured_jobs`] / [`with_jobs`] / [`global`] —
 //!   process-wide worker-count policy (CLI `--jobs` > `OMX_JOBS` env >
 //!   `available_parallelism`), a thread-local override for forcing the
-//!   serial path (used by the `campaign/*_serial` baseline benches), and
+//!   serial path (the determinism tests compare it with the pooled path), and
 //!   the lazily-built shared pool.
 //!
 //! The workspace is offline-by-design, so this is `std`-only — no rayon,
@@ -456,7 +456,7 @@ pub fn effective_jobs() -> usize {
 
 /// Run `f` with [`effective_jobs`] forced to `n` on this thread (restored
 /// on exit, panic included). `with_jobs(1, …)` forces the serial path —
-/// the `campaign/*_serial` baseline benches are measured this way. Values
+/// the determinism tests check pooled output against it this way. Values
 /// above 1 route work to the shared [`global`] pool, whose width was fixed
 /// at first use; the override does not resize it.
 pub fn with_jobs<R>(n: usize, f: impl FnOnce() -> R) -> R {
