@@ -5,7 +5,6 @@
 //! do". We compare Adaptive against Timeout-75 and Open-MX on the ping-pong
 //! (microbenchmark) and on NAS IS (application).
 
-use super::parallel_map;
 use crate::report::Table;
 use omx_core::prelude::*;
 use omx_core::system::ClusterConfig;
@@ -46,7 +45,7 @@ fn strategies() -> Vec<(&'static str, CoalescingStrategy)> {
 /// Run the comparison. `is_class_b` keeps runtimes short when true.
 pub fn run(pingpong_iters: u32, is_class_b: bool) -> AdaptiveResult {
     // Microbenchmark: small-message ping-pong latency.
-    let micro = parallel_map(strategies(), |(label, strategy)| {
+    let micro = omx_sim::pool::map(strategies(), |(label, strategy)| {
         let mut cluster = ClusterBuilder::new().nodes(2).strategy(strategy).build();
         let r = cluster.run_pingpong(PingPongSpec {
             msg_len: 8,
@@ -64,7 +63,7 @@ pub fn run(pingpong_iters: u32, is_class_b: bool) -> AdaptiveResult {
         benchmark: NasBenchmark::Is,
         class: if is_class_b { NasClass::B } else { NasClass::C },
     };
-    let app = parallel_map(strategies(), |(label, strategy)| {
+    let app = omx_sim::pool::map(strategies(), |(label, strategy)| {
         let mut cfg = ClusterConfig::default();
         cfg.nic.strategy = strategy;
         let report = run_nas(spec, cfg).expect("runnable");

@@ -15,12 +15,12 @@
 //! green `omx-bench faults` certifies the recovery path end to end.
 //!
 //! Cells are independent (own cluster, own fixed seed derived from the
-//! cell index) and run through [`super::parallel_map`] on the shared
-//! work-stealing pool, committing in cell-index order — `--jobs N` changes
-//! wall-clock time, never a byte of `results/faults.json` (DESIGN §11;
-//! enforced by `tests/parallel_determinism.rs`).
+//! cell index) and run through [`omx_sim::pool::map`], committing in
+//! cell-index order — `--jobs N` changes wall-clock time, never a byte of
+//! `results/faults.json` (DESIGN §11; enforced by
+//! `tests/parallel_determinism.rs`).
 
-use super::{all_strategies, parallel_map};
+use super::all_strategies;
 use crate::report::Table;
 use omx_core::prelude::*;
 use omx_core::system::{Actor, ActorCtx, RecvCompletion};
@@ -336,7 +336,7 @@ pub fn run(quick: bool, slo: bool) -> FaultsResult {
             slo,
         });
     }
-    let mut cells = parallel_map(jobs, |job| (run_cell(&job), job));
+    let mut cells = omx_sim::pool::map(jobs, |job| (run_cell(&job), job));
     // Recovery ratio: completion span vs the zero-loss cell of the same
     // size and strategy (needs the whole result set, hence post-hoc).
     let baselines: Vec<(u32, usize, u64)> = cells

@@ -6,7 +6,6 @@
 //! that at delay 0; binding interrupts to one core and disabling sleep
 //! recovers most of the low-delay loss.
 
-use super::parallel_map;
 use crate::report::Table;
 use omx_core::prelude::*;
 use omx_host::IrqRouting;
@@ -59,7 +58,7 @@ pub fn run(messages: u32) -> Fig4Result {
             jobs.push((label, routing, sleep, delay));
         }
     }
-    let points = parallel_map(jobs, |(label, routing, sleep, delay)| {
+    let points = omx_sim::pool::map(jobs, |(label, routing, sleep, delay)| {
         let strategy = if delay == 0 {
             CoalescingStrategy::Disabled
         } else {

@@ -5,7 +5,6 @@
 //! proportionally-larger messages." We run the ping-pong at MTU 1500 and
 //! 9000 and check both halves of the sentence.
 
-use super::parallel_map;
 use crate::report::Table;
 use omx_core::prelude::*;
 
@@ -49,7 +48,7 @@ pub fn run(iterations: u32) -> JumboResult {
             jobs.push((label, strategy, mtu, len));
         }
     }
-    let cells = parallel_map(jobs, |(label, strategy, mtu, len)| {
+    let cells = omx_sim::pool::map(jobs, |(label, strategy, mtu, len)| {
         let mut cluster = ClusterBuilder::new()
             .nodes(2)
             .strategy(strategy)

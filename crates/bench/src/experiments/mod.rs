@@ -43,38 +43,13 @@ pub fn all_strategies() -> Vec<(&'static str, CoalescingStrategy)> {
     s
 }
 
-/// Run independent campaign cells in parallel, committing results in
-/// input-index order so the output — and every report rendered from it —
-/// is byte-identical to a serial run.
-///
-/// The worker count is the process-wide jobs policy (`--jobs N` >
-/// `OMX_JOBS` > all cores; see [`omx_sim::pool`]). At `--jobs 1` this *is*
-/// the serial path — a plain in-order `map` on the calling thread, no pool
-/// involved; above 1 the cells run on the shared work-stealing pool
-/// ([`omx_sim::pool::global`]) and a panic in any cell (a failed sanitizer
-/// invariant, a cell that did not quiesce) propagates to the caller just
-/// as it would serially. Each cell owns its cluster, seed, and telemetry
-/// buffers, so nothing is shared until the ordered commit.
-pub fn parallel_map<I, O, F>(inputs: Vec<I>, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    if omx_sim::pool::effective_jobs() <= 1 {
-        inputs.into_iter().map(f).collect()
-    } else {
-        omx_sim::pool::global().map(inputs, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn parallel_map_preserves_order() {
-        let out = parallel_map((0..50).collect(), |x: i32| x * 2);
+        let out = omx_sim::pool::map((0..50).collect(), |x: i32| x * 2);
         assert_eq!(out, (0..50).map(|x| x * 2).collect::<Vec<_>>());
     }
 
@@ -84,10 +59,12 @@ mod tests {
     /// `tests/parallel_determinism.rs`).
     #[test]
     fn serial_and_pooled_paths_agree() {
-        let serial =
-            omx_sim::pool::with_jobs(1, || parallel_map((0..40).collect(), |x: i32| x * x - 3));
-        let pooled =
-            omx_sim::pool::with_jobs(4, || parallel_map((0..40).collect(), |x: i32| x * x - 3));
+        let serial = omx_sim::pool::with_jobs(1, || {
+            omx_sim::pool::map((0..40).collect(), |x: i32| x * x - 3)
+        });
+        let pooled = omx_sim::pool::with_jobs(4, || {
+            omx_sim::pool::map((0..40).collect(), |x: i32| x * x - 3)
+        });
         assert_eq!(serial, pooled);
     }
 

@@ -7,7 +7,6 @@
 //! reduction against the round-robin default on a multi-flow small-message
 //! workload.
 
-use super::parallel_map;
 use crate::report::Table;
 use omx_core::prelude::*;
 use omx_core::system::{Actor, ActorCtx, RecvCompletion};
@@ -99,7 +98,7 @@ pub fn run(flows: usize, msgs_per_flow: u32) -> MultiqueueResult {
         ("multiqueue (flow-hashed)", IrqRouting::Multiqueue),
         ("single core", IrqRouting::Fixed(0)),
     ];
-    let rows = parallel_map(policies, |(label, routing)| {
+    let rows = omx_sim::pool::map(policies, |(label, routing)| {
         let mut cluster = ClusterBuilder::new()
             .nodes(2)
             .endpoints_per_node(flows)

@@ -5,7 +5,7 @@
 //! Table V: total interrupt counts for IS (disabled ≈ 22× the default;
 //! Open-MX / Stream ≈ +16–21 %).
 
-use super::{paper_strategies, parallel_map};
+use super::paper_strategies;
 use crate::report::Table;
 use omx_core::system::ClusterConfig;
 use omx_nas::{run_nas, NasSpec};
@@ -45,7 +45,7 @@ pub fn run(filter: &str) -> NasResult {
             jobs.push((spec, label, strategy));
         }
     }
-    let cells = parallel_map(jobs, |(spec, label, strategy)| {
+    let cells = omx_sim::pool::map(jobs, |(spec, label, strategy)| {
         let mut cfg = ClusterConfig::default();
         cfg.nic.strategy = strategy;
         match run_nas(spec, cfg) {

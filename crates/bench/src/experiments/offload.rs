@@ -16,14 +16,14 @@
 //! Every cell drains to quiescence via `MpiWorld::run_drained`, asserting
 //! the sim-sanitizer invariants (offload frames included: posted =
 //! delivered = completed byte conservation, no stranded schedule state).
-//! Per-cell seeds are fixed, cells fan out through [`super::parallel_map`]
+//! Per-cell seeds are fixed, cells fan out through [`omx_sim::pool::map`]
 //! and commit in cell-index order, so `results/offload.json` is
 //! byte-identical across processes and `--jobs` values.
 //! Completion-latency SLOs (p50/p99/p999 over per-rank per-iteration
 //! samples) are always collected: latency is the axis the offload trades
 //! against, not an optional extra.
 
-use super::{all_strategies, parallel_map};
+use super::all_strategies;
 use crate::report::Table;
 use omx_core::offload::OffloadCounters;
 use omx_core::prelude::*;
@@ -233,7 +233,7 @@ pub fn run(quick: bool) -> OffloadResult {
             }
         }
     }
-    let cells = parallel_map(jobs, |job| run_cell(&job));
+    let cells = omx_sim::pool::map(jobs, |job| run_cell(&job));
     OffloadResult { cells }
 }
 

@@ -4,7 +4,6 @@
 //! with coalescing (−20 %), and another ~40 ns saved by binding interrupts
 //! to a single core.
 
-use super::parallel_map;
 use crate::report::Table;
 use omx_core::prelude::*;
 use omx_core::workloads::overhead::{OverheadReport, OverheadSpec};
@@ -58,7 +57,7 @@ pub fn run(packets: u32) -> OverheadResult {
             IrqRouting::Fixed(0),
         ),
     ];
-    let rows = parallel_map(jobs, |(label, strategy, routing)| {
+    let rows = omx_sim::pool::map(jobs, |(label, strategy, routing)| {
         let mut cluster = ClusterBuilder::new()
             .nodes(2)
             .strategy(strategy)

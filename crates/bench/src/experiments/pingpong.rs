@@ -6,7 +6,6 @@
 //! timeout coalescing is ~7× worse at 1 B and disabled coalescing is the
 //! slow one at 1 MiB, with Open-MX tracking the best of both everywhere.
 
-use super::parallel_map;
 use crate::report::Table;
 use omx_core::prelude::*;
 
@@ -66,7 +65,7 @@ pub fn run(with_openmx: bool, iterations: u32) -> PingPongResult {
             jobs.push((label, strategy, len));
         }
     }
-    let raw = parallel_map(jobs, |(label, strategy, len)| {
+    let raw = omx_sim::pool::map(jobs, |(label, strategy, len)| {
         let mut cluster = ClusterBuilder::new().nodes(2).strategy(strategy).build();
         let r = cluster.run_pingpong(PingPongSpec {
             msg_len: len,

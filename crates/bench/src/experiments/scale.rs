@@ -16,10 +16,10 @@
 //! recovery path together. Per-cell seeds are fixed: the report is
 //! byte-identical across runs and machines — including across `--jobs`
 //! values, since cells are independent simulations fanned out through
-//! [`super::parallel_map`] and committed in cell-index order (DESIGN §11;
+//! [`omx_sim::pool::map`] and committed in cell-index order (DESIGN §11;
 //! enforced by `tests/parallel_determinism.rs`).
 
-use super::{all_strategies, parallel_map};
+use super::all_strategies;
 use crate::report::Table;
 use omx_core::prelude::*;
 use omx_mpi::{MpiWorld, Op, WorldSpec};
@@ -212,7 +212,7 @@ pub fn run(quick: bool, slo: bool) -> ScaleResult {
             }
         }
     }
-    let cells = parallel_map(jobs, |job| run_cell(&job));
+    let cells = omx_sim::pool::map(jobs, |job| run_cell(&job));
     ScaleResult { cells }
 }
 

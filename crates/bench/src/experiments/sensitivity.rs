@@ -15,7 +15,6 @@
 //! A conclusion is robust when the ratio stays on the same side of 1 with a
 //! healthy margin across the whole perturbation range.
 
-use super::parallel_map;
 use crate::report::Table;
 use omx_core::prelude::*;
 
@@ -116,7 +115,7 @@ pub fn run(messages: u32) -> SensitivityResult {
             jobs.push(Some((knob, scale)));
         }
     }
-    let rows = parallel_map(jobs, |job| {
+    let rows = omx_sim::pool::map(jobs, |job| {
         let (rate_ratio, latency_ratio) = measure(job, messages);
         match job {
             None => SensitivityRow {

@@ -8,7 +8,7 @@
 //! | 32 KiB | 14507   | 6476     | 14533   | 14691  |
 //! | 1 MiB  | 452     | 334      | 451     | 447    |
 
-use super::{paper_strategies, parallel_map};
+use super::paper_strategies;
 use crate::report::Table;
 use omx_core::prelude::*;
 
@@ -50,7 +50,7 @@ pub fn run() -> Table1Result {
             jobs.push((len, label, strategy));
         }
     }
-    let cells = parallel_map(jobs, |(len, label, strategy)| {
+    let cells = omx_sim::pool::map(jobs, |(len, label, strategy)| {
         let mut cluster = ClusterBuilder::new().nodes(2).strategy(strategy).build();
         let r = cluster.run_stream(StreamSpec {
             msg_len: len,

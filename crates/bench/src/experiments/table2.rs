@@ -6,7 +6,6 @@
 //! marking the rendezvous worth ~20 µs, pull requests ~5 µs, last pull
 //! replies ~2 µs, and the notify negligible.
 
-use super::parallel_map;
 use crate::report::Table;
 use omx_core::marking::{MarkClass, MarkingPolicy};
 use omx_core::prelude::*;
@@ -58,7 +57,7 @@ pub fn run(repeats: u32) -> Table2Result {
         ("timeout-75us", CoalescingStrategy::Timeout { delay_us: 75 }),
         ("open-mx", CoalescingStrategy::OpenMx { delay_us: 75 }),
     ];
-    let rows = parallel_map(strategies, |(label, strategy)| {
+    let rows = omx_sim::pool::map(strategies, |(label, strategy)| {
         let mut cluster = ClusterBuilder::new().nodes(2).strategy(strategy).build();
         let r = cluster.run_transfer(spec(repeats));
         Table2Row {
@@ -74,7 +73,7 @@ pub fn run(repeats: u32) -> Table2Result {
     for class in MarkClass::ALL {
         policies.push((class.label().to_string(), MarkingPolicy::all_except(class)));
     }
-    let measured = parallel_map(policies, |(label, policy)| {
+    let measured = omx_sim::pool::map(policies, |(label, policy)| {
         let mut cluster = ClusterBuilder::new()
             .nodes(2)
             .strategy(CoalescingStrategy::OpenMx { delay_us: 75 })

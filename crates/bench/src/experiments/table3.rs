@@ -9,7 +9,6 @@
 //! Fabric jitter stands in for the loaded-fabric timing noise that made the
 //! real deferral only partially effective.
 
-use super::parallel_map;
 use crate::report::Table;
 use omx_core::marking::MarkingPolicy;
 use omx_core::prelude::*;
@@ -49,7 +48,7 @@ pub fn run(repeats: u32) -> Table3Result {
             jobs.push((label, strategy, degree));
         }
     }
-    let cells = parallel_map(jobs, |(label, strategy, degree)| {
+    let cells = omx_sim::pool::map(jobs, |(label, strategy, degree)| {
         let marking = MarkingPolicy {
             medium_mark_displacement: degree,
             ..MarkingPolicy::all()

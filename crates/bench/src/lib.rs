@@ -16,6 +16,7 @@
 //! | [`experiments::adaptive`] | §VI — adaptive coalescing comparison |
 //! | [`timeline`] | windowed telemetry timelines (beyond paper; DESIGN §10) |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

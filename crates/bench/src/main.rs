@@ -50,12 +50,11 @@
 //! `--quick` shrinks repetition counts (useful for smoke tests). Results are
 //! printed and written as JSON under `results/`.
 //!
-//! `--jobs N` sets how many campaign cells run concurrently on the in-repo
-//! work-stealing pool (`omx_sim::pool`). The default is all cores (or the
-//! `OMX_JOBS` environment variable); `--jobs 1` is the serial path. Any
-//! value produces byte-identical artifacts — cells are independent
-//! simulations with fixed seeds and results commit in cell-index order
-//! (DESIGN §11) — so `--jobs` only changes wall-clock time.
+//! `--jobs N` sets how many campaign cells run concurrently
+//! (`omx_sim::pool::map`). The default is all cores; `--jobs 1` is the
+//! serial path. Any value produces byte-identical artifacts — cells are
+//! independent simulations with fixed seeds and results commit in
+//! cell-index order (DESIGN §11) — so `--jobs` only changes wall-clock time.
 //!
 //! `--iters N` (perf only) overrides every benchmark's timed iteration
 //! count; the `--smoke` regression gate still applies to the means it
@@ -63,6 +62,8 @@
 //!
 //! Any other `--flag` is an error (exit status 2): a mistyped `--quick`
 //! must not silently run the full sweep.
+
+#![forbid(unsafe_code)]
 
 use omx_bench::experiments::{
     adaptive, coexistence, faults, fig4, jumbo, multiqueue, nas, offload, overhead, pingpong,
@@ -164,9 +165,8 @@ fn take_numeric_flag(args: &mut Vec<String>, name: &str) -> Option<u64> {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // Campaign parallelism: `--jobs N` pins the work-stealing pool width
-    // (over OMX_JOBS and auto-detection); must be set before anything
-    // touches the shared pool. `--jobs 1` selects the serial path.
+    // Campaign parallelism: `--jobs N` pins how many threads each
+    // campaign map uses (default all cores); `--jobs 1` is the serial path.
     if let Some(jobs) = take_numeric_flag(&mut args, "--jobs") {
         omx_sim::pool::set_jobs(jobs as usize);
     }

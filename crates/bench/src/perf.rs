@@ -27,7 +27,7 @@
 //! {
 //!   "schema": "omx-bench-perf/6",
 //!   "mode": "full" | "smoke",
-//!   "jobs": 4,        // campaign pool width (--jobs / OMX_JOBS / cores); benches run serially
+//!   "jobs": 4,        // campaign thread count (--jobs, else cores); benches run serially
 //!   "cores": 4,       // std::thread::available_parallelism
 //!   "benches": [
 //!     {

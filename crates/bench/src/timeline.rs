@@ -87,21 +87,6 @@ pub fn capture(nodes: usize, iterations: u32) -> TimelineData {
             .collect()
     });
     let tel = report.telemetry.expect("telemetry enabled");
-    // The two exports are independent pure renderings of the same
-    // captured counters, so above --jobs 1 the Chrome export runs on the
-    // pool while this thread renders the JSONL — byte-identical either
-    // way, just overlapped (the Chrome export is the expensive one: one
-    // counter event per series per window).
-    let (jsonl, chrome) = if omx_sim::pool::effective_jobs() > 1 {
-        let mut chrome = None;
-        let jsonl = omx_sim::pool::global().scope(|s| {
-            s.spawn(|| chrome = Some(tel.to_chrome_json().render()));
-            tel.to_jsonl()
-        });
-        (jsonl, chrome.expect("scope joins before returning"))
-    } else {
-        (tel.to_jsonl(), tel.to_chrome_json().render())
-    };
     let peak_queue = (0..tel.port_count())
         .flat_map(|p| tel.port_windows(p))
         .map(|w| w.queue_len)
@@ -116,8 +101,8 @@ pub fn capture(nodes: usize, iterations: u32) -> TimelineData {
         nodes,
         elapsed_ns: report.elapsed_ns,
         windows: tel.windows_recorded(),
-        jsonl,
-        chrome,
+        jsonl: tel.to_jsonl(),
+        chrome: tel.to_chrome_json().render(),
         slo: SloSummary::from_histogram(&report.op_latency),
         switch_drops: report.metrics.switch_drops,
         retransmits: report.metrics.total_retransmits(),
@@ -217,16 +202,5 @@ mod tests {
     #[test]
     fn unsupported_experiment_is_an_error() {
         assert!(run("fig4", true).is_err());
-    }
-
-    /// The overlapped export path (Chrome render on the pool, JSONL on
-    /// the capturing thread) emits the same bytes as the serial path.
-    #[test]
-    fn exports_are_jobs_invariant() {
-        let serial = omx_sim::pool::with_jobs(1, || capture(2, 1));
-        let pooled = omx_sim::pool::with_jobs(4, || capture(2, 1));
-        assert_eq!(serial.jsonl, pooled.jsonl);
-        assert_eq!(serial.chrome, pooled.chrome);
-        assert_eq!(serial.elapsed_ns, pooled.elapsed_ns);
     }
 }

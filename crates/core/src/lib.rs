@@ -42,6 +42,7 @@
 //! assert!(report.half_rtt_ns > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bytebuf;

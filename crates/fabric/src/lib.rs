@@ -11,6 +11,7 @@
 //! of its own event queue makes it trivially unit-testable and keeps all
 //! event flow in one place.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod inject;

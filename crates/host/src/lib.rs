@@ -18,6 +18,7 @@
 //! orchestrator (in `omx-core`) asks it to account interrupt deliveries and
 //! busy windows and reads the counters back at the end of a run.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -19,6 +19,7 @@
 //! [`world::MpiWorld`] wires programs into an
 //! [`omx_core::Cluster`] and reports completion times and metrics.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collectives;

@@ -13,6 +13,7 @@
 //! Approximations are documented per benchmark in [`workloads`]; `ft.C` is
 //! reported as out-of-memory exactly as in the paper.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod workloads;

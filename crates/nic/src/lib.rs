@@ -36,6 +36,7 @@
 //! interrupt per operation per rank — bypassing the RX ring, the DMA
 //! engine and the coalescer entirely.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod coalesce;

@@ -20,18 +20,18 @@
 //!   the measurement harness,
 //! * [`json`] — the self-contained JSON value model used by the result
 //!   writers and the trace exporters (no external serialisation crates),
-//! * [`pool`] — a dependency-free work-stealing thread pool ([`Pool`])
-//!   with ordered fork-join commit, plus the process-wide `--jobs` /
-//!   `OMX_JOBS` worker-count policy.
+//! * [`pool`] — an ordered parallel map over scoped threads
+//!   ([`pool::map`]), plus the process-wide `--jobs` worker-count policy.
 //!
 //! Determinism is a hard requirement for the paper reproduction
 //! (identical seeds must produce identical interrupt counts). The
 //! [`engine`] event loop is single-threaded (DESIGN §12 records why); the
-//! experiment harness runs many *independent* simulations at once on the
-//! [`pool`], committing their results in input order (see the `pool`
+//! experiment harness runs many *independent* simulations at once with
+//! [`pool::map`], committing their results in input order (see the `pool`
 //! module docs for the determinism contract), so every report is
 //! byte-identical to a serial run.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;
@@ -44,7 +44,6 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{Engine, Model, Scheduler, StopCondition};
-pub use pool::Pool;
 pub use queue::{EventQueue, EventToken};
 pub use slab::{Slab, SlabToken};
 pub use time::{Time, TimeDelta};

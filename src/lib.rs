@@ -17,6 +17,7 @@
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the experiment map.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use omx_core as core;
