@@ -271,6 +271,33 @@ mod tests {
         }
     }
 
+    /// A panicking cell re-raises only after every sibling cell has
+    /// finished, and leaves nothing poisoned for the next map.
+    #[test]
+    fn worker_panic_propagates_after_siblings_finish() {
+        let finished = AtomicUsize::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            with_jobs(3, || {
+                map((0..24u32).collect(), |i| {
+                    if i == 5 {
+                        panic!("worker task {i} failed");
+                    }
+                    finished.fetch_add(1, Ordering::Relaxed);
+                })
+            })
+        }));
+        assert!(caught.is_err(), "panic must reach the submitter");
+        assert_eq!(
+            finished.load(Ordering::Relaxed),
+            23,
+            "map joins every sibling before re-raising"
+        );
+        assert_eq!(
+            with_jobs(3, || map(vec![1u32, 2, 3], |x| x + 1)),
+            vec![2, 3, 4]
+        );
+    }
+
     #[test]
     fn one_job_runs_every_cell_on_the_caller() {
         let caller = std::thread::current().id();
