@@ -23,7 +23,6 @@ pub mod experiments;
 pub mod perf;
 pub mod report;
 pub mod timeline;
-pub mod timing;
 pub mod traced;
 
 pub use report::{write_json, Table};

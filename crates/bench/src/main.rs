@@ -4,7 +4,7 @@
 //! omx-bench <experiment> [--quick] [--slo] [--jobs N] [--trace[=FILE]]
 //! omx-bench trace <experiment> [--quick]
 //! omx-bench timeline <experiment> [--quick] [--jobs N]
-//! omx-bench perf [--smoke] [--iters N] [--jobs N]
+//! omx-bench perf
 //!
 //! experiments:
 //!   fig4               message rate vs coalescing delay (Fig. 4)
@@ -27,7 +27,7 @@
 //!   multiqueue         flow-hashed IRQ steering (§VI future work)
 //!   jumbo              MTU 9000 sanity check (§IV-A)
 //!   sensitivity        cost-model perturbation study (robustness)
-//!   perf [--smoke]     substrate micro-benchmarks → BENCH_sim.json
+//!   perf               exact event counts per kind → BENCH_sim.json
 //!   all                everything above (except perf)
 //! ```
 //!
@@ -56,9 +56,10 @@
 //! independent simulations with fixed seeds and results commit in
 //! cell-index order (DESIGN §11) — so `--jobs` only changes wall-clock time.
 //!
-//! `--iters N` (perf only) overrides every benchmark's timed iteration
-//! count; the `--smoke` regression gate still applies to the means it
-//! produces.
+//! `perf` runs four fixed simulation shapes once each and writes how many
+//! events of each kind they dispatched to `BENCH_sim.json` in the working
+//! directory. The counts are exact, so the committed root copy is a golden
+//! that `cargo test` checks; run `perf` at the repo root to regenerate it.
 //!
 //! Any other `--flag` is an error (exit status 2): a mistyped `--quick`
 //! must not silently run the full sweep.
@@ -117,10 +118,7 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ("multiqueue", "flow-hashed IRQ steering (§VI future work)"),
     ("jumbo", "MTU 9000 sanity check (§IV-A)"),
     ("sensitivity", "cost-model perturbation study (robustness)"),
-    (
-        "perf",
-        "substrate micro-benchmarks → BENCH_sim.json (--smoke, --iters N)",
-    ),
+    ("perf", "exact event counts per kind → BENCH_sim.json"),
     (
         "trace",
         "trace capture: omx-bench trace <experiment> [--quick]",
@@ -133,7 +131,7 @@ const EXPERIMENTS: &[(&str, &str)] = &[
 ];
 
 /// Every flag `omx-bench` accepts, as listed in the unknown-flag error.
-const FLAGS: &str = "--quick, --slo, --jobs N, --iters N, --smoke, --trace[=FILE]";
+const FLAGS: &str = "--quick, --slo, --jobs N, --trace[=FILE]";
 
 /// Extract `--NAME N` / `--NAME=N` from `args`, returning the parsed value
 /// and removing the flag (and its detached value) so the positional scan
@@ -170,10 +168,9 @@ fn main() {
     if let Some(jobs) = take_numeric_flag(&mut args, "--jobs") {
         omx_sim::pool::set_jobs(jobs as usize);
     }
-    let iters_override = take_numeric_flag(&mut args, "--iters").map(|n| n as u32);
     if let Some(flag) = args.iter().find(|a| {
         a.starts_with("--")
-            && !matches!(a.as_str(), "--quick" | "--slo" | "--smoke" | "--trace")
+            && !matches!(a.as_str(), "--quick" | "--slo" | "--trace")
             && !a.starts_with("--trace=")
     }) {
         eprintln!("unknown flag '{flag}'; known flags: {FLAGS}");
@@ -238,7 +235,7 @@ fn main() {
         "multiqueue" => run_multiqueue(),
         "jumbo" => run_jumbo(quick),
         "sensitivity" => run_sensitivity(quick),
-        "perf" => run_perf(args.iter().any(|a| a == "--smoke"), iters_override),
+        "perf" => run_perf(),
         "all" => {
             run_fig4(quick);
             run_overhead(quick);
@@ -446,26 +443,12 @@ fn run_sensitivity(quick: bool) {
     persist("sensitivity JSON", write_json("sensitivity", &result));
 }
 
-fn run_perf(smoke: bool, iters: Option<u32>) {
-    println!(
-        "== substrate perf baseline{} ==",
-        if smoke { " (smoke)" } else { "" }
-    );
-    let report = omx_bench::perf::run(smoke, iters);
+fn run_perf() {
+    println!("== simulator cost: events dispatched per kind ==");
+    let report = omx_bench::perf::run();
     omx_bench::perf::print_summary(&report);
     persist("BENCH_sim.json", omx_bench::perf::write_report(&report));
     println!("wrote BENCH_sim.json");
-    // Smoke mode doubles as CI's perf regression gate: any bench whose
-    // mean regressed past 2x its baseline fails the run.
-    if smoke {
-        let regressed = omx_bench::perf::regressions(&report, 2.0);
-        for (id, mean, baseline) in &regressed {
-            eprintln!("perf regression: {id} mean {mean} ns > 2x baseline {baseline} ns");
-        }
-        if !regressed.is_empty() {
-            std::process::exit(3);
-        }
-    }
 }
 
 fn run_scale(quick: bool, slo: bool) {

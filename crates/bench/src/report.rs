@@ -73,9 +73,9 @@
 //! timeline`) are the windowed telemetry exports; their schema is
 //! documented in [`crate::timeline`] and DESIGN §10.
 //!
-//! `BENCH_sim.json` (repo root, written by `omx-bench perf`) is the
-//! substrate micro-benchmark baseline; its schema is documented in
-//! [`crate::perf`].
+//! `BENCH_sim.json` (repo root, written by `omx-bench perf`) holds the exact
+//! per-event-kind dispatch counts of four fixed shapes; its schema is
+//! documented in [`crate::perf`].
 
 use std::fmt::Write as _;
 use std::path::Path;

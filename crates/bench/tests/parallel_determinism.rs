@@ -149,6 +149,8 @@ fn malformed_jobs_flags_exit_nonzero() {
         (&["scale", "--quick", "--sim-jobs", "2"][..], "--sim-jobs"),
         (&["scale", "--quick", "--sim-jobs=2"][..], "--sim-jobs=2"),
         (&["fig5", "--qiuck"][..], "--qiuck"),
+        (&["perf", "--smoke"][..], "--smoke"),
+        (&["perf", "--iters", "3"][..], "--iters"),
     ] {
         let output = run(args);
         assert_eq!(
@@ -173,7 +175,7 @@ fn perf_report_write_failure_exits_nonzero() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(dir.join("BENCH_sim.json")).expect("create scratch dir");
     let output = Command::new(PathBuf::from(env!("CARGO_BIN_EXE_omx-bench")))
-        .args(["perf", "--smoke"])
+        .arg("perf")
         .current_dir(&dir)
         .output()
         .expect("spawn omx-bench");

@@ -407,6 +407,51 @@ enum Ev {
     OffloadDone { node: u16, ep: u8, seq: u32 },
 }
 
+/// Number of [`Ev`] variants: the length of the per-kind dispatch counter.
+const EV_KINDS: usize = 13;
+
+/// Events dispatched per kind, in event-kind declaration order and named
+/// after the kind (see [`Cluster::event_counts`]).
+pub type EventCounts = [(&'static str, u64); EV_KINDS];
+
+/// [`Ev`] variant names, in declaration order.
+const EV_KIND_NAMES: [&str; EV_KINDS] = [
+    "FrameArrival",
+    "DmaComplete",
+    "CoalesceTimer",
+    "IrqService",
+    "BatchDone",
+    "DriverTimer",
+    "AppRecv",
+    "AppSend",
+    "AppTimer",
+    "AppStart",
+    "ShmDeliver",
+    "OffloadTimer",
+    "OffloadDone",
+];
+
+impl Ev {
+    /// Index of this variant in [`EV_KIND_NAMES`].
+    fn kind(&self) -> usize {
+        match self {
+            Ev::FrameArrival { .. } => 0,
+            Ev::DmaComplete { .. } => 1,
+            Ev::CoalesceTimer { .. } => 2,
+            Ev::IrqService { .. } => 3,
+            Ev::BatchDone { .. } => 4,
+            Ev::DriverTimer { .. } => 5,
+            Ev::AppRecv { .. } => 6,
+            Ev::AppSend { .. } => 7,
+            Ev::AppTimer { .. } => 8,
+            Ev::AppStart { .. } => 9,
+            Ev::ShmDeliver { .. } => 10,
+            Ev::OffloadTimer { .. } => 11,
+            Ev::OffloadDone { .. } => 12,
+        }
+    }
+}
+
 /// What travels on the fabric: an Open-MX packet, a raw frame, or a
 /// NIC-resident collective frame.
 #[derive(Debug, Clone, Copy)]
@@ -638,6 +683,9 @@ struct Nodes {
     /// goodput tap, indexed by node. Tracked here (not in
     /// `DriverCounters`) so the serialized counter shape stays stable.
     delivered_bytes: Vec<u64>,
+    /// Events dispatched so far, per [`Ev`] kind (see
+    /// [`Cluster::event_counts`]).
+    event_counts: [u64; EV_KINDS],
 }
 
 struct SystemModel {
@@ -983,7 +1031,6 @@ impl Nodes {
         let Some(mut actor) = self.actors.remove(&(node, ep)) else {
             return;
         };
-        let blocking = actor.blocking_waits();
         let core = ep as usize % self.cfg.host.cores;
         let core_irq_busy_ns = self.rt(node).host.irq_busy_total_ns(core);
         let mut cmds = std::mem::take(&mut self.cmd_buf);
@@ -1005,11 +1052,10 @@ impl Nodes {
         // The cursor starts after any still-running work of this endpoint so
         // one rank cannot overlap its own CPU. A rank that went idle is
         // blocked in `mx_wait`; waking it costs scheduler latency, which is
-        // paid once per delivery burst — the very effect that makes
-        // per-packet interrupts expensive (§IV-B1).
+        // paid once per delivery burst (charged in the IRQ handler) — the
+        // very effect that makes per-packet interrupts expensive (§IV-B1).
         let costs = self.cfg.host.costs;
         let busy = *self.app_busy.entry((node, ep)).or_insert(Time::ZERO);
-        let _ = blocking; // the wakeup cost is charged in the IRQ handler
         let mut cursor = now.max(busy);
         for cmd in cmds.drain(..) {
             match cmd {
@@ -1118,6 +1164,7 @@ impl Nodes {
     /// node-local (cross-node traffic only exists as wire transmissions
     /// through the [`Ctx`]).
     fn dispatch(&mut self, now: Time, event: Ev, ctx: &mut Ctx) {
+        self.event_counts[event.kind()] += 1;
         match event {
             Ev::FrameArrival { node, pkt } => {
                 if let WireFrame::Coll(frame) = pkt {
@@ -1397,6 +1444,7 @@ impl Cluster {
                 batch_pool: Vec::new(),
                 offload_scratch: Vec::new(),
                 delivered_bytes: vec![0; model_nodes],
+                event_counts: [0; EV_KINDS],
             },
             fabric,
             tracer: None,
@@ -1569,6 +1617,13 @@ impl Cluster {
     /// Events processed so far (diagnostics).
     pub fn events_processed(&self) -> u64 {
         self.engine.events_processed()
+    }
+
+    /// Events dispatched so far, per event kind, in declaration order and
+    /// named after the kind. The counts sum to [`Self::events_processed`].
+    pub fn event_counts(&self) -> EventCounts {
+        let counts = &self.engine.model().nodes.event_counts;
+        std::array::from_fn(|i| (EV_KIND_NAMES[i], counts[i]))
     }
 
     /// Borrow an actor back (downcast to its concrete type).

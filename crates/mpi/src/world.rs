@@ -3,7 +3,7 @@
 use crate::executor::RankActor;
 use crate::ops::Op;
 use omx_core::metrics::ClusterMetrics;
-use omx_core::system::{Cluster, ClusterConfig};
+use omx_core::system::{Cluster, ClusterConfig, EventCounts};
 use omx_core::telemetry::{Telemetry, TelemetryConfig};
 use omx_core::wire::EndpointAddr;
 use omx_sim::stats::Histogram;
@@ -97,6 +97,8 @@ pub struct MpiRunReport {
     /// Per-node NIC collective-offload engine counters (all zero unless the
     /// job ran with [`CollectiveExec::NicOffload`]).
     pub offload: Vec<omx_core::offload::OffloadCounters>,
+    /// Events dispatched per event kind ([`Cluster::event_counts`]).
+    pub events: EventCounts,
 }
 
 /// A configured MPI job.
@@ -253,6 +255,7 @@ impl MpiWorld {
             metrics: self.cluster.metrics(),
             telemetry: self.cluster.take_telemetry(),
             offload: self.cluster.offload_counters(),
+            events: self.cluster.event_counts(),
         };
         (report, sanitizer)
     }
@@ -423,6 +426,8 @@ mod tests {
             sampled.metrics.total_interrupts()
         );
         assert_eq!(plain.metrics.frames_carried, sampled.metrics.frames_carried);
+        // Engine ticks are not events: sampling dispatches nothing extra.
+        assert_eq!(plain.events, sampled.events);
         assert!(plain.telemetry.is_none());
 
         let tel = sampled.telemetry.expect("telemetry collected");
