@@ -509,6 +509,7 @@ impl NodeDriver {
             self.counters.duplicates.incr();
             // Duplicates still refresh ack state so the peer stops resending.
             self.bump_rx_ack(now, local_ep, remote, ct, actions);
+            self.arm_timer_action(actions);
             return;
         }
 
