@@ -19,8 +19,8 @@
 //!     {
 //!       "id": "e2e/pingpong_small_50k",
 //!       "frames": 100000,            // Ethernet frames the fabric carried
-//!       "events": 2043162,           // events dispatched, all kinds
-//!       "events_per_frame": 20.43162,
+//!       "events": 624638,            // events dispatched, all kinds
+//!       "events_per_frame": 6.24638,
 //!       "by_kind": {"FrameArrival": 100000, "DmaComplete": 100000, …}
 //!     }
 //!   ]
@@ -136,7 +136,7 @@ pub fn run() -> Json {
             50_000,
         ),
         // The 75 µs timeout re-arms the driver timer on every message: the
-        // shape whose `DriverTimer` count grows fastest with run length.
+        // shape with the most `DriverTimer` events per frame.
         pingpong_small(
             "e2e/pingpong_timeout_small_5k",
             CoalescingStrategy::Timeout { delay_us: 75 },

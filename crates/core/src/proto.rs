@@ -17,9 +17,11 @@
 //!
 //! The driver is a *pure state machine*: every entry point takes `now` and
 //! returns a list of [`DriverAction`]s for the orchestrator to execute
-//! (packets to transmit, completions to deliver, a retransmit-timer
-//! deadline to arm). This keeps the whole protocol unit-testable without a
-//! simulator: the tests below run two drivers against each other by hand.
+//! (packets to transmit, completions to deliver). Its retransmit /
+//! delayed-ack timer is not an action: after every call the orchestrator
+//! arms it from [`NodeDriver::next_deadline`]. This keeps the whole protocol
+//! unit-testable without a simulator: the tests below run two drivers
+//! against each other by hand.
 
 use crate::marking::MarkingPolicy;
 use crate::matching::{MatchEngine, PostedRecv, UnexpectedMsg};
@@ -97,11 +99,6 @@ pub enum DriverAction {
         ep: u8,
         /// Handle from the send post.
         handle: u64,
-    },
-    /// Arm (or move) the driver's retransmit/delayed-ack timer.
-    ArmTimer {
-        /// Absolute deadline.
-        at: Time,
     },
 }
 
@@ -431,9 +428,6 @@ impl NodeDriver {
         };
         if let Some(unexpected) = self.endpoints[ep as usize].matcher.post_recv(posted) {
             self.claim_unexpected(now, ep, handle, unexpected, actions);
-            // Claiming a large message starts a pull whose requests can all
-            // be lost; the stall re-request needs a live timer.
-            self.arm_timer_action(actions);
         }
     }
 
@@ -476,10 +470,6 @@ impl NodeDriver {
             },
             actions,
         );
-        // The packets just emitted are unacked: without a live retransmit
-        // timer a loss with no subsequent reverse traffic (e.g. the last
-        // message of a run) would strand the message forever.
-        self.arm_timer_action(actions);
     }
 
     /// A packet addressed to this node was delivered by the receive handler.
@@ -509,7 +499,6 @@ impl NodeDriver {
             self.counters.duplicates.incr();
             // Duplicates still refresh ack state so the peer stops resending.
             self.bump_rx_ack(now, local_ep, remote, ct, actions);
-            self.arm_timer_action(actions);
             return;
         }
 
@@ -580,7 +569,6 @@ impl NodeDriver {
                 // Not Open-MX; nothing to do at this layer.
             }
         }
-        self.arm_timer_action(actions);
     }
 
     /// The retransmit / delayed-ack timer fired.
@@ -685,11 +673,11 @@ impl NodeDriver {
         }
         stalled.clear();
         self.scratch.stalled = stalled;
-
-        self.arm_timer_action(actions);
     }
 
-    /// Earliest pending deadline (retransmit or delayed ack), if any.
+    /// Earliest pending deadline (retransmit or delayed ack), if any. The
+    /// orchestrator arms the node's driver timer from this after every
+    /// driver call.
     pub fn next_deadline(&self) -> Option<Time> {
         let rto = checked_delta(self.cfg.rto_ns, "rto_ns");
         let mut next: Option<Time> = None;
@@ -1517,12 +1505,6 @@ impl NodeDriver {
             });
         }
     }
-
-    fn arm_timer_action(&self, actions: &mut Vec<DriverAction>) {
-        if let Some(at) = self.next_deadline() {
-            actions.push(DriverAction::ArmTimer { at });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1553,7 +1535,6 @@ mod tests {
             for act in actions {
                 match act {
                     DriverAction::Transmit(p) => pending.push((p.hdr.dst.node.0, p)),
-                    DriverAction::ArmTimer { .. } => {}
                     other => sink.push(other),
                 }
             }
@@ -1567,7 +1548,6 @@ mod tests {
         for a in actions {
             match a {
                 DriverAction::Transmit(p) => pkts.push(p),
-                DriverAction::ArmTimer { .. } => {}
                 other => rest.push(other),
             }
         }
@@ -1825,11 +1805,8 @@ mod tests {
         b.post_recv(t0(), 0, 7, !0, 1);
         let (pkts, _) = split_transmits(a.post_send(t0(), 0, EndpointAddr::new(1, 0), 16, 7, 1));
         let acts = b.handle_packet(t0(), pkts[0]);
-        let (tx, _) = split_transmits(acts.clone());
+        let (tx, _) = split_transmits(acts);
         assert!(tx.is_empty(), "ack is delayed");
-        assert!(acts
-            .iter()
-            .any(|a| matches!(a, DriverAction::ArmTimer { .. })));
         let deadline = b.next_deadline().expect("delayed-ack deadline");
         let acts = b.on_timer(deadline);
         let (tx, _) = split_transmits(acts);
@@ -1934,18 +1911,12 @@ mod tests {
     }
 
     /// A lone send whose only packet is lost must still be recoverable: the
-    /// post itself has to arm the retransmit timer, because with no reverse
-    /// traffic nothing else ever will.
+    /// post itself has to leave a retransmit deadline, because with no
+    /// reverse traffic nothing else ever will.
     #[test]
-    fn lone_post_send_arms_retransmit_timer() {
+    fn lone_post_send_leaves_retransmit_deadline() {
         let (mut a, _) = pair();
-        let actions = a.post_send(t0(), 0, EndpointAddr::new(1, 0), 64, 7, 200);
-        assert!(
-            actions
-                .iter()
-                .any(|x| matches!(x, DriverAction::ArmTimer { .. })),
-            "posting a send must arm the timer: {actions:?}"
-        );
+        a.post_send(t0(), 0, EndpointAddr::new(1, 0), 64, 7, 200);
         let deadline = a.next_deadline().expect("unacked packet has a deadline");
         // Drop the packet on the floor; the timer must retransmit it.
         let acts = a.on_timer(deadline);

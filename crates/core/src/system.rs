@@ -500,7 +500,7 @@ struct NodeRt {
     in_dma: HashMap<DescId, WireFrame>,
     /// Time-weighted depth of `in_dma` — outstanding receive work.
     pending_dma: TimeWeighted,
-    /// Armed driver-timer deadline (dedup of DriverTimer events).
+    /// When the armed `DriverTimer` event fires (see [`arm_timer`]).
     driver_timer: Option<Time>,
     /// Token of the pending coalescing-timer event, if any. Re-arming the
     /// NIC timer cancels the superseded event instead of leaving it to
@@ -509,8 +509,7 @@ struct NodeRt {
     coalesce_timer_tok: Option<EventToken>,
     /// NIC-resident collective engine (firmware state in NIC memory).
     offload: OffloadEngine,
-    /// Armed offload-RTO deadline (dedup of OffloadTimer events, same
-    /// scheme as `driver_timer`).
+    /// When the armed `OffloadTimer` event fires (see [`arm_timer`]).
     offload_timer: Option<Time>,
 }
 
@@ -873,17 +872,21 @@ impl Nodes {
         }
     }
 
-    /// Run driver actions, draining `actions` so the caller's buffer can be
-    /// reused; `now` is when they become effective. `irq_core` is the core
-    /// running the driver (None = application context).
-    fn run_driver_actions(
+    /// Run one driver call `f` on `node`, execute the actions it emitted,
+    /// then arm the driver timer from the driver's earliest deadline. Every
+    /// driver call goes through here, so no deadline a call sets can go
+    /// unarmed. `now` is when the actions become effective; `irq_core` is
+    /// the core running the driver (None = application context).
+    fn drive(
         &mut self,
         node: u16,
         now: Time,
-        actions: &mut Vec<DriverAction>,
         irq_core: Option<CoreId>,
         ctx: &mut Ctx,
+        f: impl FnOnce(&mut NodeDriver, &mut Vec<DriverAction>),
     ) {
+        let mut actions = std::mem::take(&mut self.action_buf);
+        f(&mut self.rt(node).driver, &mut actions);
         let mut cursor = now;
         for action in actions.drain(..) {
             match action {
@@ -926,22 +929,22 @@ impl Nodes {
                         cursor + TimeDelta::from_nanos(self.cfg.host.costs.app_event_ns as i64);
                     ctx.schedule_at(visible, Ev::AppSend { node, ep, handle });
                 }
-                DriverAction::ArmTimer { at } => {
-                    let rt = self.rt(node);
-                    let need = match rt.driver_timer {
-                        Some(armed) => at < armed,
-                        None => true,
-                    };
-                    if need {
-                        rt.driver_timer = Some(at);
-                        ctx.schedule_at(at.max(now), Ev::DriverTimer { node });
-                    }
-                }
             }
         }
+        self.action_buf = actions;
+        let rt = self.rt(node);
+        let deadline = rt.driver.next_deadline();
+        arm_timer(
+            &mut rt.driver_timer,
+            deadline,
+            now,
+            ctx,
+            Ev::DriverTimer { node },
+        );
     }
 
-    /// Drain and apply the offload engine's queued emits for `node`. The
+    /// Drain and apply the offload engine's queued emits for `node`, then
+    /// arm the offload timer from the engine's earliest deadline. The
     /// engine is a passive state machine; this is the single point where
     /// its decisions touch the wire, the sanitizer, the host IRQ path and
     /// the event queue.
@@ -1003,20 +1006,18 @@ impl Nodes {
                     });
                     ctx.schedule_at(visible, Ev::OffloadDone { node, ep, seq });
                 }
-                OffloadEmit::ArmTimer { at } => {
-                    let rt = self.rt(node);
-                    let need = match rt.offload_timer {
-                        Some(armed) => at < armed,
-                        None => true,
-                    };
-                    if need {
-                        rt.offload_timer = Some(at);
-                        ctx.schedule_at(at.max(now), Ev::OffloadTimer { node });
-                    }
-                }
             }
         }
         self.offload_scratch = emits;
+        let rt = self.rt(node);
+        let deadline = rt.offload.next_deadline();
+        arm_timer(
+            &mut rt.offload_timer,
+            deadline,
+            now,
+            ctx,
+            Ev::OffloadTimer { node },
+        );
     }
 
     /// Run one actor callback and execute the commands it issued.
@@ -1072,18 +1073,9 @@ impl Nodes {
                         + costs.send_frag_ns * frags.min(4)
                         + costs.tx_copy_ns(eager_len);
                     cursor += TimeDelta::from_nanos(cpu as i64);
-                    let mut actions = std::mem::take(&mut self.action_buf);
-                    self.rt(node).driver.post_send_into(
-                        cursor,
-                        ep,
-                        dst,
-                        len,
-                        match_info,
-                        handle,
-                        &mut actions,
-                    );
-                    self.run_driver_actions(node, cursor, &mut actions, None, ctx);
-                    self.action_buf = actions;
+                    self.drive(node, cursor, None, ctx, |d, a| {
+                        d.post_send_into(cursor, ep, dst, len, match_info, handle, a)
+                    });
                 }
                 ActorCmd::Recv {
                     match_value,
@@ -1091,17 +1083,9 @@ impl Nodes {
                     handle,
                 } => {
                     cursor += TimeDelta::from_nanos(150);
-                    let mut actions = std::mem::take(&mut self.action_buf);
-                    self.rt(node).driver.post_recv_into(
-                        cursor,
-                        ep,
-                        match_value,
-                        match_mask,
-                        handle,
-                        &mut actions,
-                    );
-                    self.run_driver_actions(node, cursor, &mut actions, None, ctx);
-                    self.action_buf = actions;
+                    self.drive(node, cursor, None, ctx, |d, a| {
+                        d.post_recv_into(cursor, ep, match_value, match_mask, handle, a)
+                    });
                 }
                 ActorCmd::Timer { at, token } => {
                     ctx.schedule_at(at.max(cursor), Ev::AppTimer { node, ep, token });
@@ -1142,6 +1126,20 @@ fn delivers_app_event(pkt: &Packet) -> bool {
         | PacketKind::PullRequest { .. }
         | PacketKind::Ack { .. }
         | PacketKind::TcpSegment { .. } => false,
+    }
+}
+
+/// Arm a node timer (driver or offload) for `deadline`, unless the event
+/// armed in `slot` already fires no later. `slot` holds when the armed event
+/// fires. A superseded event stays queued; when it fires, `slot` no longer
+/// names its instant, so it frees nothing and re-arms nothing — it only runs
+/// work that happens to be due.
+fn arm_timer(slot: &mut Option<Time>, deadline: Option<Time>, now: Time, ctx: &mut Ctx, ev: Ev) {
+    let Some(at) = deadline else { return };
+    if !slot.is_some_and(|armed| armed <= at) {
+        let at = at.max(now);
+        *slot = Some(at);
+        ctx.schedule_at(at, ev);
     }
 }
 
@@ -1254,38 +1252,28 @@ impl Nodes {
                 // hand the packets to the driver's protocol logic.
                 let out = self.rt(node).nic.enable_irq(now);
                 self.apply_nic_outcome(node, now, out, ctx);
-                let mut actions = std::mem::take(&mut self.action_buf);
                 for pkt in batch.drain(..) {
-                    self.rt(node)
-                        .driver
-                        .handle_packet_into(now, pkt, &mut actions);
-                    self.run_driver_actions(node, now, &mut actions, Some(core), ctx);
+                    self.drive(node, now, Some(core), ctx, |d, a| {
+                        d.handle_packet_into(now, pkt, a)
+                    });
                 }
-                self.action_buf = actions;
                 self.batch_pool.push(batch);
             }
             Ev::DriverTimer { node } => {
                 let rt = self.rt(node);
-                rt.driver_timer = None;
-                let due = rt.driver.next_deadline().is_some_and(|d| d <= now);
-                if due {
-                    let mut actions = std::mem::take(&mut self.action_buf);
-                    self.rt(node).driver.on_timer_into(now, &mut actions);
-                    self.run_driver_actions(node, now, &mut actions, None, ctx);
-                    self.action_buf = actions;
-                } else if let Some(d) = self.rt(node).driver.next_deadline() {
-                    let rt = self.rt(node);
-                    rt.driver_timer = Some(d);
-                    ctx.schedule_at(d, Ev::DriverTimer { node });
+                if rt.driver_timer == Some(now) {
+                    rt.driver_timer = None;
                 }
+                self.drive(node, now, None, ctx, |d, a| {
+                    if d.next_deadline().is_some_and(|t| t <= now) {
+                        d.on_timer_into(now, a);
+                    }
+                });
             }
             Ev::ShmDeliver { node, pkt } => {
-                let mut actions = std::mem::take(&mut self.action_buf);
-                self.rt(node)
-                    .driver
-                    .handle_packet_into(now, pkt, &mut actions);
-                self.run_driver_actions(node, now, &mut actions, None, ctx);
-                self.action_buf = actions;
+                self.drive(node, now, None, ctx, |d, a| {
+                    d.handle_packet_into(now, pkt, a)
+                });
             }
             Ev::AppStart { node, ep } => {
                 self.with_actor(node, ep, now, ctx, |a, actx| a.on_start(actx));
@@ -1312,16 +1300,13 @@ impl Nodes {
             }
             Ev::OffloadTimer { node } => {
                 let rt = self.rt(node);
-                rt.offload_timer = None;
-                let due = rt.offload.next_deadline().is_some_and(|d| d <= now);
-                if due {
-                    self.rt(node).offload.on_timer(now);
-                    self.run_offload_emits(node, now, ctx);
-                } else if let Some(d) = self.rt(node).offload.next_deadline() {
-                    let rt = self.rt(node);
-                    rt.offload_timer = Some(d);
-                    ctx.schedule_at(d, Ev::OffloadTimer { node });
+                if rt.offload_timer == Some(now) {
+                    rt.offload_timer = None;
                 }
+                if rt.offload.next_deadline().is_some_and(|t| t <= now) {
+                    rt.offload.on_timer(now);
+                }
+                self.run_offload_emits(node, now, ctx);
             }
             Ev::OffloadDone { node, ep, seq } => {
                 self.with_actor(node, ep, now, ctx, |a, actx| {
@@ -1540,7 +1525,7 @@ impl Cluster {
         }
         let stop = self
             .engine
-            .run_until(horizon, u64::MAX, |m: &SystemModel| m.nodes.stop);
+            .run_until(horizon, |m: &SystemModel| m.nodes.stop);
         // Ticks only fire while events flow, so the tail of the run — from
         // the last aligned boundary to the final event — is still an open
         // window. Close it at the stop point (idempotent; skipped when the
@@ -1967,6 +1952,32 @@ mod tests {
         assert!(
             stream * 2 <= openmx,
             "stream ({stream}) should halve interrupts vs open-mx ({openmx})"
+        );
+    }
+
+    /// Driver timers grow linearly with run length: a superseded
+    /// `DriverTimer` fires as a no-op instead of scheduling another, so
+    /// ten times the round trips dispatch about ten times the timers (a
+    /// leaking timer grows quadratically instead).
+    #[test]
+    fn driver_timers_grow_linearly_with_run_length() {
+        let driver_timers = |iterations| {
+            let mut cluster = ClusterBuilder::new()
+                .nodes(2)
+                .strategy(CoalescingStrategy::Timeout { delay_us: 75 })
+                .build();
+            cluster.run_pingpong(crate::workloads::pingpong::PingPongSpec {
+                msg_len: 128,
+                iterations,
+                warmup: 0,
+            });
+            cluster.event_counts()[Ev::DriverTimer { node: 0 }.kind()].1
+        };
+        let short = driver_timers(1_000);
+        let long = driver_timers(10_000);
+        assert!(
+            long <= 11 * short,
+            "DriverTimer events grew {short} -> {long} for 10x the round trips"
         );
     }
 }

@@ -78,7 +78,6 @@ fn converge(
         for act in target.handle_packet(now, pkt) {
             match act {
                 DriverAction::Transmit(p) => submit(&mut wire, p, &mut tx_count),
-                DriverAction::ArmTimer { .. } => {}
                 other => sink.push(other),
             }
         }

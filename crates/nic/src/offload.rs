@@ -299,13 +299,6 @@ pub enum OffloadEmit {
         /// Rank the operation completed for.
         rank: u32,
     },
-    /// (Re-)arm the per-node retransmission timer. The orchestrator keeps
-    /// one timer per node and only re-schedules when `at` is earlier than
-    /// the currently armed deadline.
-    ArmTimer {
-        /// Earliest pending retransmission deadline.
-        at: Time,
-    },
 }
 
 /// Key into the retransmission table: `(src_rank, seq, round, dst_rank)` —
@@ -512,7 +505,6 @@ impl OffloadEngine {
         slot.active = Some(op);
         self.slots.insert(desc.rank, slot);
         self.pump(now, desc.rank);
-        self.arm_emit();
     }
 
     /// A collective frame arrived from the wire for a rank on this node.
@@ -591,7 +583,6 @@ impl OffloadEngine {
                 }
             }
         }
-        self.arm_emit();
     }
 
     /// The per-node retransmission timer fired: re-send every frame whose
@@ -617,10 +608,11 @@ impl OffloadEngine {
                 fresh: false,
             });
         }
-        self.arm_emit();
     }
 
     /// Earliest pending retransmission deadline, if any frame is un-acked.
+    /// The orchestrator arms its one per-node timer from this after every
+    /// engine call.
     pub fn next_deadline(&self) -> Option<Time> {
         self.pending.values().map(|r| r.next_at).min()
     }
@@ -801,14 +793,6 @@ impl OffloadEngine {
         }
         self.slots.insert(rank, slot);
     }
-
-    /// Queue an [`OffloadEmit::ArmTimer`] for the earliest outstanding RTO
-    /// deadline, if any. The orchestrator dedups against its armed timer.
-    fn arm_emit(&mut self) {
-        if let Some(at) = self.next_deadline() {
-            self.emits.push(OffloadEmit::ArmTimer { at });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -874,16 +858,18 @@ mod tests {
                     OffloadEmit::Complete { ep, seq, rank } => {
                         self.completions.push((rank, ep, seq));
                     }
-                    OffloadEmit::ArmTimer { at } => {
-                        let slot = &mut self.timers[node];
-                        if !slot.is_some_and(|t| t <= at) {
-                            *slot = Some(at);
-                        }
-                    }
                     OffloadEmit::Delivered { .. } | OffloadEmit::AckCompleted => {}
                 }
             }
             self.scratch = emits;
+            // Arm from the engine's earliest deadline, as the orchestrator
+            // does after every engine call.
+            if let Some(at) = self.engines[node].next_deadline() {
+                let slot = &mut self.timers[node];
+                if !slot.is_some_and(|t| t <= at) {
+                    *slot = Some(at);
+                }
+            }
         }
 
         fn post_all(&mut self, op: CollOp, ranks: u32, payload: u32) {

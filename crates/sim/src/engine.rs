@@ -87,20 +87,9 @@ impl<E> Scheduler<E> {
         self.queue.push(Time::from_nanos(at), event)
     }
 
-    /// Schedule `event` at the current instant (after all already-queued
-    /// events for this instant).
-    pub fn schedule_now(&mut self, event: E) -> EventToken {
-        self.queue.push(self.now, event)
-    }
-
     /// Cancel a scheduled event; returns whether it was still pending.
     pub fn cancel(&mut self, token: EventToken) -> bool {
         self.queue.cancel(token)
-    }
-
-    /// Number of live scheduled events.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -111,8 +100,6 @@ pub enum StopCondition {
     QueueEmpty,
     /// The configured time horizon was reached.
     HorizonReached,
-    /// The configured event budget was exhausted (runaway protection).
-    EventBudgetExhausted,
     /// The model requested an early stop via [`Engine::run_until`]'s predicate.
     PredicateSatisfied,
 }
@@ -137,7 +124,7 @@ pub enum StopCondition {
 ///
 /// let mut engine = Engine::new(Countdown(3));
 /// engine.prime(Time::ZERO, ());
-/// engine.run(Time::MAX, u64::MAX);
+/// engine.run(Time::MAX);
 /// assert_eq!(engine.model().0, 0);
 /// assert_eq!(engine.now(), Time::from_micros(3));
 /// ```
@@ -174,11 +161,6 @@ impl<M: Model> Engine<M> {
         &mut self.model
     }
 
-    /// Consume the engine and return the model.
-    pub fn into_model(self) -> M {
-        self.model
-    }
-
     /// Current simulated time (time of the last dispatched event).
     pub fn now(&self) -> Time {
         self.sched.now()
@@ -209,11 +191,6 @@ impl<M: Model> Engine<M> {
         self.next_tick_ns = (self.sched.now.as_nanos() / period_ns + 1) * period_ns;
     }
 
-    /// The configured tick period, if periodic ticks are enabled.
-    pub fn tick_period_ns(&self) -> Option<u64> {
-        self.tick_period_ns
-    }
-
     /// Schedule an initial event before running.
     ///
     /// # Panics
@@ -225,25 +202,14 @@ impl<M: Model> Engine<M> {
     }
 
     /// Run until the queue drains or `horizon` is passed (whichever first).
-    ///
-    /// `max_events` bounds the total number of dispatched events as a
-    /// runaway-simulation guard; pass `u64::MAX` for "unbounded".
-    pub fn run(&mut self, horizon: Time, max_events: u64) -> StopCondition {
-        self.run_until(horizon, max_events, |_| false)
+    pub fn run(&mut self, horizon: Time) -> StopCondition {
+        self.run_until(horizon, |_| false)
     }
 
     /// Like [`Engine::run`] but additionally stops as soon as `stop(&model)`
     /// returns true (checked after each dispatched event).
-    pub fn run_until(
-        &mut self,
-        horizon: Time,
-        max_events: u64,
-        mut stop: impl FnMut(&M) -> bool,
-    ) -> StopCondition {
+    pub fn run_until(&mut self, horizon: Time, mut stop: impl FnMut(&M) -> bool) -> StopCondition {
         loop {
-            if self.events_processed >= max_events {
-                return StopCondition::EventBudgetExhausted;
-            }
             let Some(next) = self.sched.queue.peek_time() else {
                 return StopCondition::QueueEmpty;
             };
@@ -305,7 +271,7 @@ mod tests {
             fired_at: Vec::new(),
         });
         eng.prime(Time::from_nanos(50), ());
-        let stop = eng.run(Time::from_secs(1), u64::MAX);
+        let stop = eng.run(Time::from_secs(1));
         assert_eq!(stop, StopCondition::QueueEmpty);
         let expect: Vec<Time> = (0..5).map(|i| Time::from_nanos(50 + i * 100)).collect();
         assert_eq!(eng.model().fired_at, expect);
@@ -320,27 +286,14 @@ mod tests {
             fired_at: Vec::new(),
         });
         eng.prime(Time::ZERO, ());
-        let stop = eng.run(Time::from_nanos(450), u64::MAX);
+        let stop = eng.run(Time::from_nanos(450));
         assert_eq!(stop, StopCondition::HorizonReached);
         assert_eq!(eng.model().fired_at.len(), 5); // t = 0,100,200,300,400
         assert_eq!(eng.now(), Time::from_nanos(450));
         // Continuing picks up exactly where it left off.
-        let stop = eng.run(Time::from_nanos(800), u64::MAX);
+        let stop = eng.run(Time::from_nanos(800));
         assert_eq!(stop, StopCondition::HorizonReached);
         assert_eq!(eng.model().fired_at.len(), 9);
-    }
-
-    #[test]
-    fn event_budget_guard_trips() {
-        let mut eng = Engine::new(Ticker {
-            period_ns: 1,
-            remaining: u32::MAX,
-            fired_at: Vec::new(),
-        });
-        eng.prime(Time::ZERO, ());
-        let stop = eng.run(Time::MAX, 10);
-        assert_eq!(stop, StopCondition::EventBudgetExhausted);
-        assert_eq!(eng.events_processed(), 10);
     }
 
     #[test]
@@ -351,7 +304,7 @@ mod tests {
             fired_at: Vec::new(),
         });
         eng.prime(Time::ZERO, ());
-        let stop = eng.run_until(Time::MAX, u64::MAX, |m| m.fired_at.len() >= 3);
+        let stop = eng.run_until(Time::MAX, |m| m.fired_at.len() >= 3);
         assert_eq!(stop, StopCondition::PredicateSatisfied);
         assert_eq!(eng.model().fired_at.len(), 3);
     }
@@ -368,7 +321,7 @@ mod tests {
         }
         let mut eng = Engine::new(Bad);
         eng.prime(Time::from_nanos(100), ());
-        eng.run(Time::MAX, u64::MAX);
+        eng.run(Time::MAX);
     }
 
     #[test]
@@ -384,7 +337,7 @@ mod tests {
         }
         let mut eng = Engine::new(Overflow);
         eng.prime(Time::from_nanos(100), ());
-        eng.run(Time::MAX, u64::MAX);
+        eng.run(Time::MAX);
     }
 
     #[test]
@@ -396,7 +349,7 @@ mod tests {
             fired_at: Vec::new(),
         });
         eng.prime(Time::from_nanos(500), ());
-        eng.run(Time::MAX, u64::MAX);
+        eng.run(Time::MAX);
         assert_eq!(eng.now(), Time::from_nanos(500));
         // Re-priming behind the clock must trip the invariant.
         eng.prime(Time::from_nanos(10), ());
@@ -432,7 +385,7 @@ mod tests {
         });
         eng.set_tick_period(100);
         eng.prime(Time::from_nanos(30), ());
-        let stop = eng.run(Time::MAX, u64::MAX);
+        let stop = eng.run(Time::MAX);
         assert_eq!(stop, StopCondition::QueueEmpty);
         // Events at 30, 280, 530, 780, 1030; ticks at every 100 ns boundary
         // up to the last event. Ticks never count as events.
@@ -470,7 +423,7 @@ mod tests {
         });
         eng.set_tick_period(100);
         eng.prime(Time::from_nanos(100), ());
-        eng.run(Time::MAX, u64::MAX);
+        eng.run(Time::MAX);
         let order: Vec<(&str, u64)> = eng
             .model()
             .log
@@ -493,7 +446,7 @@ mod tests {
         });
         eng.set_tick_period(50);
         eng.prime(Time::from_nanos(120), ());
-        let stop = eng.run(Time::MAX, u64::MAX);
+        let stop = eng.run(Time::MAX);
         assert_eq!(stop, StopCondition::QueueEmpty);
         // Boundaries at 50 and 100 fire (they precede the event at 120);
         // nothing fires after the last event — ticks never extend the run.
@@ -519,7 +472,7 @@ mod tests {
                 eng.set_tick_period(70);
             }
             eng.prime(Time::ZERO, ());
-            eng.run(Time::MAX, u64::MAX);
+            eng.run(Time::MAX);
             eng.model()
                 .log
                 .iter()
@@ -529,31 +482,5 @@ mod tests {
         };
         // Enabling ticks must not change the event schedule at all.
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn schedule_now_runs_after_current_instant_events() {
-        struct TwoPhase {
-            log: Vec<&'static str>,
-        }
-        impl Model for TwoPhase {
-            type Event = &'static str;
-            fn handle(
-                &mut self,
-                _now: Time,
-                ev: &'static str,
-                sched: &mut Scheduler<&'static str>,
-            ) {
-                self.log.push(ev);
-                if ev == "first" {
-                    sched.schedule_now("follow-up");
-                }
-            }
-        }
-        let mut eng = Engine::new(TwoPhase { log: vec![] });
-        eng.prime(Time::from_nanos(10), "first");
-        eng.prime(Time::from_nanos(10), "second");
-        eng.run(Time::MAX, u64::MAX);
-        assert_eq!(eng.model().log, vec!["first", "second", "follow-up"]);
     }
 }
