@@ -235,7 +235,9 @@ struct MediumRx {
     match_info: u64,
     total_len: u32,
     frag_count: u32,
-    received: BTreeSet<u32>,
+    /// Fragments received so far. The connection's sequence window drops
+    /// replayed fragments, so each one is counted once.
+    received: u32,
     /// Set once matched against a posted receive.
     handle: Option<u64>,
     done: bool,
@@ -320,10 +322,6 @@ pub struct NodeDriver {
     medium_index: HashMap<MsgKey, SlabToken>,
     pulls: Slab<PullRx>,
     pull_index: BTreeMap<MsgKey, SlabToken>,
-    /// Small messages that arrived before their receive was posted are fully
-    /// described by the unexpected-match entry; mediums/larges need the maps
-    /// above. Completed message keys (dup suppression after completion).
-    finished: std::collections::HashSet<MsgKey>,
     next_msg: u64,
     counters: DriverCounters,
     scratch: Scratch,
@@ -348,7 +346,6 @@ impl NodeDriver {
             medium_index: HashMap::new(),
             pulls: Slab::new(),
             pull_index: BTreeMap::new(),
-            finished: std::collections::HashSet::new(),
             next_msg: 0,
             counters: DriverCounters::default(),
             scratch: Scratch::default(),
@@ -514,13 +511,12 @@ impl NodeDriver {
             PacketKind::MediumFrag {
                 msg,
                 match_info,
-                frag,
                 frag_count,
                 total_len,
                 ..
             } => {
                 self.rx_medium(
-                    now, local_ep, remote, msg, match_info, frag, frag_count, total_len, actions,
+                    now, local_ep, remote, msg, match_info, frag_count, total_len, actions,
                 );
                 self.bump_rx_ack(now, local_ep, remote, ct, actions);
             }
@@ -929,12 +925,21 @@ impl NodeDriver {
         self.scratch.released = released;
     }
 
+    /// The per-connection sequence window: the only duplicate suppression
+    /// for eager packets. Every Small, MediumFrag, Rendezvous and Notify
+    /// packet carries a sequence number, and a retransmit resends the
+    /// stored packet, so a replay of any of them is rejected here.
     fn accept_eager_seq(&mut self, ct: SlabToken, seq: u64) -> bool {
         let conn = self.conns.get_mut(ct);
         if seq <= conn.cum_recv || conn.recv_above.contains(&seq) {
             return false;
         }
-        conn.recv_above.insert(seq);
+        // In order: advance without touching the reorder buffer.
+        if seq == conn.cum_recv + 1 {
+            conn.cum_recv = seq;
+        } else {
+            conn.recv_above.insert(seq);
+        }
         while conn.recv_above.remove(&(conn.cum_recv + 1)) {
             conn.cum_recv += 1;
         }
@@ -1011,11 +1016,6 @@ impl NodeDriver {
         len: u32,
         actions: &mut Vec<DriverAction>,
     ) {
-        let key = (src, msg);
-        if self.finished.contains(&key) {
-            self.counters.duplicates.incr();
-            return;
-        }
         let incoming = UnexpectedMsg {
             src,
             msg,
@@ -1023,7 +1023,6 @@ impl NodeDriver {
             len,
         };
         if let Some(recv) = self.endpoints[ep as usize].matcher.incoming(incoming) {
-            self.finished.insert(key);
             self.counters.recv_completions.incr();
             actions.push(DriverAction::RecvComplete {
                 ep,
@@ -1045,16 +1044,11 @@ impl NodeDriver {
         src: EndpointAddr,
         msg: MsgId,
         match_info: u64,
-        frag: u32,
         frag_count: u32,
         total_len: u32,
         actions: &mut Vec<DriverAction>,
     ) {
         let key = (src, msg);
-        if self.finished.contains(&key) {
-            self.counters.duplicates.incr();
-            return;
-        }
         // One index probe per fragment (message birth inserts the token);
         // the match and the completion check below go through the handle.
         let mediums = &mut self.mediums;
@@ -1065,14 +1059,14 @@ impl NodeDriver {
                 match_info,
                 total_len,
                 frag_count,
-                received: BTreeSet::new(),
+                received: 0,
                 handle: None,
                 done: false,
             })
         });
         let entry = self.mediums.get_mut(tok);
-        let fresh_msg = entry.received.is_empty();
-        entry.received.insert(frag);
+        let fresh_msg = entry.received == 0;
+        entry.received += 1;
 
         if fresh_msg {
             // First fragment performs the match.
@@ -1097,14 +1091,13 @@ impl NodeDriver {
         actions: &mut Vec<DriverAction>,
     ) {
         let m = self.mediums.get(tok);
-        if m.done || m.handle.is_none() || (m.received.len() as u32) < m.frag_count {
+        if m.done || m.handle.is_none() || m.received < m.frag_count {
             return;
         }
         // Message death: drop the index entry and free the slot (the
         // generation bump makes any stale handle to it panic).
         self.medium_index.remove(&key);
         let m = self.mediums.remove(tok);
-        self.finished.insert(key);
         self.counters.recv_completions.incr();
         actions.push(DriverAction::RecvComplete {
             ep: m.ep,
@@ -1127,11 +1120,8 @@ impl NodeDriver {
         total_len: u32,
         actions: &mut Vec<DriverAction>,
     ) {
-        let key = (src, msg);
-        if self.finished.contains(&key) || self.pull_index.contains_key(&key) {
-            self.counters.duplicates.incr();
-            return;
-        }
+        // The sequence window already rejected any replay of this packet.
+        debug_assert!(!self.pull_index.contains_key(&(src, msg)));
         let incoming = UnexpectedMsg {
             src,
             msg,
@@ -1333,7 +1323,6 @@ impl NodeDriver {
             // Message death: free slot + index entry together.
             self.pull_index.remove(&key);
             let pull = self.pulls.remove(ptok);
-            self.finished.insert(key);
             // Notify the sender, then complete the receive.
             let notify = Packet {
                 hdr: OmxHeader {
@@ -1387,7 +1376,6 @@ impl NodeDriver {
     ) {
         let key = (unexpected.src, unexpected.msg);
         if unexpected.len <= SMALL_MAX {
-            self.finished.insert(key);
             self.counters.recv_completions.incr();
             actions.push(DriverAction::RecvComplete {
                 ep,
@@ -1472,14 +1460,14 @@ impl NodeDriver {
             .iter()
             .filter_map(|(&(src, msg), &tok)| {
                 let m = self.mediums.get(tok);
-                ((m.received.len() as u32) < m.frag_count).then(|| {
+                (m.received < m.frag_count).then(|| {
                     (
                         msg.0,
                         format!(
                             "node {} msg {} from {src:?}: medium reassembly stuck at {}/{} fragments",
                             self.local,
                             msg.0,
-                            m.received.len(),
+                            m.received,
                             m.frag_count
                         ),
                     )
@@ -1756,23 +1744,113 @@ mod tests {
             .any(|c| matches!(c, DriverAction::SendComplete { handle: 3, .. })));
     }
 
-    #[test]
-    fn duplicate_eager_packet_is_suppressed() {
+    /// Run one `len`-byte message from `a` to `b` to completion, then replay
+    /// every sequenced packet it used. The sequence window must drop each
+    /// replay: no second completion, no new pull, one duplicate apiece.
+    fn assert_replays_after_completion_dropped(len: u32) {
         let (mut a, mut b) = pair();
         b.post_recv(t0(), 0, 7, !0, 100);
-        let (pkts, _) = split_transmits(a.post_send(t0(), 0, EndpointAddr::new(1, 0), 16, 7, 1));
-        let first = b.handle_packet(t0(), pkts[0]);
-        assert!(first
-            .iter()
-            .any(|a| matches!(a, DriverAction::RecvComplete { .. })));
-        let again = b.handle_packet(t0(), pkts[0]);
-        assert!(
-            !again
-                .iter()
-                .any(|a| matches!(a, DriverAction::RecvComplete { .. })),
-            "duplicate must not complete twice"
+        let (first, rest) =
+            split_transmits(a.post_send(t0(), 0, EndpointAddr::new(1, 0), len, 7, 1));
+        let mut pending: VecDeque<Packet> = first.into();
+        let mut sequenced = Vec::new();
+        let mut completions = rest.len();
+        while let Some(pkt) = pending.pop_front() {
+            if pkt.hdr.seq != 0 {
+                sequenced.push(pkt);
+            }
+            let target = if pkt.hdr.dst.node.0 == 0 {
+                &mut a
+            } else {
+                &mut b
+            };
+            for act in target.handle_packet(t0(), pkt) {
+                match act {
+                    DriverAction::Transmit(p) => pending.push_back(p),
+                    _ => completions += 1,
+                }
+            }
+        }
+        assert_eq!(
+            completions, 2,
+            "{len} B: one send and one receive completion"
         );
-        assert!(b.counters().duplicates.get() >= 1);
+        assert!(!sequenced.is_empty());
+        for pkt in sequenced {
+            let target = if pkt.hdr.dst.node.0 == 0 {
+                &mut a
+            } else {
+                &mut b
+            };
+            let before = target.counters().duplicates.get();
+            for act in target.handle_packet(t0(), pkt) {
+                assert!(
+                    matches!(act, DriverAction::Transmit(_)),
+                    "{len} B: replayed {:?} completed again",
+                    pkt.kind
+                );
+                assert!(
+                    !matches!(
+                        act,
+                        DriverAction::Transmit(Packet {
+                            kind: PacketKind::PullRequest { .. },
+                            ..
+                        })
+                    ),
+                    "{len} B: replayed {:?} restarted the pull",
+                    pkt.kind
+                );
+            }
+            assert_eq!(
+                target.counters().duplicates.get(),
+                before + 1,
+                "{len} B: replayed {:?} not counted as one duplicate",
+                pkt.kind
+            );
+        }
+    }
+
+    #[test]
+    fn duplicate_eager_packet_is_suppressed() {
+        // Small, medium (6 fragments) and large (rendezvous + notify).
+        for len in [16, 8 * 1024, 234 * 1024] {
+            assert_replays_after_completion_dropped(len);
+        }
+    }
+
+    #[test]
+    fn in_order_fast_path_keeps_reorder_gauge_exact() {
+        let (mut a, mut b) = pair();
+        let dst = EndpointAddr::new(1, 0);
+        let pkts: Vec<Packet> = (0..4)
+            .flat_map(|i| {
+                b.post_recv(t0(), 0, i, !0, 100 + i);
+                split_transmits(a.post_send(t0(), 0, dst, 16, i, i)).0
+            })
+            .collect();
+        assert_eq!(
+            pkts.iter().map(|p| p.hdr.seq).collect::<Vec<_>>(),
+            [1, 2, 3, 4]
+        );
+        let recv_completions = |acts: Vec<DriverAction>| {
+            acts.iter()
+                .filter(|a| matches!(a, DriverAction::RecvComplete { .. }))
+                .count()
+        };
+        let mut depths = Vec::new();
+        let mut completed = 0;
+        for i in [0, 2, 1, 3] {
+            completed += recv_completions(b.handle_packet(t0(), pkts[i]));
+            depths.push(b.reorder_depth());
+        }
+        assert_eq!(depths, [0, 1, 0, 0]);
+        assert_eq!(completed, 4);
+        let dups = b.counters().duplicates.get();
+        for i in [1, 2] {
+            assert_eq!(recv_completions(b.handle_packet(t0(), pkts[i])), 0);
+        }
+        assert_eq!(b.counters().duplicates.get(), dups + 2);
+        assert_eq!(b.reorder_depth(), 0);
     }
 
     #[test]

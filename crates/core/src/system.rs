@@ -41,7 +41,7 @@ use omx_sim::rng::SimRng;
 use omx_sim::stats::TimeWeighted;
 use omx_sim::{Engine, EventToken, Model, Scheduler, StopCondition, Time, TimeDelta};
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -496,8 +496,9 @@ struct NodeRt {
     driver: NodeDriver,
     nic: Nic,
     host: Host,
-    /// Frames whose DMA is in flight or that sit ready in host memory.
-    in_dma: HashMap<DescId, WireFrame>,
+    /// Frames whose DMA is in flight or that sit ready in host memory, in
+    /// descriptor order: DMA completion and IRQ service are both FIFO.
+    in_dma: VecDeque<(DescId, WireFrame)>,
     /// Time-weighted depth of `in_dma` — outstanding receive work.
     pending_dma: TimeWeighted,
     /// When the armed `DriverTimer` event fires (see [`arm_timer`]).
@@ -515,15 +516,16 @@ struct NodeRt {
 
 impl NodeRt {
     fn dma_insert(&mut self, now: Time, desc: DescId, pkt: WireFrame) {
-        self.in_dma.insert(desc, pkt);
+        self.in_dma.push_back((desc, pkt));
         self.pending_dma.set(now, self.in_dma.len() as f64);
     }
 
     fn dma_remove(&mut self, now: Time, desc: DescId) -> WireFrame {
-        let frame = self
+        let (head, frame) = self
             .in_dma
-            .remove(&desc)
+            .pop_front()
             .expect("ready packet has a stored frame");
+        assert_eq!(head, desc, "DMA completions are FIFO");
         self.pending_dma.set(now, self.in_dma.len() as f64);
         frame
     }
@@ -659,17 +661,17 @@ impl Ctx<'_> {
 struct Nodes {
     cfg: ClusterConfig,
     rts: Vec<NodeRt>,
-    actors: HashMap<(u16, u8), Box<dyn Actor>>,
-    /// Per-endpoint application CPU cursor: an actor's callbacks and the
-    /// work they issue are serialised on its core.
-    app_busy: HashMap<(u16, u8), Time>,
+    /// Per-endpoint actor and application CPU cursor, indexed by
+    /// [`Nodes::slot`]: an actor's callbacks and their work share its core.
+    actors: Vec<Option<Box<dyn Actor>>>,
+    app_busy: Vec<Time>,
     stop: bool,
     /// Scratch buffer for actor commands (reused across callbacks).
     cmd_buf: Vec<ActorCmd>,
     /// Scratch buffer for driver actions (reused across dispatches).
     action_buf: Vec<DriverAction>,
-    /// Scratch for endpoints woken by one batch (see `batch_duration`).
-    woken_scratch: Vec<(u16, u8)>,
+    /// Scratch for endpoint slots woken by one batch (see `batch_duration`).
+    woken_scratch: Vec<usize>,
     /// Scratch for the ready-descriptor snapshot of one IRQ service.
     ready_scratch: Vec<ReadyPacket>,
     /// Scratch for the DMA-completed frames of one IRQ service.
@@ -732,6 +734,12 @@ impl Nodes {
         &mut self.rts[node as usize]
     }
 
+    /// Dense index of endpoint `(node, ep)` into `actors` and `app_busy`.
+    #[inline]
+    fn slot(&self, node: u16, ep: u8) -> usize {
+        node as usize * self.cfg.endpoints_per_node + ep as usize
+    }
+
     /// Snapshot every node tap into an already-open telemetry window. The
     /// caller opens the window and samples the fabric ports.
     fn sample(&self, tel: &mut Telemetry) {
@@ -775,11 +783,13 @@ impl Nodes {
                 if !delivers_app_event(pkt) {
                     continue; // intermediate fragments wake nobody
                 }
-                let key = (pkt.hdr.dst.node.0, pkt.hdr.dst.endpoint);
-                if !woken.contains(&key)
-                    && self.actors.get(&key).is_some_and(|a| a.blocking_waits())
+                let slot = self.slot(pkt.hdr.dst.node.0, pkt.hdr.dst.endpoint);
+                if !woken.contains(&slot)
+                    && self.actors[slot]
+                        .as_ref()
+                        .is_some_and(|a| a.blocking_waits())
                 {
-                    woken.push(key);
+                    woken.push(slot);
                     wake_ns += if self.cfg.host.sleep_enabled {
                         costs.proc_wakeup_ns
                     } else {
@@ -789,6 +799,7 @@ impl Nodes {
             }
         }
         self.woken_scratch = woken;
+        let eps = self.cfg.endpoints_per_node;
         let host = &mut self.rt(node).host;
         let mut dur = costs.irq_dispatch_ns + wake_ns;
         // Preempting a running application costs the context switch and the
@@ -796,8 +807,8 @@ impl Nodes {
         if host.app_active(core) {
             dur += costs.irq_preempt_ns;
         }
-        // Low-level driver structures: one line group per node.
-        let lowlevel_bounced = host.cache_access(node as u64, core);
+        // Low-level driver structures: line group 0 of this host.
+        let lowlevel_bounced = host.cache_access(0, core);
         for frame in batch {
             dur += costs.lowlevel_rx_ns;
             if lowlevel_bounced {
@@ -808,8 +819,7 @@ impl Nodes {
                 dur += costs.omx_handler_ns;
                 dur += costs.rx_copy_ns(pkt.payload_len());
                 dur += costs.event_ring_ns;
-                let group = channel_group(pkt);
-                if host.cache_access(group, core) {
+                if host.cache_access(line_group(pkt.hdr.src, pkt.hdr.dst.endpoint, eps), core) {
                     dur += costs.omx_channel_bounce_ns;
                 }
             }
@@ -1029,7 +1039,8 @@ impl Nodes {
         ctx: &mut Ctx,
         f: impl FnOnce(&mut dyn Actor, &mut ActorCtx),
     ) {
-        let Some(mut actor) = self.actors.remove(&(node, ep)) else {
+        let slot = self.slot(node, ep);
+        let Some(mut actor) = self.actors[slot].take() else {
             return;
         };
         let core = ep as usize % self.cfg.host.cores;
@@ -1047,7 +1058,7 @@ impl Nodes {
             };
             f(actor.as_mut(), &mut ctx);
         }
-        self.actors.insert((node, ep), actor);
+        self.actors[slot] = Some(actor);
 
         // Execute commands sequentially, charging application CPU cost.
         // The cursor starts after any still-running work of this endpoint so
@@ -1056,8 +1067,7 @@ impl Nodes {
         // paid once per delivery burst (charged in the IRQ handler) — the
         // very effect that makes per-packet interrupts expensive (§IV-B1).
         let costs = self.cfg.host.costs;
-        let busy = *self.app_busy.entry((node, ep)).or_insert(Time::ZERO);
-        let mut cursor = now.max(busy);
+        let mut cursor = now.max(self.app_busy[slot]);
         for cmd in cmds.drain(..) {
             match cmd {
                 ActorCmd::Send {
@@ -1107,7 +1117,7 @@ impl Nodes {
                 }
             }
         }
-        self.app_busy.insert((node, ep), cursor);
+        self.app_busy[slot] = cursor;
         self.cmd_buf = cmds;
     }
 }
@@ -1143,18 +1153,11 @@ fn arm_timer(slot: &mut Option<Time>, deadline: Option<Time>, now: Time, ctx: &m
     }
 }
 
-/// Cache line group of the per-connection Open-MX descriptors a packet
-/// touches in the receive handler.
-fn channel_group(pkt: &Packet) -> u64 {
-    // Mix source endpoint and destination endpoint; offset to avoid the
-    // per-node low-level groups (small integers).
-    let s = &pkt.hdr.src;
-    let d = &pkt.hdr.dst;
-    0x1000_0000
-        + ((s.node.0 as u64) << 32)
-        + ((s.endpoint as u64) << 24)
-        + ((d.node.0 as u64) << 8)
-        + d.endpoint as u64
+/// Cache line group of the Open-MX channel descriptors a packet from `src`
+/// to local endpoint `dst_ep` touches, for `eps` endpoints per node: one
+/// group per (source endpoint, local endpoint) pair; 0 is the low-level driver.
+fn line_group(src: EndpointAddr, dst_ep: u8, eps: usize) -> usize {
+    1 + (src.node.0 as usize * eps + src.endpoint as usize) * eps + dst_ep as usize
 }
 
 impl Nodes {
@@ -1405,7 +1408,7 @@ impl Cluster {
                 driver: NodeDriver::new(i as u16, cfg.endpoints_per_node, cfg.proto),
                 nic: Nic::new(cfg.nic.clone()),
                 host: Host::new(cfg.host),
-                in_dma: HashMap::new(),
+                in_dma: VecDeque::new(),
                 pending_dma: TimeWeighted::default(),
                 driver_timer: None,
                 coalesce_timer_tok: None,
@@ -1414,12 +1417,13 @@ impl Cluster {
             })
             .collect();
         let model_nodes = cfg.nodes;
+        let slots = cfg.nodes * cfg.endpoints_per_node;
         let model = SystemModel {
             nodes: Nodes {
                 cfg,
                 rts,
-                actors: HashMap::new(),
-                app_busy: HashMap::new(),
+                actors: (0..slots).map(|_| None).collect(),
+                app_busy: vec![Time::ZERO; slots],
                 stop: false,
                 cmd_buf: Vec::new(),
                 action_buf: Vec::new(),
@@ -1502,7 +1506,8 @@ impl Cluster {
         model.nodes.rts[node as usize]
             .host
             .set_app_active(core, polls, Time::ZERO);
-        let prev = model.nodes.actors.insert((node, ep), actor);
+        let slot = model.nodes.slot(node, ep);
+        let prev = model.nodes.actors[slot].replace(actor);
         assert!(
             prev.is_none(),
             "endpoint ({node}, {ep}) already has an actor"
@@ -1516,11 +1521,12 @@ impl Cluster {
     pub fn run(&mut self, horizon: Time) -> StopCondition {
         if !self.started {
             self.started = true;
-            let mut keys: Vec<(u16, u8)> =
-                self.engine.model().nodes.actors.keys().copied().collect();
-            keys.sort_unstable();
-            for (node, ep) in keys {
-                self.engine.prime(Time::ZERO, Ev::AppStart { node, ep });
+            let eps = self.engine.model().nodes.cfg.endpoints_per_node;
+            for slot in 0..self.engine.model().nodes.actors.len() {
+                if self.engine.model().nodes.actors[slot].is_some() {
+                    let (node, ep) = ((slot / eps) as u16, (slot % eps) as u8);
+                    self.engine.prime(Time::ZERO, Ev::AppStart { node, ep });
+                }
             }
         }
         let stop = self
@@ -1613,12 +1619,12 @@ impl Cluster {
 
     /// Borrow an actor back (downcast to its concrete type).
     pub fn actor<T: Actor>(&self, node: u16, ep: u8) -> Option<&T> {
-        self.engine
-            .model()
-            .nodes
-            .actors
-            .get(&(node, ep))
-            .and_then(|a| a.as_any().downcast_ref::<T>())
+        let nodes = &self.engine.model().nodes;
+        if ep as usize >= nodes.cfg.endpoints_per_node {
+            return None;
+        }
+        let actor = nodes.actors.get(nodes.slot(node, ep))?.as_ref()?;
+        actor.as_any().downcast_ref::<T>()
     }
 
     /// Harvest metrics from every layer.
@@ -1686,6 +1692,26 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::wire::SMALL_MAX;
+
+    #[test]
+    fn channel_cache_groups_are_injective() {
+        let (nodes, eps) = (3u16, 2u8);
+        let mut groups = Vec::new();
+        for src_node in 0..nodes {
+            for src_ep in 0..eps {
+                for dst_ep in 0..eps {
+                    let src = EndpointAddr::new(src_node, src_ep);
+                    groups.push(line_group(src, dst_ep, eps as usize));
+                }
+            }
+        }
+        assert!(!groups.contains(&0), "group 0 is the low-level driver");
+        let n = groups.len();
+        groups.sort_unstable();
+        groups.dedup();
+        assert_eq!(groups.len(), n, "channel groups collide");
+        assert_eq!(n, 12);
+    }
 
     /// Send one message A→B and record the completion time on both sides.
     struct OneShotSender {

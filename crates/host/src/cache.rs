@@ -9,14 +9,14 @@
 //!
 //! [`CacheTracker`] keeps, per logical *line group* (a set of cache lines
 //! that move together, e.g. one channel descriptor), the core that last
-//! touched it, and reports whether an access bounced.
-
-use std::collections::HashMap;
+//! touched it, and reports whether an access bounced. Groups are dense
+//! small integers chosen by the caller, so ownership is a plain vector.
 
 /// Tracks which core last touched each shared line group.
 #[derive(Debug, Default)]
 pub struct CacheTracker {
-    owner: HashMap<u64, usize>,
+    /// Last core per group id, grown on first touch.
+    owner: Vec<Option<usize>>,
     accesses: u64,
     bounces: u64,
 }
@@ -31,9 +31,12 @@ impl CacheTracker {
     ///
     /// Returns `true` when the group was previously owned by a *different*
     /// core (a bounce). First-ever accesses are cold misses, not bounces.
-    pub fn access(&mut self, group: u64, core: usize) -> bool {
+    pub fn access(&mut self, group: usize, core: usize) -> bool {
         self.accesses += 1;
-        match self.owner.insert(group, core) {
+        if group >= self.owner.len() {
+            self.owner.resize(group + 1, None);
+        }
+        match self.owner[group].replace(core) {
             Some(prev) if prev != core => {
                 self.bounces += 1;
                 true
@@ -43,8 +46,8 @@ impl CacheTracker {
     }
 
     /// Core that last touched `group`, if any.
-    pub fn owner(&self, group: u64) -> Option<usize> {
-        self.owner.get(&group).copied()
+    pub fn owner(&self, group: usize) -> Option<usize> {
+        self.owner.get(group).copied().flatten()
     }
 
     /// Total accesses recorded.

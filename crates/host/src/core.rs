@@ -226,7 +226,7 @@ impl Host {
 
     /// Record an access to shared line group `group` from `core`; returns
     /// true (and counts) when the access bounced from another core.
-    pub fn cache_access(&mut self, group: u64, core: CoreId) -> bool {
+    pub fn cache_access(&mut self, group: usize, core: CoreId) -> bool {
         let bounced = self.cache.access(group, core);
         if bounced {
             self.counters.cache_bounces.incr();
