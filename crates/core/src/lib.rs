@@ -9,13 +9,15 @@
 //!
 //! * [`wire`] — the MXoE-style wire protocol: small (≤128 B eager), medium
 //!   (≤32 KiB fragmented eager) and large messages (rendezvous → pull →
-//!   notify, 32-frame blocks, 4 pipelined requests), plus acks,
+//!   notify, 32-frame blocks, 4 pipelined requests), plus acks; packets
+//!   stay typed end to end and only their wire length is charged,
 //! * [`marking`] — which packets the sender driver marks latency-sensitive
 //!   (§III-B), with per-class toggles for the marker-ablation experiment and
 //!   the mark-displacement knob used by the mis-ordering experiment,
 //! * [`matching`] — MX 64-bit match-info tag matching with masks,
 //! * [`proto`] — the per-node driver: fragmentation, reassembly, the pull
-//!   engine, ack generation and retransmission,
+//!   engine, ack generation and retransmission, each state family held in
+//!   the map that indexes it,
 //! * [`system`] — the cluster orchestrator: N nodes (host + NIC + driver)
 //!   on a switched fabric, driven as one `omx_sim::Model`,
 //! * [`workloads`] — built-in microbenchmark actors (ping-pong, streams,
@@ -45,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bytebuf;
 pub mod config;
 pub mod latency;
 pub mod marking;

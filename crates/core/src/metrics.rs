@@ -30,12 +30,6 @@ omx_sim::impl_to_json!(NodeMetrics {
     driver,
     pending_dma,
 });
-omx_sim::impl_from_json!(NodeMetrics {
-    nic,
-    host,
-    driver,
-    pending_dma,
-});
 
 /// Whole-cluster metrics after a run.
 #[derive(Debug, Clone)]
@@ -58,15 +52,6 @@ pub struct ClusterMetrics {
 }
 
 omx_sim::impl_to_json!(ClusterMetrics {
-    sim_time_ns,
-    frames_carried,
-    frames_dropped,
-    switch_drops,
-    switch_occupancy_peak,
-    switch_queue_depth,
-    nodes,
-});
-omx_sim::impl_from_json!(ClusterMetrics {
     sim_time_ns,
     frames_carried,
     frames_dropped,
@@ -199,11 +184,9 @@ mod tests {
             nodes: vec![node_with(1, 1, 1)],
         };
         // The bench harness persists these; the shape must stay stable.
-        use omx_sim::json::{FromJson, Json, ToJson};
+        use omx_sim::json::{Json, ToJson};
         let json = m.to_json().render();
         assert!(json.contains("\"sim_time_ns\":42"));
-        let back =
-            ClusterMetrics::from_json(&Json::parse(&json).expect("parses")).expect("roundtrip");
-        assert_eq!(back.total_interrupts(), 1);
+        assert_eq!(Json::parse(&json), Ok(m.to_json()));
     }
 }

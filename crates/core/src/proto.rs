@@ -30,7 +30,7 @@ use crate::wire::{
     OmxHeader, Packet, PacketKind, MEDIUM_MAX, PULL_BLOCK_FRAMES, PULL_PIPELINE, SMALL_MAX,
 };
 use omx_sim::stats::Counter;
-use omx_sim::{Slab, SlabToken, Time, TimeDelta};
+use omx_sim::{Time, TimeDelta};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Protocol tunables.
@@ -130,15 +130,6 @@ omx_sim::impl_to_json!(DriverCounters {
     recv_completions,
     send_completions,
 });
-omx_sim::impl_from_json!(DriverCounters {
-    eager_sent,
-    eager_retransmits,
-    pull_rerequests,
-    acks_sent,
-    duplicates,
-    recv_completions,
-    send_completions,
-});
 
 // ---------------------------------------------------------------------------
 // Internal state
@@ -215,22 +206,30 @@ struct QueuedSend {
     handle: u64,
 }
 
-/// Sender-side state of one in-flight message.
+/// Window credits a send of `len` bytes takes: one per medium fragment,
+/// one for a small message, and one for a large message's rendezvous
+/// (the pull protocol paces the rest).
+fn window_cost(len: u32, mtu: u32) -> u32 {
+    if len > SMALL_MAX && len <= MEDIUM_MAX {
+        frag_count(len, mtu)
+    } else {
+        1
+    }
+}
+
+/// Sender-side state of one large message, waiting for pull requests and
+/// the notify.
 #[derive(Debug)]
-enum SendState {
-    /// Large message: waiting for pull requests / notify.
-    Large {
-        ep: u8,
-        handle: u64,
-        dst: EndpointAddr,
-        len: u32,
-    },
+struct LargeSend {
+    ep: u8,
+    handle: u64,
+    dst: EndpointAddr,
+    len: u32,
 }
 
 /// Receiver-side medium reassembly.
 #[derive(Debug)]
 struct MediumRx {
-    src: EndpointAddr,
     ep: u8,
     match_info: u64,
     total_len: u32,
@@ -240,13 +239,18 @@ struct MediumRx {
     received: u32,
     /// Set once matched against a posted receive.
     handle: Option<u64>,
-    done: bool,
+}
+
+impl MediumRx {
+    /// Every fragment is in and a receive is posted for it.
+    fn complete(&self) -> bool {
+        self.handle.is_some() && self.received == self.frag_count
+    }
 }
 
 /// Receiver-side pull engine state for one large message.
 #[derive(Debug)]
 struct PullRx {
-    src: EndpointAddr,
     ep: u8,
     handle: u64,
     match_info: u64,
@@ -261,7 +265,6 @@ struct PullRx {
     blocks_done: u32,
     /// Last time any reply arrived (stall detection).
     last_progress: Time,
-    done: bool,
 }
 
 impl PullRx {
@@ -285,11 +288,9 @@ impl PullRx {
 #[derive(Debug, Default)]
 struct Scratch {
     /// Conns with an expired delayed-ack deadline.
-    due: Vec<(u8, EndpointAddr, SlabToken)>,
+    due: Vec<(u8, EndpointAddr, usize)>,
     /// Head-burst retransmissions collected from all conns.
     resends: Vec<Packet>,
-    /// Pulls whose replies stalled past the RTO.
-    stalled: Vec<(MsgKey, SlabToken)>,
     /// Packet build buffer (pull requests / replies / re-requests).
     pkts: Vec<Packet>,
     /// Window-released queued sends inside `process_ack`.
@@ -300,28 +301,24 @@ struct Scratch {
 ///
 /// # Protocol state layout
 ///
-/// All four state families (`conns`, `sends`, `mediums`, `pulls`) live in
-/// generation-stamped [`Slab`]s; the maps hold only key→[`SlabToken`]
-/// indexes and are touched once per message birth/death (or once per
-/// packet to resolve the index), never repeatedly inside a packet's
-/// handling. Ordered (`BTreeMap`) indexes are kept wherever the driver
-/// *iterates* (timer scans over conns and pulls, the pending report):
-/// iteration order feeds the emitted action order, and a randomized-seed
-/// `HashMap` would make runs differ across processes. A stale token —
-/// state removed while a handle is still live — panics in the slab rather
-/// than silently reading a reused slot.
+/// Each state family lives in the map that indexes it: a packet costs one
+/// `conn_index` probe plus at most one probe of `sends`, `mediums` or
+/// `pulls`, and the helpers work on the entry in hand. Connections are
+/// never removed, so they sit in a `Vec` addressed by the index stored in
+/// `conn_index`. The maps the driver *iterates* — `conn_index` in the
+/// timer scans and the pending report, `pulls` in the stall scan and the
+/// pending report — are ordered (`BTreeMap`): iteration order feeds the
+/// emitted action order, and a randomized-seed `HashMap` would make runs
+/// differ across processes.
 pub struct NodeDriver {
     local: u16,
     cfg: ProtoConfig,
     endpoints: Vec<Endpoint>,
-    conns: Slab<Conn>,
-    conn_index: BTreeMap<(u8, EndpointAddr), SlabToken>,
-    sends: Slab<SendState>,
-    send_index: HashMap<MsgId, SlabToken>,
-    mediums: Slab<MediumRx>,
-    medium_index: HashMap<MsgKey, SlabToken>,
-    pulls: Slab<PullRx>,
-    pull_index: BTreeMap<MsgKey, SlabToken>,
+    conns: Vec<Conn>,
+    conn_index: BTreeMap<(u8, EndpointAddr), usize>,
+    sends: HashMap<MsgId, LargeSend>,
+    mediums: HashMap<MsgKey, MediumRx>,
+    pulls: BTreeMap<MsgKey, PullRx>,
     next_msg: u64,
     counters: DriverCounters,
     scratch: Scratch,
@@ -338,14 +335,11 @@ impl NodeDriver {
                     matcher: MatchEngine::new(),
                 })
                 .collect(),
-            conns: Slab::new(),
+            conns: Vec::new(),
             conn_index: BTreeMap::new(),
-            sends: Slab::new(),
-            send_index: HashMap::new(),
-            mediums: Slab::new(),
-            medium_index: HashMap::new(),
-            pulls: Slab::new(),
-            pull_index: BTreeMap::new(),
+            sends: HashMap::new(),
+            mediums: HashMap::new(),
+            pulls: BTreeMap::new(),
             next_msg: 0,
             counters: DriverCounters::default(),
             scratch: Scratch::default(),
@@ -379,16 +373,15 @@ impl NodeDriver {
         EndpointAddr::new(self.local, ep)
     }
 
-    /// Resolve (creating on first contact) the connection's slab handle.
-    /// This is the *only* per-packet index lookup on the receive path;
-    /// every subsequent access inside the packet's handling is an O(1)
-    /// generation-checked slab dereference.
-    fn conn_token(&mut self, ep: u8, remote: EndpointAddr) -> SlabToken {
+    /// Resolve (creating on first contact) the connection's index into
+    /// `conns`. A packet probes `conn_index` once; its helpers then index
+    /// the `Vec` directly.
+    fn conn_idx(&mut self, ep: u8, remote: EndpointAddr) -> usize {
         let conns = &mut self.conns;
-        *self
-            .conn_index
-            .entry((ep, remote))
-            .or_insert_with(|| conns.insert(Conn::default()))
+        *self.conn_index.entry((ep, remote)).or_insert_with(|| {
+            conns.push(Conn::default());
+            conns.len() - 1
+        })
     }
 
     // -- application entry points ---------------------------------------------
@@ -484,9 +477,9 @@ impl NodeDriver {
         debug_assert_eq!(pkt.hdr.dst.node.0, self.local, "misrouted packet");
         let local_ep = pkt.hdr.dst.endpoint;
         let remote = pkt.hdr.src;
-        // One index lookup per packet; every helper below dereferences the
-        // connection through this O(1) handle.
-        let ct = self.conn_token(local_ep, remote);
+        // The packet's one `conn_index` probe; the helpers below index
+        // `conns` directly.
+        let ct = self.conn_idx(local_ep, remote);
 
         // Piggybacked ack always processes.
         self.process_ack(now, ct, pkt.hdr.ack, actions);
@@ -505,7 +498,7 @@ impl NodeDriver {
                 match_info,
                 len,
             } => {
-                self.rx_small(now, local_ep, remote, msg, match_info, len, actions);
+                self.rx_small(local_ep, remote, msg, match_info, len, actions);
                 self.bump_rx_ack(now, local_ep, remote, ct, actions);
             }
             PacketKind::MediumFrag {
@@ -516,7 +509,7 @@ impl NodeDriver {
                 ..
             } => {
                 self.rx_medium(
-                    now, local_ep, remote, msg, match_info, frag_count, total_len, actions,
+                    local_ep, remote, msg, match_info, frag_count, total_len, actions,
                 );
                 self.bump_rx_ack(now, local_ep, remote, ct, actions);
             }
@@ -533,29 +526,13 @@ impl NodeDriver {
                 block,
                 frame_count,
             } => {
-                self.rx_pull_request(now, local_ep, remote, ct, msg, block, frame_count, actions);
+                self.rx_pull_request(local_ep, remote, ct, msg, block, frame_count, actions);
             }
-            PacketKind::PullReply {
-                msg,
-                block,
-                frame,
-                last_of_block,
-                ..
-            } => {
-                self.rx_pull_reply(
-                    now,
-                    local_ep,
-                    remote,
-                    ct,
-                    msg,
-                    block,
-                    frame,
-                    last_of_block,
-                    actions,
-                );
+            PacketKind::PullReply { msg, block, .. } => {
+                self.rx_pull_reply(now, local_ep, remote, ct, msg, block, actions);
             }
             PacketKind::Notify { msg } => {
-                self.rx_notify(now, local_ep, remote, msg, actions);
+                self.rx_notify(msg, actions);
                 self.bump_rx_ack(now, local_ep, remote, ct, actions);
             }
             PacketKind::Ack { cumulative_seq } => {
@@ -581,15 +558,14 @@ impl NodeDriver {
         // the emitted action order, which the goldens pin.
         let mut due = std::mem::take(&mut self.scratch.due);
         due.clear();
-        due.extend(self.conn_index.iter().filter_map(|(&(ep, remote), &tok)| {
-            self.conns
-                .get(tok)
+        due.extend(self.conn_index.iter().filter_map(|(&(ep, remote), &ct)| {
+            self.conns[ct]
                 .ack_deadline
                 .is_some_and(|d| d <= now)
-                .then_some((ep, remote, tok))
+                .then_some((ep, remote, ct))
         }));
-        for &(ep, remote, tok) in &due {
-            self.send_standalone_ack(now, ep, remote, tok, actions);
+        for &(ep, remote, ct) in &due {
+            self.send_standalone_ack(ep, remote, ct, actions);
         }
         due.clear();
         self.scratch.due = due;
@@ -602,8 +578,8 @@ impl NodeDriver {
         let burst = self.cfg.retx_burst.max(1) as usize;
         let mut resends = std::mem::take(&mut self.scratch.resends);
         resends.clear();
-        for &tok in self.conn_index.values() {
-            let c = self.conns.get_mut(tok);
+        for &ct in self.conn_index.values() {
+            let c = &mut self.conns[ct];
             let head_overdue = c
                 .unacked
                 .front()
@@ -624,51 +600,40 @@ impl NodeDriver {
         self.scratch.resends = resends;
 
         // Stalled pulls: re-request incomplete in-flight blocks, in key
-        // order (ordered index) for deterministic action order.
-        let mut stalled = std::mem::take(&mut self.scratch.stalled);
-        stalled.clear();
-        stalled.extend(self.pull_index.iter().filter_map(|(&key, &tok)| {
-            let p = self.pulls.get(tok);
-            (!p.done && now.saturating_since(p.last_progress) >= rto).then_some((key, tok))
-        }));
-        for &(key, tok) in &stalled {
-            let mut reqs = std::mem::take(&mut self.scratch.pkts);
-            reqs.clear();
-            let src_ep = {
-                let p = self.pulls.get_mut(tok);
-                p.last_progress = now;
-                for block in 0..p.next_block {
-                    let expect = p.frames_in_block(block);
-                    if p.block_frames[block as usize] < expect {
-                        reqs.push(Packet {
-                            hdr: OmxHeader {
-                                src: EndpointAddr::new(0, 0), // filled below
-                                dst: key.0,
-                                latency_sensitive: false,
-                                seq: 0,
-                                ack: 0,
-                            },
-                            kind: PacketKind::PullRequest {
-                                msg: key.1,
-                                block,
-                                frame_count: expect,
-                            },
-                        });
-                    }
-                }
-                p.ep
-            };
-            let ct = self.conn_token(src_ep, key.0);
-            let src = self.addr(src_ep);
-            for mut pkt in reqs.drain(..) {
-                self.counters.pull_rerequests.incr();
-                pkt.hdr.src = src;
-                self.finalize_and_push(now, src_ep, ct, pkt, actions);
+        // order (ordered map) for deterministic action order.
+        let mut reqs = std::mem::take(&mut self.scratch.pkts);
+        reqs.clear();
+        for (&(peer, msg), p) in self.pulls.iter_mut() {
+            if now.saturating_since(p.last_progress) < rto {
+                continue;
             }
-            self.scratch.pkts = reqs;
+            p.last_progress = now;
+            for block in 0..p.next_block {
+                let expect = p.frames_in_block(block);
+                if p.block_frames[block as usize] < expect {
+                    reqs.push(Packet {
+                        hdr: OmxHeader {
+                            src: EndpointAddr::new(self.local, p.ep),
+                            dst: peer,
+                            latency_sensitive: false,
+                            seq: 0,
+                            ack: 0,
+                        },
+                        kind: PacketKind::PullRequest {
+                            msg,
+                            block,
+                            frame_count: expect,
+                        },
+                    });
+                }
+            }
         }
-        stalled.clear();
-        self.scratch.stalled = stalled;
+        for pkt in reqs.drain(..) {
+            self.counters.pull_rerequests.incr();
+            let ct = self.conn_idx(pkt.hdr.src.endpoint, pkt.hdr.dst);
+            self.finalize_and_push(ct, pkt, actions);
+        }
+        self.scratch.pkts = reqs;
     }
 
     /// Earliest pending deadline (retransmit or delayed ack), if any. The
@@ -683,9 +648,9 @@ impl NodeDriver {
                 _ => t,
             });
         };
-        // A min-fold is order-independent, so the slabs are scanned
-        // directly (slot order) without touching the ordered indexes.
-        for c in self.conns.iter() {
+        // A min-fold is order-independent, so `conns` is scanned in
+        // creation order without touching the ordered index.
+        for c in &self.conns {
             if let Some(d) = c.ack_deadline {
                 consider(d);
             }
@@ -699,10 +664,8 @@ impl NodeDriver {
                 consider(*sent_at + rto);
             }
         }
-        for p in self.pulls.iter() {
-            if !p.done {
-                consider(p.last_progress + rto);
-            }
+        for p in self.pulls.values() {
+            consider(p.last_progress + rto);
         }
         next
     }
@@ -710,25 +673,14 @@ impl NodeDriver {
     // -- send path -------------------------------------------------------------
 
     fn start_send(&mut self, now: Time, send: QueuedSend, actions: &mut Vec<DriverAction>) {
-        // Window check (eager classes only; large messages are self-paced by
-        // the pull protocol, but their rendezvous/notify ride the window too
-        // — treat them as a single-packet eager cost).
-        let pkts_needed = if send.len <= SMALL_MAX {
-            1
-        } else if send.len <= MEDIUM_MAX {
-            frag_count(send.len, self.cfg.mtu)
-        } else {
-            1 // the rendezvous
-        };
-        let ct = self.conn_token(send.ep, send.dst);
-        {
-            let window = self.cfg.window_packets;
-            let conn = self.conns.get_mut(ct);
-            let inflight = conn.unacked.len() as u32;
-            if !conn.queued.is_empty() || inflight + pkts_needed > window {
-                conn.queued.push_back(send);
-                return;
-            }
+        let pkts_needed = window_cost(send.len, self.cfg.mtu);
+        let ct = self.conn_idx(send.ep, send.dst);
+        let window = self.cfg.window_packets;
+        let conn = &mut self.conns[ct];
+        let inflight = conn.unacked.len() as u32;
+        if !conn.queued.is_empty() || inflight + pkts_needed > window {
+            conn.queued.push_back(send);
+            return;
         }
         self.emit_send(now, send, ct, actions);
     }
@@ -737,7 +689,7 @@ impl NodeDriver {
         &mut self,
         now: Time,
         send: QueuedSend,
-        ct: SlabToken,
+        ct: usize,
         actions: &mut Vec<DriverAction>,
     ) {
         let msg = MsgId(self.next_msg);
@@ -760,7 +712,7 @@ impl NodeDriver {
                 },
             };
             self.counters.eager_sent.incr();
-            self.finalize_eager_and_push(now, send.ep, ct, pkt, actions);
+            self.finalize_eager_and_push(now, ct, pkt, actions);
             self.counters.send_completions.incr();
             actions.push(DriverAction::SendComplete {
                 ep: send.ep,
@@ -793,7 +745,7 @@ impl NodeDriver {
                     },
                 };
                 self.counters.eager_sent.incr();
-                self.finalize_eager_and_push(now, send.ep, ct, pkt, actions);
+                self.finalize_eager_and_push(now, ct, pkt, actions);
             }
             self.counters.send_completions.incr();
             actions.push(DriverAction::SendComplete {
@@ -801,15 +753,16 @@ impl NodeDriver {
                 handle: send.handle,
             });
         } else {
-            // Large: rendezvous now; completion on notify (message birth —
-            // the only time the send index is written).
-            let tok = self.sends.insert(SendState::Large {
-                ep: send.ep,
-                handle: send.handle,
-                dst: send.dst,
-                len: send.len,
-            });
-            self.send_index.insert(msg, tok);
+            // Large: rendezvous now; completion on notify.
+            self.sends.insert(
+                msg,
+                LargeSend {
+                    ep: send.ep,
+                    handle: send.handle,
+                    dst: send.dst,
+                    len: send.len,
+                },
+            );
             let pkt = Packet {
                 hdr: OmxHeader {
                     src,
@@ -825,7 +778,7 @@ impl NodeDriver {
                 },
             };
             self.counters.eager_sent.incr();
-            self.finalize_eager_and_push(now, send.ep, ct, pkt, actions);
+            self.finalize_eager_and_push(now, ct, pkt, actions);
         }
     }
 
@@ -834,91 +787,63 @@ impl NodeDriver {
     fn finalize_eager_and_push(
         &mut self,
         now: Time,
-        ep: u8,
-        ct: SlabToken,
+        ct: usize,
         mut pkt: Packet,
         actions: &mut Vec<DriverAction>,
     ) {
         // Marking must be applied before the packet is stored for
         // retransmission so a resent packet keeps its marker.
         self.cfg.marking.apply(&mut pkt);
-        let conn = self.conns.get_mut(ct);
+        let conn = &mut self.conns[ct];
         conn.next_seq += 1;
         pkt.hdr.seq = conn.next_seq;
         conn.unacked.push_back((pkt.hdr.seq, pkt, now));
-        self.finalize_and_push(now, ep, ct, pkt, actions);
+        self.finalize_and_push(ct, pkt, actions);
     }
 
     /// Apply marking + piggyback ack and emit (no sequencing — used for
-    /// pull traffic, which has its own recovery). `ct` must be the handle
-    /// of the (`ep`, `pkt.hdr.dst`) connection.
-    fn finalize_and_push(
-        &mut self,
-        now: Time,
-        ep: u8,
-        ct: SlabToken,
-        mut pkt: Packet,
-        actions: &mut Vec<DriverAction>,
-    ) {
+    /// pull traffic, which has its own recovery). `ct` must index the
+    /// (`pkt.hdr.src.endpoint`, `pkt.hdr.dst`) connection.
+    fn finalize_and_push(&mut self, ct: usize, mut pkt: Packet, actions: &mut Vec<DriverAction>) {
         self.cfg.marking.apply(&mut pkt);
-        let conn = self.conns.get_mut(ct);
-        debug_assert_eq!(self.conn_index.get(&(ep, pkt.hdr.dst)), Some(&ct));
+        debug_assert_eq!(
+            self.conn_index.get(&(pkt.hdr.src.endpoint, pkt.hdr.dst)),
+            Some(&ct)
+        );
+        let conn = &mut self.conns[ct];
         // Piggyback the reverse-direction cumulative ack.
         pkt.hdr.ack = conn.cum_recv;
         conn.unacked_rx = 0;
         conn.ack_deadline = None;
-        let _ = (now, ep);
         actions.push(DriverAction::Transmit(pkt));
     }
 
     // -- ack handling ------------------------------------------------------------
 
-    fn process_ack(&mut self, now: Time, ct: SlabToken, ack: u64, actions: &mut Vec<DriverAction>) {
+    fn process_ack(&mut self, now: Time, ct: usize, ack: u64, actions: &mut Vec<DriverAction>) {
         let window = self.cfg.window_packets;
         let mtu = self.cfg.mtu;
         let mut released = std::mem::take(&mut self.scratch.released);
         released.clear();
-        {
-            let conn = self.conns.get_mut(ct);
-            if ack > conn.acked {
-                conn.acked = ack;
-                while conn.unacked.front().is_some_and(|(seq, _, _)| *seq <= ack) {
-                    conn.unacked.pop_front();
+        let conn = &mut self.conns[ct];
+        if ack > conn.acked {
+            conn.acked = ack;
+            while conn.unacked.front().is_some_and(|(seq, _, _)| *seq <= ack) {
+                conn.unacked.pop_front();
+            }
+            // Release queued sends that now fit the window.
+            let mut inflight = conn.unacked.len() as u32;
+            while let Some(front) = conn.queued.front() {
+                let need = window_cost(front.len, mtu);
+                if inflight + need > window {
+                    break;
                 }
-                // Release queued sends that now fit the window.
-                loop {
-                    let inflight = conn.unacked.len() as u32
-                        + released
-                            .iter()
-                            .map(|s| {
-                                if s.len <= SMALL_MAX {
-                                    1
-                                } else if s.len <= MEDIUM_MAX {
-                                    frag_count(s.len, mtu)
-                                } else {
-                                    1
-                                }
-                            })
-                            .sum::<u32>();
-                    let Some(front) = conn.queued.front() else {
-                        break;
-                    };
-                    let need = if front.len <= SMALL_MAX {
-                        1
-                    } else if front.len <= MEDIUM_MAX {
-                        frag_count(front.len, mtu)
-                    } else {
-                        1
-                    };
-                    if inflight + need > window {
-                        break;
-                    }
-                    released.push(conn.queued.pop_front().expect("front exists"));
-                }
+                inflight += need;
+                released.push(conn.queued.pop_front().expect("front exists"));
             }
         }
         // Released sends were queued on this very connection, so `ct` is
-        // the right handle for their sequencing.
+        // the right index for their sequencing.
         for send in released.drain(..) {
             self.emit_send(now, send, ct, actions);
         }
@@ -929,8 +854,8 @@ impl NodeDriver {
     /// for eager packets. Every Small, MediumFrag, Rendezvous and Notify
     /// packet carries a sequence number, and a retransmit resends the
     /// stored packet, so a replay of any of them is rejected here.
-    fn accept_eager_seq(&mut self, ct: SlabToken, seq: u64) -> bool {
-        let conn = self.conns.get_mut(ct);
+    fn accept_eager_seq(&mut self, ct: usize, seq: u64) -> bool {
+        let conn = &mut self.conns[ct];
         if seq <= conn.cum_recv || conn.recv_above.contains(&seq) {
             return false;
         }
@@ -951,42 +876,30 @@ impl NodeDriver {
         now: Time,
         ep: u8,
         remote: EndpointAddr,
-        ct: SlabToken,
+        ct: usize,
         actions: &mut Vec<DriverAction>,
     ) {
-        let should_ack_now = {
-            let delayed = checked_delta(self.cfg.delayed_ack_ns, "delayed_ack_ns");
-            let ack_every = self.cfg.ack_every;
-            let conn = self.conns.get_mut(ct);
-            conn.unacked_rx += 1;
-            if conn.unacked_rx >= ack_every {
-                true
-            } else {
-                if conn.ack_deadline.is_none() {
-                    conn.ack_deadline = Some(now + delayed);
-                }
-                false
-            }
-        };
-        if should_ack_now {
-            self.send_standalone_ack(now, ep, remote, ct, actions);
+        let delayed = checked_delta(self.cfg.delayed_ack_ns, "delayed_ack_ns");
+        let conn = &mut self.conns[ct];
+        conn.unacked_rx += 1;
+        if conn.unacked_rx >= self.cfg.ack_every {
+            self.send_standalone_ack(ep, remote, ct, actions);
+        } else if conn.ack_deadline.is_none() {
+            conn.ack_deadline = Some(now + delayed);
         }
     }
 
     fn send_standalone_ack(
         &mut self,
-        _now: Time,
         ep: u8,
         remote: EndpointAddr,
-        ct: SlabToken,
+        ct: usize,
         actions: &mut Vec<DriverAction>,
     ) {
-        let cum = {
-            let conn = self.conns.get_mut(ct);
-            conn.unacked_rx = 0;
-            conn.ack_deadline = None;
-            conn.cum_recv
-        };
+        let conn = &mut self.conns[ct];
+        conn.unacked_rx = 0;
+        conn.ack_deadline = None;
+        let cum = conn.cum_recv;
         let pkt = Packet {
             hdr: OmxHeader {
                 src: self.addr(ep),
@@ -1005,10 +918,8 @@ impl NodeDriver {
 
     // -- receive path ------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
     fn rx_small(
         &mut self,
-        now: Time,
         ep: u8,
         src: EndpointAddr,
         msg: MsgId,
@@ -1033,13 +944,11 @@ impl NodeDriver {
                 len,
             });
         }
-        let _ = now;
     }
 
     #[allow(clippy::too_many_arguments)]
     fn rx_medium(
         &mut self,
-        now: Time,
         ep: u8,
         src: EndpointAddr,
         msg: MsgId,
@@ -1049,27 +958,18 @@ impl NodeDriver {
         actions: &mut Vec<DriverAction>,
     ) {
         let key = (src, msg);
-        // One index probe per fragment (message birth inserts the token);
-        // the match and the completion check below go through the handle.
-        let mediums = &mut self.mediums;
-        let tok = *self.medium_index.entry(key).or_insert_with(|| {
-            mediums.insert(MediumRx {
-                src,
-                ep,
-                match_info,
-                total_len,
-                frag_count,
-                received: 0,
-                handle: None,
-                done: false,
-            })
+        // The fragment's one `mediums` probe: the first fragment inserts
+        // the entry and performs the match.
+        let m = self.mediums.entry(key).or_insert(MediumRx {
+            ep,
+            match_info,
+            total_len,
+            frag_count,
+            received: 0,
+            handle: None,
         });
-        let entry = self.mediums.get_mut(tok);
-        let fresh_msg = entry.received == 0;
-        entry.received += 1;
-
-        if fresh_msg {
-            // First fragment performs the match.
+        m.received += 1;
+        if m.received == 1 {
             let incoming = UnexpectedMsg {
                 src,
                 msg,
@@ -1077,32 +977,22 @@ impl NodeDriver {
                 len: total_len,
             };
             if let Some(recv) = self.endpoints[ep as usize].matcher.incoming(incoming) {
-                self.mediums.get_mut(tok).handle = Some(recv.handle);
+                m.handle = Some(recv.handle);
             }
         }
-        self.try_complete_medium(now, key, tok, actions);
+        if m.complete() {
+            self.finish_medium(key, actions);
+        }
     }
 
-    fn try_complete_medium(
-        &mut self,
-        _now: Time,
-        key: MsgKey,
-        tok: SlabToken,
-        actions: &mut Vec<DriverAction>,
-    ) {
-        let m = self.mediums.get(tok);
-        if m.done || m.handle.is_none() || m.received < m.frag_count {
-            return;
-        }
-        // Message death: drop the index entry and free the slot (the
-        // generation bump makes any stale handle to it panic).
-        self.medium_index.remove(&key);
-        let m = self.mediums.remove(tok);
+    /// Deliver a complete medium message and drop its reassembly state.
+    fn finish_medium(&mut self, key: MsgKey, actions: &mut Vec<DriverAction>) {
+        let m = self.mediums.remove(&key).expect("medium in reassembly");
         self.counters.recv_completions.incr();
         actions.push(DriverAction::RecvComplete {
             ep: m.ep,
             handle: m.handle.expect("matched"),
-            src: m.src,
+            src: key.0,
             msg: key.1,
             match_info: m.match_info,
             len: m.total_len,
@@ -1121,7 +1011,7 @@ impl NodeDriver {
         actions: &mut Vec<DriverAction>,
     ) {
         // The sequence window already rejected any replay of this packet.
-        debug_assert!(!self.pull_index.contains_key(&(src, msg)));
+        debug_assert!(!self.pulls.contains_key(&(src, msg)));
         let incoming = UnexpectedMsg {
             src,
             msg,
@@ -1159,7 +1049,6 @@ impl NodeDriver {
         let total_frames = pull_frame_count(total_len, self.cfg.mtu);
         let total_blocks = total_frames.div_ceil(PULL_BLOCK_FRAMES);
         let mut pull = PullRx {
-            src,
             ep,
             handle,
             match_info,
@@ -1170,7 +1059,6 @@ impl NodeDriver {
             next_block: 0,
             blocks_done: 0,
             last_progress: now,
-            done: false,
         };
         let first_wave = total_blocks.min(PULL_PIPELINE);
         let mut requests = std::mem::take(&mut self.scratch.pkts);
@@ -1192,13 +1080,10 @@ impl NodeDriver {
             });
         }
         pull.next_block = first_wave;
-        // Message birth: the pull index is written here and read again only
-        // by the timer's stall scan and the per-reply resolution.
-        let tok = self.pulls.insert(pull);
-        self.pull_index.insert((src, msg), tok);
-        let ct = self.conn_token(ep, src);
+        self.pulls.insert((src, msg), pull);
+        let ct = self.conn_idx(ep, src);
         for pkt in requests.drain(..) {
-            self.finalize_and_push(now, ep, ct, pkt, actions);
+            self.finalize_and_push(ct, pkt, actions);
         }
         self.scratch.pkts = requests;
     }
@@ -1206,24 +1091,22 @@ impl NodeDriver {
     #[allow(clippy::too_many_arguments)]
     fn rx_pull_request(
         &mut self,
-        now: Time,
         ep: u8,
         src: EndpointAddr,
-        ct: SlabToken,
+        ct: usize,
         msg: MsgId,
         block: u32,
         frame_count: u32,
         actions: &mut Vec<DriverAction>,
     ) {
         // We are the *sender* of the large message; answer with data frames.
-        let Some(&stok) = self.send_index.get(&msg) else {
+        let Some(send) = self.sends.get(&msg) else {
             // Unknown (already completed): stale re-request; ignore.
             self.counters.duplicates.incr();
             return;
         };
-        let SendState::Large { len, dst, .. } = self.sends.get(stok);
-        debug_assert_eq!(*dst, src, "pull request from unexpected peer");
-        let total_len = *len;
+        debug_assert_eq!(send.dst, src, "pull request from unexpected peer");
+        let total_len = send.len;
         let per = pull_frame_payload(self.cfg.mtu);
         let total_frames = pull_frame_count(total_len, self.cfg.mtu);
         let base_frame = block * PULL_BLOCK_FRAMES;
@@ -1255,7 +1138,7 @@ impl NodeDriver {
             });
         }
         for pkt in replies.drain(..) {
-            self.finalize_and_push(now, ep, ct, pkt, actions);
+            self.finalize_and_push(ct, pkt, actions);
         }
         self.scratch.pkts = replies;
     }
@@ -1266,22 +1149,16 @@ impl NodeDriver {
         now: Time,
         ep: u8,
         src: EndpointAddr,
-        ct: SlabToken,
+        ct: usize,
         msg: MsgId,
         block: u32,
-        _frame: u32,
-        _last_of_block: bool,
         actions: &mut Vec<DriverAction>,
     ) {
         let key = (src, msg);
-        let Some(&ptok) = self.pull_index.get(&key) else {
+        let Some(pull) = self.pulls.get_mut(&key) else {
             self.counters.duplicates.incr();
             return;
         };
-        let pull = self.pulls.get_mut(ptok);
-        if pull.done {
-            return;
-        }
         pull.last_progress = now;
         let expect = pull.frames_in_block(block);
         let got = &mut pull.block_frames[block as usize];
@@ -1317,12 +1194,10 @@ impl NodeDriver {
                     frame_count: fc,
                 },
             };
-            self.finalize_and_push(now, ep, ct, pkt, actions);
+            self.finalize_and_push(ct, pkt, actions);
         }
         if all_done {
-            // Message death: free slot + index entry together.
-            self.pull_index.remove(&key);
-            let pull = self.pulls.remove(ptok);
+            let pull = self.pulls.remove(&key).expect("pull in progress");
             // Notify the sender, then complete the receive.
             let notify = Packet {
                 hdr: OmxHeader {
@@ -1335,12 +1210,12 @@ impl NodeDriver {
                 kind: PacketKind::Notify { msg },
             };
             self.counters.eager_sent.incr();
-            self.finalize_eager_and_push(now, ep, ct, notify, actions);
+            self.finalize_eager_and_push(now, ct, notify, actions);
             self.counters.recv_completions.incr();
             actions.push(DriverAction::RecvComplete {
                 ep: pull.ep,
                 handle: pull.handle,
-                src: pull.src,
+                src,
                 msg,
                 match_info: pull.match_info,
                 len: pull.total_len,
@@ -1348,19 +1223,13 @@ impl NodeDriver {
         }
     }
 
-    fn rx_notify(
-        &mut self,
-        _now: Time,
-        _ep: u8,
-        _src: EndpointAddr,
-        msg: MsgId,
-        actions: &mut Vec<DriverAction>,
-    ) {
-        // Message death for the sender-side large state.
-        if let Some(tok) = self.send_index.remove(&msg) {
-            let SendState::Large { ep, handle, .. } = self.sends.remove(tok);
+    fn rx_notify(&mut self, msg: MsgId, actions: &mut Vec<DriverAction>) {
+        if let Some(send) = self.sends.remove(&msg) {
             self.counters.send_completions.incr();
-            actions.push(DriverAction::SendComplete { ep, handle });
+            actions.push(DriverAction::SendComplete {
+                ep: send.ep,
+                handle: send.handle,
+            });
         } else {
             self.counters.duplicates.incr();
         }
@@ -1386,9 +1255,11 @@ impl NodeDriver {
                 len: unexpected.len,
             });
         } else if unexpected.len <= MEDIUM_MAX {
-            if let Some(&tok) = self.medium_index.get(&key) {
-                self.mediums.get_mut(tok).handle = Some(handle);
-                self.try_complete_medium(now, key, tok, actions);
+            if let Some(m) = self.mediums.get_mut(&key) {
+                m.handle = Some(handle);
+                if m.complete() {
+                    self.finish_medium(key, actions);
+                }
             }
         } else {
             self.begin_pull(
@@ -1411,8 +1282,8 @@ impl NodeDriver {
     /// with no posted receive) are *not* listed: the protocol has done its
     /// part and the driver holds them indefinitely by design.
     pub fn pending_report(&self, out: &mut Vec<PendingEntry>) {
-        for (&(ep, remote), &tok) in &self.conn_index {
-            let conn = self.conns.get(tok);
+        for (&(ep, remote), &ct) in &self.conn_index {
+            let conn = &self.conns[ct];
             for send in &conn.queued {
                 out.push(PendingEntry {
                     phase: "window-queued",
@@ -1437,15 +1308,14 @@ impl NodeDriver {
             }
         }
         let mut larges: Vec<(u64, String)> = self
-            .send_index
+            .sends
             .iter()
-            .map(|(msg, &tok)| {
-                let SendState::Large { ep, dst, len, .. } = self.sends.get(tok);
+            .map(|(msg, s)| {
                 (
                     msg.0,
                     format!(
-                        "node {} msg {} ep {ep} -> {dst:?}: large send of {len} B awaiting notify",
-                        self.local, msg.0
+                        "node {} msg {} ep {} -> {:?}: large send of {} B awaiting notify",
+                        self.local, msg.0, s.ep, s.dst, s.len
                     ),
                 )
             })
@@ -1456,22 +1326,17 @@ impl NodeDriver {
             detail,
         }));
         let mut mediums: Vec<(u64, String)> = self
-            .medium_index
+            .mediums
             .iter()
-            .filter_map(|(&(src, msg), &tok)| {
-                let m = self.mediums.get(tok);
-                (m.received < m.frag_count).then(|| {
-                    (
-                        msg.0,
-                        format!(
-                            "node {} msg {} from {src:?}: medium reassembly stuck at {}/{} fragments",
-                            self.local,
-                            msg.0,
-                            m.received,
-                            m.frag_count
-                        ),
-                    )
-                })
+            .filter(|(_, m)| m.received < m.frag_count)
+            .map(|(&(src, msg), m)| {
+                (
+                    msg.0,
+                    format!(
+                        "node {} msg {} from {src:?}: medium reassembly stuck at {}/{} fragments",
+                        self.local, msg.0, m.received, m.frag_count
+                    ),
+                )
             })
             .collect();
         mediums.sort_unstable();
@@ -1479,11 +1344,7 @@ impl NodeDriver {
             phase: "medium-reassembly",
             detail,
         }));
-        for (&(src, msg), &tok) in &self.pull_index {
-            let p = self.pulls.get(tok);
-            if p.done {
-                continue;
-            }
+        for (&(src, msg), p) in &self.pulls {
             out.push(PendingEntry {
                 phase: "pull",
                 detail: format!(
@@ -1577,18 +1438,57 @@ mod tests {
         ));
     }
 
+    /// Deliver the first `before` packets of a `len`-byte send, then post
+    /// the receive, then deliver the rest. The receive completes exactly
+    /// once, with the posted handle, and inside `post_recv` itself when
+    /// every eager packet arrived first.
+    fn assert_unexpected_then_posted(len: u32, before: usize) {
+        let (mut a, mut b) = pair();
+        let (pkts, _) = split_transmits(a.post_send(t0(), 0, EndpointAddr::new(1, 0), len, 9, 1));
+        assert!(before <= pkts.len(), "{len} B sends {} packets", pkts.len());
+        let (early, late) = pkts.split_at(before);
+        let addressed = |pkts: &[Packet]| -> Vec<(u16, Packet)> {
+            pkts.iter().map(|p| (p.hdr.dst.node.0, *p)).collect()
+        };
+        let (_, recv_side) = pump(&mut a, &mut b, addressed(early), t0());
+        assert!(recv_side.is_empty(), "{len} B: no receive posted yet");
+
+        let (tx, at_post) = split_transmits(b.post_recv(t0(), 0, 9, !0, 55));
+        let mut pending = addressed(&tx);
+        pending.extend(addressed(late));
+        let (_, after_post) = pump(&mut a, &mut b, pending, t0());
+        let handles = |acts: &[DriverAction]| -> Vec<u64> {
+            acts.iter()
+                .filter_map(|act| match *act {
+                    DriverAction::RecvComplete { handle, len: l, .. } => {
+                        assert_eq!(l, len);
+                        Some(handle)
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        let (at_post, after_post) = (handles(&at_post), handles(&after_post));
+        let eager_all_early = late.is_empty() && len <= MEDIUM_MAX;
+        assert_eq!(
+            at_post.len(),
+            usize::from(eager_all_early),
+            "{len} B, {before} packet(s) before the post: {at_post:?}"
+        );
+        assert_eq!(
+            [at_post, after_post].concat(),
+            [55],
+            "{len} B, {before} packet(s) before the post"
+        );
+    }
+
     #[test]
     fn small_message_unexpected_then_posted() {
-        let (mut a, mut b) = pair();
-        let actions = a.post_send(t0(), 0, EndpointAddr::new(1, 0), 32, 9, 1);
-        let (pkts, _) = split_transmits(actions);
-        let (_, recv_side) = pump(&mut a, &mut b, vec![(1, pkts[0])], t0());
-        assert!(recv_side.is_empty(), "no receive posted yet");
-        let acts = b.post_recv(t0(), 0, 9, !0, 55);
-        assert!(matches!(
-            acts[0],
-            DriverAction::RecvComplete { handle: 55, .. }
-        ));
+        // Small; 8 KiB medium (6 fragments) with all or half of it early;
+        // 234 KiB large whose rendezvous arrives before the post.
+        for (len, before) in [(32, 1), (8 * 1024, 6), (8 * 1024, 3), (234 * 1024, 1)] {
+            assert_unexpected_then_posted(len, before);
+        }
     }
 
     #[test]

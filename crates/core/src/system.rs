@@ -557,75 +557,26 @@ impl Ctx<'_> {
         self.sched.cancel(tok);
     }
 
-    /// Hand an Open-MX packet to the fabric at `t` (doorbell already paid).
-    fn transmit_omx_wire(&mut self, t: Time, pkt: Packet) {
-        let src = pkt.hdr.src.node.0;
-        let dst = pkt.hdr.dst.node.0;
-        match self.fabric.transmit(
+    /// Hand a frame from node `src` to the fabric at `t`; the caller has
+    /// already paid the doorbell or firmware hop. A lost or tail-dropped
+    /// frame schedules nothing: the driver retransmits Open-MX packets, the
+    /// offload engine's NIC-side RTO resends collective frames, and raw
+    /// frames are not recovered.
+    fn transmit_wire(&mut self, t: Time, src: u16, dst: u16, frame: WireFrame) {
+        let outcome = self.fabric.transmit(
             t,
             PortId(src as usize),
             PortId(dst as usize),
-            pkt.wire_len(),
-        ) {
-            TransmitOutcome::Arrives(at) => {
-                self.sched.schedule_at(
-                    at,
-                    Ev::FrameArrival {
-                        node: dst,
-                        pkt: WireFrame::Omx(pkt),
-                    },
-                );
-            }
-            TransmitOutcome::Lost | TransmitOutcome::SwitchDropped => {
-                // Wire loss or switch-egress tail drop: the retransmission
-                // machinery recovers; nothing to schedule.
-            }
-        }
-    }
-
-    /// Hand a raw Ethernet frame to the fabric at `t`.
-    fn transmit_raw_wire(&mut self, t: Time, src: u16, dst: NodeId, payload_len: u32) {
-        let frame = WireFrame::Raw { payload_len };
-        match self.fabric.transmit(
-            t,
-            PortId(src as usize),
-            PortId(dst.0 as usize),
             frame.wire_len(),
-        ) {
-            TransmitOutcome::Arrives(at) => {
-                self.sched.schedule_at(
-                    at,
-                    Ev::FrameArrival {
-                        node: dst.0,
-                        pkt: frame,
-                    },
-                );
-            }
-            TransmitOutcome::Lost | TransmitOutcome::SwitchDropped => {}
-        }
-    }
-
-    /// Hand a NIC-resident collective frame to the fabric at `t` (the
-    /// firmware hop cost is already folded into `t`).
-    fn transmit_coll_wire(&mut self, t: Time, frame: CollFrame) {
-        match self.fabric.transmit(
-            t,
-            PortId(frame.src_node as usize),
-            PortId(frame.dst_node as usize),
-            frame.wire_len(),
-        ) {
-            TransmitOutcome::Arrives(at) => {
-                self.sched.schedule_at(
-                    at,
-                    Ev::FrameArrival {
-                        node: frame.dst_node,
-                        pkt: WireFrame::Coll(frame),
-                    },
-                );
-            }
-            TransmitOutcome::Lost | TransmitOutcome::SwitchDropped => {
-                // The offload engine's NIC-side RTO retransmits.
-            }
+        );
+        if let TransmitOutcome::Arrives(at) = outcome {
+            self.sched.schedule_at(
+                at,
+                Ev::FrameArrival {
+                    node: dst,
+                    pkt: frame,
+                },
+            );
         }
     }
 
@@ -849,7 +800,7 @@ impl Nodes {
         }
         let doorbell = self.cfg.host.costs.tx_doorbell_ns;
         let t = now + TimeDelta::from_nanos(doorbell as i64);
-        ctx.transmit_omx_wire(t, pkt);
+        ctx.transmit_wire(t, src, dst, WireFrame::Omx(pkt));
     }
 
     fn apply_nic_outcome(&mut self, node: u16, now: Time, out: NicOutcome, ctx: &mut Ctx) {
@@ -983,7 +934,12 @@ impl Nodes {
                             },
                         );
                     } else {
-                        ctx.transmit_coll_wire(at, frame);
+                        ctx.transmit_wire(
+                            at,
+                            frame.src_node,
+                            frame.dst_node,
+                            WireFrame::Coll(frame),
+                        );
                     }
                 }
                 OffloadEmit::Delivered {
@@ -1102,7 +1058,7 @@ impl Nodes {
                 }
                 ActorCmd::RawEthernet { dst, payload_len } => {
                     cursor += TimeDelta::from_nanos(costs.send_post_ns as i64);
-                    ctx.transmit_raw_wire(cursor, node, dst, payload_len);
+                    ctx.transmit_wire(cursor, node, dst.0, WireFrame::Raw { payload_len });
                 }
                 ActorCmd::OffloadColl { desc } => {
                     // Host cost is one command-queue write plus the

@@ -11,11 +11,9 @@
 //! carries the Open-MX header whose `latency_sensitive` flag is the entire
 //! NIC-visible interface of the paper's firmware change.
 //!
-//! Packets also have a real byte encoding ([`Packet::encode`] /
-//! [`Packet::decode`]) so the wire format is testable; the simulator itself
-//! moves typed packets and only uses [`Packet::wire_len`].
-
-use crate::bytebuf::{Bytes, BytesMut};
+//! The simulator moves typed packets, never bytes: a frame's size on the
+//! wire is [`Packet::wire_len`], which charges [`ETH_HEADER_BYTES`] plus
+//! [`OMX_HEADER_BYTES`] per frame.
 
 /// Maximum payload of a Small (single-packet eager) message.
 pub const SMALL_MAX: u32 = 128;
@@ -203,208 +201,7 @@ impl Packet {
             PacketKind::Ack { .. } | PacketKind::TcpSegment { .. } => None,
         }
     }
-
-    // -- byte encoding -------------------------------------------------------
-
-    /// Encode header + body to bytes (payload is synthetic and not encoded;
-    /// the length fields fully describe it).
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(64);
-        b.put_u16(self.hdr.src.node.0);
-        b.put_u8(self.hdr.src.endpoint);
-        b.put_u16(self.hdr.dst.node.0);
-        b.put_u8(self.hdr.dst.endpoint);
-        b.put_u8(self.hdr.latency_sensitive as u8);
-        b.put_u64(self.hdr.seq);
-        b.put_u64(self.hdr.ack);
-        match self.kind {
-            PacketKind::Small {
-                msg,
-                match_info,
-                len,
-            } => {
-                b.put_u8(0);
-                b.put_u64(msg.0);
-                b.put_u64(match_info);
-                b.put_u32(len);
-            }
-            PacketKind::MediumFrag {
-                msg,
-                match_info,
-                frag,
-                frag_count,
-                frag_len,
-                total_len,
-            } => {
-                b.put_u8(1);
-                b.put_u64(msg.0);
-                b.put_u64(match_info);
-                b.put_u32(frag);
-                b.put_u32(frag_count);
-                b.put_u32(frag_len);
-                b.put_u32(total_len);
-            }
-            PacketKind::Rendezvous {
-                msg,
-                match_info,
-                total_len,
-            } => {
-                b.put_u8(2);
-                b.put_u64(msg.0);
-                b.put_u64(match_info);
-                b.put_u32(total_len);
-            }
-            PacketKind::PullRequest {
-                msg,
-                block,
-                frame_count,
-            } => {
-                b.put_u8(3);
-                b.put_u64(msg.0);
-                b.put_u32(block);
-                b.put_u32(frame_count);
-            }
-            PacketKind::PullReply {
-                msg,
-                block,
-                frame,
-                frame_len,
-                last_of_block,
-            } => {
-                b.put_u8(4);
-                b.put_u64(msg.0);
-                b.put_u32(block);
-                b.put_u32(frame);
-                b.put_u32(frame_len);
-                b.put_u8(last_of_block as u8);
-            }
-            PacketKind::Notify { msg } => {
-                b.put_u8(5);
-                b.put_u64(msg.0);
-            }
-            PacketKind::Ack { cumulative_seq } => {
-                b.put_u8(6);
-                b.put_u64(cumulative_seq);
-            }
-            PacketKind::TcpSegment { len } => {
-                b.put_u8(7);
-                b.put_u32(len);
-            }
-        }
-        b.freeze()
-    }
-
-    /// Decode a packet previously produced by [`Packet::encode`].
-    pub fn decode(mut buf: Bytes) -> Result<Packet, DecodeError> {
-        fn need(buf: &Bytes, n: usize) -> Result<(), DecodeError> {
-            if buf.remaining() < n {
-                Err(DecodeError::Truncated)
-            } else {
-                Ok(())
-            }
-        }
-        need(&buf, 7 + 16 + 1)?;
-        let hdr = OmxHeader {
-            src: EndpointAddr {
-                node: NodeId(buf.get_u16()),
-                endpoint: buf.get_u8(),
-            },
-            dst: EndpointAddr {
-                node: NodeId(buf.get_u16()),
-                endpoint: buf.get_u8(),
-            },
-            latency_sensitive: buf.get_u8() != 0,
-            seq: buf.get_u64(),
-            ack: buf.get_u64(),
-        };
-        let tag = buf.get_u8();
-        let kind = match tag {
-            0 => {
-                need(&buf, 20)?;
-                PacketKind::Small {
-                    msg: MsgId(buf.get_u64()),
-                    match_info: buf.get_u64(),
-                    len: buf.get_u32(),
-                }
-            }
-            1 => {
-                need(&buf, 32)?;
-                PacketKind::MediumFrag {
-                    msg: MsgId(buf.get_u64()),
-                    match_info: buf.get_u64(),
-                    frag: buf.get_u32(),
-                    frag_count: buf.get_u32(),
-                    frag_len: buf.get_u32(),
-                    total_len: buf.get_u32(),
-                }
-            }
-            2 => {
-                need(&buf, 20)?;
-                PacketKind::Rendezvous {
-                    msg: MsgId(buf.get_u64()),
-                    match_info: buf.get_u64(),
-                    total_len: buf.get_u32(),
-                }
-            }
-            3 => {
-                need(&buf, 16)?;
-                PacketKind::PullRequest {
-                    msg: MsgId(buf.get_u64()),
-                    block: buf.get_u32(),
-                    frame_count: buf.get_u32(),
-                }
-            }
-            4 => {
-                need(&buf, 21)?;
-                PacketKind::PullReply {
-                    msg: MsgId(buf.get_u64()),
-                    block: buf.get_u32(),
-                    frame: buf.get_u32(),
-                    frame_len: buf.get_u32(),
-                    last_of_block: buf.get_u8() != 0,
-                }
-            }
-            5 => {
-                need(&buf, 8)?;
-                PacketKind::Notify {
-                    msg: MsgId(buf.get_u64()),
-                }
-            }
-            6 => {
-                need(&buf, 8)?;
-                PacketKind::Ack {
-                    cumulative_seq: buf.get_u64(),
-                }
-            }
-            7 => {
-                need(&buf, 4)?;
-                PacketKind::TcpSegment { len: buf.get_u32() }
-            }
-            other => return Err(DecodeError::UnknownKind(other)),
-        };
-        Ok(Packet { hdr, kind })
-    }
 }
-
-/// Wire decoding failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecodeError {
-    /// Buffer ended before the packet was complete.
-    Truncated,
-    /// Unknown packet kind tag.
-    UnknownKind(u8),
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::Truncated => write!(f, "truncated packet"),
-            DecodeError::UnknownKind(k) => write!(f, "unknown packet kind {k}"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
 
 /// Usable payload bytes per *medium eager* fragment for a given MTU.
 ///
@@ -454,88 +251,6 @@ mod tests {
             seq: 12,
             ack: 34,
         }
-    }
-
-    fn all_kinds() -> Vec<PacketKind> {
-        vec![
-            PacketKind::Small {
-                msg: MsgId(7),
-                match_info: 0xDEAD_BEEF,
-                len: 128,
-            },
-            PacketKind::MediumFrag {
-                msg: MsgId(8),
-                match_info: 42,
-                frag: 3,
-                frag_count: 23,
-                frag_len: 1468,
-                total_len: 32 * 1024,
-            },
-            PacketKind::Rendezvous {
-                msg: MsgId(9),
-                match_info: 1,
-                total_len: 1 << 20,
-            },
-            PacketKind::PullRequest {
-                msg: MsgId(9),
-                block: 4,
-                frame_count: 32,
-            },
-            PacketKind::PullReply {
-                msg: MsgId(9),
-                block: 4,
-                frame: 31,
-                frame_len: 1468,
-                last_of_block: true,
-            },
-            PacketKind::Notify { msg: MsgId(9) },
-            PacketKind::Ack { cumulative_seq: 99 },
-            PacketKind::TcpSegment { len: 1460 },
-        ]
-    }
-
-    #[test]
-    fn encode_decode_roundtrip_all_kinds() {
-        for kind in all_kinds() {
-            for marked in [false, true] {
-                let p = Packet {
-                    hdr: hdr(marked),
-                    kind,
-                };
-                let decoded = Packet::decode(p.encode()).expect("decode");
-                assert_eq!(decoded, p);
-            }
-        }
-    }
-
-    #[test]
-    fn decode_rejects_truncation() {
-        let p = Packet {
-            hdr: hdr(true),
-            kind: PacketKind::Small {
-                msg: MsgId(1),
-                match_info: 2,
-                len: 3,
-            },
-        };
-        let full = p.encode();
-        for cut in 0..full.len() {
-            let res = Packet::decode(full.slice(0..cut));
-            assert_eq!(res, Err(DecodeError::Truncated), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn decode_rejects_unknown_kind() {
-        let mut raw = BytesMut::new();
-        raw.put_slice(&[0, 0, 0, 0, 1, 0, 0]);
-        raw.put_u64(0);
-        raw.put_u64(0);
-        raw.put_u8(200);
-        assert_eq!(
-            Packet::decode(raw.freeze()),
-            Err(DecodeError::UnknownKind(200))
-        );
     }
 
     #[test]

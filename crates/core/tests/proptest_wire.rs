@@ -1,24 +1,14 @@
-//! Property tests for the wire codec and the fragmentation arithmetic.
+//! Property tests for the fragmentation arithmetic and packet marking.
 //!
 //! Randomised with the simulator's deterministic [`SimRng`] (fixed seeds, so
 //! failures reproduce exactly) instead of an external property-test harness.
 
 use omx_core::marking::MarkingPolicy;
 use omx_core::wire::{
-    frag_count, medium_frag_payload, pull_block_count, pull_frame_count, pull_frame_payload,
-    EndpointAddr, MsgId, OmxHeader, Packet, PacketKind, PULL_BLOCK_FRAMES,
+    frag_count, medium_frag_payload, pull_block_count, pull_frame_count, pull_frame_payload, MsgId,
+    PacketKind, PULL_BLOCK_FRAMES,
 };
 use omx_sim::rng::SimRng;
-
-fn arb_header(rng: &mut SimRng) -> OmxHeader {
-    OmxHeader {
-        src: EndpointAddr::new(rng.next_u64() as u16, rng.next_u64() as u8),
-        dst: EndpointAddr::new(rng.next_u64() as u16, rng.next_u64() as u8),
-        latency_sensitive: rng.chance(0.5),
-        seq: rng.next_u64(),
-        ack: rng.next_u64(),
-    }
-}
 
 fn arb_kind(rng: &mut SimRng) -> PacketKind {
     match rng.range_u64(0, 8) {
@@ -64,38 +54,6 @@ fn arb_kind(rng: &mut SimRng) -> PacketKind {
         _ => PacketKind::TcpSegment {
             len: rng.range_u64(0, 1500) as u32,
         },
-    }
-}
-
-/// Encode/decode is the identity for every representable packet.
-#[test]
-fn codec_roundtrip() {
-    let mut rng = SimRng::new(0x5EED_3001);
-    for _case in 0..512 {
-        let pkt = Packet {
-            hdr: arb_header(&mut rng),
-            kind: arb_kind(&mut rng),
-        };
-        let decoded = Packet::decode(pkt.encode()).expect("decode");
-        assert_eq!(decoded, pkt);
-    }
-}
-
-/// Truncating an encoded packet anywhere yields an error, never a panic
-/// or a silently wrong packet.
-#[test]
-fn codec_rejects_truncation() {
-    let mut rng = SimRng::new(0x5EED_3002);
-    for _case in 0..512 {
-        let pkt = Packet {
-            hdr: arb_header(&mut rng),
-            kind: arb_kind(&mut rng),
-        };
-        let bytes = pkt.encode();
-        let cut = ((bytes.len() as f64) * rng.unit()) as usize;
-        if cut < bytes.len() {
-            assert!(Packet::decode(bytes.slice(0..cut)).is_err());
-        }
     }
 }
 

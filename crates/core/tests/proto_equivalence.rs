@@ -1,7 +1,7 @@
 //! Protocol-refactor equivalence golden.
 //!
-//! The slab-indexed protocol state (PR 5) changes how per-packet state is
-//! *found*, never what the simulation *does*. This test pins that claim
+//! How the driver stores its protocol state decides how per-packet state
+//! is *found*, never what the simulation *does*. This test pins that claim
 //! with a randomized disturbance schedule: lossy, delaying, jittering
 //! fabric runs across all five coalescing strategies and all three message
 //! classes (small eager, medium fragmented, large rendezvous/pull) must

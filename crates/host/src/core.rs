@@ -100,13 +100,6 @@ omx_sim::impl_to_json!(HostCounters {
     cache_bounces,
     irq_service_ns,
 });
-omx_sim::impl_from_json!(HostCounters {
-    irqs,
-    wakeups,
-    irq_busy_ns,
-    cache_bounces,
-    irq_service_ns,
-});
 
 /// One simulated node.
 pub struct Host {

@@ -100,16 +100,6 @@ omx_sim::impl_to_json!(NicCounters {
     batch_sizes,
     coalesce_hold_ns,
 });
-omx_sim::impl_from_json!(NicCounters {
-    interrupts,
-    packets,
-    marked_packets,
-    ring_drops,
-    omx_packets,
-    ip_packets,
-    batch_sizes,
-    coalesce_hold_ns,
-});
 
 /// The simulated NIC.
 pub struct Nic {

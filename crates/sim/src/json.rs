@@ -9,12 +9,11 @@
 //! * [`Json`] — an ordered JSON value (object keys keep insertion order so
 //!   exported files are stable and diffable),
 //! * [`Json::render`] / [`Json::render_pretty`] — writers,
-//! * [`Json::parse`] — a strict recursive-descent parser (used by round-trip
-//!   tests and the trace-schema golden test),
-//! * [`ToJson`] / [`FromJson`] — conversion traits with impls for the
-//!   primitives, plus the [`impl_to_json!`](crate::impl_to_json) /
-//!   [`impl_from_json!`](crate::impl_from_json) field-list macros that replace
-//!   derive-style serialisation for plain structs.
+//! * [`Json::parse`] — a strict recursive-descent parser (used by the
+//!   golden and trace-schema tests),
+//! * [`ToJson`] — the conversion trait, with impls for the primitives, plus
+//!   the [`impl_to_json!`](crate::impl_to_json) field-list macro that
+//!   replaces derive-style serialisation for plain structs.
 
 use std::fmt::Write as _;
 
@@ -85,16 +84,6 @@ impl Json {
             Json::I64(v) => u64::try_from(v).ok(),
             Json::U64(v) => Some(v),
             Json::F64(v) if v >= 0.0 && v.fract() == 0.0 => Some(v as u64),
-            _ => None,
-        }
-    }
-
-    /// Numeric value as `i64` (None for non-numbers and out-of-range).
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Json::I64(v) => Some(v),
-            Json::U64(v) => i64::try_from(v).ok(),
-            Json::F64(v) if v.fract() == 0.0 => Some(v as i64),
             _ => None,
         }
     }
@@ -439,12 +428,6 @@ pub trait ToJson {
     fn to_json(&self) -> Json;
 }
 
-/// Types that can be reconstructed from a [`Json`] value.
-pub trait FromJson: Sized {
-    /// Parse from a JSON value (None when the shape does not match).
-    fn from_json(value: &Json) -> Option<Self>;
-}
-
 impl ToJson for Json {
     fn to_json(&self) -> Json {
         self.clone()
@@ -457,22 +440,11 @@ impl ToJson for bool {
     }
 }
 
-impl FromJson for bool {
-    fn from_json(value: &Json) -> Option<Self> {
-        value.as_bool()
-    }
-}
-
 macro_rules! impl_json_uint {
     ($($ty:ty),*) => {$(
         impl ToJson for $ty {
             fn to_json(&self) -> Json {
                 Json::U64(*self as u64)
-            }
-        }
-        impl FromJson for $ty {
-            fn from_json(value: &Json) -> Option<Self> {
-                value.as_u64().and_then(|v| <$ty>::try_from(v).ok())
             }
         }
     )*};
@@ -483,11 +455,6 @@ macro_rules! impl_json_int {
         impl ToJson for $ty {
             fn to_json(&self) -> Json {
                 Json::I64(*self as i64)
-            }
-        }
-        impl FromJson for $ty {
-            fn from_json(value: &Json) -> Option<Self> {
-                value.as_i64().and_then(|v| <$ty>::try_from(v).ok())
             }
         }
     )*};
@@ -502,12 +469,6 @@ impl ToJson for f64 {
     }
 }
 
-impl FromJson for f64 {
-    fn from_json(value: &Json) -> Option<Self> {
-        value.as_f64()
-    }
-}
-
 impl ToJson for f32 {
     fn to_json(&self) -> Json {
         Json::F64(f64::from(*self))
@@ -517,12 +478,6 @@ impl ToJson for f32 {
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
-    }
-}
-
-impl FromJson for String {
-    fn from_json(value: &Json) -> Option<Self> {
-        value.as_str().map(str::to_string)
     }
 }
 
@@ -541,24 +496,9 @@ impl<T: ToJson> ToJson for Option<T> {
     }
 }
 
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(value: &Json) -> Option<Self> {
-        match value {
-            Json::Null => Some(None),
-            other => T::from_json(other).map(Some),
-        }
-    }
-}
-
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(value: &Json) -> Option<Self> {
-        value.as_arr()?.iter().map(T::from_json).collect()
     }
 }
 
@@ -583,15 +523,6 @@ impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     }
 }
 
-impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(value: &Json) -> Option<Self> {
-        match value.as_arr()? {
-            [a, b] => Some((A::from_json(a)?, B::from_json(b)?)),
-            _ => None,
-        }
-    }
-}
-
 /// Implement [`ToJson`] for a plain struct by listing its fields.
 ///
 /// ```
@@ -613,22 +544,6 @@ macro_rules! impl_to_json {
                     $((stringify!($field).to_string(),
                        $crate::json::ToJson::to_json(&self.$field)),)*
                 ])
-            }
-        }
-    };
-}
-
-/// Implement [`FromJson`] for a plain struct by listing its fields.
-#[macro_export]
-macro_rules! impl_from_json {
-    ($ty:ident { $($field:ident),* $(,)? }) => {
-        impl $crate::json::FromJson for $ty {
-            fn from_json(value: &$crate::json::Json) -> Option<Self> {
-                Some($ty {
-                    $($field: $crate::json::FromJson::from_json(
-                        value.get(stringify!($field))?,
-                    )?,)*
-                })
             }
         }
     };
@@ -686,7 +601,6 @@ mod tests {
 
     #[test]
     fn struct_macros_roundtrip() {
-        #[derive(Debug, PartialEq)]
         struct Sample {
             id: u64,
             scale: f64,
@@ -699,22 +613,20 @@ mod tests {
             label,
             tags
         });
-        impl_from_json!(Sample {
-            id,
-            scale,
-            label,
-            tags
-        });
 
-        let s = Sample {
+        let json = Sample {
             id: 9,
             scale: 0.25,
             label: "x".into(),
             tags: vec![1, 2, 3],
-        };
-        let rendered = s.to_json().render();
-        let back = Sample::from_json(&Json::parse(&rendered).unwrap()).unwrap();
-        assert_eq!(back, s);
+        }
+        .to_json();
+        let rendered = json.render();
+        assert_eq!(
+            rendered,
+            r#"{"id":9,"scale":0.25,"label":"x","tags":[1,2,3]}"#
+        );
+        assert_eq!(Json::parse(&rendered), Ok(json));
     }
 
     #[test]
@@ -724,7 +636,6 @@ mod tests {
         assert_eq!(some.to_json().render(), "5");
         assert_eq!(none.to_json().render(), "null");
         let pair = (1u32, "a".to_string());
-        let j = pair.to_json();
-        assert_eq!(<(u32, String)>::from_json(&j), Some((1, "a".to_string())));
+        assert_eq!(pair.to_json().render(), r#"[1,"a"]"#);
     }
 }

@@ -11,15 +11,13 @@
 //!   or per-event allocation on the hot path,
 //! * [`Engine`] / [`Model`] — the simulation driver: a model consumes one
 //!   event at a time and schedules follow-up events through a [`Scheduler`],
-//! * [`Slab`] — the event queue's generation-stamped token idiom made
-//!   generic: dense O(1) state storage with use-after-free panics, used by
-//!   the protocol layer to avoid per-packet map lookups,
 //! * [`rng`] — seeded deterministic random-number helpers so that every
 //!   experiment is exactly reproducible,
 //! * [`stats`] — counters, histograms and online summary statistics used by
 //!   the measurement harness,
 //! * [`json`] — the self-contained JSON value model used by the result
-//!   writers and the trace exporters (no external serialisation crates),
+//!   writers and the trace exporters (no external serialisation crates);
+//!   values only serialise, and the parser serves the golden tests,
 //! * [`pool`] — an ordered parallel map over scoped threads
 //!   ([`pool::map`]), plus the process-wide `--jobs` worker-count policy.
 //!
@@ -39,11 +37,9 @@ pub mod json;
 pub mod pool;
 pub mod queue;
 pub mod rng;
-pub mod slab;
 pub mod stats;
 pub mod time;
 
 pub use engine::{Engine, Model, Scheduler, StopCondition};
 pub use queue::{EventQueue, EventToken};
-pub use slab::{Slab, SlabToken};
 pub use time::{Time, TimeDelta};

@@ -275,21 +275,9 @@ impl crate::json::ToJson for Time {
     }
 }
 
-impl crate::json::FromJson for Time {
-    fn from_json(value: &crate::json::Json) -> Option<Self> {
-        value.as_u64().map(Time)
-    }
-}
-
 impl crate::json::ToJson for TimeDelta {
     fn to_json(&self) -> crate::json::Json {
         crate::json::Json::I64(self.0)
-    }
-}
-
-impl crate::json::FromJson for TimeDelta {
-    fn from_json(value: &crate::json::Json) -> Option<Self> {
-        value.as_i64().map(TimeDelta)
     }
 }
 
