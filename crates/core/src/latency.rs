@@ -88,17 +88,6 @@ impl LatencyBreakdown {
         ]
     }
 
-    /// The dominant phase: largest single contributor to the total.
-    pub fn dominant_phase(&self) -> (&'static str, u64) {
-        let mut best = ("wire", self.wire_ns);
-        for p in self.phases() {
-            if p.1 > best.1 {
-                best = p;
-            }
-        }
-        best
-    }
-
     /// JSON object for reports.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
@@ -475,7 +464,6 @@ mod tests {
         assert_eq!(b.delivery_ns, 1_000);
         assert_eq!(b.total_ns(), 89_000);
         assert_eq!(b.phase_sum(), b.total_ns());
-        assert_eq!(b.dominant_phase().0, "coalesce_hold");
     }
 
     /// A lost first copy retransmitted 49 µs later: attribution must anchor

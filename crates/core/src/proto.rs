@@ -197,6 +197,23 @@ struct Conn {
     ack_deadline: Option<Time>,
 }
 
+impl Conn {
+    /// This connection's earliest deadline: its delayed ack, or the
+    /// retransmit deadline of its unacked head. Retransmission is triggered
+    /// by the queue head alone, so the head carries the only retransmit
+    /// deadline. Entries behind a refreshed head can hold *older* send
+    /// times; deriving a deadline from them would fire the timer before the
+    /// head is overdue, resend nothing, and re-arm at the same stale instant
+    /// forever.
+    fn deadline(&self, rto: TimeDelta) -> Option<Time> {
+        let retx = self.unacked.front().map(|&(_, _, sent_at)| sent_at + rto);
+        match (self.ack_deadline, retx) {
+            (Some(ack), Some(retx)) => Some(ack.min(retx)),
+            (ack, retx) => ack.or(retx),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct QueuedSend {
     ep: u8,
@@ -287,10 +304,9 @@ impl PullRx {
 /// a reentrant take would see an empty, capacity-less Vec, never aliasing).
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Conns with an expired delayed-ack deadline.
+    /// Conns with an expired delayed-ack deadline, then those with an
+    /// overdue unacked head.
     due: Vec<(u8, EndpointAddr, usize)>,
-    /// Head-burst retransmissions collected from all conns.
-    resends: Vec<Packet>,
     /// Packet build buffer (pull requests / replies / re-requests).
     pkts: Vec<Packet>,
     /// Window-released queued sends inside `process_ack`.
@@ -305,7 +321,9 @@ struct Scratch {
 /// `conn_index` probe plus at most one probe of `sends`, `mediums` or
 /// `pulls`, and the helpers work on the entry in hand. Connections are
 /// never removed, so they sit in a `Vec` addressed by the index stored in
-/// `conn_index`. The maps the driver *iterates* — `conn_index` in the
+/// `conn_index`; `conn_deadline` is a dense column beside it holding each
+/// connection's earliest deadline, so [`NodeDriver::next_deadline`] never
+/// walks the `Conn`s. The maps the driver *iterates* — `conn_index` in the
 /// timer scans and the pending report, `pulls` in the stall scan and the
 /// pending report — are ordered (`BTreeMap`): iteration order feeds the
 /// emitted action order, and a randomized-seed `HashMap` would make runs
@@ -313,8 +331,14 @@ struct Scratch {
 pub struct NodeDriver {
     local: u16,
     cfg: ProtoConfig,
+    /// `cfg.rto_ns`, converted (and range-checked) once.
+    rto: TimeDelta,
     endpoints: Vec<Endpoint>,
     conns: Vec<Conn>,
+    /// [`Conn::deadline`] of each connection, indexed like `conns`. Every
+    /// site that changes an `ack_deadline` or an unacked head calls
+    /// [`NodeDriver::refresh_deadline`].
+    conn_deadline: Vec<Option<Time>>,
     conn_index: BTreeMap<(u8, EndpointAddr), usize>,
     sends: HashMap<MsgId, LargeSend>,
     mediums: HashMap<MsgKey, MediumRx>,
@@ -330,12 +354,14 @@ impl NodeDriver {
         NodeDriver {
             local,
             cfg,
+            rto: checked_delta(cfg.rto_ns, "rto_ns"),
             endpoints: (0..endpoints)
                 .map(|_| Endpoint {
                     matcher: MatchEngine::new(),
                 })
                 .collect(),
             conns: Vec::new(),
+            conn_deadline: Vec::new(),
             conn_index: BTreeMap::new(),
             sends: HashMap::new(),
             mediums: HashMap::new(),
@@ -377,11 +403,18 @@ impl NodeDriver {
     /// `conns`. A packet probes `conn_index` once; its helpers then index
     /// the `Vec` directly.
     fn conn_idx(&mut self, ep: u8, remote: EndpointAddr) -> usize {
-        let conns = &mut self.conns;
+        let (conns, deadlines) = (&mut self.conns, &mut self.conn_deadline);
         *self.conn_index.entry((ep, remote)).or_insert_with(|| {
             conns.push(Conn::default());
+            deadlines.push(None);
             conns.len() - 1
         })
+    }
+
+    /// Recompute connection `ct`'s entry of `conn_deadline` after its
+    /// `ack_deadline` or its unacked head changed.
+    fn refresh_deadline(&mut self, ct: usize) {
+        self.conn_deadline[ct] = self.conns[ct].deadline(self.rto);
     }
 
     // -- application entry points ---------------------------------------------
@@ -568,36 +601,30 @@ impl NodeDriver {
             self.send_standalone_ack(ep, remote, ct, actions);
         }
         due.clear();
-        self.scratch.due = due;
 
         // Eager retransmissions: go-back-N, triggered by the queue head and
         // limited to a short head burst. Cumulative acks for the resent head
         // then clock out the next burst, so recovery is paced at roughly one
         // burst per round trip instead of one full window per RTO.
-        let rto = checked_delta(self.cfg.rto_ns, "rto_ns");
+        let rto = self.rto;
         let burst = self.cfg.retx_burst.max(1) as usize;
-        let mut resends = std::mem::take(&mut self.scratch.resends);
-        resends.clear();
-        for &ct in self.conn_index.values() {
-            let c = &mut self.conns[ct];
-            let head_overdue = c
+        due.extend(self.conn_index.iter().filter_map(|(&(ep, remote), &ct)| {
+            self.conns[ct]
                 .unacked
                 .front()
-                .is_some_and(|(_, _, sent_at)| now.saturating_since(*sent_at) >= rto);
-            if !head_overdue {
-                continue;
-            }
-            for (_, pkt, sent_at) in c.unacked.iter_mut().take(burst) {
+                .is_some_and(|(_, _, sent_at)| now.saturating_since(*sent_at) >= rto)
+                .then_some((ep, remote, ct))
+        }));
+        for &(_, _, ct) in &due {
+            for (_, pkt, sent_at) in self.conns[ct].unacked.iter_mut().take(burst) {
                 *sent_at = now;
-                resends.push(*pkt);
+                self.counters.eager_retransmits.incr();
+                actions.push(DriverAction::Transmit(*pkt));
             }
+            self.refresh_deadline(ct);
         }
-        for &pkt in &resends {
-            self.counters.eager_retransmits.incr();
-            actions.push(DriverAction::Transmit(pkt));
-        }
-        resends.clear();
-        self.scratch.resends = resends;
+        due.clear();
+        self.scratch.due = due;
 
         // Stalled pulls: re-request incomplete in-flight blocks, in key
         // order (ordered map) for deterministic action order.
@@ -636,11 +663,19 @@ impl NodeDriver {
         self.scratch.pkts = reqs;
     }
 
-    /// Earliest pending deadline (retransmit or delayed ack), if any. The
-    /// orchestrator arms the node's driver timer from this after every
-    /// driver call.
+    /// Earliest pending deadline (retransmit, delayed ack or pull stall),
+    /// if any. The orchestrator arms the node's driver timer from this after
+    /// every driver call, or once after the last packet of a receive batch.
     pub fn next_deadline(&self) -> Option<Time> {
-        let rto = checked_delta(self.cfg.rto_ns, "rto_ns");
+        let rto = self.rto;
+        debug_assert!(
+            self.conns
+                .iter()
+                .zip(&self.conn_deadline)
+                .all(|(c, &d)| c.deadline(rto) == d),
+            "node {}: a conn_deadline entry is stale",
+            self.local
+        );
         let mut next: Option<Time> = None;
         let mut consider = |t: Time| {
             next = Some(match next {
@@ -648,21 +683,10 @@ impl NodeDriver {
                 _ => t,
             });
         };
-        // A min-fold is order-independent, so `conns` is scanned in
-        // creation order without touching the ordered index.
-        for c in &self.conns {
-            if let Some(d) = c.ack_deadline {
-                consider(d);
-            }
-            // Retransmission is triggered by the queue head alone, so the
-            // head carries the only retransmit deadline. Entries behind a
-            // refreshed head can hold *older* send times; deriving a
-            // deadline from them would fire the timer before the head is
-            // overdue, resend nothing, and re-arm at the same stale instant
-            // forever.
-            if let Some((_, _, sent_at)) = c.unacked.front() {
-                consider(*sent_at + rto);
-            }
+        // A min-fold is order-independent, so neither walk needs the
+        // ordered index.
+        for &d in self.conn_deadline.iter().flatten() {
+            consider(d);
         }
         for p in self.pulls.values() {
             consider(p.last_progress + rto);
@@ -815,6 +839,9 @@ impl NodeDriver {
         pkt.hdr.ack = conn.cum_recv;
         conn.unacked_rx = 0;
         conn.ack_deadline = None;
+        // Also covers `finalize_eager_and_push`, which queues the packet as
+        // unacked before calling here.
+        self.refresh_deadline(ct);
         actions.push(DriverAction::Transmit(pkt));
     }
 
@@ -841,6 +868,7 @@ impl NodeDriver {
                 inflight += need;
                 released.push(conn.queued.pop_front().expect("front exists"));
             }
+            self.refresh_deadline(ct);
         }
         // Released sends were queued on this very connection, so `ct` is
         // the right index for their sequencing.
@@ -886,6 +914,7 @@ impl NodeDriver {
             self.send_standalone_ack(ep, remote, ct, actions);
         } else if conn.ack_deadline.is_none() {
             conn.ack_deadline = Some(now + delayed);
+            self.refresh_deadline(ct);
         }
     }
 
@@ -900,6 +929,7 @@ impl NodeDriver {
         conn.unacked_rx = 0;
         conn.ack_deadline = None;
         let cum = conn.cum_recv;
+        self.refresh_deadline(ct);
         let pkt = Packet {
             hdr: OmxHeader {
                 src: self.addr(ep),
@@ -1980,10 +2010,8 @@ mod tests {
             rto_ns: u64::MAX,
             ..ProtoConfig::default()
         };
-        let mut a = NodeDriver::new(0, 1, cfg);
-        a.post_send(t0(), 0, EndpointAddr::new(1, 0), 64, 7, 200);
-        // Computing the deadline converts rto_ns; u64::MAX overflows i64.
-        let _ = a.next_deadline();
+        // Building the driver converts rto_ns; u64::MAX overflows i64.
+        let _ = NodeDriver::new(0, 1, cfg);
     }
 
     #[test]

@@ -835,10 +835,26 @@ impl Nodes {
 
     /// Run one driver call `f` on `node`, execute the actions it emitted,
     /// then arm the driver timer from the driver's earliest deadline. Every
-    /// driver call goes through here, so no deadline a call sets can go
-    /// unarmed. `now` is when the actions become effective; `irq_core` is
-    /// the core running the driver (None = application context).
+    /// driver call goes through here or, for a receive batch, through
+    /// [`Nodes::run_driver`] per packet and one [`Nodes::arm_driver_timer`]
+    /// after the last, so no deadline a call sets can go unarmed. `now` is
+    /// when the actions become effective; `irq_core` is the core running the
+    /// driver (None = application context).
     fn drive(
+        &mut self,
+        node: u16,
+        now: Time,
+        irq_core: Option<CoreId>,
+        ctx: &mut Ctx,
+        f: impl FnOnce(&mut NodeDriver, &mut Vec<DriverAction>),
+    ) {
+        self.run_driver(node, now, irq_core, ctx, f);
+        self.arm_driver_timer(node, now, ctx);
+    }
+
+    /// The first half of [`Nodes::drive`]: the driver call and its actions,
+    /// without arming the driver timer.
+    fn run_driver(
         &mut self,
         node: u16,
         now: Time,
@@ -893,6 +909,11 @@ impl Nodes {
             }
         }
         self.action_buf = actions;
+    }
+
+    /// The second half of [`Nodes::drive`]: arm the driver timer from the
+    /// driver's earliest deadline.
+    fn arm_driver_timer(&mut self, node: u16, now: Time, ctx: &mut Ctx) {
         let rt = self.rt(node);
         let deadline = rt.driver.next_deadline();
         arm_timer(
@@ -1211,10 +1232,17 @@ impl Nodes {
                 // hand the packets to the driver's protocol logic.
                 let out = self.rt(node).nic.enable_irq(now);
                 self.apply_nic_outcome(node, now, out, ctx);
+                // The packets share `now` and no event runs between them, so
+                // only the deadline left after the last one needs arming
+                // (DESIGN §5, "Node timers").
+                let any = !batch.is_empty();
                 for pkt in batch.drain(..) {
-                    self.drive(node, now, Some(core), ctx, |d, a| {
+                    self.run_driver(node, now, Some(core), ctx, |d, a| {
                         d.handle_packet_into(now, pkt, a)
                     });
+                }
+                if any {
+                    self.arm_driver_timer(node, now, ctx);
                 }
                 self.batch_pool.push(batch);
             }

@@ -134,8 +134,6 @@ struct WindowRing<T> {
     capacity: usize,
     /// Index of the oldest element once the ring has wrapped.
     start: usize,
-    /// Records evicted to make room (so exports can say what was lost).
-    evicted: u64,
 }
 
 impl<T: Copy> WindowRing<T> {
@@ -144,7 +142,6 @@ impl<T: Copy> WindowRing<T> {
             buf: Vec::with_capacity(capacity),
             capacity: capacity.max(1),
             start: 0,
-            evicted: 0,
         }
     }
 
@@ -154,7 +151,6 @@ impl<T: Copy> WindowRing<T> {
         } else {
             self.buf[self.start] = item;
             self.start = (self.start + 1) % self.capacity;
-            self.evicted += 1;
         }
     }
 
@@ -289,12 +285,6 @@ impl Telemetry {
     /// Windows recorded so far (including any evicted from the rings).
     pub fn windows_recorded(&self) -> u64 {
         self.windows
-    }
-
-    /// Total records evicted from rings across all samplers.
-    pub fn records_evicted(&self) -> u64 {
-        self.nodes.iter().map(|s| s.ring.evicted).sum::<u64>()
-            + self.ports.iter().map(|s| s.ring.evicted).sum::<u64>()
     }
 
     /// Retained window records for node `idx`, oldest first.
@@ -514,7 +504,6 @@ mod tests {
         }
         let ends: Vec<u64> = tel.node_windows(0).map(|w| w.end_ns).collect();
         assert_eq!(ends, vec![30, 40, 50]);
-        assert_eq!(tel.records_evicted(), 2);
         assert_eq!(tel.windows_recorded(), 5);
     }
 

@@ -453,26 +453,6 @@ impl Tracer {
         }
         chrome_envelope(trace_events)
     }
-
-    /// Chrome trace-event export with extra pre-built events (e.g. the
-    /// telemetry counter tracks from
-    /// [`crate::telemetry::Telemetry::counter_events`]) appended to the
-    /// same `traceEvents` array, so packet instants, latency slices and
-    /// counter tracks land in one Perfetto-loadable file.
-    pub fn to_chrome_json_with(&self, extra: Vec<Json>) -> Json {
-        let mut json = self.to_chrome_json();
-        if let Json::Obj(pairs) = &mut json {
-            for (k, v) in pairs.iter_mut() {
-                if k == "traceEvents" {
-                    if let Json::Arr(events) = v {
-                        events.extend(extra);
-                    }
-                    break;
-                }
-            }
-        }
-        json
-    }
 }
 
 /// Wrap pre-built trace events in the Chrome trace-event envelope shared

@@ -14,7 +14,9 @@ use std::collections::VecDeque;
 /// delivered in an arbitrary interleaving (`order_seed` permutes), and
 /// `drop_mask` drops the i-th wire transmission (first pass only —
 /// retransmissions always deliver, as the paper's fabric eventually does).
-/// Timers fire whenever the network goes quiet.
+/// Timers fire whenever the network goes quiet. `next_deadline` runs after
+/// every handled packet and every timer firing, so in debug builds its
+/// cross-check of each connection's cached deadline runs at every step.
 fn converge(
     a: &mut NodeDriver,
     b: &mut NodeDriver,
@@ -56,6 +58,7 @@ fn converge(
                             submit(&mut wire, p, &mut tx_count);
                         }
                     }
+                    let _ = drv.next_deadline();
                 }
             }
             if wire.is_empty() && !any_deadline {
@@ -81,6 +84,7 @@ fn converge(
                 other => sink.push(other),
             }
         }
+        let _ = target.next_deadline();
     }
     (out_a, out_b)
 }

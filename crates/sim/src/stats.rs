@@ -85,17 +85,13 @@ impl OnlineStats {
     }
 
     /// Sample variance (unbiased; 0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
+    #[cfg(test)]
+    fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
             self.m2 / (self.n - 1) as f64
         }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Smallest sample (`None` when empty).
@@ -202,11 +198,6 @@ impl Histogram {
         }
         self.count += 1;
         self.sum += value_ns as f64;
-    }
-
-    /// Record a [`crate::TimeDelta`]-style value given as nanoseconds.
-    pub fn record_time(&mut self, t: Time) {
-        self.record(t.as_nanos());
     }
 
     /// Number of recorded values.
