@@ -19,8 +19,8 @@
 //!     {
 //!       "id": "e2e/pingpong_small_50k",
 //!       "frames": 100000,            // Ethernet frames the fabric carried
-//!       "events": 624638,            // events dispatched, all kinds
-//!       "events_per_frame": 6.24638,
+//!       "events": 641304,            // events dispatched, all kinds
+//!       "events_per_frame": 6.41304,
 //!       "by_kind": {"FrameArrival": 100000, "DmaComplete": 100000, …}
 //!     }
 //!   ]

@@ -39,7 +39,7 @@ use omx_nic::offload::{
 use omx_nic::{CoalescingStrategy, DescId, Nic, NicConfig, NicOutcome, PacketMeta, ReadyPacket};
 use omx_sim::rng::SimRng;
 use omx_sim::stats::TimeWeighted;
-use omx_sim::{Engine, EventToken, Model, Scheduler, StopCondition, Time, TimeDelta};
+use omx_sim::{Engine, Model, Scheduler, StopCondition, Time, TimeDelta};
 use std::any::Any;
 use std::collections::VecDeque;
 
@@ -375,7 +375,7 @@ enum Ev {
     /// A NIC DMA transfer completed.
     DmaComplete { node: u16, desc: DescId },
     /// The NIC coalescing timer fired.
-    CoalesceTimer { node: u16, epoch: u64 },
+    CoalesceTimer { node: u16 },
     /// An interrupt handler starts executing on `core`.
     IrqService { node: u16, core: CoreId },
     /// The receive batch finished processing; run the driver on it.
@@ -503,11 +503,8 @@ struct NodeRt {
     pending_dma: TimeWeighted,
     /// When the armed `DriverTimer` event fires (see [`arm_timer`]).
     driver_timer: Option<Time>,
-    /// Token of the pending coalescing-timer event, if any. Re-arming the
-    /// NIC timer cancels the superseded event instead of leaving it to
-    /// fire as an epoch-mismatch no-op — O(1) in the timer wheel, and it
-    /// keeps the queue from accumulating one dead entry per re-arm.
-    coalesce_timer_tok: Option<EventToken>,
+    /// When the armed `CoalesceTimer` event fires (see [`arm_timer`]).
+    coalesce_timer: Option<Time>,
     /// NIC-resident collective engine (firmware state in NIC memory).
     offload: OffloadEngine,
     /// When the armed `OffloadTimer` event fires (see [`arm_timer`]).
@@ -548,20 +545,15 @@ struct Ctx<'a> {
 
 impl Ctx<'_> {
     /// Schedule an event.
-    fn schedule_at(&mut self, at: Time, ev: Ev) -> EventToken {
-        self.sched.schedule_at(at, ev)
-    }
-
-    /// Cancel a previously scheduled event.
-    fn cancel(&mut self, tok: EventToken) {
-        self.sched.cancel(tok);
+    fn schedule_at(&mut self, at: Time, ev: Ev) {
+        self.sched.schedule_at(at, ev);
     }
 
     /// Hand a frame from node `src` to the fabric at `t`; the caller has
     /// already paid the doorbell or firmware hop. A lost or tail-dropped
-    /// frame schedules nothing: the driver retransmits Open-MX packets, the
-    /// offload engine's NIC-side RTO resends collective frames, and raw
-    /// frames are not recovered.
+    /// frame schedules nothing and is traced as a `Drop` on `src`: the
+    /// driver retransmits Open-MX packets, the offload engine's NIC-side
+    /// RTO resends collective frames, and raw frames are not recovered.
     fn transmit_wire(&mut self, t: Time, src: u16, dst: u16, frame: WireFrame) {
         let outcome = self.fabric.transmit(
             t,
@@ -569,15 +561,21 @@ impl Ctx<'_> {
             PortId(dst as usize),
             frame.wire_len(),
         );
-        if let TransmitOutcome::Arrives(at) = outcome {
-            self.sched.schedule_at(
-                at,
-                Ev::FrameArrival {
-                    node: dst,
-                    pkt: frame,
-                },
-            );
-        }
+        let reason = match outcome {
+            TransmitOutcome::Arrives(at) => {
+                self.sched.schedule_at(
+                    at,
+                    Ev::FrameArrival {
+                        node: dst,
+                        pkt: frame,
+                    },
+                );
+                return;
+            }
+            TransmitOutcome::Lost => "wire loss",
+            TransmitOutcome::SwitchDropped => "switch full",
+        };
+        self.trace(t, src, TraceKind::Drop, || TraceData::Text(reason));
     }
 
     /// Record a trace event. The payload is built lazily: when tracing is
@@ -703,7 +701,7 @@ impl Nodes {
                     interrupts: nc.interrupts.get(),
                     hold_sum_ns: nc.coalesce_hold_ns.sum(),
                     hold_count: nc.coalesce_hold_ns.count(),
-                    rx_ring: n.nic.rx_ring_occupancy() as u64,
+                    rx_ring: n.nic.pending_work() as u64,
                     pending_dma: n.in_dma.len() as u64,
                     retransmits: dc.eager_retransmits.get(),
                     rerequests: dc.pull_rerequests.get(),
@@ -803,18 +801,29 @@ impl Nodes {
         ctx.transmit_wire(t, src, dst, WireFrame::Omx(pkt));
     }
 
-    fn apply_nic_outcome(&mut self, node: u16, now: Time, out: NicOutcome, ctx: &mut Ctx) {
+    /// Schedule what a NIC call asked for and arm the coalescing timer from
+    /// the NIC's deadline. `fired` is set by the timer's own handler.
+    fn apply_nic_outcome(
+        &mut self,
+        node: u16,
+        now: Time,
+        out: NicOutcome,
+        fired: bool,
+        ctx: &mut Ctx,
+    ) {
         if let Some((desc, at)) = out.dma {
             ctx.schedule_at(at, Ev::DmaComplete { node, desc });
         }
-        if let Some((at, epoch)) = out.arm_timer {
-            let rt = self.rt(node);
-            if let Some(tok) = rt.coalesce_timer_tok.take() {
-                ctx.cancel(tok);
-            }
-            self.rt(node).coalesce_timer_tok =
-                Some(ctx.schedule_at(at.max(now), Ev::CoalesceTimer { node, epoch }));
-        }
+        let rt = self.rt(node);
+        let deadline = rt.nic.timer_deadline();
+        arm_timer(
+            &mut rt.coalesce_timer,
+            deadline,
+            now,
+            fired,
+            ctx,
+            Ev::CoalesceTimer { node },
+        );
         if out.interrupt {
             let flow = self.rt(node).nic.claimed_flow();
             let svc = self.rt(node).host.deliver_irq(now, flow);
@@ -849,7 +858,7 @@ impl Nodes {
         f: impl FnOnce(&mut NodeDriver, &mut Vec<DriverAction>),
     ) {
         self.run_driver(node, now, irq_core, ctx, f);
-        self.arm_driver_timer(node, now, ctx);
+        self.arm_driver_timer(node, now, false, ctx);
     }
 
     /// The first half of [`Nodes::drive`]: the driver call and its actions,
@@ -912,14 +921,15 @@ impl Nodes {
     }
 
     /// The second half of [`Nodes::drive`]: arm the driver timer from the
-    /// driver's earliest deadline.
-    fn arm_driver_timer(&mut self, node: u16, now: Time, ctx: &mut Ctx) {
+    /// driver's earliest deadline. `fired` is set by the timer's own handler.
+    fn arm_driver_timer(&mut self, node: u16, now: Time, fired: bool, ctx: &mut Ctx) {
         let rt = self.rt(node);
         let deadline = rt.driver.next_deadline();
         arm_timer(
             &mut rt.driver_timer,
             deadline,
             now,
+            fired,
             ctx,
             Ev::DriverTimer { node },
         );
@@ -929,8 +939,8 @@ impl Nodes {
     /// arm the offload timer from the engine's earliest deadline. The
     /// engine is a passive state machine; this is the single point where
     /// its decisions touch the wire, the sanitizer, the host IRQ path and
-    /// the event queue.
-    fn run_offload_emits(&mut self, node: u16, now: Time, ctx: &mut Ctx) {
+    /// the event queue. `fired` is set by the timer's own handler.
+    fn run_offload_emits(&mut self, node: u16, now: Time, fired: bool, ctx: &mut Ctx) {
         let mut emits = std::mem::take(&mut self.offload_scratch);
         self.rt(node).offload.drain_emits(&mut emits);
         for e in emits.drain(..) {
@@ -1002,6 +1012,7 @@ impl Nodes {
             &mut rt.offload_timer,
             deadline,
             now,
+            fired,
             ctx,
             Ev::OffloadTimer { node },
         );
@@ -1087,7 +1098,7 @@ impl Nodes {
                     let cpu = costs.send_post_ns + costs.tx_doorbell_ns;
                     cursor += TimeDelta::from_nanos(cpu as i64);
                     self.rt(node).offload.post(cursor, ep, &desc);
-                    self.run_offload_emits(node, cursor, ctx);
+                    self.run_offload_emits(node, cursor, false, ctx);
                 }
                 ActorCmd::Stop => {
                     self.stop = true;
@@ -1116,13 +1127,28 @@ fn delivers_app_event(pkt: &Packet) -> bool {
     }
 }
 
-/// Arm a node timer (driver or offload) for `deadline`, unless the event
-/// armed in `slot` already fires no later. `slot` holds when the armed event
-/// fires. A superseded event stays queued; when it fires, `slot` no longer
-/// names its instant, so it frees nothing and re-arms nothing — it only runs
-/// work that happens to be due.
-fn arm_timer(slot: &mut Option<Time>, deadline: Option<Time>, now: Time, ctx: &mut Ctx, ev: Ev) {
+/// Arm a node timer (coalescing, driver or offload) for `deadline`, unless
+/// the event armed in `slot` already fires no later. `slot` holds when the
+/// armed event fires. A superseded event stays queued; when it fires, `slot`
+/// no longer names its instant, so it frees nothing and re-arms nothing — it
+/// only runs work that happens to be due, then arms again from the deadline.
+///
+/// `fired` says the caller is the timer's own handler, which has just run
+/// the work due at `now`. A deadline still at or before `now` would then
+/// fire again at `now` forever, so it panics instead, in release builds too.
+fn arm_timer(
+    slot: &mut Option<Time>,
+    deadline: Option<Time>,
+    now: Time,
+    fired: bool,
+    ctx: &mut Ctx,
+    ev: Ev,
+) {
     let Some(at) = deadline else { return };
+    assert!(
+        !(fired && at <= now),
+        "{ev:?} is overdue after firing at {now}: deadline {at} was not moved past it"
+    );
     if !slot.is_some_and(|armed| armed <= at) {
         let at = at.max(now);
         *slot = Some(at);
@@ -1153,7 +1179,7 @@ impl Nodes {
                         coll_trace_data(&frame)
                     });
                     self.rt(node).offload.on_frame(now, frame);
-                    self.run_offload_emits(node, now, ctx);
+                    self.run_offload_emits(node, now, false, ctx);
                     return;
                 }
                 let meta = pkt.meta();
@@ -1176,24 +1202,30 @@ impl Nodes {
                 } else if let Some((desc, _)) = out.dma {
                     self.rt(node).dma_insert(now, desc, pkt);
                 }
-                self.apply_nic_outcome(node, now, out, ctx);
+                self.apply_nic_outcome(node, now, out, false, ctx);
             }
             Ev::DmaComplete { node, desc } => {
                 let out = self.rt(node).nic.on_dma_complete(now, desc);
                 ctx.trace(now, node, TraceKind::DmaComplete, || TraceData::Desc {
                     desc: desc.0,
                 });
-                self.apply_nic_outcome(node, now, out, ctx);
+                self.apply_nic_outcome(node, now, out, false, ctx);
             }
-            Ev::CoalesceTimer { node, epoch } => {
-                self.rt(node).coalesce_timer_tok = None;
-                let out = self.rt(node).nic.on_timer(now, epoch);
-                if out != NicOutcome::default() {
+            Ev::CoalesceTimer { node } => {
+                let rt = self.rt(node);
+                if rt.coalesce_timer == Some(now) {
+                    rt.coalesce_timer = None;
+                }
+                let epoch = rt.nic.timer_epoch();
+                let out = rt.nic.on_timer(now);
+                // Trace a firing only when it raised. A due firing always
+                // disarms, so none re-arms (`due_firing_always_disarms`).
+                if out.interrupt {
                     ctx.trace(now, node, TraceKind::CoalesceTimer, || TraceData::Epoch {
                         epoch,
                     });
                 }
-                self.apply_nic_outcome(node, now, out, ctx);
+                self.apply_nic_outcome(node, now, out, true, ctx);
             }
             Ev::IrqService { node, core } => {
                 // The handler reads the ring when it runs: claim everything
@@ -1231,7 +1263,7 @@ impl Nodes {
                 // Handler done: re-enable interrupts first (NAPI exit), then
                 // hand the packets to the driver's protocol logic.
                 let out = self.rt(node).nic.enable_irq(now);
-                self.apply_nic_outcome(node, now, out, ctx);
+                self.apply_nic_outcome(node, now, out, false, ctx);
                 // The packets share `now` and no event runs between them, so
                 // only the deadline left after the last one needs arming
                 // (DESIGN §5, "Node timers").
@@ -1242,7 +1274,7 @@ impl Nodes {
                     });
                 }
                 if any {
-                    self.arm_driver_timer(node, now, ctx);
+                    self.arm_driver_timer(node, now, false, ctx);
                 }
                 self.batch_pool.push(batch);
             }
@@ -1251,11 +1283,12 @@ impl Nodes {
                 if rt.driver_timer == Some(now) {
                     rt.driver_timer = None;
                 }
-                self.drive(node, now, None, ctx, |d, a| {
+                self.run_driver(node, now, None, ctx, |d, a| {
                     if d.next_deadline().is_some_and(|t| t <= now) {
                         d.on_timer_into(now, a);
                     }
                 });
+                self.arm_driver_timer(node, now, true, ctx);
             }
             Ev::ShmDeliver { node, pkt } => {
                 self.drive(node, now, None, ctx, |d, a| {
@@ -1293,7 +1326,7 @@ impl Nodes {
                 if rt.offload.next_deadline().is_some_and(|t| t <= now) {
                     rt.offload.on_timer(now);
                 }
-                self.run_offload_emits(node, now, ctx);
+                self.run_offload_emits(node, now, true, ctx);
             }
             Ev::OffloadDone { node, ep, seq } => {
                 self.with_actor(node, ep, now, ctx, |a, actx| {
@@ -1395,7 +1428,7 @@ impl Cluster {
                 in_dma: VecDeque::new(),
                 pending_dma: TimeWeighted::default(),
                 driver_timer: None,
-                coalesce_timer_tok: None,
+                coalesce_timer: None,
                 offload: OffloadEngine::new(i as u16, cfg.offload),
                 offload_timer: None,
             })
@@ -1989,5 +2022,141 @@ mod tests {
             long <= 11 * short,
             "DriverTimer events grew {short} -> {long} for 10x the round trips"
         );
+    }
+
+    /// The coalescing timer follows the same slot rule. Open-MX arms it on
+    /// every first packet and each interrupt disarms it, so every round trip
+    /// leaves a superseded timer event queued; each fires once as a no-op and
+    /// re-arms at most once, so ten times the round trips dispatch about ten
+    /// times the timers.
+    #[test]
+    fn coalesce_timers_grow_linearly_with_run_length() {
+        let coalesce_timers = |iterations| {
+            let mut cluster = ClusterBuilder::new()
+                .nodes(2)
+                .strategy(CoalescingStrategy::OpenMx { delay_us: 75 })
+                .build();
+            cluster.run_pingpong(crate::workloads::pingpong::PingPongSpec {
+                msg_len: 128,
+                iterations,
+                warmup: 0,
+            });
+            cluster.event_counts()[Ev::CoalesceTimer { node: 0 }.kind()].1
+        };
+        let short = coalesce_timers(1_000);
+        let long = coalesce_timers(10_000);
+        assert!(short > 0, "superseded Open-MX timers fire");
+        assert!(
+            9 * short <= long && long <= 11 * short,
+            "CoalesceTimer events grew {short} -> {long} for 10x the round trips"
+        );
+    }
+
+    /// A superseded coalescing-timer event is dispatched but acts on
+    /// nothing, so it leaves no trace line: under Open-MX every small
+    /// message's interrupt is raised by its marked packet, never the timer.
+    #[test]
+    fn superseded_coalesce_timers_fire_untraced() {
+        let mut cluster = ClusterBuilder::new()
+            .nodes(2)
+            .strategy(CoalescingStrategy::OpenMx { delay_us: 75 })
+            .build();
+        cluster.enable_tracing(1 << 16);
+        cluster.run_pingpong(crate::workloads::pingpong::PingPongSpec {
+            msg_len: 128,
+            iterations: 100,
+            warmup: 0,
+        });
+        let fired = cluster.event_counts()[Ev::CoalesceTimer { node: 0 }.kind()].1;
+        assert!(fired > 0, "superseded timers fire");
+        let tracer = cluster.tracer().expect("tracing enabled");
+        assert_eq!(tracer.evicted(), 0);
+        assert!(tracer.events().all(|e| e.kind != TraceKind::CoalesceTimer));
+    }
+
+    /// A driver timer whose firing leaves its deadline at `now` (a zero
+    /// retransmission timeout resends and re-stamps the head at `now`)
+    /// fails loudly instead of re-firing at the same instant forever.
+    #[test]
+    #[should_panic(expected = "DriverTimer { node: 0 } is overdue after firing")]
+    fn overdue_driver_timer_panics() {
+        let mut builder = ClusterBuilder::new().nodes(2);
+        builder.config_mut().proto.rto_ns = 0;
+        let mut cluster = builder.build();
+        cluster.add_actor(
+            0,
+            0,
+            Box::new(OneShotSender {
+                dst: EndpointAddr::new(1, 0),
+                len: 64,
+                send_done_at: None,
+            }),
+        );
+        cluster.run(Time::from_secs(1));
+    }
+
+    /// The offload engine re-arms each due frame `hop_ns + rto_ns` after
+    /// the firing; with both zero its deadline stays at `now`, which must
+    /// panic rather than spin.
+    #[test]
+    #[should_panic(expected = "OffloadTimer { node: 0 } is overdue after firing")]
+    fn overdue_offload_timer_panics() {
+        struct Barrier {
+            rank: u32,
+        }
+        impl Actor for Barrier {
+            fn on_start(&mut self, ctx: &mut ActorCtx) {
+                ctx.post_offload_collective(OffloadCollDesc {
+                    op: omx_nic::CollOp::Barrier,
+                    rank: self.rank,
+                    ranks: 2,
+                    ranks_per_node: 1,
+                    payload: 0,
+                });
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+        }
+        let mut builder = ClusterBuilder::new().nodes(2);
+        builder.config_mut().offload.hop_ns = 0;
+        builder.config_mut().offload.rto_ns = 0;
+        let mut cluster = builder.build();
+        cluster.add_actor(0, 0, Box::new(Barrier { rank: 0 }));
+        cluster.add_actor(1, 0, Box::new(Barrier { rank: 1 }));
+        cluster.run(Time::from_secs(1));
+    }
+
+    /// Frames the switch tail-drops are traced as drops of their sender,
+    /// one per dropped frame.
+    #[test]
+    fn switch_tail_drops_are_traced() {
+        let mut builder = ClusterBuilder::new().nodes(4).endpoints_per_node(3);
+        builder.config_mut().fabric.switch_buffer_frames = 1;
+        let mut cluster = builder.build();
+        cluster.enable_tracing(1 << 16);
+        for src in 1..4u16 {
+            cluster.add_actor(
+                src,
+                0,
+                Box::new(OneShotSender {
+                    dst: EndpointAddr::new(0, src as u8 - 1),
+                    len: 32 << 10,
+                    send_done_at: None,
+                }),
+            );
+        }
+        cluster.run(Time::from_millis(1));
+        let switch_drops = cluster.metrics().switch_drops;
+        assert!(switch_drops > 0, "incast into one egress port overflows it");
+        let tracer = cluster.tracer().expect("tracing enabled");
+        let traced: Vec<_> = tracer
+            .events()
+            .filter(|e| e.kind == TraceKind::Drop)
+            .collect();
+        assert_eq!(traced.len() as u64, switch_drops);
+        assert!(traced
+            .iter()
+            .all(|e| e.node != 0 && e.data == TraceData::Text("switch full")));
     }
 }

@@ -51,7 +51,8 @@ pub enum TraceKind {
     BatchDone,
     /// The driver handed a completion to an application endpoint.
     AppDelivery,
-    /// A frame was dropped (ring overflow or injected loss).
+    /// A frame was dropped: RX-ring overflow, injected wire loss or a full
+    /// switch egress buffer.
     Drop,
     /// The NIC offload engine put a collective frame on the wire.
     OffloadFrame,

@@ -7,6 +7,7 @@
 //! and delays or jitters the rest, so batches carry several packets whose
 //! acks, retransmissions and pull re-requests move the driver's deadlines
 //! mid-batch, and compares the full packet trace with a committed golden.
+//! Every dropped frame must appear in that trace as a `Drop`.
 //!
 //! Regenerate (only when the simulation is *meant* to change) with:
 //!
@@ -15,7 +16,7 @@
 //! ```
 
 use omx_core::prelude::*;
-use omx_core::trace::TraceData;
+use omx_core::trace::{TraceData, TraceKind};
 use omx_fabric::DisturbanceConfig;
 use omx_sim::json::ToJson;
 
@@ -60,12 +61,19 @@ fn lossy_reordered_batches_match_pinned_trace() {
         let cluster = traced_stream(msg_len, messages, 0xBA7C4);
         let tracer = cluster.tracer().expect("tracing enabled");
         assert_eq!(tracer.evicted(), 0, "the golden must hold the whole run");
+        let mut traced_drops = 0;
         for e in tracer.events() {
             if let TraceData::Batch { packets, .. } = e.data {
                 multi_packet_batches += usize::from(packets > 1);
             }
+            traced_drops += u64::from(e.kind == TraceKind::Drop);
         }
         let metrics = cluster.metrics();
+        assert_eq!(
+            traced_drops,
+            metrics.frames_dropped + metrics.switch_drops + metrics.total_ring_drops(),
+            "{label}: every dropped frame is traced"
+        );
         drops += metrics.frames_dropped;
         for node in &metrics.nodes {
             retransmits += node.driver.eager_retransmits.get();

@@ -8,11 +8,12 @@
 //! * the **Nic** (hardware) enforces the physical gates — interrupts are
 //!   auto-masked while one is being serviced (MSI + NAPI semantics), a raise
 //!   with nothing to report is latched until a packet is ready, and the
-//!   single coalescing timer is validated by epoch so stale timer events
-//!   from a superseded arming are ignored.
+//!   single coalescing timer fires only once its armed deadline is due, so
+//!   a timer event from a superseded arming is a no-op.
 //!
 //! All methods return a [`NicOutcome`] describing the events the caller must
-//! schedule (DMA completion, timer expiry) or act on (interrupt delivery).
+//! schedule (DMA completion) or act on (interrupt delivery). The caller arms
+//! the timer event itself, from [`Nic::timer_deadline`], after every call.
 
 use crate::coalesce::{Coalescer, CoalescingStrategy, Decision, TimerAction};
 use crate::dma::{DmaConfig, DmaEngine};
@@ -60,9 +61,6 @@ pub struct NicOutcome {
     /// An interrupt was raised right now (already counted by the NIC);
     /// deliver it to a host core.
     pub interrupt: bool,
-    /// (Re-)arm the coalescing timer: schedule a timer event at this time
-    /// carrying this epoch. Any previously scheduled timer is superseded.
-    pub arm_timer: Option<(Time, u64)>,
     /// The frame was dropped because the RX ring was full.
     pub dropped: bool,
 }
@@ -124,9 +122,11 @@ pub struct Nic {
     /// A raise was requested while masked (or with nothing ready): deliver
     /// as soon as both gates open.
     irq_latched: bool,
-    /// Epoch of the currently armed timer; events with older epochs are stale.
+    /// When the coalescing timer is due; `None` while disarmed.
+    timer_deadline: Option<Time>,
+    /// Arming generation, bumped by every arm, disarm and raise. Only traces
+    /// read it, as the label of a timer firing.
     timer_epoch: u64,
-    timer_armed: bool,
     /// Recycled claim vectors: every snapshot taken by `try_raise` comes
     /// from here and returns via `deliver`, so steady-state claim/drain
     /// cycles allocate nothing.
@@ -149,8 +149,8 @@ impl Nic {
             next_desc: 0,
             irq_enabled: true,
             irq_latched: false,
+            timer_deadline: None,
             timer_epoch: 0,
-            timer_armed: false,
             spare_claims: Vec::new(),
             counters: NicCounters::default(),
         }
@@ -194,8 +194,9 @@ impl Nic {
 
     /// Total packets the NIC still owes the host: DMAs in flight, ready
     /// packets awaiting an interrupt, and claim snapshots not yet serviced.
-    /// Non-zero at quiescence means an interrupt-liveness violation — a
-    /// coalescer held packets forever without raising.
+    /// This is the RX-ring occupancy [`Nic::on_frame`] admits against
+    /// `rx_ring_slots`. Non-zero at quiescence means an interrupt-liveness
+    /// violation — a coalescer held packets forever without raising.
     pub fn pending_work(&self) -> usize {
         self.dma.pending()
             + self.ready.len()
@@ -203,11 +204,15 @@ impl Nic {
             + self.pending_claims.iter().map(Vec::len).sum::<usize>()
     }
 
-    /// RX-ring slots currently occupied, as counted against
-    /// `rx_ring_slots` by the admission check in [`Nic::on_frame`]. This is
-    /// the instantaneous ring-pressure gauge the telemetry sampler reads.
-    pub fn rx_ring_occupancy(&self) -> usize {
-        self.pending_work()
+    /// When the coalescing timer is due, if it is armed. The caller keeps
+    /// a timer event scheduled no later than this.
+    pub fn timer_deadline(&self) -> Option<Time> {
+        self.timer_deadline
+    }
+
+    /// The timer's arming generation (a trace label).
+    pub fn timer_epoch(&self) -> u64 {
+        self.timer_epoch
     }
 
     // -- event entry points -------------------------------------------------
@@ -215,15 +220,7 @@ impl Nic {
     /// A frame arrived off the wire at `now`.
     pub fn on_frame(&mut self, now: Time, meta: PacketMeta) -> NicOutcome {
         let mut out = NicOutcome::default();
-        let occupancy = self.dma.pending() as u32
-            + self.ready.len() as u32
-            + self.claimed.len() as u32
-            + self
-                .pending_claims
-                .iter()
-                .map(|c| c.len() as u32)
-                .sum::<u32>();
-        if occupancy >= self.cfg.rx_ring_slots {
+        if self.pending_work() >= self.cfg.rx_ring_slots as usize {
             self.counters.ring_drops.incr();
             out.dropped = true;
             return out;
@@ -272,13 +269,15 @@ impl Nic {
         out
     }
 
-    /// The coalescing timer scheduled with `epoch` fired at `now`.
-    pub fn on_timer(&mut self, now: Time, epoch: u64) -> NicOutcome {
+    /// A coalescing-timer event fired at `now`. It acts only if the armed
+    /// deadline is due; otherwise it belongs to a superseded arming and is
+    /// a no-op.
+    pub fn on_timer(&mut self, now: Time) -> NicOutcome {
         let mut out = NicOutcome::default();
-        if !self.timer_armed || epoch != self.timer_epoch {
-            return out; // superseded arming: stale event
+        if self.timer_deadline.is_none_or(|at| at > now) {
+            return out;
         }
-        self.timer_armed = false;
+        self.timer_deadline = None;
         let decision = self.strategy.on_timer();
         self.apply(now, decision, &mut out);
         out
@@ -308,15 +307,13 @@ impl Nic {
     /// complete while an earlier claim is still queued).
     fn safety_rearm(&mut self, now: Time, out: &mut NicOutcome) {
         if !self.ready.is_empty()
-            && !self.timer_armed
+            && self.timer_deadline.is_none()
             && !out.interrupt
             && self.pending_claims.is_empty()
-            && out.arm_timer.is_none()
         {
             if let Some(delay) = self.strategy.fallback_delay() {
                 self.timer_epoch += 1;
-                self.timer_armed = true;
-                out.arm_timer = Some((now + delay, self.timer_epoch));
+                self.timer_deadline = Some(now + delay);
             }
         }
     }
@@ -330,14 +327,10 @@ impl Nic {
     /// The host receive handler takes the packets the in-flight interrupt
     /// claimed when it was raised. Packets whose DMA completed afterwards
     /// wait for the next interrupt — the hardware interrupt carries a
-    /// snapshot of the event ring, it does not grow retroactively.
-    pub fn drain_ready(&mut self) -> Vec<ReadyPacket> {
-        std::mem::take(&mut self.claimed)
-    }
-
-    /// Allocation-free variant of [`Nic::drain_ready`]: append the claimed
-    /// packets to `out` (which the caller reuses across interrupts) and
-    /// keep the claim vector's capacity for the next snapshot.
+    /// snapshot of the event ring, it does not grow retroactively. The
+    /// claimed packets are appended to `out` (which the caller reuses
+    /// across interrupts); the claim vector keeps its capacity for the next
+    /// snapshot.
     pub fn drain_ready_into(&mut self, out: &mut Vec<ReadyPacket>) {
         out.extend_from_slice(&self.claimed);
         self.claimed.clear();
@@ -350,12 +343,11 @@ impl Nic {
             TimerAction::Keep => {}
             TimerAction::ArmAt(at) => {
                 self.timer_epoch += 1;
-                self.timer_armed = true;
-                out.arm_timer = Some((at, self.timer_epoch));
+                self.timer_deadline = Some(at);
             }
             TimerAction::Disarm => {
                 self.timer_epoch += 1;
-                self.timer_armed = false;
+                self.timer_deadline = None;
             }
         }
         if decision.raise {
@@ -377,9 +369,9 @@ impl Nic {
         let claim = std::mem::replace(&mut self.ready, fresh);
         self.strategy.on_interrupt();
         // The strategy considers its timer reset after an interrupt;
-        // invalidate any physically scheduled expiry to match.
+        // disarm the physical timer to match.
         self.timer_epoch += 1;
-        self.timer_armed = false;
+        self.timer_deadline = None;
         if self.irq_enabled {
             self.deliver(now, claim, out);
         } else {
@@ -442,7 +434,8 @@ mod tests {
         assert!(out.interrupt, "disabled coalescing raises per packet");
         assert_eq!(n.counters().interrupts.get(), 1);
 
-        let batch = n.drain_ready();
+        let mut batch = Vec::new();
+        n.drain_ready_into(&mut batch);
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].meta.len_bytes, 100);
 
@@ -459,13 +452,13 @@ mod tests {
     fn timeout_strategy_timer_cycle() {
         let mut n = nic(CoalescingStrategy::Timeout { delay_us: 75 });
         let out = n.on_frame(t(0), PacketMeta::omx(100, false));
-        let (timer_at, epoch) = out.arm_timer.expect("timer armed on first packet");
+        let timer_at = n.timer_deadline().expect("timer armed on first packet");
         assert_eq!(timer_at, Time::from_micros(75));
         let (desc, at) = out.dma.unwrap();
         let out = n.on_dma_complete(at, desc);
         assert!(!out.interrupt);
 
-        let out = n.on_timer(timer_at, epoch);
+        let out = n.on_timer(timer_at);
         assert!(out.interrupt, "timer expiry raises");
         assert_eq!(n.counters().interrupts.get(), 1);
     }
@@ -474,17 +467,90 @@ mod tests {
     fn stale_timer_epoch_is_ignored() {
         let mut n = nic(CoalescingStrategy::Timeout { delay_us: 75 });
         let out = n.on_frame(t(0), PacketMeta::omx(100, false));
-        let (timer_at, epoch) = out.arm_timer.unwrap();
+        let timer_at = n.timer_deadline().unwrap();
         let (desc, at) = out.dma.unwrap();
         n.on_dma_complete(at, desc);
-        // Interrupt raised by another path (simulate via timer), then ensure
-        // the stale epoch cannot raise a second interrupt.
-        let out = n.on_timer(timer_at, epoch);
+        // The timer raises and disarms; firing again at the same instant
+        // cannot raise a second interrupt.
+        let out = n.on_timer(timer_at);
         assert!(out.interrupt);
-        n.drain_ready();
+        assert_eq!(n.timer_deadline(), None, "a firing disarms");
+        n.drain_ready_into(&mut Vec::new());
         n.enable_irq(t(80_000));
-        let out = n.on_timer(timer_at, epoch);
-        assert_eq!(out, NicOutcome::default(), "stale epoch is a no-op");
+        let out = n.on_timer(timer_at);
+        assert_eq!(out, NicOutcome::default(), "disarmed timer is a no-op");
+    }
+
+    #[test]
+    fn timer_fires_only_when_its_deadline_is_due() {
+        // The first packet's timer raises at 75 µs; a later packet re-arms
+        // at a later deadline. The superseded arming's event, firing before
+        // that deadline, is a no-op and leaves the arming in place.
+        let mut n = nic(CoalescingStrategy::Timeout { delay_us: 75 });
+        let out = n.on_frame(t(0), PacketMeta::omx(100, false));
+        let (desc, at) = out.dma.unwrap();
+        n.on_dma_complete(at, desc);
+        assert!(n.on_timer(t(75_000)).interrupt);
+        n.drain_ready_into(&mut Vec::new());
+        n.enable_irq(t(80_000));
+        let epoch = n.timer_epoch();
+        let out = n.on_frame(t(90_000), PacketMeta::omx(100, false));
+        let rearmed = n.timer_deadline().expect("re-armed by the new packet");
+        assert_eq!(rearmed, t(165_000));
+        let (desc, at) = out.dma.unwrap();
+        n.on_dma_complete(at, desc);
+        let out = n.on_timer(t(100_000));
+        assert_eq!(out, NicOutcome::default(), "early firing is a no-op");
+        assert_eq!(n.timer_deadline(), Some(rearmed), "and leaves the arming");
+        assert_eq!(n.timer_epoch(), epoch + 1, "one arming since");
+        assert!(n.on_timer(rearmed).interrupt, "the due firing raises");
+    }
+
+    #[test]
+    fn due_firing_always_disarms() {
+        // The orchestrator panics if a timer is still due after its own
+        // firing; for the coalescing timer that cannot happen, because a
+        // due firing leaves every strategy disarmed.
+        for strategy in [
+            CoalescingStrategy::Disabled,
+            CoalescingStrategy::Timeout { delay_us: 75 },
+            CoalescingStrategy::OpenMx { delay_us: 75 },
+            CoalescingStrategy::Stream { delay_us: 75 },
+            CoalescingStrategy::Adaptive {
+                min_delay_us: 0,
+                max_delay_us: 75,
+            },
+        ] {
+            let mut n = nic(strategy);
+            n.on_frame(t(0), PacketMeta::omx(100, false));
+            let Some(at) = n.timer_deadline() else {
+                assert_eq!(
+                    strategy,
+                    CoalescingStrategy::Disabled,
+                    "only Disabled never arms"
+                );
+                continue;
+            };
+            n.on_timer(at);
+            assert_eq!(n.timer_deadline(), None, "{strategy:?} still armed");
+        }
+    }
+
+    #[test]
+    fn interrupt_disarms_the_timer() {
+        // Open-MX arms on the unmarked packet; the marked one raises at its
+        // DMA completion, which resets the timer, so its pending event
+        // fires as a no-op.
+        let mut n = nic(CoalescingStrategy::OpenMx { delay_us: 75 });
+        let o1 = n.on_frame(t(0), PacketMeta::omx(100, false));
+        let armed = n.timer_deadline().expect("first packet arms");
+        let o2 = n.on_frame(t(10), PacketMeta::omx(100, true));
+        let (d1, a1) = o1.dma.unwrap();
+        let (d2, a2) = o2.dma.unwrap();
+        n.on_dma_complete(a1, d1);
+        assert!(n.on_dma_complete(a2, d2).interrupt, "marked packet raises");
+        assert_eq!(n.timer_deadline(), None, "the interrupt disarms");
+        assert_eq!(n.on_timer(armed), NicOutcome::default());
     }
 
     #[test]
@@ -493,10 +559,10 @@ mod tests {
         // must wait for the packet to be host-visible.
         let mut n = nic(CoalescingStrategy::Timeout { delay_us: 0 });
         let out = n.on_frame(t(0), PacketMeta::omx(1000, false));
-        let (timer_at, epoch) = out.arm_timer.unwrap();
+        let timer_at = n.timer_deadline().unwrap();
         assert_eq!(timer_at, t(0));
         let (desc, dma_at) = out.dma.unwrap();
-        let out = n.on_timer(timer_at, epoch);
+        let out = n.on_timer(timer_at);
         assert!(!out.interrupt, "nothing ready yet");
         let out = n.on_dma_complete(dma_at, desc);
         assert!(out.interrupt, "latched raise fires at completion");
@@ -517,11 +583,11 @@ mod tests {
     fn openmx_unmarked_waits_for_timer() {
         let mut n = nic(CoalescingStrategy::OpenMx { delay_us: 75 });
         let out = n.on_frame(t(0), PacketMeta::omx(1500, false));
-        let (timer_at, epoch) = out.arm_timer.unwrap();
+        let timer_at = n.timer_deadline().unwrap();
         let (desc, at) = out.dma.unwrap();
         let out = n.on_dma_complete(at, desc);
         assert!(!out.interrupt);
-        assert!(n.on_timer(timer_at, epoch).interrupt);
+        assert!(n.on_timer(timer_at).interrupt);
     }
 
     #[test]
@@ -538,7 +604,9 @@ mod tests {
         let out = n.on_dma_complete(a2, d2);
         assert!(out.interrupt, "raised when the queue drains");
         assert_eq!(n.counters().interrupts.get(), 1);
-        assert_eq!(n.drain_ready().len(), 2, "both packets in one batch");
+        let mut batch = Vec::new();
+        n.drain_ready_into(&mut batch);
+        assert_eq!(batch.len(), 2, "both packets in one batch");
     }
 
     #[test]
@@ -573,43 +641,53 @@ mod tests {
         // retransmission). Sequence distilled from the jumbo-frame pull
         // experiment.
         let mut n = nic(CoalescingStrategy::Timeout { delay_us: 75 });
+        let drained = |n: &mut Nic| {
+            let mut batch = Vec::new();
+            n.drain_ready_into(&mut batch);
+            batch.len()
+        };
 
         // Packet A arrives and completes; its timer fires and delivers.
         let oa = n.on_frame(t(0), PacketMeta::omx(100, false));
-        let (timer_at, epoch) = oa.arm_timer.unwrap();
+        let timer_at = n.timer_deadline().unwrap();
         let (da, a_at) = oa.dma.unwrap();
         n.on_dma_complete(a_at, da);
-        assert!(n.on_timer(timer_at, epoch).interrupt);
-        assert_eq!(n.drain_ready().len(), 1, "host takes batch A");
-        // Host services it (IRQs masked). Packet B arrives; its timer
-        // arming is fresh (epoch bumped by the interrupt).
+        assert!(n.on_timer(timer_at).interrupt);
+        assert_eq!(drained(&mut n), 1, "host takes batch A");
+        // Host services it (IRQs masked). Packet B arrives and arms a
+        // fresh timer (the interrupt disarmed A's).
         let ob = n.on_frame(t(80_000), PacketMeta::omx(100, false));
-        let (timer_b, epoch_b) = ob.arm_timer.unwrap();
+        let timer_b = n.timer_deadline().unwrap();
         let (db, b_at) = ob.dma.unwrap();
         n.on_dma_complete(b_at, db);
         // Packet C arrives while B's timer is still armed (no new arming)…
         let oc = n.on_frame(t(154_900), PacketMeta::omx(100_000, false));
-        assert!(oc.arm_timer.is_none(), "timer already armed by B");
+        assert_eq!(
+            n.timer_deadline(),
+            Some(timer_b),
+            "timer already armed by B"
+        );
         let (dc, c_at) = oc.dma.unwrap();
         // … then B's timer fires while still masked: claim of B queued
         // (C's DMA has not completed yet).
-        let out = n.on_timer(timer_b, epoch_b);
+        let out = n.on_timer(timer_b);
         assert!(!out.interrupt, "masked: claim must queue");
         // C's DMA completes while B's claim is queued.
         assert!(c_at > timer_b, "C must complete after the timer fired");
-        let out_c = n.on_dma_complete(c_at, dc);
+        n.on_dma_complete(c_at, dc);
         // Host finishes batch A: enable pops B's claim as its own interrupt.
         let out = n.enable_irq(t(157_000));
         assert!(out.interrupt, "queued claim delivers");
-        assert_eq!(n.drain_ready().len(), 1);
+        assert_eq!(drained(&mut n), 1);
         // Host finishes batch B: enable with nothing pending. C must have a
         // live timer from one of the two hook points — otherwise it strands.
-        let out2 = n.enable_irq(t(158_000));
-        let armed = out_c.arm_timer.or(out.arm_timer).or(out2.arm_timer);
-        let (at, ep) = armed.expect("safety timer must be armed for packet C");
-        let out = n.on_timer(at, ep);
+        n.enable_irq(t(158_000));
+        let at = n
+            .timer_deadline()
+            .expect("safety timer must be armed for packet C");
+        let out = n.on_timer(at);
         assert!(out.interrupt, "packet C claimed via the safety timer");
-        assert_eq!(n.drain_ready().len(), 1);
+        assert_eq!(drained(&mut n), 1);
     }
 
     #[test]

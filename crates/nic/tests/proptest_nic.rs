@@ -1,6 +1,8 @@
 //! Property tests for the NIC state machine: liveness (no packet ever
 //! strands without an interrupt) and conservation (every accepted packet is
-//! claimed exactly once) for every strategy under arbitrary traffic.
+//! claimed exactly once) for every strategy under arbitrary traffic. The
+//! timer is armed the way the cluster orchestrator arms it: one slot per
+//! NIC, a superseded timer event left queued to fire as a no-op.
 //!
 //! Randomised with the simulator's deterministic [`SimRng`] (fixed seeds, so
 //! failures reproduce exactly) instead of an external property-test harness.
@@ -12,8 +14,8 @@ use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
-    Dma(u64),   // DescId
-    Timer(u64), // epoch
+    Dma(u64), // DescId
+    Timer,
     Enable,
 }
 
@@ -28,6 +30,8 @@ fn drive(
         nic: Nic,
         queue: BTreeMap<(u64, u64), Ev>,
         seq: u64,
+        /// When the queued timer event that covers the NIC's deadline fires.
+        timer_slot: Option<u64>,
         service_ns: u64,
         claimed: u64,
         irqs: u64,
@@ -43,14 +47,39 @@ fn drive(
             if let Some((desc, at)) = out.dma {
                 self.push(at.as_nanos(), Ev::Dma(desc.0));
             }
-            if let Some((at, epoch)) = out.arm_timer {
-                self.push(at.as_nanos().max(now), Ev::Timer(epoch));
+            if let Some(at) = self.nic.timer_deadline() {
+                let at = at.as_nanos().max(now);
+                if self.timer_slot.is_none_or(|armed| armed > at) {
+                    self.timer_slot = Some(at);
+                    self.push(at, Ev::Timer);
+                }
             }
             if out.interrupt {
                 self.irqs += 1;
-                self.claimed += self.nic.drain_ready().len() as u64;
+                let mut batch = Vec::new();
+                self.nic.drain_ready_into(&mut batch);
+                self.claimed += batch.len() as u64;
                 self.push(now + self.service_ns, Ev::Enable);
             }
+        }
+
+        /// A timer event fired at `t`: it acts only if the deadline is due.
+        fn fire_timer(&mut self, t: u64) -> NicOutcome {
+            if self.timer_slot == Some(t) {
+                self.timer_slot = None;
+            }
+            let now = Time::from_nanos(t);
+            let deadline = self.nic.timer_deadline();
+            let out = self.nic.on_timer(now);
+            if deadline.is_none_or(|d| d > now) {
+                assert_eq!(out, NicOutcome::default(), "early firing acted");
+                assert_eq!(
+                    self.nic.timer_deadline(),
+                    deadline,
+                    "early firing moved the timer"
+                );
+            }
+            out
         }
 
         fn step_due(&mut self, horizon: u64) {
@@ -61,7 +90,7 @@ fn drive(
                 let ev = self.queue.remove(&(t, s)).expect("exists");
                 let out = match ev {
                     Ev::Dma(d) => self.nic.on_dma_complete(Time::from_nanos(t), DescId(d)),
-                    Ev::Timer(e) => self.nic.on_timer(Time::from_nanos(t), e),
+                    Ev::Timer => self.fire_timer(t),
                     Ev::Enable => self.nic.enable_irq(Time::from_nanos(t)),
                 };
                 self.apply(out, t);
@@ -77,6 +106,7 @@ fn drive(
         }),
         queue: BTreeMap::new(),
         seq: 0,
+        timer_slot: None,
         service_ns,
         claimed: 0,
         irqs: 0,

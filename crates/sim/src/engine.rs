@@ -3,13 +3,13 @@
 //! A [`Model`] is the whole simulated world (cluster, NICs, hosts, protocol
 //! state). The [`Engine`] owns the event queue and the clock; it pops one
 //! event at a time and hands it to the model together with a [`Scheduler`]
-//! through which the model queues follow-up events and arms/cancels timers.
+//! through which the model queues follow-up events.
 //!
 //! The split keeps component logic free of queue plumbing and makes the
 //! event loop trivially auditable: time never goes backwards, and events at
 //! equal times are dispatched in scheduling order.
 
-use crate::queue::{EventQueue, EventToken};
+use crate::queue::EventQueue;
 use crate::time::Time;
 
 /// The simulated world driven by an [`Engine`].
@@ -55,14 +55,14 @@ impl<E> Scheduler<E> {
     /// # Panics
     /// Panics if `at` is in the past — a model scheduling backwards in time
     /// is always a bug, and silently clamping would hide it.
-    pub fn schedule_at(&mut self, at: Time, event: E) -> EventToken {
+    pub fn schedule_at(&mut self, at: Time, event: E) {
         assert!(
             at >= self.now,
             "event scheduled in the past: now={}, at={}",
             self.now,
             at
         );
-        self.queue.push(at, event)
+        self.queue.push(at, event);
     }
 
     /// Schedule `event` after `delay_ns` nanoseconds.
@@ -72,7 +72,7 @@ impl<E> Scheduler<E> {
     /// wrapping add would schedule the event in the distant past and corrupt
     /// the simulation silently in release builds; ~584 years of simulated
     /// time is always a delay-computation bug.
-    pub fn schedule_in(&mut self, delay_ns: u64, event: E) -> EventToken {
+    pub fn schedule_in(&mut self, delay_ns: u64, event: E) {
         let at = self
             .now
             .as_nanos()
@@ -84,12 +84,7 @@ impl<E> Scheduler<E> {
                     self.now, delay_ns
                 )
             });
-        self.queue.push(Time::from_nanos(at), event)
-    }
-
-    /// Cancel a scheduled event; returns whether it was still pending.
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        self.queue.cancel(token)
+        self.queue.push(Time::from_nanos(at), event);
     }
 }
 
@@ -197,8 +192,8 @@ impl<M: Model> Engine<M> {
     /// Panics if `at` is before the engine's current time, exactly like
     /// [`Scheduler::schedule_at`] — priming after a previous `run` must not
     /// move time backwards.
-    pub fn prime(&mut self, at: Time, event: M::Event) -> EventToken {
-        self.sched.schedule_at(at, event)
+    pub fn prime(&mut self, at: Time, event: M::Event) {
+        self.sched.schedule_at(at, event);
     }
 
     /// Run until the queue drains or `horizon` is passed (whichever first).

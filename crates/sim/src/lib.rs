@@ -4,11 +4,11 @@
 //! reproduction. It provides:
 //!
 //! * [`Time`] — a nanosecond-resolution simulated clock value,
-//! * [`EventQueue`] — a slab-backed, index-tracked 4-ary heap hybridised
+//! * [`EventQueue`] — a 4-ary heap of `(time, seq, slot)` keys hybridised
 //!   with a hierarchical timer wheel: stable FIFO ordering among
-//!   simultaneous events, true O(log n) cancellation (O(1) for
-//!   short-horizon timers, the coalescing re-arm pattern), and no hashing
-//!   or per-event allocation on the hot path,
+//!   simultaneous events, O(1) pushes for short-horizon timers, and no
+//!   hashing or per-event allocation on the hot path. Events leave only by
+//!   being popped: a superseded timer fires as a no-op,
 //! * [`Engine`] / [`Model`] — the simulation driver: a model consumes one
 //!   event at a time and schedules follow-up events through a [`Scheduler`],
 //! * [`rng`] — seeded deterministic random-number helpers so that every
@@ -41,5 +41,5 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{Engine, Model, Scheduler, StopCondition};
-pub use queue::{EventQueue, EventToken};
+pub use queue::EventQueue;
 pub use time::{Time, TimeDelta};

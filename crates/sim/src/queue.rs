@@ -1,4 +1,4 @@
-//! Timestamped event queue with stable ordering and true cancellation.
+//! Timestamped event queue with stable ordering.
 //!
 //! The queue orders events by `(time, sequence)`: events scheduled for the
 //! same instant pop in the order they were pushed, which keeps the whole
@@ -6,89 +6,49 @@
 //!
 //! # Design
 //!
-//! The hot operations of the simulation are *push*, *pop* and — because
-//! coalescing timers are re-armed (cancel + push) on almost every received
-//! packet — *cancel*. The original implementation paired a `BinaryHeap` with
-//! a `HashSet` of live sequence numbers (lazy deletion): every operation paid
-//! a SipHash lookup and cancelled entries lingered in the heap until they
-//! surfaced. This version removes the hashing and the dead entries entirely:
+//! The hot operations of the simulation are *push* and *pop*; an event
+//! leaves the queue only by being popped. A superseded timer stays queued
+//! and fires as a no-op (see the node-timer rule in DESIGN §5), so the queue
+//! needs no handles into its own layout.
 //!
-//! * **Slab + generation tokens.** Every scheduled event owns a slot in a
-//!   slab (`Vec<Slot>` + intrusive free list). An [`EventToken`] is a
-//!   `(slot, generation)` pair: resolving a token is one bounds check and one
-//!   generation compare, O(1), no hashing. Freed slots bump their generation
-//!   so stale tokens (fired or already-cancelled events) are rejected.
-//! * **Index-tracked 4-ary heap.** The primary structure is a 4-ary min-heap
-//!   of `(time, seq, slot)` entries. Each slot records its current heap
-//!   position, so cancellation is a true O(log n) removal (swap with the
-//!   last entry, sift) — no tombstones, `len` is exact, and `peek_time` is
-//!   `&self`. The 4-ary layout halves the tree depth versus a binary heap
-//!   and keeps sift-down comparisons within one cache line.
+//! * **Event store.** Events live in a `Vec<Option<E>>` with a free list of
+//!   slot indices; heap and wheel entries are `(time, seq, slot)`, so sifts
+//!   move 24-byte keys and never the (much larger) events themselves.
+//! * **4-ary heap.** The primary structure is a 4-ary min-heap of
+//!   `(time, seq, slot)` entries. The 4-ary layout halves the tree depth
+//!   versus a binary heap and keeps sift-down comparisons within one cache
+//!   line.
 //! * **Timer-wheel fast path.** Short-horizon events are routed into a
 //!   two-level hierarchical timer wheel (64 buckets per level, 2^10 ns and
-//!   2^16 ns ticks ≈ 65 µs and 4.2 ms of span). Wheel insert and cancel are
-//!   O(1) (bucket push / swap-remove), which makes the per-packet
-//!   re-arm pattern of the coalescing strategies constant-time: a timer that
-//!   is cancelled before its bucket is reached never touches the heap at
-//!   all. Buckets are unordered; when simulated time approaches a bucket it
-//!   is *promoted* wholesale into the heap, where exact `(time, seq)` order
-//!   is restored — each event is promoted at most once, so the amortised
-//!   cost matches a plain heap while cancellation stays O(1).
+//!   2^16 ns ticks ≈ 65 µs and 4.2 ms of span). Wheel insert is an O(1)
+//!   bucket push. Buckets are unordered; when simulated time approaches a
+//!   bucket it is *promoted* wholesale into the heap, where exact
+//!   `(time, seq)` order is restored — each event is promoted at most once,
+//!   so the amortised cost matches a plain heap.
 //!
 //! The structures are hybridised by one invariant, re-established after
 //! every mutation: **if the wheel holds any event, the heap is non-empty and
 //! its root is `(time, seq)`-minimal among all queued events.** Pushes that
-//! would precede the heap root go straight to the heap; pops and heap
-//! cancellations promote wheel buckets until the invariant holds again.
-//! `peek_time`/`pop` therefore read the global minimum directly off the heap
-//! root and dispatch order is byte-identical to a single ordered queue.
+//! would precede the heap root go straight to the heap; pops promote wheel
+//! buckets until the invariant holds again. `peek_time`/`pop` therefore read
+//! the global minimum directly off the heap root and dispatch order is
+//! byte-identical to a single ordered queue.
 //!
-//! Steady-state operation performs no heap allocation: slots, heap entries
-//! and bucket vectors are all recycled.
+//! Steady-state operation performs no heap allocation: event slots, heap
+//! entries and bucket vectors are all recycled.
 
 use crate::time::Time;
 
-/// Handle to a scheduled event, usable to cancel it before it fires.
-///
-/// Tokens are generation-stamped: a token for an event that has already
-/// fired or been cancelled is rejected by [`EventQueue::cancel`], even if
-/// its slab slot has been reused by a later event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventToken {
-    slot: u32,
-    gen: u32,
-}
-
-/// Where a live event currently resides.
+/// A queued event's ordering key and the slot of its payload. Heap and
+/// wheel entries carry the key inline so sifts never chase the event store.
 #[derive(Debug, Clone, Copy)]
-enum Loc {
-    /// Slot is on the free list; `next` is the next free slot (NIL-terminated).
-    Free { next: u32 },
-    /// Event is in the heap at this position.
-    Heap { pos: u32 },
-    /// Event is in wheel `level`, bucket `bucket`, at `pos` in the bucket.
-    Wheel { level: u8, bucket: u8, pos: u32 },
-}
-
-const NIL: u32 = u32::MAX;
-
-struct Slot<E> {
-    gen: u32,
-    loc: Loc,
-    time: Time,
-    seq: u64,
-    event: Option<E>,
-}
-
-/// Heap entries carry the ordering key inline so sifts never chase the slab.
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
+struct Entry {
     time: Time,
     seq: u64,
     slot: u32,
 }
 
-impl HeapEntry {
+impl Entry {
     #[inline]
     fn key(&self) -> (Time, u64) {
         (self.time, self.seq)
@@ -106,8 +66,8 @@ const WHEEL_SLOTS: usize = 64;
 const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 
 struct Level {
-    /// Unordered slot indices per bucket; bucket index = tick & SLOT_MASK.
-    buckets: Vec<Vec<u32>>,
+    /// Unordered entries per bucket; bucket index = tick & SLOT_MASK.
+    buckets: Vec<Vec<Entry>>,
     /// Bit b set ⇔ bucket b is non-empty.
     occupied: u64,
     /// First tick this level may still hold; all resident ticks lie in
@@ -127,9 +87,11 @@ impl Level {
 
 /// A deterministic priority queue of timestamped events.
 pub struct EventQueue<E> {
-    slots: Vec<Slot<E>>,
-    free_head: u32,
-    heap: Vec<HeapEntry>,
+    /// Payloads of queued events, indexed by [`Entry::slot`].
+    events: Vec<Option<E>>,
+    /// Slots of `events` not holding a queued event.
+    free: Vec<u32>,
+    heap: Vec<Entry>,
     levels: [Level; LEVELS],
     next_seq: u64,
     len: usize,
@@ -145,8 +107,8 @@ impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            slots: Vec::new(),
-            free_head: NIL,
+            events: Vec::new(),
+            free: Vec::new(),
             heap: Vec::new(),
             levels: [Level::new(), Level::new()],
             next_seq: 0,
@@ -157,34 +119,42 @@ impl<E> EventQueue<E> {
     /// Create an empty queue with pre-allocated capacity.
     pub fn with_capacity(cap: usize) -> Self {
         let mut q = Self::new();
-        q.slots.reserve(cap);
+        q.events.reserve(cap);
         q.heap.reserve(cap);
         q
     }
 
-    /// Number of live (non-cancelled) events still queued.
+    /// Number of events still queued.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// True when no live events remain.
+    /// True when no events remain.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Schedule `event` at absolute time `time`; returns a cancellation token.
+    /// Schedule `event` at absolute time `time`.
     ///
-    /// `#[inline]`: push/cancel are the two halves of the coalescing-timer
-    /// re-arm pattern and are called from another crate (the engine);
-    /// without the hint the call stays an opaque
+    /// `#[inline]`: push is called once per scheduled event from another
+    /// crate (the engine); without the hint the call stays an opaque
     /// cross-crate call and the wheel fast path cannot fold into the
     /// caller's loop.
     #[inline]
-    pub fn push(&mut self, time: Time, event: E) -> EventToken {
+    pub fn push(&mut self, time: Time, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = self.alloc_slot(time, seq, event);
-        let gen = self.slots[slot as usize].gen;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.events[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                self.events.push(Some(event));
+                (self.events.len() - 1) as u32
+            }
+        };
+        let entry = Entry { time, seq, slot };
         self.len += 1;
 
         // Wheel fast path — only when the heap root stays the global
@@ -196,57 +166,16 @@ impl<E> EventQueue<E> {
                 let tick = t >> LEVEL_BITS[l];
                 if tick >= level.next_tick && tick - level.next_tick < WHEEL_SLOTS as u64 {
                     let b = (tick & SLOT_MASK) as usize;
-                    let pos = level.buckets[b].len() as u32;
-                    level.buckets[b].push(slot);
+                    level.buckets[b].push(entry);
                     level.occupied |= 1 << b;
-                    self.slots[slot as usize].loc = Loc::Wheel {
-                        level: l as u8,
-                        bucket: b as u8,
-                        pos,
-                    };
-                    return EventToken { slot, gen };
+                    return;
                 }
             }
         }
-        self.heap_insert(slot);
-        EventToken { slot, gen }
+        self.heap_insert(entry);
     }
 
-    /// Cancel a previously scheduled event.
-    ///
-    /// Returns `true` if the event was still pending (and is now removed),
-    /// `false` if it had already fired or been cancelled. Wheel-resident
-    /// events (short-horizon timers) cancel in O(1); heap-resident events
-    /// are removed in O(log n) — no tombstones remain either way.
-    #[inline]
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        let Some(slot) = self.slots.get(token.slot as usize) else {
-            return false;
-        };
-        if slot.gen != token.gen {
-            return false;
-        }
-        match slot.loc {
-            Loc::Free { .. } => false,
-            Loc::Heap { pos } => {
-                self.heap_remove(pos as usize);
-                self.free_slot(token.slot);
-                self.len -= 1;
-                // Removing the root can expose wheel events as the new
-                // minimum; restore the hybrid invariant.
-                self.restore();
-                true
-            }
-            Loc::Wheel { level, bucket, pos } => {
-                self.wheel_remove(level as usize, bucket as usize, pos as usize);
-                self.free_slot(token.slot);
-                self.len -= 1;
-                true
-            }
-        }
-    }
-
-    /// Timestamp of the next live event, if any.
+    /// Timestamp of the next event, if any.
     ///
     /// O(1) and `&self`: the hybrid invariant keeps the global minimum at
     /// the heap root whenever the queue is non-empty.
@@ -255,18 +184,17 @@ impl<E> EventQueue<E> {
         self.heap.first().map(|e| e.time)
     }
 
-    /// Pop the earliest live event.
+    /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<(Time, E)> {
         if self.len == 0 {
             return None;
         }
         debug_assert!(!self.heap.is_empty(), "hybrid invariant violated");
-        let root = self.heap_remove(0);
-        let event = self.slots[root.slot as usize]
-            .event
+        let root = self.heap_pop_root();
+        let event = self.events[root.slot as usize]
             .take()
-            .expect("live heap entry has an event");
-        self.free_slot(root.slot);
+            .expect("heap entry has an event");
+        self.free.push(root.slot);
         self.len -= 1;
         // Every remaining event is at `root.time` or later, so wheel ticks
         // strictly before it are empty forever: advance the level cursors so
@@ -282,14 +210,10 @@ impl<E> EventQueue<E> {
         Some((root.time, event))
     }
 
-    /// Remove all events. Tokens issued before the clear are invalidated.
+    /// Remove all events.
     pub fn clear(&mut self) {
-        for i in 0..self.slots.len() {
-            if !matches!(self.slots[i].loc, Loc::Free { .. }) {
-                self.slots[i].event = None;
-                self.free_slot(i as u32);
-            }
-        }
+        self.events.clear();
+        self.free.clear();
         self.heap.clear();
         for level in &mut self.levels {
             for b in &mut level.buckets {
@@ -301,61 +225,7 @@ impl<E> EventQueue<E> {
         self.len = 0;
     }
 
-    // -- slab ----------------------------------------------------------------
-
-    fn alloc_slot(&mut self, time: Time, seq: u64, event: E) -> u32 {
-        if self.free_head != NIL {
-            let idx = self.free_head;
-            let slot = &mut self.slots[idx as usize];
-            let Loc::Free { next } = slot.loc else {
-                unreachable!("free list head is free");
-            };
-            self.free_head = next;
-            slot.time = time;
-            slot.seq = seq;
-            slot.event = Some(event);
-            idx
-        } else {
-            let idx = self.slots.len() as u32;
-            self.slots.push(Slot {
-                gen: 0,
-                loc: Loc::Free { next: NIL },
-                time,
-                seq,
-                event: Some(event),
-            });
-            idx
-        }
-    }
-
-    fn free_slot(&mut self, idx: u32) {
-        let slot = &mut self.slots[idx as usize];
-        debug_assert!(slot.event.is_none() || slot.event.is_some()); // slot valid
-        slot.event = None;
-        slot.gen = slot.gen.wrapping_add(1);
-        slot.loc = Loc::Free {
-            next: self.free_head,
-        };
-        self.free_head = idx;
-    }
-
     // -- wheel ---------------------------------------------------------------
-
-    fn wheel_remove(&mut self, level: usize, bucket: usize, pos: usize) {
-        let b = &mut self.levels[level].buckets[bucket];
-        b.swap_remove(pos);
-        let moved = b.get(pos).copied();
-        if b.is_empty() {
-            self.levels[level].occupied &= !(1u64 << bucket);
-        }
-        if let Some(moved) = moved {
-            self.slots[moved as usize].loc = Loc::Wheel {
-                level: level as u8,
-                bucket: bucket as u8,
-                pos: pos as u32,
-            };
-        }
-    }
 
     /// Earliest non-empty wheel bucket across levels, as `(level, tick,
     /// start_ns)`; O(1) via the occupancy bitmaps.
@@ -393,8 +263,8 @@ impl<E> EventQueue<E> {
             }
             let b = (tick & SLOT_MASK) as usize;
             let mut bucket = std::mem::take(&mut self.levels[l].buckets[b]);
-            for slot in bucket.drain(..) {
-                self.heap_insert(slot);
+            for entry in bucket.drain(..) {
+                self.heap_insert(entry);
             }
             self.levels[l].buckets[b] = bucket; // keep the capacity
             self.levels[l].occupied &= !(1u64 << b);
@@ -404,31 +274,21 @@ impl<E> EventQueue<E> {
 
     // -- 4-ary heap ----------------------------------------------------------
 
-    fn heap_insert(&mut self, slot: u32) {
-        let s = &self.slots[slot as usize];
-        let entry = HeapEntry {
-            time: s.time,
-            seq: s.seq,
-            slot,
-        };
+    fn heap_insert(&mut self, entry: Entry) {
         let pos = self.heap.len();
         self.heap.push(entry);
         self.sift_up(pos);
     }
 
-    /// Remove and return the entry at `pos`, restoring the heap property.
-    fn heap_remove(&mut self, pos: usize) -> HeapEntry {
-        let entry = self.heap[pos];
-        let last = self.heap.pop().expect("heap_remove on non-empty heap");
-        if pos < self.heap.len() {
-            self.heap[pos] = last;
-            if pos > 0 && last.key() < self.heap[(pos - 1) / 4].key() {
-                self.sift_up(pos);
-            } else {
-                self.sift_down(pos);
-            }
+    /// Remove and return the root, restoring the heap property.
+    fn heap_pop_root(&mut self) -> Entry {
+        let last = self.heap.pop().expect("heap_pop_root on non-empty heap");
+        if self.heap.is_empty() {
+            return last;
         }
-        entry
+        let root = std::mem::replace(&mut self.heap[0], last);
+        self.sift_down(0);
+        root
     }
 
     fn sift_up(&mut self, mut pos: usize) {
@@ -441,11 +301,9 @@ impl<E> EventQueue<E> {
                 break;
             }
             self.heap[pos] = p;
-            self.slots[p.slot as usize].loc = Loc::Heap { pos: pos as u32 };
             pos = parent;
         }
         self.heap[pos] = entry;
-        self.slots[entry.slot as usize].loc = Loc::Heap { pos: pos as u32 };
     }
 
     fn sift_down(&mut self, mut pos: usize) {
@@ -470,13 +328,10 @@ impl<E> EventQueue<E> {
             if key <= best_key {
                 break;
             }
-            let b = self.heap[best];
-            self.heap[pos] = b;
-            self.slots[b.slot as usize].loc = Loc::Heap { pos: pos as u32 };
+            self.heap[pos] = self.heap[best];
             pos = best;
         }
         self.heap[pos] = entry;
-        self.slots[entry.slot as usize].loc = Loc::Heap { pos: pos as u32 };
     }
 }
 
@@ -503,30 +358,30 @@ mod tests {
             let heap_live = self.heap.len();
             let wheel_live = self.wheel_len();
             assert_eq!(self.len, heap_live + wheel_live, "len mismatch");
+            assert_eq!(
+                self.len + self.free.len(),
+                self.events.len(),
+                "every slot is queued or free"
+            );
             if wheel_live > 0 {
                 let root = self.heap.first().expect("wheel non-empty needs heap root");
                 for level in &self.levels {
                     for bucket in &level.buckets {
-                        for &s in bucket {
-                            let slot = &self.slots[s as usize];
-                            assert!(
-                                root.key() <= (slot.time, slot.seq),
-                                "wheel event precedes heap root"
-                            );
+                        for e in bucket {
+                            assert!(root.key() <= e.key(), "wheel event precedes heap root");
                         }
                     }
                 }
             }
-            // Heap property + back-pointers.
             for (i, e) in self.heap.iter().enumerate() {
                 if i > 0 {
                     let p = self.heap[(i - 1) / 4];
                     assert!(p.key() <= e.key(), "heap property violated at {i}");
                 }
-                match self.slots[e.slot as usize].loc {
-                    Loc::Heap { pos } => assert_eq!(pos as usize, i, "stale heap pos"),
-                    other => panic!("heap entry slot has loc {other:?}"),
-                }
+                assert!(
+                    self.events[e.slot as usize].is_some(),
+                    "heap entry has no event"
+                );
             }
         }
     }
@@ -555,107 +410,16 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_event() {
-        let mut q = EventQueue::new();
-        let tok = q.push(t(10), "dead");
-        q.push(t(20), "live");
-        assert!(q.cancel(tok));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((t(20), "live")));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_twice_is_false() {
-        let mut q = EventQueue::new();
-        let tok = q.push(t(10), ());
-        assert!(q.cancel(tok));
-        assert!(!q.cancel(tok));
-    }
-
-    #[test]
-    fn cancel_after_fire_is_false() {
-        let mut q = EventQueue::new();
-        let tok = q.push(t(10), ());
-        assert!(q.pop().is_some());
-        assert!(!q.cancel(tok));
-    }
-
-    #[test]
-    fn stale_token_rejected_after_slot_reuse() {
-        let mut q = EventQueue::new();
-        let tok = q.push(t(10), 1);
-        assert!(q.pop().is_some());
-        // The slot is recycled for a new event; the old token must not
-        // cancel it.
-        let tok2 = q.push(t(20), 2);
-        assert!(!q.cancel(tok));
-        assert_eq!(q.len(), 1);
-        assert!(q.cancel(tok2));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let tok = q.push(t(10), "dead");
-        q.push(t(25), "live");
-        q.cancel(tok);
-        assert_eq!(q.peek_time(), Some(t(25)));
-    }
-
-    #[test]
-    fn len_accounts_for_cancellation() {
-        let mut q = EventQueue::new();
-        let a = q.push(t(1), 1);
-        q.push(t(2), 2);
-        assert_eq!(q.len(), 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
     fn clear_empties_everything() {
         let mut q = EventQueue::new();
         q.push(t(1), 1);
-        let tok = q.push(t(2), 2);
-        q.cancel(tok);
+        q.push(t(2), 2);
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
         assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn tokens_from_before_clear_are_invalid() {
-        let mut q = EventQueue::new();
-        let tok = q.push(t(1), 1);
-        q.clear();
-        let tok2 = q.push(t(2), 2);
-        assert!(!q.cancel(tok));
-        assert!(q.cancel(tok2));
-    }
-
-    #[test]
-    fn interleaved_push_pop_cancel_is_consistent() {
-        let mut q = EventQueue::new();
-        let mut toks = Vec::new();
-        for i in 0..50u64 {
-            toks.push(q.push(t(i * 10), i));
-        }
-        // Cancel every third event.
-        for (i, tok) in toks.iter().enumerate() {
-            if i % 3 == 0 {
-                assert!(q.cancel(*tok));
-            }
-        }
-        q.check_invariants();
-        let mut seen = Vec::new();
-        while let Some((_, v)) = q.pop() {
-            seen.push(v);
-        }
-        let expect: Vec<u64> = (0..50).filter(|i| i % 3 != 0).collect();
-        assert_eq!(seen, expect);
+        q.push(t(3), 3);
+        assert_eq!(q.pop(), Some((t(3), 3)));
     }
 
     #[test]
@@ -664,12 +428,11 @@ mod tests {
         // An imminent event pins the heap root …
         q.push(t(100), 0u64);
         // … so a coalescing-style timer 75 µs out lands in the wheel.
-        let tok = q.push(t(75_000), 1u64);
+        q.push(t(75_000), 1u64);
         assert_eq!(q.wheel_len(), 1, "75us timer should be wheel-resident");
-        // O(1) cancel straight out of the bucket.
-        assert!(q.cancel(tok));
-        assert_eq!(q.wheel_len(), 0);
+        q.check_invariants();
         assert_eq!(q.pop(), Some((t(100), 0)));
+        assert_eq!(q.pop(), Some((t(75_000), 1)));
         assert!(q.is_empty());
     }
 
@@ -689,43 +452,60 @@ mod tests {
     }
 
     #[test]
-    fn cancelling_heap_root_promotes_wheel() {
-        let mut q = EventQueue::new();
-        let root = q.push(t(10), 0u64);
-        q.push(t(5_000), 1u64);
-        q.push(t(70_000), 2u64);
-        assert_eq!(q.wheel_len(), 2);
-        // Cancelling the only heap entry must surface the wheel events.
-        assert!(q.cancel(root));
-        q.check_invariants();
-        assert_eq!(q.peek_time(), Some(t(5_000)));
-        assert_eq!(q.pop(), Some((t(5_000), 1)));
-        assert_eq!(q.pop(), Some((t(70_000), 2)));
-    }
-
-    #[test]
     fn repeated_rearm_pattern_is_exact() {
-        // The coalescer pattern: cancel + re-push a 75 µs timer on every
-        // packet; only the final arming may fire.
+        // The node-timer pattern: a 75 µs timer pushed again on every
+        // packet, each superseded arming left queued. Every arming pops
+        // exactly once, in time order, and event slots are recycled.
         let mut q = EventQueue::new();
-        let mut timer = None;
-        let mut now = 0u64;
+        let mut fired = Vec::new();
         for i in 0..1_000u64 {
-            now = i * 1_200; // one packet every 1.2 µs
+            let now = i * 1_200; // one packet every 1.2 µs
             q.push(t(now), ("pkt", i));
-            if let Some(tok) = timer.take() {
-                assert!(q.cancel(tok), "re-arm must find the previous timer");
-            }
-            timer = Some(q.push(t(now + 75_000), ("timer", i)));
-            // Drain packets up to now (the engine keeps popping).
+            q.push(t(now + 75_000), ("timer", i));
+            // Drain events up to now (the engine keeps popping).
             while q.peek_time().is_some_and(|pt| pt.as_nanos() <= now) {
-                q.pop();
+                let (at, (kind, j)) = q.pop().expect("peeked");
+                if kind == "timer" {
+                    assert_eq!(at, t(j * 1_200 + 75_000));
+                    fired.push(j);
+                }
             }
         }
         q.check_invariants();
-        // Exactly the last timer remains.
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((t(now + 75_000), ("timer", 999))));
+        assert!(q.events.len() < 200, "slots are recycled");
+        while let Some((_, (kind, j))) = q.pop() {
+            assert_eq!(kind, "timer");
+            fired.push(j);
+        }
+        assert_eq!(fired, (0..1_000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn recycled_slots_hold_their_new_event() {
+        let mut q = EventQueue::new();
+        q.push(t(10), 1);
+        q.push(t(20), 2);
+        assert_eq!(q.pop(), Some((t(10), 1)));
+        // The popped event's slot carries the next push.
+        q.push(t(15), 3);
+        assert_eq!(q.events.len(), 2, "the freed slot is reused");
+        q.check_invariants();
+        assert_eq!(q.pop(), Some((t(15), 3)));
+        assert_eq!(q.pop(), Some((t(20), 2)));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn len_counts_heap_and_wheel_events() {
+        let mut q = EventQueue::new();
+        q.push(t(100), 0u64); // heap root
+        q.push(t(5_000), 1u64); // wheel
+        q.push(Time::from_secs(1), 2u64); // beyond the wheel: heap
+        assert_eq!((q.heap.len(), q.wheel_len()), (2, 1));
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop(), Some((t(100), 0)));
+        assert_eq!(q.len(), 2);
+        q.check_invariants();
     }
 
     #[test]

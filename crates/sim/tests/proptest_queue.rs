@@ -1,4 +1,4 @@
-//! Property tests for the event queue: ordering, FIFO ties, cancellation.
+//! Property tests for the event queue: ordering and FIFO ties.
 //!
 //! Randomised with the crate's own deterministic [`SimRng`] (fixed seeds, so
 //! failures reproduce exactly) instead of an external property-test harness.
@@ -35,41 +35,9 @@ fn pop_order_is_time_then_fifo() {
     }
 }
 
-/// Cancelled events never pop; everything else always pops exactly once.
-#[test]
-fn cancellation_is_exact() {
-    let mut rng = SimRng::new(0x5EED_0002);
-    for _case in 0..128 {
-        let n = rng.range_u64(1, 200) as usize;
-        let times: Vec<u64> = (0..n).map(|_| rng.range_u64(0, 500)).collect();
-        let cancel_mask: Vec<bool> = (0..n).map(|_| rng.chance(0.5)).collect();
-        let mut q = EventQueue::new();
-        let tokens: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (i, q.push(Time::from_nanos(t), i)))
-            .collect();
-        let mut cancelled = std::collections::HashSet::new();
-        for (i, tok) in &tokens {
-            if cancel_mask[*i] {
-                assert!(q.cancel(*tok), "first cancel must succeed");
-                assert!(!q.cancel(*tok), "second cancel must fail");
-                cancelled.insert(*i);
-            }
-        }
-        assert_eq!(q.len(), times.len() - cancelled.len());
-        let mut seen = std::collections::HashSet::new();
-        while let Some((_, i)) = q.pop() {
-            assert!(!cancelled.contains(&i), "cancelled event {i} popped");
-            assert!(seen.insert(i), "event {i} popped twice");
-        }
-        assert_eq!(seen.len(), times.len() - cancelled.len());
-    }
-}
-
 /// Model-based check: drive the real queue and a naive sorted-`Vec`
-/// reference model through arbitrary interleavings of push / cancel / pop /
-/// peek and assert every observable result is identical. The model is the
+/// reference model through arbitrary interleavings of push / pop / peek and
+/// assert every observable result is identical. The model is the
 /// executable spec of "ordered multiset keyed by (time, insertion seq)":
 /// whatever layout the queue uses internally (heap, wheel, slab reuse), its
 /// behaviour must be indistinguishable from this.
@@ -90,16 +58,12 @@ fn queue_matches_sorted_vec_model() {
         let mut model: Vec<ModelEntry> = Vec::new();
         let mut seq = 0u64;
         let mut next_id = 0u64;
-        // Live tokens, with a parallel list of (id, model-seq) for cancel.
-        let mut live: Vec<(omx_sim::EventToken, u64)> = Vec::new();
-        // Tokens already consumed (popped or cancelled); must stay dead.
-        let mut dead: Vec<omx_sim::EventToken> = Vec::new();
         let mut floor = 0u64; // pops are monotone; pushes must respect it
 
         for _ in 0..ops {
             match rng.range_u64(0, 100) {
-                // Push (45%) — mix of short horizons (wheel-range) and far.
-                0..=44 => {
+                // Push (50%) — mix of short horizons (wheel-range) and far.
+                0..=49 => {
                     let t = if rng.chance(0.7) {
                         floor + rng.range_u64(0, 100_000) // within wheel spans
                     } else {
@@ -107,7 +71,7 @@ fn queue_matches_sorted_vec_model() {
                     };
                     let id = next_id;
                     next_id += 1;
-                    let tok = q.push(Time::from_nanos(t), id);
+                    q.push(Time::from_nanos(t), id);
                     let s = seq;
                     seq += 1;
                     let pos = model
@@ -121,31 +85,9 @@ fn queue_matches_sorted_vec_model() {
                             id,
                         },
                     );
-                    live.push((tok, s));
                 }
-                // Cancel a live token (20%).
-                45..=64 => {
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let k = rng.range_u64(0, live.len() as u64) as usize;
-                    let (tok, s) = live.swap_remove(k);
-                    assert!(q.cancel(tok), "case {case}: live token must cancel");
-                    let pos = model
-                        .iter()
-                        .position(|e| e.seq == s)
-                        .expect("model has live entry");
-                    model.remove(pos);
-                    dead.push(tok);
-                }
-                // Cancel a dead token (10%) — must be rejected.
-                65..=74 => {
-                    if let Some(&tok) = dead.last() {
-                        assert!(!q.cancel(tok), "case {case}: dead token cancelled");
-                    }
-                }
-                // Pop (15%).
-                75..=89 => {
+                // Pop (35%).
+                50..=84 => {
                     let got = q.pop();
                     if model.is_empty() {
                         assert!(got.is_none(), "case {case}: pop from empty");
@@ -158,12 +100,9 @@ fn queue_matches_sorted_vec_model() {
                             "case {case}: pop mismatch"
                         );
                         floor = e.time;
-                        let k = live.iter().position(|&(_, s)| s == e.seq).unwrap();
-                        let (tok, _) = live.swap_remove(k);
-                        dead.push(tok);
                     }
                 }
-                // Peek (10%).
+                // Peek (15%).
                 _ => {
                     let expect = model.first().map(|e| e.time);
                     assert_eq!(
