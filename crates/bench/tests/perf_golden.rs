@@ -2,10 +2,9 @@
 //! exact per-event-kind dispatch counts.
 //!
 //! Every `omx-bench perf` shape runs with a fixed seed, so any change to
-//! its counts is a change to what the simulator does. `perf::run` asserts
-//! that each bare-`Cluster` shape's kinds sum to
-//! `Cluster::events_processed()`; this test then fails on any difference
-//! from the committed file, listing each moved count as `committed → now`.
+//! its counts is a change to what the simulator does. This test fails on
+//! any difference from the committed file, listing each moved count as
+//! `committed → now`.
 //! If the change is intended, regenerate the golden with
 //! `cargo run --release -p omx-bench -- perf` at the repo root and commit
 //! it; the diff then shows the saving or the cost.

@@ -19,11 +19,11 @@
 //!   engine, ack generation and retransmission, each state family held in
 //!   the map that indexes it,
 //! * [`system`] — the cluster orchestrator: N nodes (host + NIC + driver)
-//!   on a switched fabric, driven as one `omx_sim::Model`,
+//!   on a switched fabric, whose event loop runs in [`Cluster::run`],
 //! * [`workloads`] — built-in microbenchmark actors (ping-pong, streams,
 //!   the interrupt-overhead test) mirroring the paper's §IV benchmarks,
 //! * [`metrics`] — per-run measurement harvest,
-//! * [`telemetry`] — windowed time-series samplers (engine-tick driven)
+//! * [`telemetry`] — windowed time-series samplers (closed by the event loop)
 //!   and p50/p99/p999 SLO summaries over the counters the layers above
 //!   expose.
 //!

@@ -156,7 +156,7 @@ pub struct PendingEntry {
 /// Convert a `u64` nanosecond config knob into a signed [`TimeDelta`],
 /// panicking with a clear message on overflow instead of silently wrapping
 /// negative (which would make every unacked packet retransmit on each timer
-/// tick). Same policy as `omx_sim`'s checked `schedule_in`.
+/// tick).
 fn checked_delta(ns: u64, what: &str) -> TimeDelta {
     let signed = i64::try_from(ns).unwrap_or_else(|_| {
         panic!(

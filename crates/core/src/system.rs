@@ -15,10 +15,11 @@
 //!   EthernetFabric (links, switch, disturbance)
 //! ```
 //!
-//! The whole cluster is a single [`omx_sim::Model`]; every hardware and
-//! software latency is charged through the [`omx_host::CostModel`], so the
-//! paper's experiments are a matter of configuring strategy/routing/sleep
-//! knobs and reading [`crate::metrics::ClusterMetrics`] back.
+//! [`Cluster::run`] is the event loop: it pops one event at a time and
+//! dispatches it against the node it names. Every hardware and software
+//! latency is charged through the [`omx_host::CostModel`], so the paper's
+//! experiments are a matter of configuring strategy/routing/sleep knobs and
+//! reading [`crate::metrics::ClusterMetrics`] back.
 //!
 //! Intra-node messages use the Open-MX shared-memory path (no NIC, no
 //! interrupts), matching the paper's NAS runs where 8 of every 16 ranks are
@@ -39,7 +40,7 @@ use omx_nic::offload::{
 use omx_nic::{CoalescingStrategy, DescId, Nic, NicConfig, NicOutcome, PacketMeta, ReadyPacket};
 use omx_sim::rng::SimRng;
 use omx_sim::stats::TimeWeighted;
-use omx_sim::{Engine, Model, Scheduler, StopCondition, Time, TimeDelta};
+use omx_sim::{EventQueue, StopCondition, Time, TimeDelta};
 use std::any::Any;
 use std::collections::VecDeque;
 
@@ -529,24 +530,38 @@ impl NodeRt {
 }
 
 // ---------------------------------------------------------------------------
-// The system model
+// Dispatch
 // ---------------------------------------------------------------------------
 
 /// The side effects a [`Nodes`] dispatch reaches the rest of the world
-/// through: the engine's scheduler, the (shared) fabric, tracing, and the
-/// sanitizer. Borrowed field-by-field from [`SystemModel`] so a handler can
-/// mutate node state and apply effects at the same time.
-struct Ctx<'a> {
-    sched: &'a mut Scheduler<Ev>,
-    fabric: &'a mut EthernetFabric,
-    tracer: &'a mut Option<Tracer>,
-    sanitizer: &'a mut Sanitizer,
+/// through: the event queue and clock, the (shared) fabric, tracing, and
+/// the sanitizer. Kept apart from [`Nodes`] so a handler can mutate node
+/// state and apply effects at the same time.
+struct Ctx {
+    queue: EventQueue<Ev>,
+    /// Time of the last dispatched event (or of the horizon that cut a run).
+    now: Time,
+    fabric: EthernetFabric,
+    /// Optional packet-level event trace.
+    tracer: Option<Tracer>,
+    /// Invariant recorder (posted / delivered / completed accounting).
+    sanitizer: Sanitizer,
 }
 
-impl Ctx<'_> {
-    /// Schedule an event.
+impl Ctx {
+    /// Schedule `ev` at absolute time `at`.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past: a handler scheduling backwards in time
+    /// is always a bug, and silently clamping would hide it.
     fn schedule_at(&mut self, at: Time, ev: Ev) {
-        self.sched.schedule_at(at, ev);
+        assert!(
+            at >= self.now,
+            "event scheduled in the past: now={}, at={}",
+            self.now,
+            at
+        );
+        self.queue.push(at, ev);
     }
 
     /// Hand a frame from node `src` to the fabric at `t`; the caller has
@@ -563,7 +578,7 @@ impl Ctx<'_> {
         );
         let reason = match outcome {
             TransmitOutcome::Arrives(at) => {
-                self.sched.schedule_at(
+                self.schedule_at(
                     at,
                     Ev::FrameArrival {
                         node: dst,
@@ -584,19 +599,6 @@ impl Ctx<'_> {
         if let Some(t) = self.tracer.as_mut() {
             t.record(at, node, kind, data());
         }
-    }
-
-    /// Sanitizer taps.
-    fn san_send_posted(&mut self, src: u16, dst: u16, len: u32) {
-        self.sanitizer.on_send_posted(src, dst, len);
-    }
-
-    fn san_send_completed(&mut self) {
-        self.sanitizer.on_send_completed();
-    }
-
-    fn san_delivered(&mut self, src: u16, dst: u16, msg: u64, len: u32) {
-        self.sanitizer.on_delivered(src, dst, msg, len);
     }
 }
 
@@ -636,44 +638,6 @@ struct Nodes {
     /// Events dispatched so far, per [`Ev`] kind (see
     /// [`Cluster::event_counts`]).
     event_counts: [u64; EV_KINDS],
-}
-
-struct SystemModel {
-    nodes: Nodes,
-    fabric: EthernetFabric,
-    /// Optional packet-level event trace.
-    tracer: Option<Tracer>,
-    /// Optional windowed telemetry sampler (driven by the engine tick).
-    telemetry: Option<Telemetry>,
-    /// Invariant recorder (posted / delivered / completed accounting).
-    sanitizer: Sanitizer,
-}
-
-impl SystemModel {
-    /// Snapshot every node and switch-port tap into the telemetry window
-    /// ending at `end`. Called from the engine tick at aligned window
-    /// boundaries and from the drain path to close the partial final
-    /// window; `Telemetry::begin_window` rejects non-advancing boundaries,
-    /// so the drain-path call is idempotent. Pure reads of layer state —
-    /// nothing here touches the event queue.
-    fn sample_telemetry(&mut self, end: Time) {
-        let Some(tel) = self.telemetry.as_mut() else {
-            return;
-        };
-        if !tel.begin_window(end) {
-            return;
-        }
-        self.nodes.sample(tel);
-        for p in 0..self.fabric.ports() {
-            tel.sample_port(
-                p,
-                PortTap {
-                    queue_len: self.fabric.switch_queue_len_at(PortId(p), end) as u64,
-                    drops: self.fabric.switch_drops_at(PortId(p)),
-                },
-            );
-        }
-    }
 }
 
 impl Nodes {
@@ -948,7 +912,8 @@ impl Nodes {
                 OffloadEmit::Wire { at, frame, fresh } => {
                     if fresh {
                         if let CollFrameKind::Data { payload, .. } = frame.kind {
-                            ctx.san_send_posted(frame.src_node, frame.dst_node, payload);
+                            ctx.sanitizer
+                                .on_send_posted(frame.src_node, frame.dst_node, payload);
                         }
                     }
                     ctx.trace(at, node, TraceKind::OffloadFrame, || {
@@ -978,9 +943,9 @@ impl Nodes {
                     msg_id,
                     len,
                 } => {
-                    ctx.san_delivered(src_node, node, msg_id, len);
+                    ctx.sanitizer.on_delivered(src_node, node, msg_id, len);
                 }
-                OffloadEmit::AckCompleted => ctx.san_send_completed(),
+                OffloadEmit::AckCompleted => ctx.sanitizer.on_send_completed(),
                 OffloadEmit::Complete { ep, seq, rank } => {
                     // The one host-visible interrupt of the whole operation:
                     // a dedicated MSI-X completion vector, not subject to
@@ -1064,7 +1029,7 @@ impl Nodes {
                     match_info,
                     handle,
                 } => {
-                    ctx.san_send_posted(node, dst.node.0, len);
+                    ctx.sanitizer.on_send_posted(node, dst.node.0, len);
                     let eager_len = len.min(crate::wire::MEDIUM_MAX);
                     let frags = crate::wire::frag_count(eager_len, self.cfg.proto.mtu) as u64;
                     let cpu = costs.send_post_ns
@@ -1283,12 +1248,22 @@ impl Nodes {
                 if rt.driver_timer == Some(now) {
                     rt.driver_timer = None;
                 }
-                self.run_driver(node, now, None, ctx, |d, a| {
-                    if d.next_deadline().is_some_and(|t| t <= now) {
-                        d.on_timer_into(now, a);
-                    }
-                });
-                self.arm_driver_timer(node, now, true, ctx);
+                // A firing with nothing due leaves the driver untouched, so
+                // the deadline just read is still the one to arm from.
+                let mut deadline = rt.driver.next_deadline();
+                if deadline.is_some_and(|t| t <= now) {
+                    self.run_driver(node, now, None, ctx, |d, a| d.on_timer_into(now, a));
+                    deadline = self.rt(node).driver.next_deadline();
+                }
+                let rt = self.rt(node);
+                arm_timer(
+                    &mut rt.driver_timer,
+                    deadline,
+                    now,
+                    true,
+                    ctx,
+                    Ev::DriverTimer { node },
+                );
             }
             Ev::ShmDeliver { node, pkt } => {
                 self.drive(node, now, None, ctx, |d, a| {
@@ -1299,7 +1274,8 @@ impl Nodes {
                 self.with_actor(node, ep, now, ctx, |a, actx| a.on_start(actx));
             }
             Ev::AppRecv { node, ep, c } => {
-                ctx.san_delivered(c.src.node.0, node, c.msg.0, c.len);
+                ctx.sanitizer
+                    .on_delivered(c.src.node.0, node, c.msg.0, c.len);
                 self.delivered_bytes[node as usize] += u64::from(c.len);
                 ctx.trace(now, node, TraceKind::AppDelivery, || TraceData::Recv {
                     ep,
@@ -1310,7 +1286,7 @@ impl Nodes {
                 self.with_actor(node, ep, now, ctx, |a, actx| a.on_recv_complete(actx, c));
             }
             Ev::AppSend { node, ep, handle } => {
-                ctx.san_send_completed();
+                ctx.sanitizer.on_send_completed();
                 self.with_actor(node, ep, now, ctx, |a, actx| {
                     a.on_send_complete(actx, handle)
                 });
@@ -1370,38 +1346,17 @@ fn coll_trace_data(frame: &CollFrame) -> TraceData {
     }
 }
 
-impl Model for SystemModel {
-    type Event = Ev;
-
-    fn handle(&mut self, now: Time, event: Ev, sched: &mut Scheduler<Ev>) {
-        let SystemModel {
-            nodes,
-            fabric,
-            tracer,
-            sanitizer,
-            ..
-        } = self;
-        let mut ctx = Ctx {
-            sched,
-            fabric,
-            tracer,
-            sanitizer,
-        };
-        nodes.dispatch(now, event, &mut ctx);
-    }
-
-    fn tick(&mut self, now: Time) {
-        self.sample_telemetry(now);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Public cluster handle
 // ---------------------------------------------------------------------------
 
 /// A runnable simulated cluster.
 pub struct Cluster {
-    engine: Engine<SystemModel>,
+    nodes: Nodes,
+    ctx: Ctx,
+    /// Optional windowed telemetry sampler, closed by the event loop at
+    /// every window boundary.
+    telemetry: Option<Telemetry>,
     started: bool,
 }
 
@@ -1433,9 +1388,9 @@ impl Cluster {
                 offload_timer: None,
             })
             .collect();
-        let model_nodes = cfg.nodes;
+        let node_count = cfg.nodes;
         let slots = cfg.nodes * cfg.endpoints_per_node;
-        let model = SystemModel {
+        Cluster {
             nodes: Nodes {
                 cfg,
                 rts,
@@ -1449,82 +1404,85 @@ impl Cluster {
                 frame_scratch: Vec::new(),
                 batch_pool: Vec::new(),
                 offload_scratch: Vec::new(),
-                delivered_bytes: vec![0; model_nodes],
+                delivered_bytes: vec![0; node_count],
                 event_counts: [0; EV_KINDS],
             },
-            fabric,
-            tracer: None,
+            ctx: Ctx {
+                queue: EventQueue::new(),
+                now: Time::ZERO,
+                fabric,
+                tracer: None,
+                sanitizer: Sanitizer::default(),
+            },
             telemetry: None,
-            sanitizer: Sanitizer::default(),
-        };
-        Cluster {
-            engine: Engine::new(model),
             started: false,
         }
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &ClusterConfig {
-        &self.engine.model().nodes.cfg
+        &self.nodes.cfg
     }
 
     /// Enable packet-level event tracing, keeping the last `capacity`
     /// events. See [`crate::trace`].
     pub fn enable_tracing(&mut self, capacity: usize) {
-        self.engine.model_mut().tracer = Some(Tracer::new(capacity));
+        self.ctx.tracer = Some(Tracer::new(capacity));
     }
 
     /// The recorded trace, if tracing was enabled.
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.engine.model().tracer.as_ref()
+        self.ctx.tracer.as_ref()
     }
 
     /// Enable windowed telemetry sampling (see [`crate::telemetry`]). The
-    /// engine fires a tick at every `cfg.window_ns` boundary of simulated
-    /// time; ticks cannot schedule events, so enabling telemetry never
-    /// changes event order, drain time, or simulation results.
+    /// event loop closes a window at every `cfg.window_ns` boundary of
+    /// simulated time; sampling only reads layer state and schedules
+    /// nothing, so enabling telemetry never changes event order, drain
+    /// time, or simulation results.
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        let window_ns = cfg.window_ns;
-        let model = self.engine.model_mut();
-        let nodes = model.nodes.cfg.nodes;
+        assert!(
+            !self.started,
+            "telemetry must be enabled before the first run"
+        );
+        let nodes = self.nodes.cfg.nodes;
         // One egress port per node in this fabric.
-        model.telemetry = Some(Telemetry::new(cfg, nodes, nodes));
-        self.engine.set_tick_period(window_ns);
+        self.telemetry = Some(Telemetry::new(cfg, nodes, nodes));
     }
 
     /// The collected telemetry, if enabled.
     pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.engine.model().telemetry.as_ref()
+        self.telemetry.as_ref()
     }
 
     /// Detach and return the collected telemetry (e.g. before the cluster
     /// is consumed by a harvest path), leaving telemetry disabled.
     pub fn take_telemetry(&mut self) -> Option<Telemetry> {
-        self.engine.model_mut().telemetry.take()
+        self.telemetry.take()
     }
 
     /// Attach an actor to `(node, endpoint)`. The endpoint is pinned to core
     /// `endpoint % cores` and marked application-active (it polls).
     pub fn add_actor(&mut self, node: u16, ep: u8, actor: Box<dyn Actor>) {
         assert!(!self.started, "actors must be added before the first run");
-        let model = self.engine.model_mut();
+        let nodes = &mut self.nodes;
         assert!(
-            (node as usize) < model.nodes.cfg.nodes,
+            (node as usize) < nodes.cfg.nodes,
             "node {node} out of range"
         );
         assert!(
-            (ep as usize) < model.nodes.cfg.endpoints_per_node,
+            (ep as usize) < nodes.cfg.endpoints_per_node,
             "endpoint {ep} out of range"
         );
         // Polling ranks keep their core busy (interrupts preempt them);
         // ranks that block in `mx_wait` leave it idle.
-        let core = ep as usize % model.nodes.cfg.host.cores;
+        let core = ep as usize % nodes.cfg.host.cores;
         let polls = !actor.blocking_waits();
-        model.nodes.rts[node as usize]
+        nodes.rts[node as usize]
             .host
             .set_app_active(core, polls, Time::ZERO);
-        let slot = model.nodes.slot(node, ep);
-        let prev = model.nodes.actors[slot].replace(actor);
+        let slot = nodes.slot(node, ep);
+        let prev = nodes.actors[slot].replace(actor);
         assert!(
             prev.is_none(),
             "endpoint ({node}, {ep}) already has an actor"
@@ -1533,32 +1491,51 @@ impl Cluster {
 
     /// Run until quiescence, the horizon, or an actor-requested stop.
     ///
-    /// A horizon cut leaves in-flight events queued, so a follow-up `run`
-    /// resumes where this one stopped.
+    /// Events dispatch in `(time, scheduling order)`. A horizon cut leaves
+    /// in-flight events queued and sets [`Cluster::now`] to the horizon, so
+    /// a follow-up `run` resumes where this one stopped.
+    ///
+    /// With telemetry on, the window ending at each `window_ns` boundary
+    /// closes before any event at that exact instant, so a window never
+    /// observes its successor's work. Windows close only on the way to an
+    /// event, never past the last one; the partial final window closes at
+    /// the stop point.
     pub fn run(&mut self, horizon: Time) -> StopCondition {
         if !self.started {
             self.started = true;
-            let eps = self.engine.model().nodes.cfg.endpoints_per_node;
-            for slot in 0..self.engine.model().nodes.actors.len() {
-                if self.engine.model().nodes.actors[slot].is_some() {
+            let eps = self.nodes.cfg.endpoints_per_node;
+            for slot in 0..self.nodes.actors.len() {
+                if self.nodes.actors[slot].is_some() {
                     let (node, ep) = ((slot / eps) as u16, (slot % eps) as u8);
-                    self.engine.prime(Time::ZERO, Ev::AppStart { node, ep });
+                    self.ctx.schedule_at(Time::ZERO, Ev::AppStart { node, ep });
                 }
             }
         }
-        let stop = self
-            .engine
-            .run_until(horizon, |m: &SystemModel| m.nodes.stop);
-        // Ticks only fire while events flow, so the tail of the run — from
-        // the last aligned boundary to the final event — is still an open
-        // window. Close it at the stop point (idempotent; skipped when the
-        // horizon cut the run short, since the queue is still live then).
-        if matches!(
-            stop,
-            StopCondition::QueueEmpty | StopCondition::PredicateSatisfied
-        ) {
-            let now = self.engine.now();
-            self.engine.model_mut().sample_telemetry(now);
+        let stop = loop {
+            let Some(next) = self.ctx.queue.peek_time() else {
+                break StopCondition::QueueEmpty;
+            };
+            if next > horizon {
+                self.ctx.now = horizon;
+                break StopCondition::HorizonReached;
+            }
+            while let Some(end) = self.telemetry.as_ref().map(Telemetry::next_boundary) {
+                if end > next {
+                    break;
+                }
+                self.sample_telemetry(end);
+            }
+            let (now, event) = self.ctx.queue.pop().expect("peeked event vanished");
+            self.ctx.now = now;
+            self.nodes.dispatch(now, event, &mut self.ctx);
+            if self.nodes.stop {
+                break StopCondition::PredicateSatisfied;
+            }
+        };
+        // Close the tail window at the stop point, unless the horizon cut
+        // the run short: the queue is still live then.
+        if stop != StopCondition::HorizonReached {
+            self.sample_telemetry(self.ctx.now);
         }
         // Quiescence means every queued event drained: any protocol state
         // still mid-flight is stranded forever, and any packet the NIC
@@ -1577,6 +1554,30 @@ impl Cluster {
         stop
     }
 
+    /// Snapshot every node and switch-port tap into the telemetry window
+    /// ending at `end`. `Telemetry::begin_window` rejects a non-advancing
+    /// boundary, so closing the tail window twice records it once. Pure
+    /// reads of layer state — nothing here touches the event queue.
+    fn sample_telemetry(&mut self, end: Time) {
+        let Some(tel) = self.telemetry.as_mut() else {
+            return;
+        };
+        if !tel.begin_window(end) {
+            return;
+        }
+        self.nodes.sample(tel);
+        let fabric = &self.ctx.fabric;
+        for p in 0..fabric.ports() {
+            tel.sample_port(
+                p,
+                PortTap {
+                    queue_len: fabric.switch_queue_len_at(PortId(p), end) as u64,
+                    drops: fabric.switch_drops_at(PortId(p)),
+                },
+            );
+        }
+    }
+
     /// Check the sim-sanitizer invariants against the current state: the
     /// run-time delivery accounting plus, per node, stranded protocol state
     /// ([`NodeDriver::pending_report`]) and NIC interrupt liveness
@@ -1584,10 +1585,9 @@ impl Cluster {
     /// [`StopCondition::QueueEmpty`] — mid-flight state is not a bug while
     /// events remain. See [`crate::sanitizer`] for the invariant split.
     pub fn sanitize(&self) -> SanitizerReport {
-        let m = self.engine.model();
-        let mut report = m.sanitizer.report();
+        let mut report = self.ctx.sanitizer.report();
         let mut pending = Vec::new();
-        for rt in &m.nodes.rts {
+        for rt in &self.nodes.rts {
             rt.driver.pending_report(&mut pending);
         }
         report.violations.extend(
@@ -1595,7 +1595,7 @@ impl Cluster {
                 .drain(..)
                 .map(|e| format!("stranded message [{}]: {}", e.phase, e.detail)),
         );
-        for (i, rt) in m.nodes.rts.iter().enumerate() {
+        for (i, rt) in self.nodes.rts.iter().enumerate() {
             let owed = rt.nic.pending_work();
             if owed > 0 {
                 report.violations.push(format!(
@@ -1609,7 +1609,7 @@ impl Cluster {
                 ));
             }
         }
-        for rt in &m.nodes.rts {
+        for rt in &self.nodes.rts {
             // Offload liveness: incomplete operations, un-acked frames and
             // stranded early-arrival buffers are bugs at quiescence.
             rt.offload.pending_report(&mut report.violations);
@@ -1619,24 +1619,25 @@ impl Cluster {
 
     /// Current simulated time.
     pub fn now(&self) -> Time {
-        self.engine.now()
+        self.ctx.now
     }
 
-    /// Events processed so far (diagnostics).
+    /// Events processed so far (diagnostics): the sum of
+    /// [`Self::event_counts`].
     pub fn events_processed(&self) -> u64 {
-        self.engine.events_processed()
+        self.nodes.event_counts.iter().sum()
     }
 
     /// Events dispatched so far, per event kind, in declaration order and
-    /// named after the kind. The counts sum to [`Self::events_processed`].
+    /// named after the kind.
     pub fn event_counts(&self) -> EventCounts {
-        let counts = &self.engine.model().nodes.event_counts;
+        let counts = &self.nodes.event_counts;
         std::array::from_fn(|i| (EV_KIND_NAMES[i], counts[i]))
     }
 
     /// Borrow an actor back (downcast to its concrete type).
     pub fn actor<T: Actor>(&self, node: u16, ep: u8) -> Option<&T> {
-        let nodes = &self.engine.model().nodes;
+        let nodes = &self.nodes;
         if ep as usize >= nodes.cfg.endpoints_per_node {
             return None;
         }
@@ -1652,18 +1653,18 @@ impl Cluster {
     /// quiescence long after the last event would over-weight the final
     /// busy period and report a too-high time-weighted mean.
     pub fn metrics(&self) -> ClusterMetrics {
-        let m = self.engine.model();
-        let now = self.engine.now();
+        let fabric = &self.ctx.fabric;
+        let now = self.ctx.now;
         ClusterMetrics {
             sim_time_ns: now.as_nanos(),
-            frames_carried: m.fabric.frames_carried(),
-            frames_dropped: m.fabric.frames_dropped(),
-            switch_drops: m.fabric.switch_drops(),
-            switch_occupancy_peak: m.fabric.switch_occupancy_peak(),
-            switch_queue_depth: (0..m.nodes.cfg.nodes)
-                .map(|p| m.fabric.switch_queue_depth_at(PortId(p)).finalized(now))
+            frames_carried: fabric.frames_carried(),
+            frames_dropped: fabric.frames_dropped(),
+            switch_drops: fabric.switch_drops(),
+            switch_occupancy_peak: fabric.switch_occupancy_peak(),
+            switch_queue_depth: (0..self.nodes.cfg.nodes)
+                .map(|p| fabric.switch_queue_depth_at(PortId(p)).finalized(now))
                 .collect(),
-            nodes: m
+            nodes: self
                 .nodes
                 .rts
                 .iter()
@@ -1683,9 +1684,7 @@ impl Cluster {
     /// untouched; the completion IRQs themselves are folded into the
     /// regular per-NIC interrupt counters.
     pub fn offload_counters(&self) -> Vec<OffloadCounters> {
-        self.engine
-            .model()
-            .nodes
+        self.nodes
             .rts
             .iter()
             .map(|n| n.offload.counters().clone())
@@ -1695,9 +1694,7 @@ impl Cluster {
     /// Total interrupts raised across all nodes (the paper's headline
     /// host-load metric).
     pub fn total_interrupts(&self) -> u64 {
-        self.engine
-            .model()
-            .nodes
+        self.nodes
             .rts
             .iter()
             .map(|n| n.nic.counters().interrupts.get())
@@ -2125,6 +2122,139 @@ mod tests {
         cluster.add_actor(0, 0, Box::new(Barrier { rank: 0 }));
         cluster.add_actor(1, 0, Box::new(Barrier { rank: 1 }));
         cluster.run(Time::from_secs(1));
+    }
+
+    /// A lossy, reordered two-node stream (retransmissions, RTO stalls,
+    /// multi-packet batches) with its actors attached, not yet run.
+    fn lossy_stream_cluster() -> Cluster {
+        use crate::workloads::stream::{StreamReceiver, StreamSender, StreamSpec};
+        let mut cluster = ClusterBuilder::new()
+            .nodes(2)
+            .strategy(CoalescingStrategy::Stream { delay_us: 75 })
+            .disturbance(omx_fabric::DisturbanceConfig {
+                loss_probability: 0.05,
+                delay_probability: 0.1,
+                delay_min_ns: 5_000,
+                delay_max_ns: 60_000,
+                jitter_ns: 300,
+            })
+            .build();
+        let spec = StreamSpec {
+            msg_len: 8 << 10,
+            messages: 40,
+            window: 8,
+        };
+        let sender = StreamSender::new(EndpointAddr::new(1, 0), spec);
+        cluster.add_actor(0, 0, Box::new(sender));
+        cluster.add_actor(1, 0, Box::new(StreamReceiver::new(spec.messages)));
+        cluster
+    }
+
+    /// What a run leaves behind: per-kind event counts, the metrics JSON
+    /// and the clock.
+    fn outcome(cluster: &Cluster) -> (EventCounts, String, Time) {
+        use omx_sim::json::ToJson;
+        let metrics = cluster.metrics().to_json().render();
+        (cluster.event_counts(), metrics, cluster.now())
+    }
+
+    /// A run cut at horizons stops at each with the clock on the horizon,
+    /// and resuming it ends exactly where one uninterrupted run does.
+    #[test]
+    fn horizon_cut_resumes_like_one_run() {
+        let mut whole = lossy_stream_cluster();
+        assert_eq!(whole.run(Time::MAX), StopCondition::PredicateSatisfied);
+        let end = whole.now().as_nanos();
+        let mut cut = lossy_stream_cluster();
+        for k in 1..4 {
+            let horizon = Time::from_nanos(end * k / 4);
+            assert_eq!(cut.run(horizon), StopCondition::HorizonReached);
+            assert_eq!(cut.now(), horizon);
+        }
+        assert_eq!(cut.run(Time::MAX), StopCondition::PredicateSatisfied);
+        assert_eq!(outcome(&cut), outcome(&whole));
+    }
+
+    /// Telemetry windows close at every aligned boundary up to the last
+    /// event, then once at the stop point and never past it; sampling
+    /// changes no event, metric or trace line.
+    #[test]
+    fn telemetry_windows_align_and_leave_the_run_unchanged() {
+        let window_ns = TelemetryConfig::default().window_ns;
+        let run = |telemetry: bool| {
+            let mut cluster = lossy_stream_cluster();
+            cluster.enable_tracing(1 << 20);
+            if telemetry {
+                cluster.enable_telemetry(TelemetryConfig::default());
+            }
+            cluster.run(Time::MAX);
+            cluster
+        };
+        let (plain, sampled) = (run(false), run(true));
+        assert_eq!(outcome(&sampled), outcome(&plain));
+        let render = |c: &Cluster| c.tracer().expect("tracing enabled").render();
+        assert_eq!(render(&sampled), render(&plain));
+
+        let end = sampled.now().as_nanos();
+        let mut expect: Vec<u64> = (1..=end / window_ns).map(|k| k * window_ns).collect();
+        if end % window_ns != 0 {
+            expect.push(end);
+        }
+        assert!(expect.len() > 2, "the run spans several windows");
+        let tel = sampled.telemetry().expect("telemetry enabled");
+        for node in 0..2 {
+            let ends: Vec<u64> = tel.node_windows(node).map(|w| w.end_ns).collect();
+            assert_eq!(ends, expect);
+            let ends: Vec<u64> = tel.port_windows(node).map(|w| w.end_ns).collect();
+            assert_eq!(ends, expect);
+        }
+    }
+
+    /// A window closes before an event at its end instant: with the window
+    /// as long as a one-way delivery, the boundary falls on the `AppRecv`
+    /// event, and its bytes land in the second window, not the first.
+    #[test]
+    fn telemetry_window_closes_before_an_event_on_its_boundary() {
+        struct Sink;
+        impl Actor for Sink {
+            fn on_start(&mut self, ctx: &mut ActorCtx) {
+                ctx.post_recv(42, !0, 7);
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+        }
+        let strategy = CoalescingStrategy::Disabled;
+        let window_ns = one_shot(64, strategy).0.as_nanos();
+        let mut cluster = ClusterBuilder::new().nodes(2).strategy(strategy).build();
+        cluster.enable_telemetry(TelemetryConfig {
+            window_ns,
+            ..TelemetryConfig::default()
+        });
+        let sender = OneShotSender {
+            dst: EndpointAddr::new(1, 0),
+            len: 64,
+            send_done_at: None,
+        };
+        cluster.add_actor(0, 0, Box::new(sender));
+        cluster.add_actor(1, 0, Box::new(Sink));
+        assert_eq!(cluster.run(Time::from_secs(1)), StopCondition::QueueEmpty);
+        let tel = cluster.telemetry().expect("telemetry enabled");
+        let goodput: Vec<(u64, u64)> = tel
+            .node_windows(1)
+            .map(|w| (w.end_ns, w.goodput_bytes))
+            .collect();
+        assert_eq!(goodput[..2], [(window_ns, 0), (2 * window_ns, 64)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduled in the past")]
+    fn scheduling_in_the_past_panics() {
+        let mut cluster = ClusterBuilder::new().build();
+        cluster.ctx.now = Time::from_nanos(100);
+        cluster
+            .ctx
+            .schedule_at(Time::from_nanos(99), Ev::DriverTimer { node: 0 });
     }
 
     /// Frames the switch tail-drops are traced as drops of their sender,

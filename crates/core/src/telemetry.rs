@@ -7,18 +7,18 @@
 //! is incast drops phase-locking into 20 ms RTO stalls, invisible in a
 //! mean). This module turns the existing counters into time series:
 //!
-//! * The engine fires [`omx_sim::Model::tick`] at fixed sim-time window
-//!   boundaries (see [`TelemetryConfig::window_ns`]). The orchestrator's
-//!   tick reads instantaneous taps — [`NodeTap`] per node, [`PortTap`] per
-//!   switch egress port — and hands them to [`Telemetry`].
+//! * The cluster's event loop closes a window at every fixed sim-time
+//!   boundary (see [`TelemetryConfig::window_ns`]) by reading instantaneous
+//!   taps — [`NodeTap`] per node, [`PortTap`] per switch egress port — and
+//!   handing them to [`Telemetry`].
 //! * Each sampler diffs cumulative taps against the previous window and
 //!   stores one `Copy` record ([`NodeWindow`] / [`PortWindow`]) into a
 //!   bounded ring. Steady-state sampling allocates nothing: rings are
 //!   pre-sized at enable time and evict oldest-first.
-//! * Window semantics are `[start, end)`: the tick closing a window fires
-//!   before any event scheduled at exactly the boundary, so a window never
-//!   observes its successor's work. The partial final window is closed by
-//!   one extra [`Telemetry::begin_window`] sample at drain time.
+//! * Window semantics are `[start, end)`: a window closes before any event
+//!   scheduled at exactly the boundary, so a window never observes its
+//!   successor's work. The partial final window is closed by one extra
+//!   [`Telemetry::begin_window`] sample at drain time.
 //!
 //! Export paths: [`Telemetry::to_jsonl`] (one record per line, sorted by
 //! time for timeline diffing) and [`Telemetry::counter_events`] /
@@ -176,7 +176,7 @@ struct PortSampler {
 
 /// The windowed telemetry collector for one cluster run.
 ///
-/// Driven by the orchestrator: each engine tick calls
+/// Driven by the orchestrator: each window boundary calls
 /// [`Telemetry::begin_window`] then [`Telemetry::sample_node`] /
 /// [`Telemetry::sample_port`] for every node and port, keeping all sampler
 /// rings in lockstep. The partial final window is closed the same way at
@@ -194,7 +194,11 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// New collector for `nodes` nodes and `ports` switch egress ports.
+    ///
+    /// # Panics
+    /// Panics if `cfg.window_ns` is zero.
     pub fn new(cfg: TelemetryConfig, nodes: usize, ports: usize) -> Self {
+        assert!(cfg.window_ns > 0, "telemetry window must be non-zero");
         let node_samplers = (0..nodes)
             .map(|_| NodeSampler {
                 prev: NodeTap::default(),
@@ -220,6 +224,13 @@ impl Telemetry {
     /// Configuration in force.
     pub fn config(&self) -> &TelemetryConfig {
         &self.cfg
+    }
+
+    /// The aligned boundary that closes the current window: the first
+    /// multiple of `window_ns` after the last recorded boundary.
+    pub fn next_boundary(&self) -> Time {
+        let w = self.cfg.window_ns;
+        Time::from_nanos((self.last_end_ns.unwrap_or(0) / w + 1) * w)
     }
 
     /// Start recording the window ending at `end`. Returns `false` (and

@@ -158,7 +158,7 @@ impl MpiWorld {
 
     /// Enable windowed telemetry on the underlying cluster; the collected
     /// [`Telemetry`] comes back in [`MpiRunReport::telemetry`]. Sampling
-    /// runs off the engine tick and cannot change simulation results.
+    /// only reads layer state and cannot change simulation results.
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
         self.cluster.enable_telemetry(cfg);
     }
@@ -419,14 +419,14 @@ mod tests {
         w.enable_telemetry(TelemetryConfig::default());
         let (sampled, _) = w.run_drained(program);
 
-        // The tick is observation-only: identical job outcome.
+        // Sampling is observation-only: identical job outcome.
         assert_eq!(plain.elapsed_ns, sampled.elapsed_ns);
         assert_eq!(
             plain.metrics.total_interrupts(),
             sampled.metrics.total_interrupts()
         );
         assert_eq!(plain.metrics.frames_carried, sampled.metrics.frames_carried);
-        // Engine ticks are not events: sampling dispatches nothing extra.
+        // Window closes are not events: sampling dispatches nothing extra.
         assert_eq!(plain.events, sampled.events);
         assert!(plain.telemetry.is_none());
 

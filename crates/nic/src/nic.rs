@@ -177,11 +177,6 @@ impl Nic {
         &self.counters
     }
 
-    /// Packets ready for the host but not yet claimed.
-    pub fn ready_packets(&self) -> usize {
-        self.ready.len()
-    }
-
     /// DMA transfers currently in flight.
     pub fn pending_dmas(&self) -> usize {
         self.dma.pending()

@@ -1,4 +1,4 @@
-//! # omx-sim — deterministic discrete-event simulation engine
+//! # omx-sim — deterministic discrete-event simulation primitives
 //!
 //! This crate is the foundation of the Open-MX interrupt-coalescing
 //! reproduction. It provides:
@@ -9,8 +9,8 @@
 //!   simultaneous events, O(1) pushes for short-horizon timers, and no
 //!   hashing or per-event allocation on the hot path. Events leave only by
 //!   being popped: a superseded timer fires as a no-op,
-//! * [`Engine`] / [`Model`] — the simulation driver: a model consumes one
-//!   event at a time and schedules follow-up events through a [`Scheduler`],
+//! * [`StopCondition`] — why a run returned; the event loop itself lives in
+//!   `omx_core`'s `Cluster`, the one world this workspace simulates,
 //! * [`rng`] — seeded deterministic random-number helpers so that every
 //!   experiment is exactly reproducible,
 //! * [`stats`] — counters, histograms and online summary statistics used by
@@ -23,7 +23,7 @@
 //!
 //! Determinism is a hard requirement for the paper reproduction
 //! (identical seeds must produce identical interrupt counts). The
-//! [`engine`] event loop is single-threaded (DESIGN §12 records why); the
+//! event loop is single-threaded (DESIGN §12 records why); the
 //! experiment harness runs many *independent* simulations at once with
 //! [`pool::map`], committing their results in input order (see the `pool`
 //! module docs for the determinism contract), so every report is
@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod json;
 pub mod pool;
 pub mod queue;
@@ -40,6 +39,16 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Engine, Model, Scheduler, StopCondition};
 pub use queue::EventQueue;
 pub use time::{Time, TimeDelta};
+
+/// Why a simulation run returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StopCondition {
+    /// The event queue drained completely.
+    QueueEmpty,
+    /// The next event lies past the run's time horizon; it stays queued.
+    HorizonReached,
+    /// The simulated world asked to stop early.
+    PredicateSatisfied,
+}

@@ -116,14 +116,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Create an empty queue with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut q = Self::new();
-        q.events.reserve(cap);
-        q.heap.reserve(cap);
-        q
-    }
-
     /// Number of events still queued.
     pub fn len(&self) -> usize {
         self.len
@@ -137,8 +129,8 @@ impl<E> EventQueue<E> {
     /// Schedule `event` at absolute time `time`.
     ///
     /// `#[inline]`: push is called once per scheduled event from another
-    /// crate (the engine); without the hint the call stays an opaque
-    /// cross-crate call and the wheel fast path cannot fold into the
+    /// crate (the cluster's event loop); without the hint the call stays an
+    /// opaque cross-crate call and the wheel fast path cannot fold into the
     /// caller's loop.
     #[inline]
     pub fn push(&mut self, time: Time, event: E) {
@@ -208,21 +200,6 @@ impl<E> EventQueue<E> {
         }
         self.restore();
         Some((root.time, event))
-    }
-
-    /// Remove all events.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.free.clear();
-        self.heap.clear();
-        for level in &mut self.levels {
-            for b in &mut level.buckets {
-                b.clear();
-            }
-            level.occupied = 0;
-            level.next_tick = 0;
-        }
-        self.len = 0;
     }
 
     // -- wheel ---------------------------------------------------------------
@@ -407,19 +384,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop(), Some((t(5), i)));
         }
-    }
-
-    #[test]
-    fn clear_empties_everything() {
-        let mut q = EventQueue::new();
-        q.push(t(1), 1);
-        q.push(t(2), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.peek_time(), None);
-        q.push(t(3), 3);
-        assert_eq!(q.pop(), Some((t(3), 3)));
     }
 
     #[test]
