@@ -444,7 +444,7 @@ fn run_sensitivity(quick: bool) {
 }
 
 fn run_perf() {
-    println!("== simulator cost: events dispatched per kind ==");
+    println!("== simulator cost: events dispatched per kind, queue placement ==");
     let report = omx_bench::perf::run();
     omx_bench::perf::print_summary(&report);
     persist("BENCH_sim.json", omx_bench::perf::write_report(&report));

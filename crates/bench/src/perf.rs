@@ -2,7 +2,8 @@
 //!
 //! `omx-bench perf` drives four whole-simulation shapes to completion,
 //! once each and serially, and writes how many events of each kind the
-//! engine dispatched to `BENCH_sim.json` in the working directory. Every
+//! engine dispatched, and where its event queue placed them, to
+//! `BENCH_sim.json` in the working directory. Every
 //! shape runs with a fixed seed, so the report holds no times and two runs
 //! produce the same bytes at any `--jobs`. The committed root
 //! `BENCH_sim.json` is a golden: `crates/bench/tests/perf_golden.rs` fails
@@ -10,30 +11,40 @@
 //! at the repo root regenerates it. Wall-clock cost is perfbench's job
 //! (`perfbench/`, `BENCHMARK.json`).
 //!
-//! Report schema (`omx-bench-perf/7`):
+//! Report schema (`omx-bench-perf/8`):
 //!
 //! ```json
 //! {
-//!   "schema": "omx-bench-perf/7",
+//!   "schema": "omx-bench-perf/8",
 //!   "shapes": [
 //!     {
 //!       "id": "e2e/pingpong_small_50k",
 //!       "frames": 100000,            // Ethernet frames the fabric carried
 //!       "events": 641304,            // events dispatched, all kinds
 //!       "events_per_frame": 6.41304,
-//!       "by_kind": {"FrameArrival": 100000, "DmaComplete": 100000, …}
+//!       "by_kind": {"FrameArrival": 100000, "DmaComplete": 100000, …},
+//!       "queue": {
+//!         "heap_pushes": 576720,     // pushes straight into the heap
+//!         "promoted": 64950,         // wheel entries moved into the heap
+//!         "cascaded": 0,             // wheel entries moved to a lower level
+//!         "heap_len_at_pop_sum": …,  // heap length summed over every pop
+//!         "mean_heap_len_at_pop": …  // that sum per event
+//!       }
 //!     }
 //!   ]
 //! }
 //! ```
 //!
 //! `by_kind` lists every event kind in declaration order
-//! ([`omx_core::system::Cluster::event_counts`]), zeros included.
+//! ([`omx_core::system::Cluster::event_counts`]), zeros included. `queue`
+//! is [`omx_sim::QueueStats`]: every event popped once, so a layout change
+//! in the queue moves only these counts, never `by_kind`.
 
 use omx_core::prelude::*;
 use omx_core::system::EventCounts;
 use omx_mpi::{MpiWorld, Op, WorldSpec};
 use omx_sim::json::Json;
+use omx_sim::QueueStats;
 
 /// Event kinds grouped by the paper layer that schedules them, in the
 /// order [`print_summary`] lists them.
@@ -46,9 +57,9 @@ const LAYERS: &[(&str, &[&str])] = &[
     ("offload", &["OffloadTimer", "OffloadDone"]),
 ];
 
-/// One report entry: the shape's frames and its events in total, per
-/// frame and per kind.
-fn entry(id: &str, frames: u64, by_kind: EventCounts) -> Json {
+/// One report entry: the shape's frames, its events in total, per frame
+/// and per kind, and the event queue's placement counts.
+fn entry(id: &str, frames: u64, by_kind: EventCounts, queue: QueueStats) -> Json {
     let events: u64 = by_kind.iter().map(|(_, n)| n).sum();
     Json::obj(vec![
         ("id", Json::Str(id.into())),
@@ -62,12 +73,30 @@ fn entry(id: &str, frames: u64, by_kind: EventCounts) -> Json {
             "by_kind",
             Json::obj(by_kind.iter().map(|&(k, n)| (k, Json::U64(n))).collect()),
         ),
+        (
+            "queue",
+            Json::obj(vec![
+                ("heap_pushes", Json::U64(queue.heap_pushes)),
+                ("promoted", Json::U64(queue.promoted)),
+                ("cascaded", Json::U64(queue.cascaded)),
+                ("heap_len_at_pop_sum", Json::U64(queue.heap_len_at_pop_sum)),
+                (
+                    "mean_heap_len_at_pop",
+                    Json::F64(queue.heap_len_at_pop_sum as f64 / events.max(1) as f64),
+                ),
+            ]),
+        ),
     ])
 }
 
 /// The entry for a shape driven through a bare `Cluster`.
 fn cluster_entry(id: &str, cluster: &Cluster) -> Json {
-    entry(id, cluster.metrics().frames_carried, cluster.event_counts())
+    entry(
+        id,
+        cluster.metrics().frames_carried,
+        cluster.event_counts(),
+        cluster.queue_stats(),
+    )
 }
 
 /// 128-byte ping-pongs on a two-node cluster: every frame takes the
@@ -117,6 +146,7 @@ fn scale_alltoall_16n() -> Json {
         "e2e/scale_alltoall_16n",
         report.metrics.frames_carried,
         report.events,
+        report.queue,
     )
 }
 
@@ -139,7 +169,7 @@ pub fn run() -> Json {
         scale_alltoall_16n(),
     ];
     Json::obj(vec![
-        ("schema", Json::Str("omx-bench-perf/7".into())),
+        ("schema", Json::Str("omx-bench-perf/8".into())),
         ("shapes", Json::Arr(shapes)),
     ])
 }
@@ -150,7 +180,7 @@ pub fn write_report(report: &Json) -> std::io::Result<()> {
 }
 
 /// Print a report produced by [`run`], one block per shape, with the
-/// event kinds grouped by paper layer.
+/// event kinds grouped by paper layer and the queue's placement counts.
 pub fn print_summary(report: &Json) {
     let Some(shapes) = report.get("shapes").and_then(|s| s.as_arr()) else {
         return;
@@ -182,6 +212,19 @@ pub fn print_summary(report: &Json) {
                 .collect();
             let line = format!("  {layer:<16} {total:>10}  {}", detail.join(", "));
             println!("{}", line.trim_end());
+        }
+        if let Some(q) = s.get("queue") {
+            let mean = q
+                .get("mean_heap_len_at_pop")
+                .and_then(|v| v.as_f64())
+                .unwrap_or(0.0);
+            println!(
+                "  {:<16} heap pushes {}, promoted {}, cascaded {}, mean heap length at pop {mean:.1}",
+                "event queue",
+                u(q, "heap_pushes"),
+                u(q, "promoted"),
+                u(q, "cascaded"),
+            );
         }
     }
 }

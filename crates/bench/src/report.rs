@@ -74,8 +74,8 @@
 //! documented in [`crate::timeline`] and DESIGN §10.
 //!
 //! `BENCH_sim.json` (repo root, written by `omx-bench perf`) holds the exact
-//! per-event-kind dispatch counts of four fixed shapes; its schema is
-//! documented in [`crate::perf`].
+//! per-event-kind dispatch and event-queue counts of four fixed shapes; its
+//! schema is documented in [`crate::perf`].
 
 use std::fmt::Write as _;
 use std::path::Path;

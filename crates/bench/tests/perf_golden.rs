@@ -1,5 +1,5 @@
 //! The committed root `BENCH_sim.json` is a golden of the simulator's
-//! exact per-event-kind dispatch counts.
+//! exact per-event-kind dispatch counts and event-queue placement counts.
 //!
 //! Every `omx-bench perf` shape runs with a fixed seed, so any change to
 //! its counts is a change to what the simulator does. This test fails on
@@ -15,7 +15,7 @@ use omx_sim::json::Json;
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
 
 /// Every count in `report` as `("<shape id> <name>", value)`: each shape's
-/// frame and event totals, then each event kind.
+/// frame and event totals, each event kind, then each queue counter.
 fn counts(report: &Json) -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for shape in report
@@ -30,6 +30,9 @@ fn counts(report: &Json) -> Vec<(String, u64)> {
         ];
         if let Some(Json::Obj(kinds)) = shape.get("by_kind") {
             fields.extend(kinds.iter().map(|(k, v)| (k.as_str(), Some(v))));
+        }
+        if let Some(Json::Obj(queue)) = shape.get("queue") {
+            fields.extend(queue.iter().map(|(k, v)| (k.as_str(), Some(v))));
         }
         for (name, v) in fields {
             if let Some(n) = v.and_then(|v| v.as_u64()) {

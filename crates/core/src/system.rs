@@ -40,7 +40,7 @@ use omx_nic::offload::{
 use omx_nic::{CoalescingStrategy, DescId, Nic, NicConfig, NicOutcome, PacketMeta, ReadyPacket};
 use omx_sim::rng::SimRng;
 use omx_sim::stats::TimeWeighted;
-use omx_sim::{EventQueue, StopCondition, Time, TimeDelta};
+use omx_sim::{EventQueue, QueueStats, StopCondition, Time, TimeDelta};
 use std::any::Any;
 use std::collections::VecDeque;
 
@@ -1633,6 +1633,12 @@ impl Cluster {
     pub fn event_counts(&self) -> EventCounts {
         let counts = &self.nodes.event_counts;
         std::array::from_fn(|i| (EV_KIND_NAMES[i], counts[i]))
+    }
+
+    /// Where the event queue has placed its entries so far (heap pushes,
+    /// wheel promotions and cascades).
+    pub fn queue_stats(&self) -> QueueStats {
+        self.ctx.queue.stats()
     }
 
     /// Borrow an actor back (downcast to its concrete type).

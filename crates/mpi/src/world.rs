@@ -7,7 +7,7 @@ use omx_core::system::{Cluster, ClusterConfig, EventCounts};
 use omx_core::telemetry::{Telemetry, TelemetryConfig};
 use omx_core::wire::EndpointAddr;
 use omx_sim::stats::Histogram;
-use omx_sim::{StopCondition, Time};
+use omx_sim::{QueueStats, StopCondition, Time};
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
@@ -99,6 +99,8 @@ pub struct MpiRunReport {
     pub offload: Vec<omx_core::offload::OffloadCounters>,
     /// Events dispatched per event kind ([`Cluster::event_counts`]).
     pub events: EventCounts,
+    /// Event-queue placement counts ([`Cluster::queue_stats`]).
+    pub queue: QueueStats,
 }
 
 /// A configured MPI job.
@@ -256,6 +258,7 @@ impl MpiWorld {
             telemetry: self.cluster.take_telemetry(),
             offload: self.cluster.offload_counters(),
             events: self.cluster.event_counts(),
+            queue: self.cluster.queue_stats(),
         };
         (report, sanitizer)
     }

@@ -39,7 +39,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use queue::EventQueue;
+pub use queue::{EventQueue, QueueStats};
 pub use time::{Time, TimeDelta};
 
 /// Why a simulation run returned.

@@ -85,6 +85,23 @@ impl Level {
     }
 }
 
+/// Exact counts of where the queue placed its entries: a deterministic
+/// function of the push and pop sequence, so they serve as a golden of the
+/// queue's work (`BENCH_sim.json`). Every heap insert is a direct push or a
+/// promotion; every entry that leaves the wheel is promoted or cascaded.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Pushes that went straight into the heap.
+    pub heap_pushes: u64,
+    /// Wheel entries moved into the heap.
+    pub promoted: u64,
+    /// Wheel entries moved down into a lower wheel level.
+    pub cascaded: u64,
+    /// Heap length (root included) summed over every pop; divided by the
+    /// pops, the mean heap length at pop.
+    pub heap_len_at_pop_sum: u64,
+}
+
 /// A deterministic priority queue of timestamped events.
 pub struct EventQueue<E> {
     /// Payloads of queued events, indexed by [`Entry::slot`].
@@ -95,6 +112,7 @@ pub struct EventQueue<E> {
     levels: [Level; LEVELS],
     next_seq: u64,
     len: usize,
+    stats: QueueStats,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -113,7 +131,13 @@ impl<E> EventQueue<E> {
             levels: [Level::new(), Level::new()],
             next_seq: 0,
             len: 0,
+            stats: QueueStats::default(),
         }
+    }
+
+    /// Where the queue has placed its entries so far.
+    pub fn stats(&self) -> QueueStats {
+        self.stats
     }
 
     /// Number of events still queued.
@@ -164,6 +188,7 @@ impl<E> EventQueue<E> {
                 }
             }
         }
+        self.stats.heap_pushes += 1;
         self.heap_insert(entry);
     }
 
@@ -182,6 +207,7 @@ impl<E> EventQueue<E> {
             return None;
         }
         debug_assert!(!self.heap.is_empty(), "hybrid invariant violated");
+        self.stats.heap_len_at_pop_sum += self.heap.len() as u64;
         let root = self.heap_pop_root();
         let event = self.events[root.slot as usize]
             .take()
@@ -240,6 +266,7 @@ impl<E> EventQueue<E> {
             }
             let b = (tick & SLOT_MASK) as usize;
             let mut bucket = std::mem::take(&mut self.levels[l].buckets[b]);
+            self.stats.promoted += bucket.len() as u64;
             for entry in bucket.drain(..) {
                 self.heap_insert(entry);
             }
