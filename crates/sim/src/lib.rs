@@ -5,10 +5,13 @@
 //!
 //! * [`Time`] — a nanosecond-resolution simulated clock value,
 //! * [`EventQueue`] — a 4-ary heap of `(time, seq, slot)` keys hybridised
-//!   with a hierarchical timer wheel: stable FIFO ordering among
-//!   simultaneous events, O(1) pushes for short-horizon timers, and no
-//!   hashing or per-event allocation on the hot path. Events leave only by
-//!   being popped: a superseded timer fires as a no-op,
+//!   with a three-level hierarchical timer wheel (~268 ms of span) that
+//!   cascades due buckets down a level, so the heap holds only imminent
+//!   events: stable FIFO ordering among simultaneous events, O(1) pushes
+//!   for timers up to the retransmit timeout, and no hashing or per-event
+//!   allocation on the hot path. Events leave only by being popped: a
+//!   superseded timer fires as a no-op. [`QueueStats`] counts where the
+//!   queue placed its entries,
 //! * [`StopCondition`] — why a run returned; the event loop itself lives in
 //!   `omx_core`'s `Cluster`, the one world this workspace simulates,
 //! * [`rng`] — seeded deterministic random-number helpers so that every

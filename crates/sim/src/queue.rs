@@ -18,24 +18,35 @@
 //!   `(time, seq, slot)` entries. The 4-ary layout halves the tree depth
 //!   versus a binary heap and keeps sift-down comparisons within one cache
 //!   line.
-//! * **Timer-wheel fast path.** Short-horizon events are routed into a
-//!   two-level hierarchical timer wheel (64 buckets per level, 2^10 ns and
-//!   2^16 ns ticks ≈ 65 µs and 4.2 ms of span). Wheel insert is an O(1)
-//!   bucket push. Buckets are unordered; when simulated time approaches a
-//!   bucket it is *promoted* wholesale into the heap, where exact
-//!   `(time, seq)` order is restored — each event is promoted at most once,
-//!   so the amortised cost matches a plain heap.
+//! * **Timer-wheel fast path.** Events further out than the heap root are
+//!   filed in a three-level hierarchical timer wheel (64 buckets per level;
+//!   2^10, 2^16 and 2^22 ns ticks ≈ 65 µs, 4.2 ms and 268 ms of span). A
+//!   push files the event in the lowest level whose window holds its tick,
+//!   an O(1) bucket push; anything beyond level 2 goes to the heap. Buckets
+//!   are unordered. When simulated time reaches a level-0 bucket it is
+//!   *promoted* wholesale into the heap, where exact `(time, seq)` order is
+//!   restored. When it reaches a higher level's bucket, the bucket
+//!   *cascades*: each entry is re-filed, by the same placement rule as a
+//!   push, into a lower level or, outside every lower window, into the
+//!   heap. So the heap holds the imminent events, not the 20 ms retransmit
+//!   arms every packet leaves queued.
+//! * **Cursors move only on pop.** Each level's window starts at the tick
+//!   of the last popped event. Promotion and cascade leave the cursors
+//!   alone, so the near events pushed next still find a wheel window.
 //!
 //! The structures are hybridised by one invariant, re-established after
 //! every mutation: **if the wheel holds any event, the heap is non-empty and
 //! its root is `(time, seq)`-minimal among all queued events.** Pushes that
-//! would precede the heap root go straight to the heap; pops promote wheel
-//! buckets until the invariant holds again. `peek_time`/`pop` therefore read
-//! the global minimum directly off the heap root and dispatch order is
-//! byte-identical to a single ordered queue.
+//! would precede the heap root go straight to the heap; pops promote and
+//! cascade due wheel buckets until the root precedes the start of every
+//! non-empty bucket again. `peek_time`/`pop` therefore read the global
+//! minimum directly off the heap root, and dispatch order is byte-identical
+//! to a single ordered queue whatever the layout. [`QueueStats`] counts
+//! where entries went.
 //!
 //! Steady-state operation performs no heap allocation: event slots, heap
-//! entries and bucket vectors are all recycled.
+//! entries and bucket vectors are all recycled, and an empty queue owns no
+//! allocation at all.
 
 use crate::time::Time;
 
@@ -55,30 +66,33 @@ impl Entry {
     }
 }
 
-/// Wheel geometry: two levels of 64 buckets. Level 0 ticks are 2^10 ns
-/// (~1 µs, spanning ~65 µs); level 1 ticks are 2^16 ns (~65 µs, spanning
-/// ~4.2 ms). The NIC coalescing timeout (75 µs default) and the driver
-/// retransmit timers land in level 1; NAPI-scale re-polls land in level 0.
-/// Anything further out overflows to the heap, which is exact at any range.
-const LEVELS: usize = 2;
-const LEVEL_BITS: [u32; LEVELS] = [10, 16];
+/// Wheel geometry: three levels of 64 buckets. Level 0 ticks are 2^10 ns
+/// (~1 µs, spanning ~65 µs), level 1 ticks 2^16 ns (~65 µs, spanning
+/// ~4.2 ms) and level 2 ticks 2^22 ns (~4.2 ms, spanning ~268 ms).
+/// NAPI-scale re-polls land in level 0, the NIC coalescing timeout (75 µs
+/// default) in level 1, and the driver's 20 ms retransmit timers in
+/// level 2. Anything further out goes to the heap, which is exact at any
+/// range.
+const LEVELS: usize = 3;
+const LEVEL_BITS: [u32; LEVELS] = [10, 16, 22];
 const WHEEL_SLOTS: usize = 64;
 const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 
 struct Level {
     /// Unordered entries per bucket; bucket index = tick & SLOT_MASK.
-    buckets: Vec<Vec<Entry>>,
+    buckets: [Vec<Entry>; WHEEL_SLOTS],
     /// Bit b set ⇔ bucket b is non-empty.
     occupied: u64,
     /// First tick this level may still hold; all resident ticks lie in
-    /// `[next_tick, next_tick + WHEEL_SLOTS)`.
+    /// `[next_tick, next_tick + WHEEL_SLOTS)`. Only [`EventQueue::pop`]
+    /// moves it.
     next_tick: u64,
 }
 
 impl Level {
     fn new() -> Self {
         Level {
-            buckets: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            buckets: std::array::from_fn(|_| Vec::new()),
             occupied: 0,
             next_tick: 0,
         }
@@ -128,7 +142,7 @@ impl<E> EventQueue<E> {
             events: Vec::new(),
             free: Vec::new(),
             heap: Vec::new(),
-            levels: [Level::new(), Level::new()],
+            levels: std::array::from_fn(|_| Level::new()),
             next_seq: 0,
             len: 0,
             stats: QueueStats::default(),
@@ -173,23 +187,17 @@ impl<E> EventQueue<E> {
         let entry = Entry { time, seq, slot };
         self.len += 1;
 
-        // Wheel fast path — only when the heap root stays the global
-        // minimum (the new event's seq is the largest, so ties on time keep
-        // the root minimal) and the event's tick is within a level's window.
-        if self.heap.first().is_some_and(|root| root.time <= time) {
-            let t = time.as_nanos();
-            for (l, level) in self.levels.iter_mut().enumerate() {
-                let tick = t >> LEVEL_BITS[l];
-                if tick >= level.next_tick && tick - level.next_tick < WHEEL_SLOTS as u64 {
-                    let b = (tick & SLOT_MASK) as usize;
-                    level.buckets[b].push(entry);
-                    level.occupied |= 1 << b;
-                    return;
-                }
-            }
+        // The wheel may take the event only while the heap root stays the
+        // global minimum: the new event's seq is the largest, so a tie on
+        // time keeps the root minimal.
+        let below = if self.heap.first().is_some_and(|root| root.time <= time) {
+            LEVELS
+        } else {
+            0
+        };
+        if !self.place(entry, below) {
+            self.stats.heap_pushes += 1;
         }
-        self.stats.heap_pushes += 1;
-        self.heap_insert(entry);
     }
 
     /// Timestamp of the next event, if any.
@@ -251,10 +259,33 @@ impl<E> EventQueue<E> {
         best
     }
 
-    /// Re-establish the hybrid invariant: promote wheel buckets into the
-    /// heap until the heap root precedes every wheel-resident event (or the
-    /// wheel is empty). Each event is promoted at most once over its
-    /// lifetime, so the cost amortises to one heap insert per event.
+    /// File `entry` in the lowest level below `below` whose window holds
+    /// its tick, else in the heap. Returns `true` if the wheel took it.
+    /// Push and cascade share this one placement rule.
+    #[inline]
+    fn place(&mut self, entry: Entry, below: usize) -> bool {
+        let t = entry.time.as_nanos();
+        for (l, level) in self.levels[..below].iter_mut().enumerate() {
+            let tick = t >> LEVEL_BITS[l];
+            if tick >= level.next_tick && tick - level.next_tick < WHEEL_SLOTS as u64 {
+                let b = (tick & SLOT_MASK) as usize;
+                level.buckets[b].push(entry);
+                level.occupied |= 1 << b;
+                return true;
+            }
+        }
+        self.heap_insert(entry);
+        false
+    }
+
+    /// Re-establish the hybrid invariant: empty due wheel buckets until the
+    /// heap root precedes every wheel-resident event (or the wheel is
+    /// empty). A due level-0 bucket is promoted into the heap; a due bucket
+    /// of a higher level *cascades*: each entry is re-filed by [`Self::place`]
+    /// into a lower level, or into the heap if no lower window holds it.
+    /// Entries only move down, so each is handled at most once per level.
+    /// The cursors stay put: raising a lower level's cursor here would push
+    /// the near events that follow into the heap.
     fn restore(&mut self) {
         while let Some((l, tick, start)) = self.earliest_bucket() {
             if self
@@ -266,13 +297,15 @@ impl<E> EventQueue<E> {
             }
             let b = (tick & SLOT_MASK) as usize;
             let mut bucket = std::mem::take(&mut self.levels[l].buckets[b]);
-            self.stats.promoted += bucket.len() as u64;
+            self.levels[l].occupied &= !(1u64 << b);
             for entry in bucket.drain(..) {
-                self.heap_insert(entry);
+                if self.place(entry, l) {
+                    self.stats.cascaded += 1;
+                } else {
+                    self.stats.promoted += 1;
+                }
             }
             self.levels[l].buckets[b] = bucket; // keep the capacity
-            self.levels[l].occupied &= !(1u64 << b);
-            self.levels[l].next_tick = tick + 1;
         }
     }
 
@@ -367,13 +400,22 @@ mod tests {
                 self.events.len(),
                 "every slot is queued or free"
             );
-            if wheel_live > 0 {
-                let root = self.heap.first().expect("wheel non-empty needs heap root");
-                for level in &self.levels {
-                    for bucket in &level.buckets {
-                        for e in bucket {
-                            assert!(root.key() <= e.key(), "wheel event precedes heap root");
-                        }
+            for (l, level) in self.levels.iter().enumerate() {
+                for (b, bucket) in level.buckets.iter().enumerate() {
+                    assert_eq!(
+                        level.occupied >> b & 1 == 1,
+                        !bucket.is_empty(),
+                        "level {l} occupancy bit {b}"
+                    );
+                    for e in bucket {
+                        let tick = e.time.as_nanos() >> LEVEL_BITS[l];
+                        assert_eq!((tick & SLOT_MASK) as usize, b, "entry in wrong bucket");
+                        assert!(
+                            tick >= level.next_tick && tick - level.next_tick < WHEEL_SLOTS as u64,
+                            "level {l} entry outside its window"
+                        );
+                        let root = self.heap.first().expect("wheel non-empty needs heap root");
+                        assert!(root.key() <= e.key(), "wheel event precedes heap root");
                     }
                 }
             }
@@ -469,6 +511,47 @@ mod tests {
             fired.push(j);
         }
         assert_eq!(fired, (0..1_000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn retransmit_arms_stay_out_of_the_heap() {
+        // The driver-timer pattern: a 20 ms retransmit arm every 100 µs,
+        // each superseded arm left queued, under a packet every 1.2 µs
+        // with the next packet already in flight. The arms wait in level
+        // 2 and cascade down as time reaches them, so the heap holds only
+        // the imminent events; pop order is exactly `(time, seq)`.
+        const PKT_NS: u64 = 1_200;
+        const ARM_EVERY_NS: u64 = 100_000;
+        const RTO_NS: u64 = 20_000_000;
+        let mut q = EventQueue::new();
+        let mut pushed = Vec::new(); // (time, seq) of every push
+        let mut push = |q: &mut EventQueue<(u64, bool)>, at: u64, packet: bool| {
+            let seq = pushed.len() as u64;
+            q.push(t(at), (seq, packet));
+            pushed.push((at, seq));
+        };
+        push(&mut q, 0, true);
+        push(&mut q, PKT_NS, true);
+        let (mut next_arm, mut max_heap) = (0, 0);
+        let mut popped = Vec::new();
+        while let Some((at, (seq, packet))) = q.pop() {
+            let now = at.as_nanos();
+            popped.push((now, seq));
+            max_heap = max_heap.max(q.heap.len());
+            // Packets run for 60 ms; the arms then drain on their own.
+            if packet && now + 2 * PKT_NS < 60_000_000 {
+                push(&mut q, now + 2 * PKT_NS, true);
+                if now >= next_arm {
+                    push(&mut q, now + RTO_NS, false);
+                    next_arm += ARM_EVERY_NS;
+                }
+            }
+            max_heap = max_heap.max(q.heap.len());
+        }
+        assert!(q.stats().cascaded > 0, "the arms cascade through the wheel");
+        assert!(max_heap <= 8, "heap reached {max_heap} entries");
+        pushed.sort_unstable();
+        assert_eq!(popped, pushed, "pop order is (time, seq)");
     }
 
     #[test]

@@ -43,48 +43,57 @@ fn pop_order_is_time_then_fifo() {
 /// behaviour must be indistinguishable from this.
 #[test]
 fn queue_matches_sorted_vec_model() {
-    #[derive(Clone, Copy)]
-    struct ModelEntry {
-        time: u64,
-        seq: u64,
-        id: u64,
+    /// Push at `t` into the queue and the model, which keeps `(time, seq)`
+    /// pairs sorted; the seq is also the event.
+    fn push(q: &mut EventQueue<u64>, model: &mut Vec<(u64, u64)>, seq: &mut u64, t: u64) {
+        q.push(Time::from_nanos(t), *seq);
+        let pos = model.binary_search(&(t, *seq)).unwrap_err();
+        model.insert(pos, (t, *seq));
+        *seq += 1;
     }
 
     let mut rng = SimRng::new(0x5EED_0004);
+    let mut cascaded = 0;
     for case in 0..256 {
         let ops = rng.range_u64(1, 400) as usize;
         let mut q = EventQueue::new();
-        // Reference: entries kept sorted by (time, seq); front pops first.
-        let mut model: Vec<ModelEntry> = Vec::new();
+        // Reference: front pops first.
+        let mut model: Vec<(u64, u64)> = Vec::new();
         let mut seq = 0u64;
-        let mut next_id = 0u64;
         let mut floor = 0u64; // pops are monotone; pushes must respect it
 
         for _ in 0..ops {
             match rng.range_u64(0, 100) {
-                // Push (50%) — mix of short horizons (wheel-range) and far.
-                0..=49 => {
-                    let t = if rng.chance(0.7) {
-                        floor + rng.range_u64(0, 100_000) // within wheel spans
-                    } else {
-                        floor + rng.range_u64(0, 10_000_000_000) // far future
+                // Push (45%), at a distance drawn from one band per wheel
+                // level, beyond the wheel, or tied with a queued event.
+                0..=44 => {
+                    let span = match rng.range_u64(0, 8) {
+                        0 => 1,       // the instant of the last pop
+                        1 => 1 << 10, // ≤ 1 µs
+                        2 => 1 << 16, // ≤ 65 µs: level 0
+                        3 => 1 << 22, // ≤ 4.2 ms: level 1
+                        4 => 1 << 28, // ≤ 268 ms: level 2
+                        5 => 1 << 40, // beyond the wheel
+                        6 => u64::MAX,
+                        _ => 0, // a tie with a queued event
                     };
-                    let id = next_id;
-                    next_id += 1;
-                    q.push(Time::from_nanos(t), id);
-                    let s = seq;
-                    seq += 1;
-                    let pos = model
-                        .binary_search_by_key(&(t, s), |e| (e.time, e.seq))
-                        .unwrap_err();
-                    model.insert(
-                        pos,
-                        ModelEntry {
-                            time: t,
-                            seq: s,
-                            id,
-                        },
-                    );
+                    let t = match span {
+                        u64::MAX => u64::MAX,
+                        0 if !model.is_empty() => {
+                            model[rng.range_u64(0, model.len() as u64) as usize].0
+                        }
+                        0 => floor,
+                        _ => floor.saturating_add(rng.range_u64(0, span)),
+                    };
+                    push(&mut q, &mut model, &mut seq, t);
+                }
+                // A burst of near events (5%): when only far events are
+                // queued, these go under a far heap root.
+                45..=49 => {
+                    for _ in 0..rng.range_u64(1, 16) {
+                        let t = floor.saturating_add(rng.range_u64(0, 1 << 12));
+                        push(&mut q, &mut model, &mut seq, t);
+                    }
                 }
                 // Pop (35%).
                 50..=84 => {
@@ -94,17 +103,13 @@ fn queue_matches_sorted_vec_model() {
                     } else {
                         let e = model.remove(0);
                         let (at, id) = got.expect("model non-empty but pop was None");
-                        assert_eq!(
-                            (at.as_nanos(), id),
-                            (e.time, e.id),
-                            "case {case}: pop mismatch"
-                        );
-                        floor = e.time;
+                        assert_eq!((at.as_nanos(), id), e, "case {case}: pop mismatch");
+                        floor = e.0;
                     }
                 }
                 // Peek (15%).
                 _ => {
-                    let expect = model.first().map(|e| e.time);
+                    let expect = model.first().map(|e| e.0);
                     assert_eq!(
                         q.peek_time().map(|t| t.as_nanos()),
                         expect,
@@ -117,16 +122,14 @@ fn queue_matches_sorted_vec_model() {
         }
 
         // Drain: the tail must come out exactly in model order.
-        while let Some(e) = if model.is_empty() {
-            None
-        } else {
-            Some(model.remove(0))
-        } {
+        for e in model {
             let (at, id) = q.pop().expect("queue drained before model");
-            assert_eq!((at.as_nanos(), id), (e.time, e.id), "case {case}: drain");
+            assert_eq!((at.as_nanos(), id), e, "case {case}: drain");
         }
         assert!(q.pop().is_none());
+        cascaded += q.stats().cascaded;
     }
+    assert!(cascaded > 0, "the cases exercise the cascade");
 }
 
 /// Interleaved push/pop keeps the min-heap property observable: any pop
