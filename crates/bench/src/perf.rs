@@ -24,9 +24,9 @@
 //!       "events_per_frame": 6.41304,
 //!       "by_kind": {"FrameArrival": 100000, "DmaComplete": 100000, …},
 //!       "queue": {
-//!         "heap_pushes": 576720,     // pushes straight into the heap
-//!         "promoted": 64950,         // wheel entries moved into the heap
-//!         "cascaded": 0,             // wheel entries moved to a lower level
+//!         "heap_pushes": 560780,     // pushes straight into the heap
+//!         "promoted": 80528,         // wheel entries moved into the heap
+//!         "cascaded": 40546,         // wheel entries moved to a lower level
 //!         "heap_len_at_pop_sum": …,  // heap length summed over every pop
 //!         "mean_heap_len_at_pop": …  // that sum per event
 //!       }

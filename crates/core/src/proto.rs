@@ -350,7 +350,16 @@ pub struct NodeDriver {
 
 impl NodeDriver {
     /// Create the driver of node `local` with `endpoints` attach points.
+    ///
+    /// # Panics
+    /// Panics if `cfg.rto_ns` is zero or overflows a signed delta. A zero
+    /// timeout re-stamps a retransmitted packet at the instant of the timer
+    /// firing, so the driver timer could never move past it.
     pub fn new(local: u16, endpoints: usize, cfg: ProtoConfig) -> Self {
+        assert!(
+            cfg.rto_ns > 0,
+            "ProtoConfig::rto_ns = 0: a retransmission timeout must be positive"
+        );
         NodeDriver {
             local,
             cfg,
@@ -2011,6 +2020,16 @@ mod tests {
             ..ProtoConfig::default()
         };
         // Building the driver converts rto_ns; u64::MAX overflows i64.
+        let _ = NodeDriver::new(0, 1, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "ProtoConfig::rto_ns = 0")]
+    fn zero_rto_panics_with_clear_message() {
+        let cfg = ProtoConfig {
+            rto_ns: 0,
+            ..ProtoConfig::default()
+        };
         let _ = NodeDriver::new(0, 1, cfg);
     }
 

@@ -1499,7 +1499,9 @@ impl Cluster {
     /// closes before any event at that exact instant, so a window never
     /// observes its successor's work. Windows close only on the way to an
     /// event, never past the last one; the partial final window closes at
-    /// the stop point.
+    /// the stop point. If the stop point is a boundary whose window closed
+    /// before events at that instant ran, the final window holds those
+    /// events and ends at the next boundary.
     pub fn run(&mut self, horizon: Time) -> StopCondition {
         if !self.started {
             self.started = true;
@@ -1511,6 +1513,7 @@ impl Cluster {
                 }
             }
         }
+        let events_before = self.events_processed();
         let stop = loop {
             let Some(next) = self.ctx.queue.peek_time() else {
                 break StopCondition::QueueEmpty;
@@ -1533,9 +1536,21 @@ impl Cluster {
             }
         };
         // Close the tail window at the stop point, unless the horizon cut
-        // the run short: the queue is still live then.
+        // the run short: the queue is still live then. If this run's last
+        // events ran at the instant of the last closed boundary, they ran
+        // after that window closed: their window ends at the next boundary.
         if stop != StopCondition::HorizonReached {
-            self.sample_telemetry(self.ctx.now);
+            let now = self.ctx.now;
+            let end = match &self.telemetry {
+                Some(tel)
+                    if tel.last_boundary() == Some(now)
+                        && self.events_processed() > events_before =>
+                {
+                    tel.next_boundary()
+                }
+                _ => now,
+            };
+            self.sample_telemetry(end);
         }
         // Quiescence means every queued event drained: any protocol state
         // still mid-flight is stranded forever, and any packet the NIC
@@ -2077,11 +2092,11 @@ mod tests {
         assert!(tracer.events().all(|e| e.kind != TraceKind::CoalesceTimer));
     }
 
-    /// A driver timer whose firing leaves its deadline at `now` (a zero
-    /// retransmission timeout resends and re-stamps the head at `now`)
-    /// fails loudly instead of re-firing at the same instant forever.
+    /// A zero retransmission timeout, which would resend and re-stamp the
+    /// head at `now` and so leave the driver timer overdue after every
+    /// firing, is rejected when the cluster is built.
     #[test]
-    #[should_panic(expected = "DriverTimer { node: 0 } is overdue after firing")]
+    #[should_panic(expected = "ProtoConfig::rto_ns = 0")]
     fn overdue_driver_timer_panics() {
         let mut builder = ClusterBuilder::new().nodes(2);
         builder.config_mut().proto.rto_ns = 0;
@@ -2099,10 +2114,10 @@ mod tests {
     }
 
     /// The offload engine re-arms each due frame `hop_ns + rto_ns` after
-    /// the firing; with both zero its deadline stays at `now`, which must
-    /// panic rather than spin.
+    /// the firing; with both zero its deadline would stay at `now`, so the
+    /// cluster is rejected when built.
     #[test]
-    #[should_panic(expected = "OffloadTimer { node: 0 } is overdue after firing")]
+    #[should_panic(expected = "OffloadConfig::hop_ns + OffloadConfig::rto_ns = 0")]
     fn overdue_offload_timer_panics() {
         struct Barrier {
             rank: u32,
@@ -2128,6 +2143,29 @@ mod tests {
         cluster.add_actor(0, 0, Box::new(Barrier { rank: 0 }));
         cluster.add_actor(1, 0, Box::new(Barrier { rank: 1 }));
         cluster.run(Time::from_secs(1));
+    }
+
+    /// A timer handler that leaves its deadline at or before `now` would
+    /// fire again at `now` forever; `arm_timer` panics instead, in release
+    /// builds too. From any other caller an overdue deadline arms at `now`.
+    #[test]
+    #[should_panic(expected = "DriverTimer { node: 0 } is overdue after firing")]
+    fn arm_timer_panics_on_a_deadline_overdue_after_firing() {
+        let mut cluster = ClusterBuilder::new().build();
+        let now = Time::from_nanos(100);
+        cluster.ctx.now = now;
+        let ev = || Ev::DriverTimer { node: 0 };
+        let mut slot = None;
+        arm_timer(
+            &mut slot,
+            Some(Time::ZERO),
+            now,
+            false,
+            &mut cluster.ctx,
+            ev(),
+        );
+        assert_eq!(slot, Some(now), "an overdue deadline arms at now");
+        arm_timer(&mut slot, Some(now), now, true, &mut cluster.ctx, ev());
     }
 
     /// A lossy, reordered two-node stream (retransmissions, RTO stalls,
@@ -2251,6 +2289,47 @@ mod tests {
             .map(|w| (w.end_ns, w.goodput_bytes))
             .collect();
         assert_eq!(goodput[..2], [(window_ns, 0), (2 * window_ns, 64)]);
+    }
+
+    /// A run that stops on a window boundary, after the event at that
+    /// instant ran, closes its tail window at the next boundary: the
+    /// delivery that stopped the run is counted, once.
+    #[test]
+    fn telemetry_tail_window_keeps_an_event_on_the_boundary() {
+        let strategy = CoalescingStrategy::Disabled;
+        let (at, _) = one_shot(64, strategy);
+        let window_ns = at.as_nanos();
+        let mut cluster = ClusterBuilder::new().nodes(2).strategy(strategy).build();
+        cluster.enable_telemetry(TelemetryConfig {
+            window_ns,
+            ..TelemetryConfig::default()
+        });
+        let sender = OneShotSender {
+            dst: EndpointAddr::new(1, 0),
+            len: 64,
+            send_done_at: None,
+        };
+        let receiver = OneShotReceiver {
+            recv_done_at: None,
+            len_seen: 0,
+        };
+        cluster.add_actor(0, 0, Box::new(sender));
+        cluster.add_actor(1, 0, Box::new(receiver));
+        let stop = cluster.run(Time::from_secs(1));
+        assert_eq!(stop, StopCondition::PredicateSatisfied);
+        assert_eq!(cluster.now(), at, "the run stops on the boundary");
+        let tel = cluster.telemetry().expect("telemetry enabled");
+        let windows: Vec<(u64, u64)> = tel
+            .node_windows(1)
+            .map(|w| (w.end_ns, w.goodput_bytes))
+            .collect();
+        let goodput: u64 = windows.iter().map(|&(_, g)| g).sum();
+        assert_eq!(goodput, cluster.nodes.delivered_bytes[1]);
+        assert_eq!(goodput, 64);
+        assert!(
+            windows.windows(2).all(|w| w[0].0 < w[1].0),
+            "window ends increase: {windows:?}"
+        );
     }
 
     #[test]

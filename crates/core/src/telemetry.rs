@@ -226,6 +226,11 @@ impl Telemetry {
         &self.cfg
     }
 
+    /// The end of the last recorded window, if any.
+    pub fn last_boundary(&self) -> Option<Time> {
+        self.last_end_ns.map(Time::from_nanos)
+    }
+
     /// The aligned boundary that closes the current window: the first
     /// multiple of `window_ns` after the last recorded boundary.
     pub fn next_boundary(&self) -> Time {

@@ -432,7 +432,17 @@ pub struct OffloadEngine {
 impl OffloadEngine {
     /// New engine for `node` (its fabric port) with the given firmware
     /// parameters.
+    ///
+    /// # Panics
+    /// Panics if `cfg.hop_ns + cfg.rto_ns` is zero: a due frame is re-sent
+    /// and re-armed that long after the timer firing, so the timer could
+    /// never move past it.
     pub fn new(node: u16, cfg: OffloadConfig) -> Self {
+        assert!(
+            cfg.hop_ns.saturating_add(cfg.rto_ns) > 0,
+            "OffloadConfig::hop_ns + OffloadConfig::rto_ns = 0: a retransmitted \
+             frame's next deadline must lie after the timer firing"
+        );
         OffloadEngine {
             node,
             cfg,
