@@ -45,7 +45,7 @@
 //! where entries went.
 //!
 //! Steady-state operation performs no heap allocation: event slots, heap
-//! entries and bucket vectors are all recycled, and an empty queue owns no
+//! entries and bucket vectors are all recycled, and a new queue owns no
 //! allocation at all.
 
 use crate::time::Time;
@@ -123,7 +123,10 @@ pub struct EventQueue<E> {
     /// Slots of `events` not holding a queued event.
     free: Vec<u32>,
     heap: Vec<Entry>,
-    levels: [Level; LEVELS],
+    /// The wheel's `LEVELS` levels, allocated when the wheel first takes
+    /// an event: building a queue allocates nothing, and its owner moves
+    /// no ~4.7 KB of inline buckets while a cluster is built.
+    levels: Vec<Level>,
     next_seq: u64,
     len: usize,
     stats: QueueStats,
@@ -142,7 +145,7 @@ impl<E> EventQueue<E> {
             events: Vec::new(),
             free: Vec::new(),
             heap: Vec::new(),
-            levels: std::array::from_fn(|_| Level::new()),
+            levels: Vec::new(),
             next_seq: 0,
             len: 0,
             stats: QueueStats::default(),
@@ -191,6 +194,9 @@ impl<E> EventQueue<E> {
         // global minimum: the new event's seq is the largest, so a tie on
         // time keeps the root minimal.
         let below = if self.heap.first().is_some_and(|root| root.time <= time) {
+            if self.levels.is_empty() {
+                self.levels = (0..LEVELS).map(|_| Level::new()).collect();
+            }
             LEVELS
         } else {
             0
