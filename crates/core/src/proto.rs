@@ -2024,16 +2024,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ProtoConfig::rto_ns = 0")]
-    fn zero_rto_panics_with_clear_message() {
-        let cfg = ProtoConfig {
-            rto_ns: 0,
-            ..ProtoConfig::default()
-        };
-        let _ = NodeDriver::new(0, 1, cfg);
-    }
-
-    #[test]
     fn pending_report_names_key_and_phase() {
         let (mut a, mut b) = pair();
         assert!(report_of(&a).is_empty(), "fresh driver has nothing pending");

@@ -227,7 +227,7 @@ impl Telemetry {
     }
 
     /// The end of the last recorded window, if any.
-    pub fn last_boundary(&self) -> Option<Time> {
+    pub(crate) fn last_boundary(&self) -> Option<Time> {
         self.last_end_ns.map(Time::from_nanos)
     }
 
