@@ -333,6 +333,8 @@ pub struct NodeDriver {
     cfg: ProtoConfig,
     /// `cfg.rto_ns`, converted (and range-checked) once.
     rto: TimeDelta,
+    /// `cfg.delayed_ack_ns`, converted (and range-checked) once.
+    delayed_ack: TimeDelta,
     endpoints: Vec<Endpoint>,
     conns: Vec<Conn>,
     /// [`Conn::deadline`] of each connection, indexed like `conns`. Every
@@ -352,9 +354,10 @@ impl NodeDriver {
     /// Create the driver of node `local` with `endpoints` attach points.
     ///
     /// # Panics
-    /// Panics if `cfg.rto_ns` is zero or overflows a signed delta. A zero
-    /// timeout re-stamps a retransmitted packet at the instant of the timer
-    /// firing, so the driver timer could never move past it.
+    /// Panics if `cfg.rto_ns` is zero, or if it or `cfg.delayed_ack_ns`
+    /// overflows a signed delta. A zero timeout re-stamps a retransmitted
+    /// packet at the instant of the timer firing, so the driver timer could
+    /// never move past it.
     pub fn new(local: u16, endpoints: usize, cfg: ProtoConfig) -> Self {
         assert!(
             cfg.rto_ns > 0,
@@ -364,6 +367,7 @@ impl NodeDriver {
             local,
             cfg,
             rto: checked_delta(cfg.rto_ns, "rto_ns"),
+            delayed_ack: checked_delta(cfg.delayed_ack_ns, "delayed_ack_ns"),
             endpoints: (0..endpoints)
                 .map(|_| Endpoint {
                     matcher: MatchEngine::new(),
@@ -916,13 +920,12 @@ impl NodeDriver {
         ct: usize,
         actions: &mut Vec<DriverAction>,
     ) {
-        let delayed = checked_delta(self.cfg.delayed_ack_ns, "delayed_ack_ns");
         let conn = &mut self.conns[ct];
         conn.unacked_rx += 1;
         if conn.unacked_rx >= self.cfg.ack_every {
             self.send_standalone_ack(ep, remote, ct, actions);
         } else if conn.ack_deadline.is_none() {
-            conn.ack_deadline = Some(now + delayed);
+            conn.ack_deadline = Some(now + self.delayed_ack);
             self.refresh_deadline(ct);
         }
     }
@@ -2020,6 +2023,18 @@ mod tests {
             ..ProtoConfig::default()
         };
         // Building the driver converts rto_ns; u64::MAX overflows i64.
+        let _ = NodeDriver::new(0, 1, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "delayed_ack_ns")]
+    fn oversized_delayed_ack_panics_at_build() {
+        let cfg = ProtoConfig {
+            delayed_ack_ns: u64::MAX,
+            ..ProtoConfig::default()
+        };
+        // Building the driver converts delayed_ack_ns, before any packet
+        // arrives to arm an ack.
         let _ = NodeDriver::new(0, 1, cfg);
     }
 

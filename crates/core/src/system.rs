@@ -37,7 +37,9 @@ use omx_nic::offload::{
     CollFrame, CollFrameKind, OffloadCollDesc, OffloadConfig, OffloadCounters, OffloadEmit,
     OffloadEngine,
 };
-use omx_nic::{CoalescingStrategy, DescId, Nic, NicConfig, NicOutcome, PacketMeta, ReadyPacket};
+use omx_nic::{
+    CoalescingStrategy, DescId, DmaWake, Nic, NicConfig, NicOutcome, PacketMeta, ReadyPacket,
+};
 use omx_sim::rng::SimRng;
 use omx_sim::stats::TimeWeighted;
 use omx_sim::{EventQueue, QueueStats, StopCondition, Time, TimeDelta};
@@ -373,7 +375,9 @@ impl ActorCtx<'_> {
 enum Ev {
     /// A frame arrived at a node's NIC from the wire.
     FrameArrival { node: u16, pkt: WireFrame },
-    /// A NIC DMA transfer completed.
+    /// A NIC DMA transfer completed, and the NIC can act on it (see
+    /// [`Nic::settle`]): scheduled at the key reserved when its frame
+    /// arrived.
     DmaComplete { node: u16, desc: DescId },
     /// The NIC coalescing timer fired.
     CoalesceTimer { node: u16 },
@@ -562,6 +566,23 @@ impl Ctx {
             at
         );
         self.queue.push(at, ev);
+    }
+
+    /// Schedule the DMA completion `wake` for `node` at the key reserved
+    /// for it when its frame arrived, so it dispatches exactly where an
+    /// event pushed then would have.
+    fn schedule_wake(&mut self, node: u16, wake: DmaWake) {
+        assert!(
+            wake.at >= self.now,
+            "DMA completion woken in the past: now={}, at={}",
+            self.now,
+            wake.at
+        );
+        let ev = Ev::DmaComplete {
+            node,
+            desc: wake.desc,
+        };
+        self.queue.push_at(wake.at, wake.seq, ev);
     }
 
     /// Hand a frame from node `src` to the fabric at `t`; the caller has
@@ -765,8 +786,9 @@ impl Nodes {
         ctx.transmit_wire(t, src, dst, WireFrame::Omx(pkt));
     }
 
-    /// Schedule what a NIC call asked for and arm the coalescing timer from
-    /// the NIC's deadline. `fired` is set by the timer's own handler.
+    /// Schedule the DMA completion a NIC call woke and arm the coalescing
+    /// timer from the NIC's deadline; deliver its interrupt. `fired` is set
+    /// by the timer's own handler.
     fn apply_nic_outcome(
         &mut self,
         node: u16,
@@ -775,8 +797,8 @@ impl Nodes {
         fired: bool,
         ctx: &mut Ctx,
     ) {
-        if let Some((desc, at)) = out.dma {
-            ctx.schedule_at(at, Ev::DmaComplete { node, desc });
+        if let Some(wake) = out.wake {
+            ctx.schedule_wake(node, wake);
         }
         let rt = self.rt(node);
         let deadline = rt.nic.timer_deadline();
@@ -1129,10 +1151,11 @@ fn line_group(src: EndpointAddr, dst_ep: u8, eps: usize) -> usize {
 }
 
 impl Nodes {
-    /// Dispatch one event against its node's state. Every event is
-    /// node-local (cross-node traffic only exists as wire transmissions
-    /// through the [`Ctx`]).
-    fn dispatch(&mut self, now: Time, event: Ev, ctx: &mut Ctx) {
+    /// Dispatch one event, popped at the key `(now, seq)`, against its
+    /// node's state. Every event is node-local (cross-node traffic only
+    /// exists as wire transmissions through the [`Ctx`]). The NIC entry
+    /// points take the key to settle the DMA completions before it.
+    fn dispatch(&mut self, now: Time, seq: u64, event: Ev, ctx: &mut Ctx) {
         self.event_counts[event.kind()] += 1;
         match event {
             Ev::FrameArrival { node, pkt } => {
@@ -1148,12 +1171,12 @@ impl Nodes {
                     return;
                 }
                 let meta = pkt.meta();
-                let out = self.rt(node).nic.on_frame(now, meta);
-                let desc = if out.dropped {
-                    None
-                } else {
-                    out.dma.map(|(d, _)| d)
-                };
+                let queue = &mut ctx.queue;
+                let out = self
+                    .rt(node)
+                    .nic
+                    .on_frame(now, seq, meta, || queue.reserve_seq());
+                let desc = out.desc;
                 ctx.trace(now, node, TraceKind::FrameArrival, || match pkt {
                     WireFrame::Omx(p) => TraceData::Packet {
                         pkt: p,
@@ -1162,15 +1185,14 @@ impl Nodes {
                     WireFrame::Raw { payload_len } => TraceData::RawFrame { len: payload_len },
                     WireFrame::Coll(_) => unreachable!("handled before RX-ring classification"),
                 });
-                if out.dropped {
-                    ctx.trace(now, node, TraceKind::Drop, || TraceData::Text("ring full"));
-                } else if let Some((desc, _)) = out.dma {
-                    self.rt(node).dma_insert(now, desc, pkt);
+                match desc {
+                    None => ctx.trace(now, node, TraceKind::Drop, || TraceData::Text("ring full")),
+                    Some(desc) => self.rt(node).dma_insert(now, desc, pkt),
                 }
                 self.apply_nic_outcome(node, now, out, false, ctx);
             }
             Ev::DmaComplete { node, desc } => {
-                let out = self.rt(node).nic.on_dma_complete(now, desc);
+                let out = self.rt(node).nic.on_dma_complete(now, seq, desc);
                 ctx.trace(now, node, TraceKind::DmaComplete, || TraceData::Desc {
                     desc: desc.0,
                 });
@@ -1182,7 +1204,7 @@ impl Nodes {
                     rt.coalesce_timer = None;
                 }
                 let epoch = rt.nic.timer_epoch();
-                let out = rt.nic.on_timer(now);
+                let out = rt.nic.on_timer(now, seq);
                 // Trace a firing only when it raised. A due firing always
                 // disarms, so none re-arms (`due_firing_always_disarms`).
                 if out.interrupt {
@@ -1227,7 +1249,7 @@ impl Nodes {
                 });
                 // Handler done: re-enable interrupts first (NAPI exit), then
                 // hand the packets to the driver's protocol logic.
-                let out = self.rt(node).nic.enable_irq(now);
+                let out = self.rt(node).nic.enable_irq(now, seq);
                 self.apply_nic_outcome(node, now, out, false, ctx);
                 // The packets share `now` and no event runs between them, so
                 // only the deadline left after the last one needs arming
@@ -1425,9 +1447,15 @@ impl Cluster {
     }
 
     /// Enable packet-level event tracing, keeping the last `capacity`
-    /// events. See [`crate::trace`].
+    /// events. See [`crate::trace`]. Every DMA completion from here on gets
+    /// an event, so the trace records each one where it happens.
     pub fn enable_tracing(&mut self, capacity: usize) {
         self.ctx.tracer = Some(Tracer::new(capacity));
+        for (node, rt) in self.nodes.rts.iter_mut().enumerate() {
+            if let Some(wake) = rt.nic.wake_every_completion() {
+                self.ctx.schedule_wake(node as u16, wake);
+            }
+        }
     }
 
     /// The recorded trace, if tracing was enabled.
@@ -1492,8 +1520,9 @@ impl Cluster {
     /// Run until quiescence, the horizon, or an actor-requested stop.
     ///
     /// Events dispatch in `(time, scheduling order)`. A horizon cut leaves
-    /// in-flight events queued and sets [`Cluster::now`] to the horizon, so
-    /// a follow-up `run` resumes where this one stopped.
+    /// in-flight events queued, settles every DMA completion due by the
+    /// horizon and sets [`Cluster::now`] to the horizon, so a follow-up
+    /// `run` resumes where this one stopped.
     ///
     /// With telemetry on, the window ending at each `window_ns` boundary
     /// closes before any event at that exact instant, so a window never
@@ -1520,6 +1549,9 @@ impl Cluster {
             };
             if next > horizon {
                 self.ctx.now = horizon;
+                for rt in &mut self.nodes.rts {
+                    rt.nic.settle(horizon, u64::MAX);
+                }
                 break StopCondition::HorizonReached;
             }
             while let Some(end) = self.telemetry.as_ref().map(Telemetry::next_boundary) {
@@ -1528,9 +1560,9 @@ impl Cluster {
                 }
                 self.sample_telemetry(end);
             }
-            let (now, event) = self.ctx.queue.pop().expect("peeked event vanished");
+            let (now, seq, event) = self.ctx.queue.pop().expect("peeked event vanished");
             self.ctx.now = now;
-            self.nodes.dispatch(now, event, &mut self.ctx);
+            self.nodes.dispatch(now, seq, event, &mut self.ctx);
             if self.nodes.stop {
                 break StopCondition::PredicateSatisfied;
             }
@@ -1551,6 +1583,20 @@ impl Cluster {
                 _ => now,
             };
             self.sample_telemetry(end);
+        }
+        // A DMA completion is settled by its own event or by a later NIC
+        // entry point; one still in flight at quiescence was never woken
+        // although nothing else was left to settle it. Checked in release
+        // builds too: the results would silently miss its packet.
+        if stop == StopCondition::QueueEmpty {
+            for (i, rt) in self.nodes.rts.iter().enumerate() {
+                if let Some((desc, at)) = rt.nic.unsettled_dma() {
+                    panic!(
+                        "node {i}: the DMA completion of {desc:?} at {at} was never \
+                         settled: the event queue drained without waking it"
+                    );
+                }
+            }
         }
         // Quiescence means every queued event drained: any protocol state
         // still mid-flight is stranded forever, and any packet the NIC
@@ -2214,9 +2260,133 @@ mod tests {
             let horizon = Time::from_nanos(end * k / 4);
             assert_eq!(cut.run(horizon), StopCondition::HorizonReached);
             assert_eq!(cut.now(), horizon);
+            for rt in &cut.nodes.rts {
+                let next = rt.nic.unsettled_dma();
+                assert!(
+                    next.is_none_or(|(_, at)| at > horizon),
+                    "{next:?} completes by the horizon but is not settled"
+                );
+            }
         }
         assert_eq!(cut.run(Time::MAX), StopCondition::PredicateSatisfied);
         assert_eq!(outcome(&cut), outcome(&whole));
+    }
+
+    /// 0-byte ping-pongs under the 75 µs timeout, not yet run: no DMA
+    /// completion can act, the coalescing timer claims every packet.
+    fn timeout_pingpong_cluster() -> Cluster {
+        use crate::workloads::pingpong::{PingActor, PingPongSpec, PongActor};
+        let spec = PingPongSpec {
+            msg_len: 0,
+            iterations: 200,
+            warmup: 0,
+        };
+        let mut cluster = ClusterBuilder::new()
+            .nodes(2)
+            .strategy(CoalescingStrategy::Timeout { delay_us: 75 })
+            .build();
+        let ping = PingActor::new(EndpointAddr::new(1, 0), spec);
+        cluster.add_actor(0, 0, Box::new(ping));
+        let pong = PongActor::new(EndpointAddr::new(0, 0), spec.msg_len);
+        cluster.add_actor(1, 0, Box::new(pong));
+        cluster
+    }
+
+    /// Every rank of a 16-node job, two ranks per node, sends 16 KiB to
+    /// every other rank at once through 32-frame switch buffers, under
+    /// Open-MX coalescing: an all-to-all exchange without the MPI layer,
+    /// with marked and unmarked fragments, switch drops and retransmits.
+    fn openmx_alltoall_cluster() -> Cluster {
+        const NODES: u16 = 16;
+        const EPS: u8 = 2;
+        struct Rank {
+            me: EndpointAddr,
+        }
+        impl Actor for Rank {
+            fn on_start(&mut self, ctx: &mut ActorCtx) {
+                let peers = (0..NODES)
+                    .flat_map(|n| (0..EPS).map(move |e| EndpointAddr::new(n, e)))
+                    .filter(|&p| p != self.me);
+                for (i, peer) in peers.enumerate() {
+                    ctx.post_recv(0, 0, i as u64);
+                    ctx.post_send(peer, 16 << 10, 0, i as u64);
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+        }
+        let mut builder = ClusterBuilder::new()
+            .nodes(NODES as usize)
+            .endpoints_per_node(EPS as usize)
+            .strategy(CoalescingStrategy::OpenMx { delay_us: 75 })
+            .switch_buffer_frames(32);
+        builder.config_mut().host.cores = EPS as usize;
+        let mut cluster = builder.build();
+        for node in 0..NODES {
+            for ep in 0..EPS {
+                let me = EndpointAddr::new(node, ep);
+                cluster.add_actor(node, ep, Box::new(Rank { me }));
+            }
+        }
+        cluster
+    }
+
+    /// A traced run gives every DMA completion an event; an untraced run
+    /// settles the ones that cannot act without one. Both are the same
+    /// simulation: equal metrics, clock and event counts, except that the
+    /// untraced run dispatches fewer `DmaComplete` events.
+    #[test]
+    fn lazy_dma_settling_matches_a_traced_run() {
+        let shapes = [
+            ("lossy stream", lossy_stream_cluster as fn() -> Cluster),
+            ("timeout ping-pong", timeout_pingpong_cluster),
+            ("open-mx alltoall", openmx_alltoall_cluster),
+        ];
+        for (shape, build) in shapes {
+            let run = |traced: bool| {
+                let mut cluster = build();
+                if traced {
+                    cluster.enable_tracing(1 << 12);
+                }
+                cluster.run(Time::MAX);
+                outcome(&cluster)
+            };
+            let (traced, lazy) = (run(true), run(false));
+            assert_eq!(lazy.1, traced.1, "{shape}: metrics");
+            assert_eq!(lazy.2, traced.2, "{shape}: clock");
+            for ((kind, n_lazy), (_, n_traced)) in lazy.0.iter().zip(traced.0) {
+                if *kind == "DmaComplete" {
+                    assert!(
+                        n_lazy < &n_traced,
+                        "{shape}: {n_lazy} of {n_traced} evented"
+                    );
+                } else {
+                    assert_eq!(*n_lazy, n_traced, "{shape}: {kind} events");
+                }
+            }
+        }
+    }
+
+    /// A completion nothing will ever settle fails the run at quiescence,
+    /// in release builds too, instead of leaving its packet out of the
+    /// results.
+    #[test]
+    #[should_panic(expected = "was never settled")]
+    fn unsettled_dma_completion_at_quiescence_panics() {
+        let mut cluster = ClusterBuilder::new().build();
+        // A frame the NIC accepts behind the event loop's back: it arms
+        // the coalescing timer, but no timer event is scheduled, so no
+        // entry point will ever settle the completion.
+        let queue = &mut cluster.ctx.queue;
+        let out = cluster.nodes.rts[1].nic.on_frame(
+            Time::ZERO,
+            queue.reserve_seq(),
+            PacketMeta::omx(64, true),
+            || queue.reserve_seq(),
+        );
+        assert!(out.desc.is_some());
+        cluster.run(Time::MAX);
     }
 
     /// Telemetry windows close at every aligned boundary up to the last

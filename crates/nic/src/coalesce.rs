@@ -243,6 +243,30 @@ impl Coalescer {
         }
     }
 
+    /// Which of `inflight` pending DMA completions, by FIFO index, is the
+    /// first whose [`Self::on_dma_complete`] can raise, if they complete
+    /// before any other hook runs. `first_marked` indexes the first marked
+    /// one. Every other completion only records its packet (and, under
+    /// Stream, may set the deferred flag), so the NIC settles it without
+    /// an event of its own.
+    pub fn first_raising_completion(
+        &self,
+        inflight: usize,
+        first_marked: Option<usize>,
+    ) -> Option<usize> {
+        match self.strategy {
+            _ if inflight == 0 => None,
+            CoalescingStrategy::Disabled => Some(0),
+            CoalescingStrategy::Timeout { .. } | CoalescingStrategy::Adaptive { .. } => None,
+            CoalescingStrategy::OpenMx { .. } => first_marked,
+            // Only the completion that drains the queue can raise, and only
+            // if the flag is already set or a marked completion sets it.
+            CoalescingStrategy::Stream { .. } => {
+                (self.deferred || first_marked.is_some()).then_some(inflight - 1)
+            }
+        }
+    }
+
     /// Hook: the coalescing timer fired.
     pub fn on_timer(&mut self) -> Decision {
         // Algorithm 2: "Raise Interrupt; Clear DeferredInterrupt; Reset
@@ -452,6 +476,41 @@ mod tests {
         c.on_dma_complete(true, 1);
         c.on_interrupt();
         assert!(!c.deferred);
+    }
+
+    #[test]
+    fn first_raising_completion_predicts_on_dma_complete() {
+        // Replay every marking of up to four queued completions: the first
+        // raise must land where `first_raising_completion` said, with the
+        // Stream flag both clear and already set.
+        for strategy in [
+            CoalescingStrategy::Disabled,
+            CoalescingStrategy::Timeout { delay_us: 75 },
+            CoalescingStrategy::OpenMx { delay_us: 75 },
+            CoalescingStrategy::Stream { delay_us: 75 },
+            CoalescingStrategy::Adaptive {
+                min_delay_us: 0,
+                max_delay_us: 75,
+            },
+        ] {
+            for n in 0..=4usize {
+                for marks in 0..1u32 << n {
+                    for deferred in [false, true] {
+                        let mut c = strategy.build();
+                        c.deferred = deferred;
+                        let marked = |i: usize| marks >> i & 1 == 1;
+                        let first_marked = (0..n).find(|&i| marked(i));
+                        let predicted = c.first_raising_completion(n, first_marked);
+                        let raised =
+                            (0..n).find(|&i| c.on_dma_complete(marked(i), n - 1 - i).raise);
+                        assert_eq!(
+                            predicted, raised,
+                            "{strategy:?}, marks {marks:b} of {n}, deferred {deferred}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

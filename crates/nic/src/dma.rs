@@ -7,8 +7,14 @@
 //! descriptors in FIFO order at PCIe-ish bandwidth with a fixed per-transfer
 //! setup cost; concurrent submissions therefore queue, which is exactly what
 //! lets a burst of arrivals keep `pending > 0` at completion time.
+//!
+//! Because the channel is FIFO, a transfer's completion time is known when
+//! it is submitted. Each `Transfer` carries it, with the event sequence
+//! number its completion would have been scheduled under, so the
+//! [`crate::Nic`] can settle completions in exact `(time, seq)` order
+//! without an event per transfer.
 
-use crate::packet::DescId;
+use crate::packet::{DescId, PacketMeta};
 use omx_sim::{Time, TimeDelta};
 use std::collections::VecDeque;
 
@@ -42,19 +48,36 @@ impl DmaConfig {
 
 /// One outstanding DMA.
 #[derive(Debug, Clone, Copy)]
-struct Inflight {
-    desc: DescId,
+pub(crate) struct Transfer {
+    /// Descriptor the frame was received into.
+    pub desc: DescId,
+    /// Frame metadata (length, class, Open-MX marker).
+    pub meta: PacketMeta,
+    /// When the transfer completes.
+    pub at: Time,
+    /// Event sequence number reserved for the completion: with `at`, its
+    /// place in the event order.
+    pub seq: u64,
+    /// A completion event was scheduled at `(at, seq)`.
+    pub evented: bool,
+}
+
+impl Transfer {
+    /// The completion's place in the event order.
+    pub fn key(&self) -> (Time, u64) {
+        (self.at, self.seq)
+    }
 }
 
 /// FIFO write-DMA engine.
 #[derive(Debug, Default)]
-pub struct DmaEngine {
+pub(crate) struct DmaEngine {
     cfg: DmaConfig,
-    inflight: VecDeque<Inflight>,
+    inflight: VecDeque<Transfer>,
     /// Completion time of the most recently queued transfer.
     tail_time: Time,
-    submitted: u64,
-    completed: u64,
+    /// Marked transfers in `inflight`.
+    marked: usize,
 }
 
 impl DmaEngine {
@@ -62,40 +85,44 @@ impl DmaEngine {
     pub fn new(cfg: DmaConfig) -> Self {
         DmaEngine {
             cfg,
-            inflight: VecDeque::new(),
-            tail_time: Time::ZERO,
-            submitted: 0,
-            completed: 0,
+            ..DmaEngine::default()
         }
     }
 
-    /// Submit a transfer for descriptor `desc` of `len` bytes at time `now`.
-    /// Returns the absolute completion time (FIFO after earlier transfers).
-    pub fn submit(&mut self, now: Time, desc: DescId, len: u32) -> Time {
+    /// Submit the frame received into `desc` at time `now`; `seq` is the
+    /// event sequence number reserved for its completion. Returns the
+    /// absolute completion time (FIFO after earlier transfers).
+    pub fn submit(&mut self, now: Time, desc: DescId, meta: PacketMeta, seq: u64) -> Time {
         let start = if self.tail_time > now {
             self.tail_time
         } else {
             now
         };
-        let completes_at = start + self.cfg.transfer_time(len);
-        self.tail_time = completes_at;
-        self.inflight.push_back(Inflight { desc });
-        self.submitted += 1;
-        completes_at
+        let at = start + self.cfg.transfer_time(meta.len_bytes);
+        self.tail_time = at;
+        self.inflight.push_back(Transfer {
+            desc,
+            meta,
+            at,
+            seq,
+            evented: false,
+        });
+        self.marked += usize::from(meta.marked);
+        at
     }
 
     /// Record completion of the oldest transfer; must match `desc`.
     ///
-    /// Returns the number of transfers still pending afterwards — the
+    /// Returns the transfer and the number still pending afterwards — the
     /// quantity Algorithm 2 branches on.
-    pub fn complete(&mut self, desc: DescId) -> usize {
+    pub fn complete(&mut self, desc: DescId) -> (Transfer, usize) {
         let head = self
             .inflight
             .pop_front()
             .expect("DMA completion with no inflight transfer");
         assert_eq!(head.desc, desc, "DMA completions must be FIFO");
-        self.completed += 1;
-        self.inflight.len()
+        self.marked -= usize::from(head.meta.marked);
+        (head, self.inflight.len())
     }
 
     /// Transfers submitted but not yet completed.
@@ -103,19 +130,22 @@ impl DmaEngine {
         self.inflight.len()
     }
 
-    /// Completion time of the last queued transfer (engine idle time).
-    pub fn drain_time(&self) -> Time {
-        self.tail_time
+    /// The oldest transfer in flight.
+    pub fn head(&self) -> Option<&Transfer> {
+        self.inflight.front()
     }
 
-    /// Total transfers submitted.
-    pub fn submitted(&self) -> u64 {
-        self.submitted
+    /// The `i`-th oldest transfer in flight.
+    pub fn get_mut(&mut self, i: usize) -> Option<&mut Transfer> {
+        self.inflight.get_mut(i)
     }
 
-    /// Total transfers completed.
-    pub fn completed(&self) -> u64 {
-        self.completed
+    /// FIFO index of the oldest marked transfer in flight.
+    pub fn first_marked(&self) -> Option<usize> {
+        if self.marked == 0 {
+            return None;
+        }
+        self.inflight.iter().position(|t| t.meta.marked)
     }
 }
 
@@ -128,6 +158,15 @@ mod tests {
             setup_ns: 100,
             bytes_per_us: 1000, // 1 byte per ns: easy arithmetic
         })
+    }
+
+    fn submit(e: &mut DmaEngine, now: u64, desc: u64, len: u32) -> Time {
+        e.submit(
+            Time::from_nanos(now),
+            DescId(desc),
+            PacketMeta::omx(len, desc % 2 == 1),
+            desc,
+        )
     }
 
     #[test]
@@ -143,34 +182,37 @@ mod tests {
     #[test]
     fn sparse_submissions_complete_independently() {
         let mut e = engine();
-        let c1 = e.submit(Time::from_nanos(0), DescId(0), 100);
+        let c1 = submit(&mut e, 0, 0, 100);
         assert_eq!(c1, Time::from_nanos(200));
-        let c2 = e.submit(Time::from_nanos(10_000), DescId(1), 100);
+        let c2 = submit(&mut e, 10_000, 1, 100);
         assert_eq!(c2, Time::from_nanos(10_200));
     }
 
     #[test]
     fn burst_submissions_queue_fifo() {
         let mut e = engine();
-        let c1 = e.submit(Time::ZERO, DescId(0), 100);
-        let c2 = e.submit(Time::ZERO, DescId(1), 100);
-        let c3 = e.submit(Time::ZERO, DescId(2), 100);
+        let c1 = submit(&mut e, 0, 0, 100);
+        let c2 = submit(&mut e, 0, 1, 100);
+        let c3 = submit(&mut e, 0, 2, 100);
         assert_eq!(c1, Time::from_nanos(200));
         assert_eq!(c2, Time::from_nanos(400));
         assert_eq!(c3, Time::from_nanos(600));
         assert_eq!(e.pending(), 3);
-        assert_eq!(e.complete(DescId(0)), 2);
-        assert_eq!(e.complete(DescId(1)), 1);
-        assert_eq!(e.complete(DescId(2)), 0);
-        assert_eq!(e.completed(), 3);
+        assert_eq!(e.first_marked(), Some(1), "odd descriptors are marked");
+        let (t, pending) = e.complete(DescId(0));
+        assert_eq!((t.key(), pending), ((c1, 0), 2));
+        assert_eq!(e.complete(DescId(1)).1, 1);
+        assert_eq!(e.first_marked(), None);
+        assert_eq!(e.complete(DescId(2)).1, 0);
+        assert!(e.head().is_none());
     }
 
     #[test]
     #[should_panic(expected = "FIFO")]
     fn out_of_order_completion_panics() {
         let mut e = engine();
-        e.submit(Time::ZERO, DescId(0), 10);
-        e.submit(Time::ZERO, DescId(1), 10);
+        submit(&mut e, 0, 0, 10);
+        submit(&mut e, 0, 1, 10);
         e.complete(DescId(1));
     }
 
@@ -179,13 +221,5 @@ mod tests {
     fn completion_without_submission_panics() {
         let mut e = engine();
         e.complete(DescId(0));
-    }
-
-    #[test]
-    fn drain_time_tracks_tail() {
-        let mut e = engine();
-        assert_eq!(e.drain_time(), Time::ZERO);
-        e.submit(Time::from_nanos(50), DescId(0), 100);
-        assert_eq!(e.drain_time(), Time::from_nanos(250));
     }
 }

@@ -46,8 +46,8 @@ pub mod offload;
 pub mod packet;
 
 pub use coalesce::{Coalescer, CoalescingStrategy, Decision, TimerAction};
-pub use dma::{DmaConfig, DmaEngine};
-pub use nic::{Nic, NicConfig, NicCounters, NicOutcome, ReadyPacket};
+pub use dma::DmaConfig;
+pub use nic::{DmaWake, Nic, NicConfig, NicCounters, NicOutcome, ReadyPacket};
 pub use offload::{
     CollFrame, CollFrameKind, CollOp, OffloadCollDesc, OffloadConfig, OffloadCounters, OffloadEmit,
     OffloadEngine,

@@ -4,6 +4,15 @@
 //! same instant pop in the order they were pushed, which keeps the whole
 //! simulation deterministic regardless of the internal layout.
 //!
+//! A sequence number can also be taken without pushing anything
+//! ([`EventQueue::reserve_seq`]) and an event pushed at that key later
+//! ([`EventQueue::push_at`]). The event then pops exactly where it would
+//! have popped had it been pushed when the number was taken. The NIC uses
+//! this to settle most DMA completions without an event, and to schedule
+//! one, at its original place, only for a completion that can act (DESIGN
+//! §5). [`EventQueue::pop`] returns each event's sequence number, so a
+//! handler knows which reserved keys precede it.
+//!
 //! # Design
 //!
 //! The hot operations of the simulation are *push* and *pop*; an event
@@ -167,7 +176,8 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Schedule `event` at absolute time `time`.
+    /// Schedule `event` at absolute time `time`, after every event already
+    /// scheduled for that instant.
     ///
     /// `#[inline]`: push is called once per scheduled event from another
     /// crate (the cluster's event loop); without the hint the call stays an
@@ -175,8 +185,29 @@ impl<E> EventQueue<E> {
     /// caller's loop.
     #[inline]
     pub fn push(&mut self, time: Time, event: E) {
+        let seq = self.reserve_seq();
+        self.push_at(time, seq, event);
+    }
+
+    /// Take the next sequence number without scheduling anything. An event
+    /// pushed later at this number ([`Self::push_at`]) pops where an event
+    /// pushed now would have popped.
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `event` at the key `(time, seq)`, where `seq` came from
+    /// [`Self::reserve_seq`]. The key must follow the last popped event's,
+    /// and each reserved number is pushed at most once.
+    #[inline]
+    pub fn push_at(&mut self, time: Time, seq: u64, event: E) {
+        debug_assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was never reserved"
+        );
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.events[slot as usize] = Some(event);
@@ -191,9 +222,13 @@ impl<E> EventQueue<E> {
         self.len += 1;
 
         // The wheel may take the event only while the heap root stays the
-        // global minimum: the new event's seq is the largest, so a tie on
-        // time keeps the root minimal.
-        let below = if self.heap.first().is_some_and(|root| root.time <= time) {
+        // global minimum. A reserved seq can be smaller than the root's, so
+        // a tie on time compares the whole key.
+        let below = if self
+            .heap
+            .first()
+            .is_some_and(|root| root.key() < entry.key())
+        {
             if self.levels.is_empty() {
                 self.levels = (0..LEVELS).map(|_| Level::new()).collect();
             }
@@ -215,8 +250,8 @@ impl<E> EventQueue<E> {
         self.heap.first().map(|e| e.time)
     }
 
-    /// Pop the earliest event.
-    pub fn pop(&mut self) -> Option<(Time, E)> {
+    /// Pop the earliest event, with its sequence number.
+    pub fn pop(&mut self) -> Option<(Time, u64, E)> {
         if self.len == 0 {
             return None;
         }
@@ -239,7 +274,7 @@ impl<E> EventQueue<E> {
             }
         }
         self.restore();
-        Some((root.time, event))
+        Some((root.time, root.seq, event))
     }
 
     // -- wheel ---------------------------------------------------------------
@@ -387,6 +422,11 @@ mod tests {
     }
 
     impl<E> EventQueue<E> {
+        /// [`EventQueue::pop`] without the sequence number.
+        fn pop_event(&mut self) -> Option<(Time, E)> {
+            self.pop().map(|(time, _, event)| (time, event))
+        }
+
         /// Events currently resident in the wheel (tests only).
         fn wheel_len(&self) -> usize {
             self.levels
@@ -444,10 +484,10 @@ mod tests {
         q.push(t(30), "c");
         q.push(t(10), "a");
         q.push(t(20), "b");
-        assert_eq!(q.pop(), Some((t(10), "a")));
-        assert_eq!(q.pop(), Some((t(20), "b")));
-        assert_eq!(q.pop(), Some((t(30), "c")));
-        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop_event(), Some((t(10), "a")));
+        assert_eq!(q.pop_event(), Some((t(20), "b")));
+        assert_eq!(q.pop_event(), Some((t(30), "c")));
+        assert_eq!(q.pop_event(), None);
     }
 
     #[test]
@@ -457,8 +497,31 @@ mod tests {
             q.push(t(5), i);
         }
         for i in 0..100 {
-            assert_eq!(q.pop(), Some((t(5), i)));
+            assert_eq!(q.pop_event(), Some((t(5), i)));
         }
+    }
+
+    #[test]
+    fn reserved_key_pops_in_its_original_place() {
+        // A number reserved between two pushes at the same instant, pushed
+        // after a later pop, pops between them: the key, not the push
+        // order, decides. With the root on that instant it must go to the
+        // heap, ahead of the root.
+        let mut q = EventQueue::new();
+        q.push(t(0), "first");
+        q.push(t(5_000), "a");
+        let reserved = q.reserve_seq();
+        q.push(t(5_000), "b");
+        assert_eq!(q.pop(), Some((t(0), 0, "first")));
+        q.push_at(t(5_000), reserved, "reserved");
+        q.check_invariants();
+        assert_eq!(q.pop_event(), Some((t(5_000), "a")));
+        let later = q.reserve_seq();
+        q.push_at(t(6_000), later, "later");
+        assert_eq!(q.pop(), Some((t(5_000), reserved, "reserved")));
+        assert_eq!(q.pop_event(), Some((t(5_000), "b")));
+        assert_eq!(q.pop_event(), Some((t(6_000), "later")));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -470,8 +533,8 @@ mod tests {
         q.push(t(75_000), 1u64);
         assert_eq!(q.wheel_len(), 1, "75us timer should be wheel-resident");
         q.check_invariants();
-        assert_eq!(q.pop(), Some((t(100), 0)));
-        assert_eq!(q.pop(), Some((t(75_000), 1)));
+        assert_eq!(q.pop_event(), Some((t(100), 0)));
+        assert_eq!(q.pop_event(), Some((t(75_000), 1)));
         assert!(q.is_empty());
     }
 
@@ -486,7 +549,7 @@ mod tests {
         q.push(t(900), 1u64);
         assert!(q.wheel_len() > 0, "short-horizon events use the wheel");
         q.check_invariants();
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop_event().map(|(_, v)| v)).collect();
         assert_eq!(order, vec![0, 1, 2, 4, 3]);
     }
 
@@ -503,7 +566,7 @@ mod tests {
             q.push(t(now + 75_000), ("timer", i));
             // Drain events up to now (the engine keeps popping).
             while q.peek_time().is_some_and(|pt| pt.as_nanos() <= now) {
-                let (at, (kind, j)) = q.pop().expect("peeked");
+                let (at, (kind, j)) = q.pop_event().expect("peeked");
                 if kind == "timer" {
                     assert_eq!(at, t(j * 1_200 + 75_000));
                     fired.push(j);
@@ -512,7 +575,7 @@ mod tests {
         }
         q.check_invariants();
         assert!(q.events.len() < 200, "slots are recycled");
-        while let Some((_, (kind, j))) = q.pop() {
+        while let Some((_, (kind, j))) = q.pop_event() {
             assert_eq!(kind, "timer");
             fired.push(j);
         }
@@ -540,7 +603,7 @@ mod tests {
         push(&mut q, PKT_NS, true);
         let (mut next_arm, mut max_heap) = (0, 0);
         let mut popped = Vec::new();
-        while let Some((at, (seq, packet))) = q.pop() {
+        while let Some((at, (seq, packet))) = q.pop_event() {
             let now = at.as_nanos();
             popped.push((now, seq));
             max_heap = max_heap.max(q.heap.len());
@@ -565,13 +628,13 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(t(10), 1);
         q.push(t(20), 2);
-        assert_eq!(q.pop(), Some((t(10), 1)));
+        assert_eq!(q.pop_event(), Some((t(10), 1)));
         // The popped event's slot carries the next push.
         q.push(t(15), 3);
         assert_eq!(q.events.len(), 2, "the freed slot is reused");
         q.check_invariants();
-        assert_eq!(q.pop(), Some((t(15), 3)));
-        assert_eq!(q.pop(), Some((t(20), 2)));
+        assert_eq!(q.pop_event(), Some((t(15), 3)));
+        assert_eq!(q.pop_event(), Some((t(20), 2)));
         assert!(q.is_empty());
     }
 
@@ -583,7 +646,7 @@ mod tests {
         q.push(Time::from_secs(1), 2u64); // beyond the wheel: heap
         assert_eq!((q.heap.len(), q.wheel_len()), (2, 1));
         assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some((t(100), 0)));
+        assert_eq!(q.pop_event(), Some((t(100), 0)));
         assert_eq!(q.len(), 2);
         q.check_invariants();
     }
@@ -595,8 +658,8 @@ mod tests {
         q.push(Time::from_secs(10), 1u64); // far beyond the wheel span
         q.push(Time::MAX, 2u64);
         assert_eq!(q.wheel_len(), 0);
-        assert_eq!(q.pop(), Some((t(0), 0)));
-        assert_eq!(q.pop(), Some((Time::from_secs(10), 1)));
-        assert_eq!(q.pop(), Some((Time::MAX, 2)));
+        assert_eq!(q.pop_event(), Some((t(0), 0)));
+        assert_eq!(q.pop_event(), Some((Time::from_secs(10), 1)));
+        assert_eq!(q.pop_event(), Some((Time::MAX, 2)));
     }
 }

@@ -20,7 +20,7 @@ fn pop_order_is_time_then_fifo() {
         }
         let mut last: Option<(u64, usize)> = None;
         let mut popped = 0;
-        while let Some((at, (t, i))) = q.pop() {
+        while let Some((at, _, (t, i))) = q.pop() {
             popped += 1;
             assert_eq!(at.as_nanos(), t);
             if let Some((lt, li)) = last {
@@ -37,10 +37,11 @@ fn pop_order_is_time_then_fifo() {
 
 /// Model-based check: drive the real queue and a naive sorted-`Vec`
 /// reference model through arbitrary interleavings of push / pop / peek and
-/// assert every observable result is identical. The model is the
-/// executable spec of "ordered multiset keyed by (time, insertion seq)":
-/// whatever layout the queue uses internally (heap, wheel, slab reuse), its
-/// behaviour must be indistinguishable from this.
+/// of pushes at reserved keys, and assert every observable result is
+/// identical. The model is the executable spec of "ordered multiset keyed by
+/// (time, seq)", where a push takes the next seq and a reserved push the
+/// seq taken earlier: whatever layout the queue uses internally (heap,
+/// wheel, slab reuse), its behaviour must be indistinguishable from this.
 #[test]
 fn queue_matches_sorted_vec_model() {
     /// Push at `t` into the queue and the model, which keeps `(time, seq)`
@@ -53,7 +54,7 @@ fn queue_matches_sorted_vec_model() {
     }
 
     let mut rng = SimRng::new(0x5EED_0004);
-    let mut cascaded = 0;
+    let (mut cascaded, mut reserved_pushes) = (0, 0);
     for case in 0..256 {
         let ops = rng.range_u64(1, 400) as usize;
         let mut q = EventQueue::new();
@@ -61,6 +62,8 @@ fn queue_matches_sorted_vec_model() {
         let mut model: Vec<(u64, u64)> = Vec::new();
         let mut seq = 0u64;
         let mut floor = 0u64; // pops are monotone; pushes must respect it
+        let mut last_popped = None; // the key pushes at reserved keys follow
+        let mut reserved: Vec<(u64, u64)> = Vec::new(); // keys taken, not pushed
 
         for _ in 0..ops {
             match rng.range_u64(0, 100) {
@@ -87,27 +90,47 @@ fn queue_matches_sorted_vec_model() {
                     };
                     push(&mut q, &mut model, &mut seq, t);
                 }
+                // Reserve a key near the floor (4%), or push at one taken
+                // earlier (4%) if it still follows the last pop.
+                45..=48 => {
+                    let t = floor.saturating_add(rng.range_u64(0, 1 << 17));
+                    assert_eq!(q.reserve_seq(), seq);
+                    reserved.push((t, seq));
+                    seq += 1;
+                }
+                49..=52 if !reserved.is_empty() => {
+                    let key =
+                        reserved.swap_remove(rng.range_u64(0, reserved.len() as u64) as usize);
+                    if last_popped.is_none_or(|last| key > last) {
+                        q.push_at(Time::from_nanos(key.0), key.1, key.1);
+                        let pos = model.binary_search(&key).unwrap_err();
+                        model.insert(pos, key);
+                        reserved_pushes += 1;
+                    }
+                }
                 // A burst of near events (5%): when only far events are
                 // queued, these go under a far heap root.
-                45..=49 => {
+                53..=57 => {
                     for _ in 0..rng.range_u64(1, 16) {
                         let t = floor.saturating_add(rng.range_u64(0, 1 << 12));
                         push(&mut q, &mut model, &mut seq, t);
                     }
                 }
-                // Pop (35%).
-                50..=84 => {
+                // Pop (30%).
+                58..=87 => {
                     let got = q.pop();
                     if model.is_empty() {
                         assert!(got.is_none(), "case {case}: pop from empty");
                     } else {
                         let e = model.remove(0);
-                        let (at, id) = got.expect("model non-empty but pop was None");
-                        assert_eq!((at.as_nanos(), id), e, "case {case}: pop mismatch");
+                        let (at, s, id) = got.expect("model non-empty but pop was None");
+                        assert_eq!((at.as_nanos(), s), e, "case {case}: pop mismatch");
+                        assert_eq!(id, s, "case {case}: event under the wrong key");
                         floor = e.0;
+                        last_popped = Some(e);
                     }
                 }
-                // Peek (15%).
+                // Peek (the rest).
                 _ => {
                     let expect = model.first().map(|e| e.0);
                     assert_eq!(
@@ -123,13 +146,14 @@ fn queue_matches_sorted_vec_model() {
 
         // Drain: the tail must come out exactly in model order.
         for e in model {
-            let (at, id) = q.pop().expect("queue drained before model");
-            assert_eq!((at.as_nanos(), id), e, "case {case}: drain");
+            let (at, s, _) = q.pop().expect("queue drained before model");
+            assert_eq!((at.as_nanos(), s), e, "case {case}: drain");
         }
         assert!(q.pop().is_none());
         cascaded += q.stats().cascaded;
     }
     assert!(cascaded > 0, "the cases exercise the cascade");
+    assert!(reserved_pushes > 0, "the cases push at reserved keys");
 }
 
 /// Interleaved push/pop keeps the min-heap property observable: any pop
@@ -145,7 +169,7 @@ fn interleaved_operations_stay_ordered() {
         for _ in 0..ops {
             let t = rng.range_u64(0, 1000);
             if rng.chance(0.5) {
-                if let Some((at, ())) = q.pop() {
+                if let Some((at, _, ())) = q.pop() {
                     assert!(at.as_nanos() >= last_popped);
                     last_popped = at.as_nanos();
                 }
