@@ -19,8 +19,10 @@ pub struct NodeMetrics {
     pub host: HostCounters,
     /// Driver counters (retransmits, acks, completions).
     pub driver: DriverCounters,
-    /// Time-weighted depth of the NIC's in-flight DMA set (how much
-    /// reassembly work is outstanding at any instant).
+    /// Time-weighted RX-ring occupancy: frames from arrival until an IRQ
+    /// service claims them, DMA in flight or ready in host memory (how much
+    /// receive work is outstanding at any instant). The name predates this
+    /// meaning and is kept for the JSON shape.
     pub pending_dma: TimeWeighted,
 }
 

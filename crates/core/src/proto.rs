@@ -516,9 +516,9 @@ impl NodeDriver {
     }
 
     /// [`NodeDriver::handle_packet`], appending actions to a caller-owned
-    /// buffer. The hot receive path calls this once per packet per batch;
-    /// reusing one buffer across the whole batch keeps steady-state dispatch
-    /// allocation-free.
+    /// buffer rather than a fresh `Vec`. Shared-memory delivery calls this
+    /// per packet; the receive handler calls
+    /// [`NodeDriver::handle_batch_into`] once per batch.
     pub fn handle_packet_into(&mut self, now: Time, pkt: Packet, actions: &mut Vec<DriverAction>) {
         debug_assert_eq!(pkt.hdr.dst.node.0, self.local, "misrouted packet");
         let local_ep = pkt.hdr.dst.endpoint;
@@ -587,6 +587,24 @@ impl NodeDriver {
             PacketKind::TcpSegment { .. } => {
                 // Not Open-MX; nothing to do at this layer.
             }
+        }
+    }
+
+    /// A receive batch: [`NodeDriver::handle_packet_into`] on each packet in
+    /// turn, pushing onto `ends` the length `actions` has after each one, so
+    /// the caller can tell where each packet's actions end. The receive
+    /// handler makes this one call per batch; reusing one action buffer
+    /// across batches keeps steady-state dispatch allocation-free.
+    pub fn handle_batch_into(
+        &mut self,
+        now: Time,
+        batch: &[Packet],
+        actions: &mut Vec<DriverAction>,
+        ends: &mut Vec<usize>,
+    ) {
+        for pkt in batch {
+            self.handle_packet_into(now, *pkt, actions);
+            ends.push(actions.len());
         }
     }
 
@@ -678,7 +696,7 @@ impl NodeDriver {
 
     /// Earliest pending deadline (retransmit, delayed ack or pull stall),
     /// if any. The orchestrator arms the node's driver timer from this after
-    /// every driver call, or once after the last packet of a receive batch.
+    /// every driver call; a receive batch is one call.
     pub fn next_deadline(&self) -> Option<Time> {
         let rto = self.rto;
         debug_assert!(

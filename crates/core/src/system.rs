@@ -37,9 +37,7 @@ use omx_nic::offload::{
     CollFrame, CollFrameKind, OffloadCollDesc, OffloadConfig, OffloadCounters, OffloadEmit,
     OffloadEngine,
 };
-use omx_nic::{
-    CoalescingStrategy, DescId, DmaWake, Nic, NicConfig, NicOutcome, PacketMeta, ReadyPacket,
-};
+use omx_nic::{CoalescingStrategy, DescId, DmaWake, Nic, NicConfig, NicOutcome, PacketMeta};
 use omx_sim::rng::SimRng;
 use omx_sim::stats::TimeWeighted;
 use omx_sim::{EventQueue, QueueStats, StopCondition, Time, TimeDelta};
@@ -501,10 +499,12 @@ struct NodeRt {
     driver: NodeDriver,
     nic: Nic,
     host: Host,
-    /// Frames whose DMA is in flight or that sit ready in host memory, in
-    /// descriptor order: DMA completion and IRQ service are both FIFO.
-    in_dma: VecDeque<(DescId, WireFrame)>,
-    /// Time-weighted depth of `in_dma` — outstanding receive work.
+    /// The frames of the RX ring's descriptors, from acceptance until an
+    /// IRQ service claims them, in descriptor order: each claim is the
+    /// oldest run of them (see [`Nic::take_claim`]).
+    rx_frames: VecDeque<WireFrame>,
+    /// Time-weighted RX-ring occupancy ([`Nic::pending_work`], the length
+    /// of `rx_frames`), set at every accept and every claim.
     pending_dma: TimeWeighted,
     /// When the armed `DriverTimer` event fires (see [`arm_timer`]).
     driver_timer: Option<Time>,
@@ -514,23 +514,6 @@ struct NodeRt {
     offload: OffloadEngine,
     /// When the armed `OffloadTimer` event fires (see [`arm_timer`]).
     offload_timer: Option<Time>,
-}
-
-impl NodeRt {
-    fn dma_insert(&mut self, now: Time, desc: DescId, pkt: WireFrame) {
-        self.in_dma.push_back((desc, pkt));
-        self.pending_dma.set(now, self.in_dma.len() as f64);
-    }
-
-    fn dma_remove(&mut self, now: Time, desc: DescId) -> WireFrame {
-        let (head, frame) = self
-            .in_dma
-            .pop_front()
-            .expect("ready packet has a stored frame");
-        assert_eq!(head, desc, "DMA completions are FIFO");
-        self.pending_dma.set(now, self.in_dma.len() as f64);
-        frame
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -642,12 +625,11 @@ struct Nodes {
     cmd_buf: Vec<ActorCmd>,
     /// Scratch buffer for driver actions (reused across dispatches).
     action_buf: Vec<DriverAction>,
+    /// Scratch for where each packet's actions end in `action_buf` (see
+    /// [`Nodes::run_driver`]).
+    action_ends: Vec<usize>,
     /// Scratch for endpoint slots woken by one batch (see `batch_duration`).
     woken_scratch: Vec<usize>,
-    /// Scratch for the ready-descriptor snapshot of one IRQ service.
-    ready_scratch: Vec<ReadyPacket>,
-    /// Scratch for the DMA-completed frames of one IRQ service.
-    frame_scratch: Vec<WireFrame>,
     /// Pool of batch vectors cycling through `Ev::BatchDone` events.
     batch_pool: Vec<Vec<Packet>>,
     /// Scratch for draining the offload engine's emit queue.
@@ -687,7 +669,7 @@ impl Nodes {
                     hold_sum_ns: nc.coalesce_hold_ns.sum(),
                     hold_count: nc.coalesce_hold_ns.count(),
                     rx_ring: n.nic.pending_work() as u64,
-                    pending_dma: n.in_dma.len() as u64,
+                    pending_dma: n.rx_frames.len() as u64,
                     retransmits: dc.eager_retransmits.get(),
                     rerequests: dc.pull_rerequests.get(),
                     reorder_depth: n.driver.reorder_depth(),
@@ -702,8 +684,9 @@ impl Nodes {
         costs.send_frag_ns + costs.tx_copy_ns(pkt.payload_len())
     }
 
-    /// Charge receive-path processing for one batch; returns duration.
-    fn batch_duration(&mut self, node: u16, core: CoreId, batch: &[WireFrame]) -> u64 {
+    /// Charge receive-path processing for one batch of `frames` RX-ring
+    /// frames, of which `batch` are the Open-MX packets; returns duration.
+    fn batch_duration(&mut self, node: u16, core: CoreId, frames: usize, batch: &[Packet]) -> u64 {
         let costs = *self.rt(node).host.costs();
         // Waking processes blocked in `mx_wait` is handler work
         // (try_to_wake_up + rescheduling IPI, plus the C1E exit of the
@@ -712,24 +695,22 @@ impl Nodes {
         let mut woken = std::mem::take(&mut self.woken_scratch);
         woken.clear();
         let mut wake_ns = 0u64;
-        for frame in batch {
-            if let WireFrame::Omx(pkt) = frame {
-                if !delivers_app_event(pkt) {
-                    continue; // intermediate fragments wake nobody
-                }
-                let slot = self.slot(pkt.hdr.dst.node.0, pkt.hdr.dst.endpoint);
-                if !woken.contains(&slot)
-                    && self.actors[slot]
-                        .as_ref()
-                        .is_some_and(|a| a.blocking_waits())
-                {
-                    woken.push(slot);
-                    wake_ns += if self.cfg.host.sleep_enabled {
-                        costs.proc_wakeup_ns
-                    } else {
-                        costs.proc_wakeup_nosleep_ns
-                    };
-                }
+        for pkt in batch {
+            if !delivers_app_event(pkt) {
+                continue; // intermediate fragments wake nobody
+            }
+            let slot = self.slot(pkt.hdr.dst.node.0, pkt.hdr.dst.endpoint);
+            if !woken.contains(&slot)
+                && self.actors[slot]
+                    .as_ref()
+                    .is_some_and(|a| a.blocking_waits())
+            {
+                woken.push(slot);
+                wake_ns += if self.cfg.host.sleep_enabled {
+                    costs.proc_wakeup_ns
+                } else {
+                    costs.proc_wakeup_nosleep_ns
+                };
             }
         }
         self.woken_scratch = woken;
@@ -742,20 +723,19 @@ impl Nodes {
             dur += costs.irq_preempt_ns;
         }
         // Low-level driver structures: line group 0 of this host.
-        let lowlevel_bounced = host.cache_access(0, core);
-        for frame in batch {
-            dur += costs.lowlevel_rx_ns;
-            if lowlevel_bounced {
-                dur += costs.lowlevel_bounce_ns;
-            }
-            if let WireFrame::Omx(pkt) = frame {
-                // Open-MX handler: demux + per-connection descriptor touch.
-                dur += costs.omx_handler_ns;
-                dur += costs.rx_copy_ns(pkt.payload_len());
-                dur += costs.event_ring_ns;
-                if host.cache_access(line_group(pkt.hdr.src, pkt.hdr.dst.endpoint, eps), core) {
-                    dur += costs.omx_channel_bounce_ns;
-                }
+        // Every frame, raw ones too, passes the low-level driver.
+        let mut lowlevel_ns = costs.lowlevel_rx_ns;
+        if host.cache_access(0, core) {
+            lowlevel_ns += costs.lowlevel_bounce_ns;
+        }
+        dur += lowlevel_ns * frames as u64;
+        for pkt in batch {
+            // Open-MX handler: demux + per-connection descriptor touch.
+            dur += costs.omx_handler_ns;
+            dur += costs.rx_copy_ns(pkt.payload_len());
+            dur += costs.event_ring_ns;
+            if host.cache_access(line_group(pkt.hdr.src, pkt.hdr.dst.endpoint, eps), core) {
+                dur += costs.omx_channel_bounce_ns;
             }
         }
         dur
@@ -830,37 +810,50 @@ impl Nodes {
 
     /// Run one driver call `f` on `node`, execute the actions it emitted,
     /// then arm the driver timer from the driver's earliest deadline. Every
-    /// driver call goes through here or, for a receive batch, through
-    /// [`Nodes::run_driver`] per packet and one [`Nodes::arm_driver_timer`]
-    /// after the last, so no deadline a call sets can go unarmed. `now` is
-    /// when the actions become effective; `irq_core` is the core running the
-    /// driver (None = application context).
+    /// driver call goes through here, a receive batch as one call, except
+    /// the driver timer's own, which arms with `fired` set; so no deadline a
+    /// call sets can go unarmed. `now` is when the actions become effective;
+    /// `irq_core` is the core running the driver (None = application
+    /// context).
     fn drive(
         &mut self,
         node: u16,
         now: Time,
         irq_core: Option<CoreId>,
         ctx: &mut Ctx,
-        f: impl FnOnce(&mut NodeDriver, &mut Vec<DriverAction>),
+        f: impl FnOnce(&mut NodeDriver, &mut Vec<DriverAction>, &mut Vec<usize>),
     ) {
         self.run_driver(node, now, irq_core, ctx, f);
         self.arm_driver_timer(node, now, false, ctx);
     }
 
     /// The first half of [`Nodes::drive`]: the driver call and its actions,
-    /// without arming the driver timer.
+    /// without arming the driver timer. The only loop over driver actions.
+    ///
+    /// A receive batch call pushes onto its second buffer where each
+    /// packet's actions end (see [`NodeDriver::handle_batch_into`]); every
+    /// other call pushes nothing, so its actions form one run. The CPU
+    /// cursor restarts at `now` at each packet boundary: each packet's
+    /// transmits start at the `BatchDone` instant (DESIGN §5, "One driver
+    /// call per batch").
     fn run_driver(
         &mut self,
         node: u16,
         now: Time,
         irq_core: Option<CoreId>,
         ctx: &mut Ctx,
-        f: impl FnOnce(&mut NodeDriver, &mut Vec<DriverAction>),
+        f: impl FnOnce(&mut NodeDriver, &mut Vec<DriverAction>, &mut Vec<usize>),
     ) {
         let mut actions = std::mem::take(&mut self.action_buf);
-        f(&mut self.rt(node).driver, &mut actions);
+        let mut ends = std::mem::take(&mut self.action_ends);
+        f(&mut self.rt(node).driver, &mut actions, &mut ends);
         let mut cursor = now;
-        for action in actions.drain(..) {
+        let mut packet = 0;
+        for (i, action) in actions.drain(..).enumerate() {
+            while ends.get(packet).is_some_and(|&end| end <= i) {
+                packet += 1;
+                cursor = now;
+            }
             match action {
                 DriverAction::Transmit(pkt) => {
                     let cost = self.tx_cost_ns(&pkt);
@@ -903,7 +896,9 @@ impl Nodes {
                 }
             }
         }
+        ends.clear();
         self.action_buf = actions;
+        self.action_ends = ends;
     }
 
     /// The second half of [`Nodes::drive`]: arm the driver timer from the
@@ -1058,7 +1053,7 @@ impl Nodes {
                         + costs.send_frag_ns * frags.min(4)
                         + costs.tx_copy_ns(eager_len);
                     cursor += TimeDelta::from_nanos(cpu as i64);
-                    self.drive(node, cursor, None, ctx, |d, a| {
+                    self.drive(node, cursor, None, ctx, |d, a, _| {
                         d.post_send_into(cursor, ep, dst, len, match_info, handle, a)
                     });
                 }
@@ -1068,7 +1063,7 @@ impl Nodes {
                     handle,
                 } => {
                     cursor += TimeDelta::from_nanos(150);
-                    self.drive(node, cursor, None, ctx, |d, a| {
+                    self.drive(node, cursor, None, ctx, |d, a, _| {
                         d.post_recv_into(cursor, ep, match_value, match_mask, handle, a)
                     });
                 }
@@ -1185,9 +1180,12 @@ impl Nodes {
                     WireFrame::Raw { payload_len } => TraceData::RawFrame { len: payload_len },
                     WireFrame::Coll(_) => unreachable!("handled before RX-ring classification"),
                 });
-                match desc {
-                    None => ctx.trace(now, node, TraceKind::Drop, || TraceData::Text("ring full")),
-                    Some(desc) => self.rt(node).dma_insert(now, desc, pkt),
+                if desc.is_some() {
+                    let rt = self.rt(node);
+                    rt.rx_frames.push_back(pkt);
+                    rt.pending_dma.set(now, rt.nic.pending_work() as f64);
+                } else {
+                    ctx.trace(now, node, TraceKind::Drop, || TraceData::Text("ring full"));
                 }
                 self.apply_nic_outcome(node, now, out, false, ctx);
             }
@@ -1215,27 +1213,22 @@ impl Nodes {
                 self.apply_nic_outcome(node, now, out, true, ctx);
             }
             Ev::IrqService { node, core } => {
-                // The handler reads the ring when it runs: claim everything
-                // ready right now. Ready descriptors, frames, and the packet
-                // batch all land in recycled buffers — steady-state dispatch
-                // allocates nothing.
-                let mut ready = std::mem::take(&mut self.ready_scratch);
-                self.rt(node).nic.drain_ready_into(&mut ready);
-                let mut frames = std::mem::take(&mut self.frame_scratch);
-                for r in &ready {
-                    frames.push(self.rt(node).dma_remove(now, r.desc));
-                }
-                ready.clear();
-                self.ready_scratch = ready;
-                let dur = self.batch_duration(node, core, &frames);
-                let end = self.rt(node).host.occupy_irq(core, now, dur);
+                // The handler reads the ring when it runs: it takes the frames
+                // its interrupt claimed off the front of the node's frame
+                // queue, straight into a recycled batch — steady-state
+                // dispatch allocates nothing.
                 let mut batch = self.batch_pool.pop().unwrap_or_default();
-                batch.extend(frames.drain(..).filter_map(|f| match f {
+                let rt = self.rt(node);
+                let claim = rt.nic.take_claim();
+                let frames = (claim.end - claim.start) as usize;
+                batch.extend(rt.rx_frames.drain(..frames).filter_map(|f| match f {
                     WireFrame::Omx(p) => Some(p),
                     WireFrame::Raw { .. } => None, // dropped by the stack
                     WireFrame::Coll(_) => unreachable!("offload frames never enter the RX ring"),
                 }));
-                self.frame_scratch = frames;
+                rt.pending_dma.set(now, rt.nic.pending_work() as f64);
+                let dur = self.batch_duration(node, core, frames, &batch);
+                let end = self.rt(node).host.occupy_irq(core, now, dur);
                 ctx.schedule_at(end, Ev::BatchDone { node, core, batch });
             }
             Ev::BatchDone {
@@ -1248,21 +1241,15 @@ impl Nodes {
                     packets: batch.len() as u32,
                 });
                 // Handler done: re-enable interrupts first (NAPI exit), then
-                // hand the packets to the driver's protocol logic.
+                // hand the packets to the driver's protocol logic in one call.
                 let out = self.rt(node).nic.enable_irq(now, seq);
                 self.apply_nic_outcome(node, now, out, false, ctx);
-                // The packets share `now` and no event runs between them, so
-                // only the deadline left after the last one needs arming
-                // (DESIGN §5, "Node timers").
-                let any = !batch.is_empty();
-                for pkt in batch.drain(..) {
-                    self.run_driver(node, now, Some(core), ctx, |d, a| {
-                        d.handle_packet_into(now, pkt, a)
+                if !batch.is_empty() {
+                    self.drive(node, now, Some(core), ctx, |d, a, ends| {
+                        d.handle_batch_into(now, &batch, a, ends)
                     });
                 }
-                if any {
-                    self.arm_driver_timer(node, now, false, ctx);
-                }
+                batch.clear();
                 self.batch_pool.push(batch);
             }
             Ev::DriverTimer { node } => {
@@ -1274,7 +1261,7 @@ impl Nodes {
                 // the deadline just read is still the one to arm from.
                 let mut deadline = rt.driver.next_deadline();
                 if deadline.is_some_and(|t| t <= now) {
-                    self.run_driver(node, now, None, ctx, |d, a| d.on_timer_into(now, a));
+                    self.run_driver(node, now, None, ctx, |d, a, _| d.on_timer_into(now, a));
                     deadline = self.rt(node).driver.next_deadline();
                 }
                 let rt = self.rt(node);
@@ -1288,7 +1275,7 @@ impl Nodes {
                 );
             }
             Ev::ShmDeliver { node, pkt } => {
-                self.drive(node, now, None, ctx, |d, a| {
+                self.drive(node, now, None, ctx, |d, a, _| {
                     d.handle_packet_into(now, pkt, a)
                 });
             }
@@ -1402,7 +1389,7 @@ impl Cluster {
                 driver: NodeDriver::new(i as u16, cfg.endpoints_per_node, cfg.proto),
                 nic: Nic::new(cfg.nic.clone()),
                 host: Host::new(cfg.host),
-                in_dma: VecDeque::new(),
+                rx_frames: VecDeque::new(),
                 pending_dma: TimeWeighted::default(),
                 driver_timer: None,
                 coalesce_timer: None,
@@ -1421,9 +1408,8 @@ impl Cluster {
                 stop: false,
                 cmd_buf: Vec::new(),
                 action_buf: Vec::new(),
+                action_ends: Vec::new(),
                 woken_scratch: Vec::new(),
-                ready_scratch: Vec::new(),
-                frame_scratch: Vec::new(),
                 batch_pool: Vec::new(),
                 offload_scratch: Vec::new(),
                 delivered_bytes: vec![0; node_count],
@@ -1661,12 +1647,6 @@ impl Cluster {
             if owed > 0 {
                 report.violations.push(format!(
                     "interrupt liveness: node {i} NIC still owes the host {owed} packet(s)"
-                ));
-            }
-            if !rt.in_dma.is_empty() {
-                report.violations.push(format!(
-                    "interrupt liveness: node {i} has {} frame(s) stuck in DMA",
-                    rt.in_dma.len()
                 ));
             }
         }
@@ -2499,6 +2479,53 @@ mod tests {
         assert!(
             windows.windows(2).all(|w| w[0].0 < w[1].0),
             "window ends increase: {windows:?}"
+        );
+    }
+
+    /// The host side's receive queue is the RX-ring occupancy: at every
+    /// window boundary of a Stream run, it holds exactly the frames the NIC
+    /// owes the host, DMA in flight or ready.
+    #[test]
+    fn pending_dma_reads_the_rx_ring_occupancy() {
+        let mut cluster = lossy_stream_cluster();
+        cluster.enable_telemetry(TelemetryConfig {
+            window_ns: 10_000,
+            ..TelemetryConfig::default()
+        });
+        cluster.run(Time::MAX);
+        let tel = cluster.telemetry().expect("telemetry enabled");
+        let mut occupied = 0;
+        for node in 0..2 {
+            for w in tel.node_windows(node) {
+                assert_eq!(w.pending_dma, w.rx_ring, "node {node} at {}", w.end_ns);
+                occupied += usize::from(w.rx_ring > 0);
+            }
+        }
+        assert!(occupied > 0, "some boundary falls on an occupied ring");
+    }
+
+    /// A frame left waiting on the coalescing timer is one interrupt
+    /// liveness violation of its node, reported once.
+    #[test]
+    fn a_stranded_frame_is_one_liveness_violation() {
+        let strategy = CoalescingStrategy::Timeout { delay_us: 75 };
+        let mut cluster = ClusterBuilder::new().nodes(2).strategy(strategy).build();
+        let sender = OneShotSender {
+            dst: EndpointAddr::new(1, 0),
+            len: 64,
+            send_done_at: None,
+        };
+        cluster.add_actor(0, 0, Box::new(sender));
+        cluster.run(Time::from_micros(30));
+        let liveness: Vec<String> = cluster
+            .sanitize()
+            .violations
+            .into_iter()
+            .filter(|v| v.starts_with("interrupt liveness"))
+            .collect();
+        assert_eq!(
+            liveness,
+            ["interrupt liveness: node 1 NIC still owes the host 1 packet(s)"]
         );
     }
 

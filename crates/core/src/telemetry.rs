@@ -65,9 +65,13 @@ pub struct NodeTap {
     pub hold_sum_ns: f64,
     /// Cumulative count of coalesce-hold samples.
     pub hold_count: u64,
-    /// RX-ring slots occupied right now.
+    /// RX-ring slots occupied right now: frames from arrival until an IRQ
+    /// service claims them ([`omx_nic::Nic::pending_work`]).
     pub rx_ring: u64,
-    /// DMA transfers in flight right now.
+    /// Frames in the node's receive queue right now, from arrival until an
+    /// IRQ service claims them: the same occupancy as `rx_ring`, read from
+    /// the host side of the ring. Not only DMAs in flight; the name is kept
+    /// for the JSON shape.
     pub pending_dma: u64,
     /// Cumulative eager retransmissions sent.
     pub retransmits: u64,
@@ -103,7 +107,8 @@ pub struct NodeWindow {
     pub hold_count: u64,
     /// RX-ring occupancy at the window boundary.
     pub rx_ring: u64,
-    /// DMAs in flight at the window boundary.
+    /// Receive-queue occupancy at the window boundary: equal to `rx_ring`
+    /// (see [`NodeTap::pending_dma`]), not DMAs in flight.
     pub pending_dma: u64,
     /// Eager retransmissions during the window.
     pub retransmits: u64,

@@ -6,6 +6,7 @@
 
 use omx_core::proto::{DriverAction, NodeDriver, ProtoConfig};
 use omx_core::wire::{EndpointAddr, Packet};
+use omx_sim::json::ToJson;
 use omx_sim::rng::SimRng;
 use omx_sim::{Time, TimeDelta};
 use std::collections::VecDeque;
@@ -199,5 +200,127 @@ fn sender_always_completes() {
                 .any(|x| matches!(x, DriverAction::SendComplete { handle: 42, .. })),
             "sender never completed"
         );
+    }
+}
+
+/// One receive batch handed to two copies of a driver: `reference` gets
+/// one [`NodeDriver::handle_packet_into`] per packet, `batched` one
+/// [`NodeDriver::handle_batch_into`]. Both must emit the same actions in
+/// the same order, end each packet's actions at the same index, and leave
+/// the same counters and deadline. Returns the actions.
+fn handle_both(
+    reference: &mut NodeDriver,
+    batched: &mut NodeDriver,
+    now: Time,
+    batch: &[Packet],
+) -> Vec<DriverAction> {
+    let (mut want, mut want_ends) = (Vec::new(), Vec::new());
+    for &pkt in batch {
+        reference.handle_packet_into(now, pkt, &mut want);
+        want_ends.push(want.len());
+    }
+    let (mut got, mut got_ends) = (Vec::new(), Vec::new());
+    batched.handle_batch_into(now, batch, &mut got, &mut got_ends);
+    assert_eq!(got, want, "actions of batch {batch:?}");
+    assert_eq!(got_ends, want_ends, "packet boundaries of batch {batch:?}");
+    same_state(reference, batched);
+    want
+}
+
+fn same_state(reference: &NodeDriver, batched: &NodeDriver) {
+    assert_eq!(
+        batched.counters().to_json().render(),
+        reference.counters().to_json().render()
+    );
+    assert_eq!(batched.next_deadline(), reference.next_deadline());
+}
+
+/// A receive batch is one driver call: for any traffic, reordered,
+/// duplicated and lossy, cut into batches of any size, handling a batch
+/// in one call is handling its packets one call each. Node 1 runs in two
+/// copies (per packet and per batch) that must agree after every batch
+/// and timer; the per-packet copy's transmits drive node 0, whose
+/// transmits reach node 1 in random order, some twice, some never.
+#[test]
+fn a_batch_call_is_one_call_per_packet() {
+    let mut rng = SimRng::new(0x5EED_2004);
+    for _case in 0..128 {
+        let cfg = ProtoConfig {
+            rto_ns: 5_000_000,
+            ..ProtoConfig::default()
+        };
+        let mut a = NodeDriver::new(0, 2, cfg);
+        let mut reference = NodeDriver::new(1, 2, cfg);
+        let mut batched = NodeDriver::new(1, 2, cfg);
+        let mut now = Time::from_micros(1);
+        // Node 0 → node 1 messages of every size class, and a few back.
+        let mut to_b = Vec::new();
+        let mut to_a = Vec::new();
+        for i in 0..rng.range_u64(1, 6) {
+            let ep = rng.range_u64(0, 2) as u8;
+            let len = rng.range_u64(0, 100_000) as u32;
+            for b in [&mut reference, &mut batched] {
+                b.post_recv(now, ep, i, !0, 1_000 + i);
+            }
+            let acts = a.post_send(now, ep, EndpointAddr::new(1, ep), len, i, i);
+            to_b.extend(acts.into_iter().filter_map(transmitted));
+        }
+        for i in 0..rng.range_u64(0, 3) {
+            a.post_recv(now, 0, i, !0, 2_000 + i);
+            let len = rng.range_u64(0, 50_000) as u32;
+            let mut acts = Vec::new();
+            for b in [&mut reference, &mut batched] {
+                acts = b.post_send(now, 1, EndpointAddr::new(0, 0), len, i, i);
+            }
+            to_a.extend(acts.into_iter().filter_map(transmitted));
+        }
+
+        for _round in 0..20_000 {
+            if to_b.is_empty() && to_a.is_empty() {
+                // Quiet network: fire every due timer, node 1's copies alike.
+                now += TimeDelta::from_millis(6);
+                let deadlines = [a.next_deadline(), reference.next_deadline()];
+                if deadlines.iter().all(Option::is_none) {
+                    break;
+                }
+                to_b.extend(a.on_timer(now).into_iter().filter_map(transmitted));
+                let want = reference.on_timer(now);
+                assert_eq!(batched.on_timer(now), want);
+                same_state(&reference, &batched);
+                to_a.extend(want.into_iter().filter_map(transmitted));
+                continue;
+            }
+            now += TimeDelta::from_micros(rng.range_u64(0, 20) as i64);
+            // Node 0 takes what node 1 sent, in order.
+            for pkt in to_a.drain(..) {
+                to_b.extend(
+                    a.handle_packet(now, pkt)
+                        .into_iter()
+                        .filter_map(transmitted),
+                );
+            }
+            // Node 1 takes a random batch: random picks, some duplicated,
+            // some lost.
+            let mut batch = Vec::new();
+            for _ in 0..rng.range_u64(1, 9).min(to_b.len() as u64) {
+                let pkt = to_b.swap_remove(rng.range_u64(0, to_b.len() as u64) as usize);
+                if rng.chance(0.1) {
+                    to_b.push(pkt);
+                }
+                if !rng.chance(0.05) {
+                    batch.push(pkt);
+                }
+            }
+            let acts = handle_both(&mut reference, &mut batched, now, &batch);
+            to_a.extend(acts.into_iter().filter_map(transmitted));
+        }
+        assert!(to_b.is_empty() && to_a.is_empty(), "traffic never settled");
+    }
+}
+
+fn transmitted(action: DriverAction) -> Option<Packet> {
+    match action {
+        DriverAction::Transmit(p) => Some(p),
+        _ => None,
     }
 }

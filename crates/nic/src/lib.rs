@@ -47,7 +47,7 @@ pub mod packet;
 
 pub use coalesce::{Coalescer, CoalescingStrategy, Decision, TimerAction};
 pub use dma::DmaConfig;
-pub use nic::{DmaWake, Nic, NicConfig, NicCounters, NicOutcome, ReadyPacket};
+pub use nic::{DmaWake, Nic, NicConfig, NicCounters, NicOutcome};
 pub use offload::{
     CollFrame, CollFrameKind, CollOp, OffloadCollDesc, OffloadConfig, OffloadCounters, OffloadEmit,
     OffloadEngine,

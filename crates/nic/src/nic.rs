@@ -26,6 +26,7 @@ use crate::dma::{DmaConfig, DmaEngine, Transfer};
 use crate::packet::{DescId, PacketClass, PacketMeta};
 use omx_sim::stats::{Counter, Histogram};
 use omx_sim::Time;
+use std::ops::Range;
 
 /// Static NIC configuration.
 #[derive(Debug, Clone)]
@@ -49,14 +50,14 @@ impl Default for NicConfig {
 }
 
 /// A packet sitting in host memory, ready for the host receive handler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadyPacket {
+#[derive(Debug, Clone, Copy)]
+struct ReadyPacket {
     /// Descriptor id.
-    pub desc: DescId,
+    desc: DescId,
     /// Frame metadata.
-    pub meta: PacketMeta,
+    meta: PacketMeta,
     /// When its DMA completed (host-visible time).
-    pub completed_at: Time,
+    completed_at: Time,
 }
 
 /// A DMA completion that needs an event: schedule
@@ -136,7 +137,10 @@ pub struct Nic {
     /// when the host re-enables (per-packet interrupts persist under load,
     /// as Table V of the paper measures for disabled coalescing).
     pending_claims: std::collections::VecDeque<Vec<ReadyPacket>>,
+    /// Descriptors handed out so far: the next one's id.
     next_desc: u64,
+    /// Descriptors the host has taken so far: the next claim's first.
+    taken: u64,
     /// Interrupts are auto-masked from raise until the host re-enables them.
     irq_enabled: bool,
     /// A raise was requested while masked (or with nothing ready): deliver
@@ -169,6 +173,7 @@ impl Nic {
             claimed: Vec::new(),
             pending_claims: std::collections::VecDeque::new(),
             next_desc: 0,
+            taken: 0,
             irq_enabled: true,
             irq_latched: false,
             timer_deadline: None,
@@ -205,17 +210,22 @@ impl Nic {
     }
 
     /// Total packets the NIC still owes the host: DMAs in flight, ready
-    /// packets awaiting an interrupt, and claim snapshots not yet serviced.
-    /// This is the RX-ring occupancy [`Nic::on_frame`] admits against
-    /// `rx_ring_slots`; settling a completion moves a packet from the first
-    /// term to the second, so it holds between events too. Non-zero at
-    /// quiescence means an interrupt-liveness violation — a coalescer held
-    /// packets forever without raising.
+    /// packets awaiting an interrupt, and claims not yet taken. This is the
+    /// RX-ring occupancy [`Nic::on_frame`] admits against `rx_ring_slots`;
+    /// settling a completion moves a packet from the first term to the
+    /// second, so it holds between events too. Non-zero at quiescence means
+    /// an interrupt-liveness violation — a coalescer held packets forever
+    /// without raising.
     pub fn pending_work(&self) -> usize {
-        self.dma.pending()
-            + self.ready.len()
-            + self.claimed.len()
-            + self.pending_claims.iter().map(Vec::len).sum::<usize>()
+        let owed = (self.next_desc - self.taken) as usize;
+        debug_assert_eq!(
+            owed,
+            self.dma.pending()
+                + self.ready.len()
+                + self.claimed.len()
+                + self.pending_claims.iter().map(Vec::len).sum::<usize>()
+        );
+        owed
     }
 
     /// The oldest transfer not yet settled, as `(desc, completion time)`.
@@ -385,15 +395,34 @@ impl Nic {
     }
 
     /// The host receive handler takes the packets the in-flight interrupt
-    /// claimed when it was raised. Packets whose DMA completed afterwards
-    /// wait for the next interrupt — the hardware interrupt carries a
-    /// snapshot of the event ring, it does not grow retroactively. The
-    /// claimed packets are appended to `out` (which the caller reuses
-    /// across interrupts); the claim vector keeps its capacity for the next
-    /// snapshot.
-    pub fn drain_ready_into(&mut self, out: &mut Vec<ReadyPacket>) {
-        out.extend_from_slice(&self.claimed);
+    /// claimed when it was raised, as the range of descriptors they hold.
+    /// Packets whose DMA completed afterwards wait for the next interrupt —
+    /// the hardware interrupt carries a snapshot of the event ring, it does
+    /// not grow retroactively.
+    ///
+    /// A claim is always the contiguous run of the oldest descriptors the
+    /// NIC still owes the host: descriptors are handed out in accept order,
+    /// DMA completion and the ready ring are FIFO, each raise snapshots the
+    /// whole ready ring, and claims are delivered in raise order. So the
+    /// caller can keep the accepted frames in one FIFO and take the claim's
+    /// length off its front.
+    ///
+    /// # Panics
+    /// Panics if the claim is not that run of descriptors (one check per
+    /// claim, in release builds too).
+    pub fn take_claim(&mut self) -> Range<u64> {
+        let start = self.taken;
+        let end = start + self.claimed.len() as u64;
+        let (first, last) = (self.claimed.first(), self.claimed.last());
+        assert!(
+            first.is_none_or(|p| p.desc.0 == start) && last.is_none_or(|p| p.desc.0 + 1 == end),
+            "claim {:?}..={:?} is not the oldest owed descriptors {start}..{end}",
+            first.map(|p| p.desc),
+            last.map(|p| p.desc),
+        );
         self.claimed.clear();
+        self.taken = end;
+        start..end
     }
 
     // -- internals -----------------------------------------------------------
@@ -609,10 +638,8 @@ mod tests {
         assert!(out.interrupt, "disabled coalescing raises per packet");
         assert_eq!(n.counters().interrupts.get(), 1);
 
-        let mut batch = Vec::new();
-        n.drain_ready_into(&mut batch);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].meta.len_bytes, 100);
+        assert_eq!(n.take_claim(), 0..1);
+        assert_eq!(n.take_claim(), 1..1, "a claim is taken once");
 
         // While masked, a further completion latches instead of raising.
         let out = n.frame(t(300), PacketMeta::omx(100, false));
@@ -650,7 +677,7 @@ mod tests {
         let out = n.timer(timer_at);
         assert!(out.interrupt);
         assert_eq!(n.timer_deadline(), None, "a firing disarms");
-        n.drain_ready_into(&mut Vec::new());
+        n.take_claim();
         n.enable(t(80_000));
         let out = n.timer(timer_at);
         assert_eq!(out, NicOutcome::default(), "disarmed timer is a no-op");
@@ -664,7 +691,7 @@ mod tests {
         let mut n = nic(CoalescingStrategy::Timeout { delay_us: 75 });
         n.frame(t(0), PacketMeta::omx(100, false));
         assert!(n.timer(t(75_000)).interrupt);
-        n.drain_ready_into(&mut Vec::new());
+        n.take_claim();
         n.enable(t(80_000));
         let epoch = n.timer_epoch();
         n.frame(t(90_000), PacketMeta::omx(100, false));
@@ -719,9 +746,11 @@ mod tests {
         assert_eq!(o1.wake, None, "the unmarked completion cannot act");
         let out = n.complete(o2.wake.expect("the marked completion raises"));
         assert!(out.interrupt, "marked packet raises");
-        let mut batch = Vec::new();
-        n.drain_ready_into(&mut batch);
-        assert_eq!(batch.len(), 2, "the unmarked packet was settled first");
+        assert_eq!(
+            n.take_claim(),
+            0..2,
+            "the unmarked packet was settled first"
+        );
         assert_eq!(n.timer_deadline(), None, "the interrupt disarms");
         assert_eq!(n.timer(armed), NicOutcome::default());
     }
@@ -778,9 +807,7 @@ mod tests {
         let out = n.complete(w2);
         assert!(out.interrupt, "raised when the queue drains");
         assert_eq!(n.counters().interrupts.get(), 1);
-        let mut batch = Vec::new();
-        n.drain_ready_into(&mut batch);
-        assert_eq!(batch.len(), 2, "both packets in one batch");
+        assert_eq!(n.take_claim(), 0..2, "both packets in one batch");
     }
 
     #[test]
@@ -794,6 +821,9 @@ mod tests {
         }
         assert_eq!(accepted, 8, "ring holds 8 slots");
         assert_eq!(n.counters().ring_drops.get(), 2);
+        let at = n.timer_deadline().unwrap();
+        assert!(n.timer(at).interrupt);
+        assert_eq!(n.take_claim(), 0..8, "a dropped frame takes no descriptor");
     }
 
     #[test]
@@ -813,17 +843,11 @@ mod tests {
         // retransmission). Sequence distilled from the jumbo-frame pull
         // experiment.
         let mut n = nic(CoalescingStrategy::Timeout { delay_us: 75 });
-        let drained = |n: &mut Driven| {
-            let mut batch = Vec::new();
-            n.drain_ready_into(&mut batch);
-            batch.len()
-        };
-
         // Packet A arrives and completes; its timer fires and delivers.
         n.frame(t(0), PacketMeta::omx(100, false));
         let timer_at = n.timer_deadline().unwrap();
         assert!(n.timer(timer_at).interrupt);
-        assert_eq!(drained(&mut n), 1, "host takes batch A");
+        assert_eq!(n.take_claim(), 0..1, "host takes batch A");
         // Host services it (IRQs masked). Packet B arrives and arms a
         // fresh timer (the interrupt disarmed A's), and completes.
         n.frame(t(80_000), PacketMeta::omx(100, false));
@@ -849,7 +873,7 @@ mod tests {
         let out = n.enable(t(157_000));
         assert!(c_at < t(157_000));
         assert!(out.interrupt, "queued claim delivers");
-        assert_eq!(drained(&mut n), 1);
+        assert_eq!(n.take_claim(), 1..2, "B's claim, not C");
         // Host finishes batch B: enable with nothing pending. C must have a
         // live timer from one of the two hook points — otherwise it strands.
         n.enable(t(158_000));
@@ -858,7 +882,7 @@ mod tests {
             .expect("safety timer must be armed for packet C");
         let out = n.timer(at);
         assert!(out.interrupt, "packet C claimed via the safety timer");
-        assert_eq!(drained(&mut n), 1);
+        assert_eq!(n.take_claim(), 2..3);
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //! Randomised with the simulator's deterministic [`SimRng`] (fixed seeds, so
 //! failures reproduce exactly) instead of an external property-test harness.
 
-use omx_nic::{
-    CoalescingStrategy, DmaWake, Nic, NicConfig, NicCounters, NicOutcome, PacketMeta, ReadyPacket,
-};
+use omx_nic::{CoalescingStrategy, DmaWake, Nic, NicConfig, NicCounters, NicOutcome, PacketMeta};
 use omx_sim::json::ToJson;
 use omx_sim::rng::SimRng;
 use omx_sim::Time;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
@@ -28,8 +27,8 @@ enum Ev {
 /// the NIC's business, what it does is not.
 #[derive(Debug, Clone, PartialEq)]
 enum Obs {
-    /// An interrupt at this instant claimed these packets.
-    Interrupt { at: u64, claim: Vec<ReadyPacket> },
+    /// An interrupt at this instant claimed these descriptors.
+    Interrupt { at: u64, claim: Range<u64> },
     /// After the event at this key, the coalescing timer was armed for
     /// `deadline` under arming generation `epoch`.
     Timer {
@@ -52,6 +51,7 @@ struct Sim {
     /// When the queued timer event that covers the NIC's deadline fires.
     timer_slot: Option<u64>,
     service_ns: Vec<u64>,
+    /// Packets claimed so far: the descriptor the next claim starts at.
     claimed: u64,
     irqs: u64,
     dma_events: u64,
@@ -102,9 +102,12 @@ impl Sim {
             }
         }
         if out.interrupt {
-            let mut claim = Vec::new();
-            self.nic.drain_ready_into(&mut claim);
-            self.claimed += claim.len() as u64;
+            // Claims are contiguous, non-empty and consecutive: each starts
+            // at the oldest descriptor the NIC still owes.
+            let claim = self.nic.take_claim();
+            assert_eq!(claim.start, self.claimed, "claims skip or repeat");
+            assert!(claim.end > claim.start, "an interrupt claims nothing");
+            self.claimed = claim.end;
             let service = self.service_ns[self.irqs as usize % self.service_ns.len()];
             self.irqs += 1;
             self.log.push(Obs::Interrupt { at: now, claim });
@@ -333,7 +336,7 @@ fn observe(
 
 /// Lazy settling is exact: a NIC that schedules an event only for the DMA
 /// completions that can act, and settles the rest at its next entry point,
-/// shows the same interrupt instants, claim snapshots, timer arming
+/// shows the same interrupt instants, claimed descriptors, timer arming
 /// (deadline and generation, after the same events) and counters, hold
 /// histogram included, as a reference that schedules an event for every
 /// completion at its own instant. The scripts mix marked and unmarked

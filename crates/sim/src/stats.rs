@@ -147,6 +147,55 @@ pub struct Histogram {
 const BUCKETS_PER_DECADE: usize = 32;
 const DECADES: usize = 12; // 1 ns .. 10^12 ns (~17 min)
 const NUM_BUCKETS: usize = BUCKETS_PER_DECADE * DECADES;
+/// Most buckets that start within one octave `[2^k, 2^(k+1))`:
+/// `32·log10(2) ≈ 9.6` rounded up.
+const OCTAVE_SPAN: usize = 10;
+
+/// The bucket of a value of at least 2 by definition: the integer part of
+/// `32·log10(v)`, capped at the last bucket.
+fn log_bucket(value_ns: u64) -> usize {
+    let idx = ((value_ns as f64).log10() * BUCKETS_PER_DECADE as f64) as usize;
+    idx.min(NUM_BUCKETS - 1)
+}
+
+/// Where each bucket of [`log_bucket`] starts, so a value's bucket is a
+/// count of starts at or below it. `log10` costs more than the rest of
+/// [`Histogram::record`], which runs for every packet the NIC hands the
+/// host and every transmit of an interrupt handler.
+struct BucketStarts {
+    /// `first[i]`: the least value `log_bucket` puts in bucket `i` or
+    /// above (`first[0] = 0`), then `u64::MAX` so every octave's window
+    /// stays in bounds (only `u64::MAX` itself passes those).
+    first: [u64; NUM_BUCKETS + OCTAVE_SPAN],
+    /// `of_octave[k]`: the bucket of `2^k`.
+    of_octave: [u16; 64],
+}
+
+impl BucketStarts {
+    fn get() -> &'static BucketStarts {
+        static STARTS: std::sync::OnceLock<BucketStarts> = std::sync::OnceLock::new();
+        STARTS.get_or_init(|| {
+            let mut first = [u64::MAX; NUM_BUCKETS + OCTAVE_SPAN];
+            first[0] = 0;
+            for (i, start) in first.iter_mut().enumerate().take(NUM_BUCKETS).skip(1) {
+                // Binary search for the least value reaching bucket `i`
+                // (`log_bucket` does not decrease).
+                let (mut lo, mut hi) = (2u64, 1u64 << 62);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if log_bucket(mid) >= i {
+                        hi = mid;
+                    } else {
+                        lo = mid + 1;
+                    }
+                }
+                *start = lo;
+            }
+            let of_octave = std::array::from_fn(|k| log_bucket(1 << k) as u16);
+            BucketStarts { first, of_octave }
+        })
+    }
+}
 
 impl Default for Histogram {
     fn default() -> Self {
@@ -166,13 +215,22 @@ impl Histogram {
         }
     }
 
-    /// Bucket for a *positive* value (zeros never reach the log grid).
+    /// Bucket for a *positive* value (zeros never reach the log grid):
+    /// [`log_bucket`], read from [`BucketStarts`] without a `log10`.
     fn bucket_index(value_ns: u64) -> usize {
         if value_ns <= 1 {
             return 0;
         }
-        let idx = ((value_ns as f64).log10() * BUCKETS_PER_DECADE as f64) as usize;
-        idx.min(NUM_BUCKETS - 1)
+        let starts = BucketStarts::get();
+        let octave = value_ns.ilog2() as usize;
+        let base = usize::from(starts.of_octave[octave]);
+        // Count the bucket starts within the octave that `value_ns` has
+        // reached; branch-free over a fixed window.
+        let passed = starts.first[base + 1..=base + OCTAVE_SPAN]
+            .iter()
+            .filter(|&&start| start <= value_ns)
+            .count();
+        (base + passed).min(NUM_BUCKETS - 1)
     }
 
     fn bucket_value(idx: usize) -> u64 {
@@ -421,6 +479,33 @@ impl ToJson for TimeWeighted {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The table lookup puts every value in the bucket the `log10`
+    /// definition does: every value below 2^20, every bucket start and its
+    /// neighbours, every power of two and its neighbours, and random
+    /// values at every scale.
+    #[test]
+    fn bucket_table_matches_the_log10_definition() {
+        let check = |v: u64| {
+            let want = if v <= 1 { 0 } else { log_bucket(v) };
+            assert_eq!(Histogram::bucket_index(v), want, "value {v}");
+        };
+        (0..1 << 20).for_each(check);
+        let starts = BucketStarts::get();
+        for &start in &starts.first[1..NUM_BUCKETS] {
+            (start - 2..=start + 2).for_each(check);
+        }
+        for k in 1..64 {
+            let p = 1u64 << k;
+            (p - 1..=p + 1).for_each(check);
+        }
+        check(u64::MAX);
+        let mut rng = crate::rng::SimRng::new(0x5EED_B0C7);
+        for _ in 0..200_000 {
+            let bits = rng.next_u64() % 64;
+            check(rng.next_u64() >> bits);
+        }
+    }
 
     #[test]
     fn counter_basics() {
