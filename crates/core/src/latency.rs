@@ -373,6 +373,10 @@ mod tests {
         Time::from_nanos(ns)
     }
 
+    /// The key of the one simulation event every record here comes from, so
+    /// records stay in the order they are made.
+    const KEY: (Time, u64) = (Time::ZERO, 0);
+
     fn pkt(msg: u64) -> Packet {
         Packet {
             hdr: OmxHeader {
@@ -395,6 +399,7 @@ mod tests {
     fn attributes_each_phase() {
         let mut tr = Tracer::new(64);
         tr.record(
+            KEY,
             t(1_000),
             0,
             TraceKind::Transmit,
@@ -404,6 +409,7 @@ mod tests {
             },
         );
         tr.record(
+            KEY,
             t(6_000),
             1,
             TraceKind::FrameArrival,
@@ -413,6 +419,7 @@ mod tests {
             },
         );
         tr.record(
+            KEY,
             t(7_000),
             1,
             TraceKind::DmaComplete,
@@ -420,6 +427,7 @@ mod tests {
         );
         // Coalescing holds the packet 75 µs after DMA completion.
         tr.record(
+            KEY,
             t(82_000),
             1,
             TraceKind::Interrupt,
@@ -430,6 +438,7 @@ mod tests {
             },
         );
         tr.record(
+            KEY,
             t(89_000),
             1,
             TraceKind::BatchDone,
@@ -439,6 +448,7 @@ mod tests {
             },
         );
         tr.record(
+            KEY,
             t(90_000),
             1,
             TraceKind::AppDelivery,
@@ -474,6 +484,7 @@ mod tests {
         let mut tr = Tracer::new(64);
         // First copy, lost on the wire.
         tr.record(
+            KEY,
             t(1_000),
             0,
             TraceKind::Transmit,
@@ -484,6 +495,7 @@ mod tests {
         );
         // Retransmission after the RTO fires.
         tr.record(
+            KEY,
             t(50_000),
             0,
             TraceKind::Transmit,
@@ -493,6 +505,7 @@ mod tests {
             },
         );
         tr.record(
+            KEY,
             t(55_000),
             1,
             TraceKind::FrameArrival,
@@ -502,12 +515,14 @@ mod tests {
             },
         );
         tr.record(
+            KEY,
             t(56_000),
             1,
             TraceKind::DmaComplete,
             TraceData::Desc { desc: 3 },
         );
         tr.record(
+            KEY,
             t(57_000),
             1,
             TraceKind::Interrupt,
@@ -518,6 +533,7 @@ mod tests {
             },
         );
         tr.record(
+            KEY,
             t(59_000),
             1,
             TraceKind::BatchDone,
@@ -527,6 +543,7 @@ mod tests {
             },
         );
         tr.record(
+            KEY,
             t(60_000),
             1,
             TraceKind::AppDelivery,
@@ -552,6 +569,7 @@ mod tests {
     fn missing_transmit_falls_back_to_arrival() {
         let mut tr = Tracer::new(64);
         tr.record(
+            KEY,
             t(6_000),
             1,
             TraceKind::FrameArrival,
@@ -561,12 +579,14 @@ mod tests {
             },
         );
         tr.record(
+            KEY,
             t(6_500),
             1,
             TraceKind::DmaComplete,
             TraceData::Desc { desc: 0 },
         );
         tr.record(
+            KEY,
             t(7_000),
             1,
             TraceKind::Interrupt,
@@ -577,6 +597,7 @@ mod tests {
             },
         );
         tr.record(
+            KEY,
             t(8_000),
             1,
             TraceKind::BatchDone,
@@ -586,6 +607,7 @@ mod tests {
             },
         );
         tr.record(
+            KEY,
             t(8_200),
             1,
             TraceKind::AppDelivery,
@@ -609,6 +631,7 @@ mod tests {
         let mut tr = Tracer::new(8);
         // A delivery with no preceding chain (e.g. ring evicted everything).
         tr.record(
+            KEY,
             t(100),
             0,
             TraceKind::AppDelivery,

@@ -79,11 +79,6 @@ impl ClusterMetrics {
         self.nodes.iter().map(|n| n.host.wakeups.get()).sum()
     }
 
-    /// Total cache-line bounces across all nodes.
-    pub fn total_cache_bounces(&self) -> u64 {
-        self.nodes.iter().map(|n| n.host.cache_bounces.get()).sum()
-    }
-
     /// Total host interrupt busy time (ns) across all nodes.
     pub fn total_irq_busy_ns(&self) -> u64 {
         self.nodes.iter().map(|n| n.host.irq_busy_ns.get()).sum()
@@ -127,7 +122,6 @@ mod tests {
         let mut host = HostCounters::default();
         host.wakeups.add(wakeups);
         host.irq_busy_ns.add(irqs * 100);
-        host.cache_bounces.add(wakeups * 2);
         let mut driver = DriverCounters::default();
         driver.acks_sent.add(acks);
         driver.eager_retransmits.add(1);
@@ -153,7 +147,6 @@ mod tests {
         assert_eq!(m.total_interrupts(), 8);
         assert_eq!(m.total_packets(), 24);
         assert_eq!(m.total_wakeups(), 6);
-        assert_eq!(m.total_cache_bounces(), 12);
         assert_eq!(m.total_irq_busy_ns(), 800);
         assert_eq!(m.total_retransmits(), 2);
         assert_eq!(m.total_acks(), 8);

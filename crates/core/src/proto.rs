@@ -432,22 +432,8 @@ impl NodeDriver {
 
     // -- application entry points ---------------------------------------------
 
-    /// Post a receive on endpoint `ep`.
-    pub fn post_recv(
-        &mut self,
-        now: Time,
-        ep: u8,
-        match_value: u64,
-        match_mask: u64,
-        handle: u64,
-    ) -> Vec<DriverAction> {
-        let mut actions = Vec::new();
-        self.post_recv_into(now, ep, match_value, match_mask, handle, &mut actions);
-        actions
-    }
-
-    /// [`NodeDriver::post_recv`], appending actions to a caller-owned buffer
-    /// instead of allocating a fresh `Vec` per call.
+    /// Post a receive on endpoint `ep`, appending the actions it emits to
+    /// `actions`.
     pub fn post_recv_into(
         &mut self,
         now: Time,
@@ -467,23 +453,8 @@ impl NodeDriver {
         }
     }
 
-    /// Post a send of `len` bytes from endpoint `ep` to `dst`.
-    pub fn post_send(
-        &mut self,
-        now: Time,
-        ep: u8,
-        dst: EndpointAddr,
-        len: u32,
-        match_info: u64,
-        handle: u64,
-    ) -> Vec<DriverAction> {
-        let mut actions = Vec::new();
-        self.post_send_into(now, ep, dst, len, match_info, handle, &mut actions);
-        actions
-    }
-
-    /// [`NodeDriver::post_send`], appending actions to a caller-owned buffer
-    /// instead of allocating a fresh `Vec` per call.
+    /// Post a send of `len` bytes from endpoint `ep` to `dst`, appending the
+    /// actions it emits to `actions`.
     #[allow(clippy::too_many_arguments)]
     pub fn post_send_into(
         &mut self,
@@ -508,17 +479,10 @@ impl NodeDriver {
         );
     }
 
-    /// A packet addressed to this node was delivered by the receive handler.
-    pub fn handle_packet(&mut self, now: Time, pkt: Packet) -> Vec<DriverAction> {
-        let mut actions = Vec::new();
-        self.handle_packet_into(now, pkt, &mut actions);
-        actions
-    }
-
-    /// [`NodeDriver::handle_packet`], appending actions to a caller-owned
-    /// buffer rather than a fresh `Vec`. Shared-memory delivery calls this
-    /// per packet; the receive handler calls
-    /// [`NodeDriver::handle_batch_into`] once per batch.
+    /// A packet addressed to this node was delivered, appending the actions
+    /// it emits to `actions`. Shared-memory delivery calls this per packet;
+    /// the receive handler calls [`NodeDriver::handle_batch_into`] once per
+    /// batch.
     pub fn handle_packet_into(&mut self, now: Time, pkt: Packet, actions: &mut Vec<DriverAction>) {
         debug_assert_eq!(pkt.hdr.dst.node.0, self.local, "misrouted packet");
         let local_ep = pkt.hdr.dst.endpoint;
@@ -608,15 +572,8 @@ impl NodeDriver {
         }
     }
 
-    /// The retransmit / delayed-ack timer fired.
-    pub fn on_timer(&mut self, now: Time) -> Vec<DriverAction> {
-        let mut actions = Vec::new();
-        self.on_timer_into(now, &mut actions);
-        actions
-    }
-
-    /// [`NodeDriver::on_timer`], appending actions to a caller-owned buffer
-    /// instead of allocating a fresh `Vec` per call.
+    /// The retransmit / delayed-ack timer fired, appending the actions it
+    /// emits to `actions`.
     pub fn on_timer_into(&mut self, now: Time, actions: &mut Vec<DriverAction>) {
         // Delayed acks. Iterate the ordered index — the scan order feeds
         // the emitted action order, which the goldens pin.
@@ -1420,6 +1377,13 @@ impl NodeDriver {
 mod tests {
     use super::*;
 
+    /// The actions one `_into` driver call emits.
+    fn collect_actions(call: impl FnOnce(&mut Vec<DriverAction>)) -> Vec<DriverAction> {
+        let mut actions = Vec::new();
+        call(&mut actions);
+        actions
+    }
+
     /// Drive two drivers against each other, instantly delivering packets.
     /// Returns all non-transmit actions seen on each side.
     fn pump(
@@ -1435,7 +1399,7 @@ mod tests {
             guard += 1;
             assert!(guard < 100_000, "protocol livelock");
             let target = if dst == a.node() { &mut *a } else { &mut *b };
-            let actions = target.handle_packet(now, pkt);
+            let actions = collect_actions(|out| target.handle_packet_into(now, pkt, out));
             let sink = if dst == a.node() {
                 &mut out_a
             } else {
@@ -1477,8 +1441,10 @@ mod tests {
     #[test]
     fn small_message_end_to_end() {
         let (mut a, mut b) = pair();
-        b.post_recv(t0(), 0, 7, !0, 100);
-        let actions = a.post_send(t0(), 0, EndpointAddr::new(1, 0), 64, 7, 200);
+        collect_actions(|out| b.post_recv_into(t0(), 0, 7, !0, 100, out));
+        let actions = collect_actions(|out| {
+            a.post_send_into(t0(), 0, EndpointAddr::new(1, 0), 64, 7, 200, out)
+        });
         let (pkts, rest) = split_transmits(actions);
         assert_eq!(pkts.len(), 1);
         assert!(pkts[0].hdr.latency_sensitive, "small messages are marked");
@@ -1504,7 +1470,9 @@ mod tests {
     /// every eager packet arrived first.
     fn assert_unexpected_then_posted(len: u32, before: usize) {
         let (mut a, mut b) = pair();
-        let (pkts, _) = split_transmits(a.post_send(t0(), 0, EndpointAddr::new(1, 0), len, 9, 1));
+        let (pkts, _) = split_transmits(collect_actions(|out| {
+            a.post_send_into(t0(), 0, EndpointAddr::new(1, 0), len, 9, 1, out)
+        }));
         assert!(before <= pkts.len(), "{len} B sends {} packets", pkts.len());
         let (early, late) = pkts.split_at(before);
         let addressed = |pkts: &[Packet]| -> Vec<(u16, Packet)> {
@@ -1513,7 +1481,9 @@ mod tests {
         let (_, recv_side) = pump(&mut a, &mut b, addressed(early), t0());
         assert!(recv_side.is_empty(), "{len} B: no receive posted yet");
 
-        let (tx, at_post) = split_transmits(b.post_recv(t0(), 0, 9, !0, 55));
+        let (tx, at_post) = split_transmits(collect_actions(|out| {
+            b.post_recv_into(t0(), 0, 9, !0, 55, out)
+        }));
         let mut pending = addressed(&tx);
         pending.extend(addressed(late));
         let (_, after_post) = pump(&mut a, &mut b, pending, t0());
@@ -1554,8 +1524,10 @@ mod tests {
     #[test]
     fn medium_message_fragments_and_completes() {
         let (mut a, mut b) = pair();
-        b.post_recv(t0(), 0, 1, !0, 9);
-        let actions = a.post_send(t0(), 0, EndpointAddr::new(1, 0), 32 * 1024, 1, 10);
+        collect_actions(|out| b.post_recv_into(t0(), 0, 1, !0, 9, out));
+        let actions = collect_actions(|out| {
+            a.post_send_into(t0(), 0, EndpointAddr::new(1, 0), 32 * 1024, 1, 10, out)
+        });
         let (pkts, _) = split_transmits(actions);
         assert_eq!(pkts.len(), 23, "32 KiB at MTU 1500 = 23 fragments");
         // Only the last fragment is marked.
@@ -1576,8 +1548,10 @@ mod tests {
     #[test]
     fn medium_message_tolerates_reordered_fragments() {
         let (mut a, mut b) = pair();
-        b.post_recv(t0(), 0, 1, !0, 9);
-        let actions = a.post_send(t0(), 0, EndpointAddr::new(1, 0), 8 * 1024, 1, 10);
+        collect_actions(|out| b.post_recv_into(t0(), 0, 1, !0, 9, out));
+        let actions = collect_actions(|out| {
+            a.post_send_into(t0(), 0, EndpointAddr::new(1, 0), 8 * 1024, 1, 10, out)
+        });
         let (mut pkts, _) = split_transmits(actions);
         pkts.reverse(); // worst-case mis-ordering
         let deliveries: Vec<(u16, Packet)> = pkts.iter().map(|p| (1, *p)).collect();
@@ -1590,9 +1564,11 @@ mod tests {
     #[test]
     fn large_message_pull_protocol_end_to_end() {
         let (mut a, mut b) = pair();
-        b.post_recv(t0(), 0, 3, !0, 77);
+        collect_actions(|out| b.post_recv_into(t0(), 0, 3, !0, 77, out));
         let len = 234 * 1024;
-        let actions = a.post_send(t0(), 0, EndpointAddr::new(1, 0), len, 3, 88);
+        let actions = collect_actions(|out| {
+            a.post_send_into(t0(), 0, EndpointAddr::new(1, 0), len, 3, 88, out)
+        });
         let (pkts, rest) = split_transmits(actions);
         assert_eq!(pkts.len(), 1, "only the rendezvous goes out first");
         assert!(matches!(pkts[0].kind, PacketKind::Rendezvous { .. }));
@@ -1613,8 +1589,10 @@ mod tests {
     fn pull_request_counts_match_paper() {
         // 234 KiB: 5 blocks of 32 frames, 162 packets total (§IV-C3).
         let (mut a, mut b) = pair();
-        b.post_recv(t0(), 0, 3, !0, 77);
-        let actions = a.post_send(t0(), 0, EndpointAddr::new(1, 0), 234 * 1024, 3, 88);
+        collect_actions(|out| b.post_recv_into(t0(), 0, 3, !0, 77, out));
+        let actions = collect_actions(|out| {
+            a.post_send_into(t0(), 0, EndpointAddr::new(1, 0), 234 * 1024, 3, 88, out)
+        });
         let (pkts, _) = split_transmits(actions);
 
         // Count every packet moved until quiescence.
@@ -1631,7 +1609,7 @@ mod tests {
             };
             *counts.entry(label).or_default() += 1;
             let target = if dst == 0 { &mut a } else { &mut b };
-            for act in target.handle_packet(t0(), pkt) {
+            for act in collect_actions(|out| target.handle_packet_into(t0(), pkt, out)) {
                 if let DriverAction::Transmit(p) = act {
                     pending.push((p.hdr.dst.node.0, p));
                 }
@@ -1646,8 +1624,10 @@ mod tests {
     #[test]
     fn pull_reply_marking_last_of_each_block() {
         let (mut a, mut b) = pair();
-        b.post_recv(t0(), 0, 3, !0, 77);
-        let actions = a.post_send(t0(), 0, EndpointAddr::new(1, 0), 234 * 1024, 3, 88);
+        collect_actions(|out| b.post_recv_into(t0(), 0, 3, !0, 77, out));
+        let actions = collect_actions(|out| {
+            a.post_send_into(t0(), 0, EndpointAddr::new(1, 0), 234 * 1024, 3, 88, out)
+        });
         let (pkts, _) = split_transmits(actions);
         let mut pending: Vec<(u16, Packet)> = vec![(1, pkts[0])];
         let mut marked_replies = 0;
@@ -1660,7 +1640,7 @@ mod tests {
                 }
             }
             let target = if dst == 0 { &mut a } else { &mut b };
-            for act in target.handle_packet(t0(), pkt) {
+            for act in collect_actions(|out| target.handle_packet_into(t0(), pkt, out)) {
                 if let DriverAction::Transmit(p) = act {
                     pending.push((p.hdr.dst.node.0, p));
                 }
@@ -1681,18 +1661,24 @@ mod tests {
         let mut b = NodeDriver::new(1, 1, cfg);
         let dst = EndpointAddr::new(1, 0);
         // Three sends of one packet each against a window of two.
-        let (p1, _) = split_transmits(a.post_send(t0(), 0, dst, 8, 1, 1));
-        let (p2, _) = split_transmits(a.post_send(t0(), 0, dst, 8, 2, 2));
-        let (p3, r3) = split_transmits(a.post_send(t0(), 0, dst, 8, 3, 3));
+        let (p1, _) = split_transmits(collect_actions(|out| {
+            a.post_send_into(t0(), 0, dst, 8, 1, 1, out)
+        }));
+        let (p2, _) = split_transmits(collect_actions(|out| {
+            a.post_send_into(t0(), 0, dst, 8, 2, 2, out)
+        }));
+        let (p3, r3) = split_transmits(collect_actions(|out| {
+            a.post_send_into(t0(), 0, dst, 8, 3, 3, out)
+        }));
         assert_eq!(p1.len() + p2.len(), 2);
         assert!(p3.is_empty(), "third send is window-blocked");
         assert!(r3.is_empty(), "no premature completion");
 
         // Deliver the first packet; the ack releases the queued send.
-        let acts = b.handle_packet(t0(), p1[0]);
+        let acts = collect_actions(|out| b.handle_packet_into(t0(), p1[0], out));
         let (acks, _) = split_transmits(acts);
         assert_eq!(acks.len(), 1, "standalone ack");
-        let release = a.handle_packet(t0(), acks[0]);
+        let release = collect_actions(|out| a.handle_packet_into(t0(), acks[0], out));
         let (released, comps) = split_transmits(release);
         assert_eq!(released.len(), 1, "queued send released");
         assert!(matches!(
@@ -1709,9 +1695,10 @@ mod tests {
     /// replay: no second completion, no new pull, one duplicate apiece.
     fn assert_replays_after_completion_dropped(len: u32) {
         let (mut a, mut b) = pair();
-        b.post_recv(t0(), 0, 7, !0, 100);
-        let (first, rest) =
-            split_transmits(a.post_send(t0(), 0, EndpointAddr::new(1, 0), len, 7, 1));
+        collect_actions(|out| b.post_recv_into(t0(), 0, 7, !0, 100, out));
+        let (first, rest) = split_transmits(collect_actions(|out| {
+            a.post_send_into(t0(), 0, EndpointAddr::new(1, 0), len, 7, 1, out)
+        }));
         let mut pending: VecDeque<Packet> = first.into();
         let mut sequenced = Vec::new();
         let mut completions = rest.len();
@@ -1724,7 +1711,7 @@ mod tests {
             } else {
                 &mut b
             };
-            for act in target.handle_packet(t0(), pkt) {
+            for act in collect_actions(|out| target.handle_packet_into(t0(), pkt, out)) {
                 match act {
                     DriverAction::Transmit(p) => pending.push_back(p),
                     _ => completions += 1,
@@ -1743,7 +1730,7 @@ mod tests {
                 &mut b
             };
             let before = target.counters().duplicates.get();
-            for act in target.handle_packet(t0(), pkt) {
+            for act in collect_actions(|out| target.handle_packet_into(t0(), pkt, out)) {
                 assert!(
                     matches!(act, DriverAction::Transmit(_)),
                     "{len} B: replayed {:?} completed again",
@@ -1784,8 +1771,11 @@ mod tests {
         let dst = EndpointAddr::new(1, 0);
         let pkts: Vec<Packet> = (0..4)
             .flat_map(|i| {
-                b.post_recv(t0(), 0, i, !0, 100 + i);
-                split_transmits(a.post_send(t0(), 0, dst, 16, i, i)).0
+                collect_actions(|out| b.post_recv_into(t0(), 0, i, !0, 100 + i, out));
+                split_transmits(collect_actions(|out| {
+                    a.post_send_into(t0(), 0, dst, 16, i, i, out)
+                }))
+                .0
             })
             .collect();
         assert_eq!(
@@ -1800,14 +1790,23 @@ mod tests {
         let mut depths = Vec::new();
         let mut completed = 0;
         for i in [0, 2, 1, 3] {
-            completed += recv_completions(b.handle_packet(t0(), pkts[i]));
+            completed += recv_completions(collect_actions(|out| {
+                b.handle_packet_into(t0(), pkts[i], out)
+            }));
             depths.push(b.reorder_depth());
         }
         assert_eq!(depths, [0, 1, 0, 0]);
         assert_eq!(completed, 4);
         let dups = b.counters().duplicates.get();
         for i in [1, 2] {
-            assert_eq!(recv_completions(b.handle_packet(t0(), pkts[i])), 0);
+            assert_eq!(
+                recv_completions(collect_actions(|out| b.handle_packet_into(
+                    t0(),
+                    pkts[i],
+                    out
+                ))),
+                0
+            );
         }
         assert_eq!(b.counters().duplicates.get(), dups + 2);
         assert_eq!(b.reorder_depth(), 0);
@@ -1820,11 +1819,13 @@ mod tests {
             ..ProtoConfig::default()
         };
         let mut a = NodeDriver::new(0, 1, cfg);
-        let (pkts, _) = split_transmits(a.post_send(t0(), 0, EndpointAddr::new(1, 0), 16, 7, 1));
+        let (pkts, _) = split_transmits(collect_actions(|out| {
+            a.post_send_into(t0(), 0, EndpointAddr::new(1, 0), 16, 7, 1, out)
+        }));
         assert_eq!(pkts.len(), 1);
         // No ack ever arrives; fire the timer after the RTO.
         let later = t0() + TimeDelta::from_millis(2);
-        let acts = a.on_timer(later);
+        let acts = collect_actions(|out| a.on_timer_into(later, out));
         let (resent, _) = split_transmits(acts);
         assert_eq!(resent.len(), 1);
         assert_eq!(resent[0].hdr.seq, pkts[0].hdr.seq);
@@ -1840,13 +1841,15 @@ mod tests {
         };
         let mut a = NodeDriver::new(0, 1, cfg);
         let mut b = NodeDriver::new(1, 1, cfg);
-        b.post_recv(t0(), 0, 7, !0, 1);
-        let (pkts, _) = split_transmits(a.post_send(t0(), 0, EndpointAddr::new(1, 0), 16, 7, 1));
-        let acts = b.handle_packet(t0(), pkts[0]);
+        collect_actions(|out| b.post_recv_into(t0(), 0, 7, !0, 1, out));
+        let (pkts, _) = split_transmits(collect_actions(|out| {
+            a.post_send_into(t0(), 0, EndpointAddr::new(1, 0), 16, 7, 1, out)
+        }));
+        let acts = collect_actions(|out| b.handle_packet_into(t0(), pkts[0], out));
         let (tx, _) = split_transmits(acts);
         assert!(tx.is_empty(), "ack is delayed");
         let deadline = b.next_deadline().expect("delayed-ack deadline");
-        let acts = b.on_timer(deadline);
+        let acts = collect_actions(|out| b.on_timer_into(deadline, out));
         let (tx, _) = split_transmits(acts);
         assert_eq!(tx.len(), 1);
         assert!(matches!(tx[0].kind, PacketKind::Ack { cumulative_seq: 1 }));
@@ -1860,9 +1863,11 @@ mod tests {
         };
         let mut a = NodeDriver::new(0, 1, cfg);
         let mut b = NodeDriver::new(1, 1, cfg);
-        b.post_recv(t0(), 0, 7, !0, 1);
-        let (pkts, _) = split_transmits(a.post_send(t0(), 0, EndpointAddr::new(1, 0), 16, 7, 1));
-        let acts = b.handle_packet(t0(), pkts[0]);
+        collect_actions(|out| b.post_recv_into(t0(), 0, 7, !0, 1, out));
+        let (pkts, _) = split_transmits(collect_actions(|out| {
+            a.post_send_into(t0(), 0, EndpointAddr::new(1, 0), 16, 7, 1, out)
+        }));
+        let acts = collect_actions(|out| b.handle_packet_into(t0(), pkts[0], out));
         let (tx, _) = split_transmits(acts);
         assert_eq!(tx.len(), 1);
         assert!(!tx[0].hdr.latency_sensitive);
@@ -1877,16 +1882,17 @@ mod tests {
         };
         let mut a = NodeDriver::new(0, 1, cfg);
         let mut b = NodeDriver::new(1, 1, cfg);
-        b.post_recv(t0(), 0, 3, !0, 77);
-        let (pkts, _) =
-            split_transmits(a.post_send(t0(), 0, EndpointAddr::new(1, 0), 100 * 1024, 3, 88));
+        collect_actions(|out| b.post_recv_into(t0(), 0, 3, !0, 77, out));
+        let (pkts, _) = split_transmits(collect_actions(|out| {
+            a.post_send_into(t0(), 0, EndpointAddr::new(1, 0), 100 * 1024, 3, 88, out)
+        }));
         // Deliver the rendezvous; capture the pull requests and DROP them all.
-        let acts = b.handle_packet(t0(), pkts[0]);
+        let acts = collect_actions(|out| b.handle_packet_into(t0(), pkts[0], out));
         let (reqs, _) = split_transmits(acts);
         assert!(!reqs.is_empty());
         // Fire the receiver's timer after the RTO: blocks are re-requested.
         let later = t0() + TimeDelta::from_millis(2);
-        let acts = b.on_timer(later);
+        let acts = collect_actions(|out| b.on_timer_into(later, out));
         let (tx, _) = split_transmits(acts);
         // The same timer may also flush the delayed ack of the rendezvous;
         // count only the pull requests.
@@ -1923,20 +1929,21 @@ mod tests {
         let mut data = 0u32;
         let mut acks = 0u32;
         for i in 0..200 {
-            b.post_recv(t0(), 0, i, !0, i);
+            collect_actions(|out| b.post_recv_into(t0(), 0, i, !0, i, out));
         }
         for i in 0..200 {
-            let (pkts, _) =
-                split_transmits(a.post_send(t0(), 0, EndpointAddr::new(1, 0), 64, i, i));
+            let (pkts, _) = split_transmits(collect_actions(|out| {
+                a.post_send_into(t0(), 0, EndpointAddr::new(1, 0), 64, i, i, out)
+            }));
             for p in pkts {
                 data += 1;
-                let acts = b.handle_packet(t0(), p);
+                let acts = collect_actions(|out| b.handle_packet_into(t0(), p, out));
                 let (tx, _) = split_transmits(acts);
                 for t in tx {
                     if matches!(t.kind, PacketKind::Ack { .. }) {
                         acks += 1;
                         // Feed the ack back so the window never blocks.
-                        a.handle_packet(t0(), t);
+                        collect_actions(|out| a.handle_packet_into(t0(), t, out));
                     }
                 }
             }
@@ -1954,10 +1961,10 @@ mod tests {
     #[test]
     fn lone_post_send_leaves_retransmit_deadline() {
         let (mut a, _) = pair();
-        a.post_send(t0(), 0, EndpointAddr::new(1, 0), 64, 7, 200);
+        collect_actions(|out| a.post_send_into(t0(), 0, EndpointAddr::new(1, 0), 64, 7, 200, out));
         let deadline = a.next_deadline().expect("unacked packet has a deadline");
         // Drop the packet on the floor; the timer must retransmit it.
-        let acts = a.on_timer(deadline);
+        let acts = collect_actions(|out| a.on_timer_into(deadline, out));
         let (pkts, _) = split_transmits(acts);
         assert_eq!(pkts.len(), 1, "retransmission of the lost packet");
         assert_eq!(a.counters().eager_retransmits.get(), 1);
@@ -1976,11 +1983,11 @@ mod tests {
         let mut a = NodeDriver::new(0, 1, cfg);
         let dst = EndpointAddr::new(1, 0);
         for i in 0..20 {
-            a.post_send(t0(), 0, dst, 64, i, i);
+            collect_actions(|out| a.post_send_into(t0(), 0, dst, 64, i, i, out));
         }
         let rto = TimeDelta::from_nanos(cfg.rto_ns as i64);
         let fire = t0() + rto;
-        let (resent, _) = split_transmits(a.on_timer(fire));
+        let (resent, _) = split_transmits(collect_actions(|out| a.on_timer_into(fire, out)));
         assert_eq!(resent.len(), 4, "burst capped at retx_burst");
         let seqs: Vec<u64> = resent.iter().map(|p| p.hdr.seq).collect();
         assert_eq!(seqs, vec![1, 2, 3, 4], "oldest-first from the queue head");
@@ -1989,7 +1996,9 @@ mod tests {
         // out, derived from the head — stale tail send times must not pull
         // it backwards (that would spin the timer without resending).
         assert_eq!(a.next_deadline(), Some(fire + rto));
-        let (again, _) = split_transmits(a.on_timer(fire + TimeDelta::from_micros(1)));
+        let (again, _) = split_transmits(collect_actions(|out| {
+            a.on_timer_into(fire + TimeDelta::from_micros(1), out)
+        }));
         assert!(again.is_empty(), "head not overdue, nothing resent");
     }
 
@@ -2006,11 +2015,11 @@ mod tests {
         let mut a = NodeDriver::new(0, 1, cfg);
         let dst = EndpointAddr::new(1, 0);
         for i in 0..8 {
-            a.post_send(t0(), 0, dst, 64, i, i);
+            collect_actions(|out| a.post_send_into(t0(), 0, dst, 64, i, i, out));
         }
         let rto = TimeDelta::from_nanos(cfg.rto_ns as i64);
         let fire = t0() + rto;
-        let (resent, _) = split_transmits(a.on_timer(fire));
+        let (resent, _) = split_transmits(collect_actions(|out| a.on_timer_into(fire, out)));
         assert_eq!(resent.len(), 4);
         // Cumulative ack for the resent head (seqs 1-4).
         let ack = Packet {
@@ -2023,12 +2032,14 @@ mod tests {
             },
             kind: PacketKind::Ack { cumulative_seq: 4 },
         };
-        a.handle_packet(fire + TimeDelta::from_micros(50), ack);
+        collect_actions(|out| a.handle_packet_into(fire + TimeDelta::from_micros(50), ack, out));
         // Seqs 5-8 are now the head, still carrying their t0 send times:
         // the deadline is already past, and the next tick resends them.
         let next = a.next_deadline().expect("unacked remain");
         assert_eq!(next, t0() + rto, "stale head fires promptly");
-        let (resent, _) = split_transmits(a.on_timer(fire + TimeDelta::from_micros(51)));
+        let (resent, _) = split_transmits(collect_actions(|out| {
+            a.on_timer_into(fire + TimeDelta::from_micros(51), out)
+        }));
         let seqs: Vec<u64> = resent.iter().map(|p| p.hdr.seq).collect();
         assert_eq!(seqs, vec![5, 6, 7, 8]);
     }
@@ -2062,14 +2073,16 @@ mod tests {
         assert!(report_of(&a).is_empty(), "fresh driver has nothing pending");
 
         // Unacked eager packet: drop it on the floor.
-        a.post_send(t0(), 0, EndpointAddr::new(1, 0), 64, 7, 200);
+        collect_actions(|out| a.post_send_into(t0(), 0, EndpointAddr::new(1, 0), 64, 7, 200, out));
         let entries = report_of(&a);
         assert_eq!(entries.len(), 1, "{entries:?}");
         assert_eq!(entries[0].phase, "awaiting-ack");
         assert!(entries[0].detail.contains("seq 1"), "{}", entries[0].detail);
 
         // Large send: sender waits for the pull/notify handshake.
-        let actions = a.post_send(t0(), 0, EndpointAddr::new(1, 0), 1 << 20, 8, 201);
+        let actions = collect_actions(|out| {
+            a.post_send_into(t0(), 0, EndpointAddr::new(1, 0), 1 << 20, 8, 201, out)
+        });
         let (pkts, _) = split_transmits(actions);
         assert!(report_of(&a)
             .iter()
@@ -2078,7 +2091,7 @@ mod tests {
         // Deliver the rendezvous with no posted receive: the receiver holds
         // it as unexpected — that is app-waiting, not stranded.
         for p in pkts {
-            b.handle_packet(t0(), p);
+            collect_actions(|out| b.handle_packet_into(t0(), p, out));
         }
         assert!(
             report_of(&b).is_empty(),
@@ -2088,7 +2101,7 @@ mod tests {
 
         // Posting the receive starts the pull; until replies arrive the
         // pull is pending on the receiver.
-        b.post_recv(t0(), 0, 0, 0, 300);
+        collect_actions(|out| b.post_recv_into(t0(), 0, 0, 0, 300, out));
         assert!(report_of(&b)
             .iter()
             .any(|e| e.phase == "pull" && e.detail.contains("0/")));

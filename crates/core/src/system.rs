@@ -37,7 +37,7 @@ use omx_nic::offload::{
     CollFrame, CollFrameKind, OffloadCollDesc, OffloadConfig, OffloadCounters, OffloadEmit,
     OffloadEngine,
 };
-use omx_nic::{CoalescingStrategy, DescId, DmaWake, Nic, NicConfig, NicOutcome, PacketMeta};
+use omx_nic::{CoalescingStrategy, DescId, DmaCompletion, Nic, NicConfig, NicOutcome, PacketMeta};
 use omx_sim::rng::SimRng;
 use omx_sim::stats::TimeWeighted;
 use omx_sim::{EventQueue, QueueStats, StopCondition, Time, TimeDelta};
@@ -528,6 +528,9 @@ struct Ctx {
     queue: EventQueue<Ev>,
     /// Time of the last dispatched event (or of the horizon that cut a run).
     now: Time,
+    /// Sequence number of the last dispatched event: with `now`, the key
+    /// every trace record it emits is kept under.
+    seq: u64,
     fabric: EthernetFabric,
     /// Optional packet-level event trace.
     tracer: Option<Tracer>,
@@ -554,7 +557,7 @@ impl Ctx {
     /// Schedule the DMA completion `wake` for `node` at the key reserved
     /// for it when its frame arrived, so it dispatches exactly where an
     /// event pushed then would have.
-    fn schedule_wake(&mut self, node: u16, wake: DmaWake) {
+    fn schedule_wake(&mut self, node: u16, wake: DmaCompletion) {
         assert!(
             wake.at >= self.now,
             "DMA completion woken in the past: now={}, at={}",
@@ -597,11 +600,25 @@ impl Ctx {
         self.trace(t, src, TraceKind::Drop, || TraceData::Text(reason));
     }
 
-    /// Record a trace event. The payload is built lazily: when tracing is
-    /// disabled the closure never runs, so tracing costs one branch.
+    /// Record a trace event under the key of the event being dispatched.
+    /// The payload is built lazily: when tracing is disabled the closure
+    /// never runs, so tracing costs one branch.
     fn trace(&mut self, at: Time, node: u16, kind: TraceKind, data: impl FnOnce() -> TraceData) {
         if let Some(t) = self.tracer.as_mut() {
-            t.record(at, node, kind, data());
+            t.record((self.now, self.seq), at, node, kind, data());
+        }
+    }
+}
+
+/// The `done` callback of `node`'s NIC entry points: traces each DMA
+/// completion the NIC performs at its own key, so a completion settled by
+/// a later event lands where an event of its own would have put it. With
+/// no tracer it costs one branch per completion.
+fn trace_dma(tracer: &mut Option<Tracer>, node: u16) -> impl FnMut(DmaCompletion) + '_ {
+    move |c| {
+        if let Some(t) = tracer {
+            let data = TraceData::Desc { desc: c.desc.0 };
+            t.record((c.at, c.seq), c.at, node, TraceKind::DmaComplete, data);
         }
     }
 }
@@ -1166,11 +1183,9 @@ impl Nodes {
                     return;
                 }
                 let meta = pkt.meta();
-                let queue = &mut ctx.queue;
-                let out = self
-                    .rt(node)
-                    .nic
-                    .on_frame(now, seq, meta, || queue.reserve_seq());
+                let (queue, done) = (&mut ctx.queue, trace_dma(&mut ctx.tracer, node));
+                let nic = &mut self.rt(node).nic;
+                let out = nic.on_frame(now, seq, meta, || queue.reserve_seq(), done);
                 let desc = out.desc;
                 ctx.trace(now, node, TraceKind::FrameArrival, || match pkt {
                     WireFrame::Omx(p) => TraceData::Packet {
@@ -1190,10 +1205,8 @@ impl Nodes {
                 self.apply_nic_outcome(node, now, out, false, ctx);
             }
             Ev::DmaComplete { node, desc } => {
-                let out = self.rt(node).nic.on_dma_complete(now, seq, desc);
-                ctx.trace(now, node, TraceKind::DmaComplete, || TraceData::Desc {
-                    desc: desc.0,
-                });
+                let done = trace_dma(&mut ctx.tracer, node);
+                let out = self.rt(node).nic.on_dma_complete(now, seq, desc, done);
                 self.apply_nic_outcome(node, now, out, false, ctx);
             }
             Ev::CoalesceTimer { node } => {
@@ -1202,7 +1215,7 @@ impl Nodes {
                     rt.coalesce_timer = None;
                 }
                 let epoch = rt.nic.timer_epoch();
-                let out = rt.nic.on_timer(now, seq);
+                let out = rt.nic.on_timer(now, seq, trace_dma(&mut ctx.tracer, node));
                 // Trace a firing only when it raised. A due firing always
                 // disarms, so none re-arms (`due_firing_always_disarms`).
                 if out.interrupt {
@@ -1242,7 +1255,8 @@ impl Nodes {
                 });
                 // Handler done: re-enable interrupts first (NAPI exit), then
                 // hand the packets to the driver's protocol logic in one call.
-                let out = self.rt(node).nic.enable_irq(now, seq);
+                let done = trace_dma(&mut ctx.tracer, node);
+                let out = self.rt(node).nic.enable_irq(now, seq, done);
                 self.apply_nic_outcome(node, now, out, false, ctx);
                 if !batch.is_empty() {
                     self.drive(node, now, Some(core), ctx, |d, a, ends| {
@@ -1418,6 +1432,7 @@ impl Cluster {
             ctx: Ctx {
                 queue: EventQueue::new(),
                 now: Time::ZERO,
+                seq: 0,
                 fabric,
                 tracer: None,
                 sanitizer: Sanitizer::default(),
@@ -1433,15 +1448,12 @@ impl Cluster {
     }
 
     /// Enable packet-level event tracing, keeping the last `capacity`
-    /// events. See [`crate::trace`]. Every DMA completion from here on gets
-    /// an event, so the trace records each one where it happens.
+    /// events. See [`crate::trace`]. Tracing only records: it schedules
+    /// nothing, so a traced run dispatches exactly the events of an
+    /// untraced one. A DMA completion is traced at its own key by whatever
+    /// settles it, its own event or a later one.
     pub fn enable_tracing(&mut self, capacity: usize) {
         self.ctx.tracer = Some(Tracer::new(capacity));
-        for (node, rt) in self.nodes.rts.iter_mut().enumerate() {
-            if let Some(wake) = rt.nic.wake_every_completion() {
-                self.ctx.schedule_wake(node as u16, wake);
-            }
-        }
     }
 
     /// The recorded trace, if tracing was enabled.
@@ -1508,7 +1520,9 @@ impl Cluster {
     /// Events dispatch in `(time, scheduling order)`. A horizon cut leaves
     /// in-flight events queued, settles every DMA completion due by the
     /// horizon and sets [`Cluster::now`] to the horizon, so a follow-up
-    /// `run` resumes where this one stopped.
+    /// `run` resumes where this one stopped. A predicate stop settles every
+    /// DMA completion that precedes the stopping event. So no stop leaves a
+    /// completion before it unsettled, or untraced.
     ///
     /// With telemetry on, the window ending at each `window_ns` boundary
     /// closes before any event at that exact instant, so a window never
@@ -1535,9 +1549,7 @@ impl Cluster {
             };
             if next > horizon {
                 self.ctx.now = horizon;
-                for rt in &mut self.nodes.rts {
-                    rt.nic.settle(horizon, u64::MAX);
-                }
+                self.settle_nics(horizon, u64::MAX);
                 break StopCondition::HorizonReached;
             }
             while let Some(end) = self.telemetry.as_ref().map(Telemetry::next_boundary) {
@@ -1547,9 +1559,10 @@ impl Cluster {
                 self.sample_telemetry(end);
             }
             let (now, seq, event) = self.ctx.queue.pop().expect("peeked event vanished");
-            self.ctx.now = now;
+            (self.ctx.now, self.ctx.seq) = (now, seq);
             self.nodes.dispatch(now, seq, event, &mut self.ctx);
             if self.nodes.stop {
+                self.settle_nics(now, seq);
                 break StopCondition::PredicateSatisfied;
             }
         };
@@ -1576,7 +1589,7 @@ impl Cluster {
         // builds too: the results would silently miss its packet.
         if stop == StopCondition::QueueEmpty {
             for (i, rt) in self.nodes.rts.iter().enumerate() {
-                if let Some((desc, at)) = rt.nic.unsettled_dma() {
+                if let Some(DmaCompletion { desc, at, .. }) = rt.nic.unsettled_dma() {
                     panic!(
                         "node {i}: the DMA completion of {desc:?} at {at} was never \
                          settled: the event queue drained without waking it"
@@ -1599,6 +1612,15 @@ impl Cluster {
             );
         }
         stop
+    }
+
+    /// Settle, and trace, every NIC's DMA completions that precede the
+    /// event key `(now, seq)`.
+    fn settle_nics(&mut self, now: Time, seq: u64) {
+        for (node, rt) in self.nodes.rts.iter_mut().enumerate() {
+            rt.nic
+                .settle(now, seq, trace_dma(&mut self.ctx.tracer, node as u16));
+        }
     }
 
     /// Snapshot every node and switch-port tap into the telemetry window
@@ -2243,7 +2265,7 @@ mod tests {
             for rt in &cut.nodes.rts {
                 let next = rt.nic.unsettled_dma();
                 assert!(
-                    next.is_none_or(|(_, at)| at > horizon),
+                    next.is_none_or(|c| c.at > horizon),
                     "{next:?} completes by the horizon but is not settled"
                 );
             }
@@ -2312,12 +2334,11 @@ mod tests {
         cluster
     }
 
-    /// A traced run gives every DMA completion an event; an untraced run
-    /// settles the ones that cannot act without one. Both are the same
-    /// simulation: equal metrics, clock and event counts, except that the
-    /// untraced run dispatches fewer `DmaComplete` events.
+    /// Tracing schedules nothing: a traced run dispatches exactly the
+    /// events of an untraced one, `DmaComplete` included, and ends with the
+    /// same metrics at the same instant.
     #[test]
-    fn lazy_dma_settling_matches_a_traced_run() {
+    fn traced_and_untraced_runs_dispatch_the_same_events() {
         let shapes = [
             ("lossy stream", lossy_stream_cluster as fn() -> Cluster),
             ("timeout ping-pong", timeout_pingpong_cluster),
@@ -2332,20 +2353,89 @@ mod tests {
                 cluster.run(Time::MAX);
                 outcome(&cluster)
             };
-            let (traced, lazy) = (run(true), run(false));
-            assert_eq!(lazy.1, traced.1, "{shape}: metrics");
-            assert_eq!(lazy.2, traced.2, "{shape}: clock");
-            for ((kind, n_lazy), (_, n_traced)) in lazy.0.iter().zip(traced.0) {
-                if *kind == "DmaComplete" {
-                    assert!(
-                        n_lazy < &n_traced,
-                        "{shape}: {n_lazy} of {n_traced} evented"
-                    );
-                } else {
-                    assert_eq!(*n_lazy, n_traced, "{shape}: {kind} events");
-                }
+            let (traced, untraced) = (run(true), run(false));
+            assert_eq!(untraced.1, traced.1, "{shape}: metrics");
+            assert_eq!(untraced.2, traced.2, "{shape}: clock");
+            for ((kind, n_untraced), (_, n_traced)) in untraced.0.iter().zip(traced.0) {
+                assert_eq!(*n_untraced, n_traced, "{shape}: {kind} events");
             }
         }
+    }
+
+    /// Checks that a traced 2-node run, stopped by predicate, holds one
+    /// `DmaComplete` for every frame the NIC took, in descriptor order on
+    /// each node, and returns how many.
+    fn assert_every_taken_frame_completed(cluster: &Cluster) -> usize {
+        let tracer = cluster.tracer().expect("tracing enabled");
+        assert_eq!(tracer.evicted(), 0);
+        let mut owed: [Vec<u64>; 2] = Default::default();
+        let mut completed = 0;
+        for e in tracer.events() {
+            match (e.kind, e.data) {
+                (TraceKind::FrameArrival, TraceData::Packet { desc: Some(d), .. }) => {
+                    owed[e.node as usize].push(d);
+                }
+                (TraceKind::DmaComplete, TraceData::Desc { desc }) => {
+                    let node = &mut owed[e.node as usize];
+                    assert_eq!(node.first(), Some(&desc), "completed out of order");
+                    node.remove(0);
+                    completed += 1;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(owed, [vec![], vec![]], "frames taken but never completed");
+        completed
+    }
+
+    /// A traced ping-pong under the 75 µs timeout settles every DMA
+    /// completion lazily: none can act. It ends by predicate, and the
+    /// trace still holds one `DmaComplete` for every frame the NIC took.
+    #[test]
+    fn a_traced_timeout_pingpong_traces_every_completion() {
+        use crate::workloads::pingpong::PingPongSpec;
+        let mut cluster = ClusterBuilder::new()
+            .nodes(2)
+            .strategy(CoalescingStrategy::Timeout { delay_us: 75 })
+            .build();
+        cluster.enable_tracing(1 << 16);
+        cluster.run_pingpong(PingPongSpec {
+            msg_len: 0,
+            iterations: 20,
+            warmup: 0,
+        });
+        let ev = cluster.event_counts();
+        assert_eq!(ev.iter().find(|(k, _)| *k == "DmaComplete").unwrap().1, 0);
+        let completed = assert_every_taken_frame_completed(&cluster);
+        assert!(completed >= 40, "{completed} completions traced");
+    }
+
+    /// A predicate stop settles, and traces, every DMA completion before
+    /// the stopping event. Here the sender takes an unmarked ack whose
+    /// completion cannot act, and the receiver's last delivery stops the
+    /// run before any other event on the sender's NIC would settle it.
+    #[test]
+    fn a_predicate_stop_settles_the_completions_before_it() {
+        use crate::workloads::stream::StreamSpec;
+        let mut cluster = ClusterBuilder::new()
+            .nodes(2)
+            .strategy(CoalescingStrategy::OpenMx { delay_us: 75 })
+            .build();
+        cluster.enable_tracing(1 << 12);
+        cluster.run_stream(StreamSpec {
+            msg_len: 0,
+            messages: 20,
+            window: 8,
+        });
+        for rt in &cluster.nodes.rts {
+            let next = rt.nic.unsettled_dma();
+            assert!(
+                next.is_none_or(|c| c.at >= cluster.now()),
+                "{next:?} precedes the stop at {}",
+                cluster.now()
+            );
+        }
+        assert_every_taken_frame_completed(&cluster);
     }
 
     /// A completion nothing will ever settle fails the run at quiescence,
@@ -2364,6 +2454,7 @@ mod tests {
             queue.reserve_seq(),
             PacketMeta::omx(64, true),
             || queue.reserve_seq(),
+            |_| {},
         );
         assert!(out.desc.is_some());
         cluster.run(Time::MAX);

@@ -315,17 +315,19 @@ impl ToJson for TraceEvent {
     }
 }
 
-/// Bounded trace buffer.
+/// Bounded trace buffer. Each record keeps the `(time, seq)` key of the
+/// simulation event that emitted it, and records are held in key order:
+/// the order a run dispatches its events in.
 #[derive(Debug)]
 pub struct Tracer {
-    events: VecDeque<TraceEvent>,
+    events: VecDeque<((Time, u64), TraceEvent)>,
     capacity: usize,
     dropped: u64,
 }
 
 impl Tracer {
-    /// New tracer keeping at most `capacity` events (oldest evicted first).
-    /// The requested capacity is honored exactly (minimum 1).
+    /// New tracer keeping at most `capacity` events, evicting the oldest
+    /// key first. The requested capacity is honored exactly (minimum 1).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Tracer {
@@ -340,23 +342,44 @@ impl Tracer {
         self.capacity
     }
 
-    /// Record one event.
-    pub fn record(&mut self, at: Time, node: u16, kind: TraceKind, data: TraceData) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
+    /// Record one event at `at`, emitted by the simulation event at `key`.
+    /// A record arriving late — a DMA completion settled by a later event —
+    /// goes behind every record of a later key; records of one key keep
+    /// their arrival order. A full buffer evicts the oldest key, which is
+    /// the new record itself when it is older than all it holds.
+    pub fn record(
+        &mut self,
+        key: (Time, u64),
+        at: Time,
+        node: u16,
+        kind: TraceKind,
+        data: TraceData,
+    ) {
+        // Late records land near the newest: scan back from there.
+        let mut pos = self.events.len();
+        while pos > 0 && self.events[pos - 1].0 > key {
+            pos -= 1;
         }
-        self.events.push_back(TraceEvent {
+        if self.events.len() == self.capacity {
+            self.dropped += 1;
+            if pos == 0 {
+                return;
+            }
+            self.events.pop_front();
+            pos -= 1;
+        }
+        let event = TraceEvent {
             at_ns: at.as_nanos(),
             node,
             kind,
             data,
-        });
+        };
+        self.events.insert(pos, (key, event));
     }
 
-    /// The recorded events, oldest first.
+    /// The recorded events, oldest key first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
+        self.events.iter().map(|(_, e)| e)
     }
 
     /// Number of recorded events currently held.
@@ -377,7 +400,7 @@ impl Tracer {
     /// Render a human-readable timeline.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for e in &self.events {
+        for e in self.events() {
             out.push_str(&format!(
                 "{:>12} ns  node {}  {:<13} {}\n",
                 e.at_ns,
@@ -395,7 +418,7 @@ impl Tracer {
     /// Export as JSON Lines: one object per event, oldest first.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for e in &self.events {
+        for e in self.events() {
             out.push_str(&e.to_json().render());
             out.push('\n');
         }
@@ -416,7 +439,7 @@ impl Tracer {
     pub fn to_chrome_json(&self) -> Json {
         let us = |ns: u64| Json::F64(ns as f64 / 1000.0);
         let mut trace_events = Vec::new();
-        for e in &self.events {
+        for e in self.events() {
             let mut ev = vec![
                 ("name".to_string(), Json::Str(e.kind.name().to_string())),
                 ("ph".to_string(), Json::Str("i".to_string())),
@@ -428,7 +451,7 @@ impl Tracer {
             ev.push(("args".to_string(), Json::Obj(e.args())));
             trace_events.push(Json::Obj(ev));
         }
-        let events: Vec<TraceEvent> = self.events.iter().copied().collect();
+        let events: Vec<TraceEvent> = self.events().copied().collect();
         for b in latency::analyze(&events) {
             // Thread lane for the message on the receiver process.
             let tid = 1000 + b.msg;
@@ -508,6 +531,10 @@ mod tests {
         Time::from_nanos(ns)
     }
 
+    /// The key of the one simulation event every record here comes from, so
+    /// records stay in the order they are made.
+    const KEY: (Time, u64) = (Time::ZERO, 0);
+
     fn small_pkt(msg: u64, marked: bool) -> Packet {
         Packet {
             hdr: OmxHeader {
@@ -529,6 +556,7 @@ mod tests {
     fn records_and_renders_in_order() {
         let mut tr = Tracer::new(16);
         tr.record(
+            KEY,
             t(10),
             0,
             TraceKind::FrameArrival,
@@ -538,6 +566,7 @@ mod tests {
             },
         );
         tr.record(
+            KEY,
             t(20),
             1,
             TraceKind::Interrupt,
@@ -554,11 +583,56 @@ mod tests {
         assert!(rendered.find("FrameArrival") < rendered.find("Interrupt"));
     }
 
+    /// Late records land in key order behind newer keys; a full ring
+    /// evicts the oldest key, and a late record older than all it holds
+    /// is itself evicted.
+    #[test]
+    fn late_records_land_in_key_order() {
+        // A record at key `(t(at), seq)` is labelled `10 * at + seq`.
+        let record = |tr: &mut Tracer, at: u64, seq: u64| {
+            let data = TraceData::Desc {
+                desc: 10 * at + seq,
+            };
+            tr.record((t(at), seq), t(at), 0, TraceKind::DmaComplete, data);
+        };
+        let labels = |tr: &Tracer| -> Vec<u64> {
+            tr.events()
+                .map(|e| match e.data {
+                    TraceData::Desc { desc } => desc,
+                    other => panic!("unexpected payload {other:?}"),
+                })
+                .collect()
+        };
+        let mut tr = Tracer::new(4);
+        record(&mut tr, 1, 1);
+        record(&mut tr, 3, 3);
+        record(&mut tr, 4, 4);
+        record(&mut tr, 2, 2);
+        assert_eq!(labels(&tr), [11, 22, 33, 44], "late record in key order");
+        // At one instant the sequence number orders the keys.
+        record(&mut tr, 3, 2);
+        assert_eq!(labels(&tr), [22, 32, 33, 44], "oldest key evicted");
+        assert_eq!(tr.evicted(), 1);
+        record(&mut tr, 1, 9);
+        assert_eq!(labels(&tr), [22, 32, 33, 44], "older than the whole ring");
+        assert_eq!(tr.evicted(), 2);
+        record(&mut tr, 2, 5);
+        assert_eq!(labels(&tr), [25, 32, 33, 44]);
+        assert_eq!(tr.evicted(), 3);
+        assert!(tr.render().ends_with("... (3 earlier events evicted)\n"));
+    }
+
     #[test]
     fn ring_buffer_evicts_oldest() {
         let mut tr = Tracer::new(3);
         for i in 0..5 {
-            tr.record(t(i), 0, TraceKind::DmaComplete, TraceData::Desc { desc: i });
+            tr.record(
+                KEY,
+                t(i),
+                0,
+                TraceKind::DmaComplete,
+                TraceData::Desc { desc: i },
+            );
         }
         assert_eq!(tr.len(), 3);
         assert_eq!(tr.evicted(), 2);
@@ -574,7 +648,7 @@ mod tests {
             assert_eq!(tr.capacity(), cap);
             let mut tr = tr;
             for i in 0..(cap as u64 + 10) {
-                tr.record(t(i), 0, TraceKind::Transmit, TraceData::None);
+                tr.record(KEY, t(i), 0, TraceKind::Transmit, TraceData::None);
             }
             assert_eq!(tr.len(), cap, "ring holds exactly the requested capacity");
             assert_eq!(tr.evicted(), 10);
@@ -633,6 +707,7 @@ mod tests {
     fn jsonl_has_one_parseable_object_per_event() {
         let mut tr = Tracer::new(8);
         tr.record(
+            KEY,
             t(5),
             0,
             TraceKind::Transmit,
@@ -641,7 +716,7 @@ mod tests {
                 desc: None,
             },
         );
-        tr.record(t(9), 1, TraceKind::Drop, TraceData::Text("ring full"));
+        tr.record(KEY, t(9), 1, TraceKind::Drop, TraceData::Text("ring full"));
         let jsonl = tr.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);

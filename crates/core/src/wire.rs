@@ -178,17 +178,6 @@ impl Packet {
         ETH_HEADER_BYTES + OMX_HEADER_BYTES + self.payload_len()
     }
 
-    /// True for control packets of the large-message protocol.
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self.kind,
-            PacketKind::Rendezvous { .. }
-                | PacketKind::PullRequest { .. }
-                | PacketKind::Notify { .. }
-                | PacketKind::Ack { .. }
-        )
-    }
-
     /// Message id, when the packet belongs to a message.
     pub fn msg_id(&self) -> Option<MsgId> {
         match self.kind {
@@ -269,7 +258,6 @@ mod tests {
             kind: PacketKind::Notify { msg: MsgId(0) },
         };
         assert_eq!(c.wire_len(), ETH_HEADER_BYTES + OMX_HEADER_BYTES);
-        assert!(c.is_control());
     }
 
     #[test]

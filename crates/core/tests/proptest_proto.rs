@@ -11,6 +11,13 @@ use omx_sim::rng::SimRng;
 use omx_sim::{Time, TimeDelta};
 use std::collections::VecDeque;
 
+/// The actions one `_into` driver call emits.
+fn collect_actions(call: impl FnOnce(&mut Vec<DriverAction>)) -> Vec<DriverAction> {
+    let mut actions = Vec::new();
+    call(&mut actions);
+    actions
+}
+
 /// Drive two drivers to quiescence with an adversarial network: packets are
 /// delivered in an arbitrary interleaving (`order_seed` permutes), and
 /// `drop_mask` drops the i-th wire transmission (first pass only —
@@ -54,7 +61,7 @@ fn converge(
             for (drv, _out) in [(&mut *a, &mut out_a), (&mut *b, &mut out_b)] {
                 if drv.next_deadline().is_some() {
                     any_deadline = true;
-                    for act in drv.on_timer(now) {
+                    for act in collect_actions(|out| drv.on_timer_into(now, out)) {
                         if let DriverAction::Transmit(p) = act {
                             submit(&mut wire, p, &mut tx_count);
                         }
@@ -79,7 +86,7 @@ fn converge(
         } else {
             (&mut *b, &mut out_b)
         };
-        for act in target.handle_packet(now, pkt) {
+        for act in collect_actions(|out| target.handle_packet_into(now, pkt, out)) {
             match act {
                 DriverAction::Transmit(p) => submit(&mut wire, p, &mut tx_count),
                 other => sink.push(other),
@@ -114,15 +121,20 @@ fn exact_delivery_under_reordering() {
         let mut b = NodeDriver::new(1, 1, cfg);
         let mut initial = Vec::new();
         for (i, &len) in lens.iter().enumerate() {
-            b.post_recv(Time::from_micros(1), 0, i as u64, !0, 1_000 + i as u64);
-            for act in a.post_send(
-                Time::from_micros(1),
-                0,
-                EndpointAddr::new(1, 0),
-                len,
-                i as u64,
-                i as u64,
-            ) {
+            collect_actions(|out| {
+                b.post_recv_into(Time::from_micros(1), 0, i as u64, !0, 1_000 + i as u64, out)
+            });
+            for act in collect_actions(|out| {
+                a.post_send_into(
+                    Time::from_micros(1),
+                    0,
+                    EndpointAddr::new(1, 0),
+                    len,
+                    i as u64,
+                    i as u64,
+                    out,
+                )
+            }) {
                 if let DriverAction::Transmit(p) = act {
                     initial.push(p);
                 }
@@ -157,9 +169,19 @@ fn exact_delivery_under_drops() {
         };
         let mut a = NodeDriver::new(0, 1, cfg);
         let mut b = NodeDriver::new(1, 1, cfg);
-        b.post_recv(Time::from_micros(1), 0, 7, !0, 99);
+        collect_actions(|out| b.post_recv_into(Time::from_micros(1), 0, 7, !0, 99, out));
         let mut initial = Vec::new();
-        for act in a.post_send(Time::from_micros(1), 0, EndpointAddr::new(1, 0), len, 7, 1) {
+        for act in collect_actions(|out| {
+            a.post_send_into(
+                Time::from_micros(1),
+                0,
+                EndpointAddr::new(1, 0),
+                len,
+                7,
+                1,
+                out,
+            )
+        }) {
             if let DriverAction::Transmit(p) = act {
                 initial.push(p);
             }
@@ -186,9 +208,19 @@ fn sender_always_completes() {
         };
         let mut a = NodeDriver::new(0, 1, cfg);
         let mut b = NodeDriver::new(1, 1, cfg);
-        b.post_recv(Time::from_micros(1), 0, 7, !0, 99);
+        collect_actions(|out| b.post_recv_into(Time::from_micros(1), 0, 7, !0, 99, out));
         let mut initial = Vec::new();
-        for act in a.post_send(Time::from_micros(1), 0, EndpointAddr::new(1, 0), len, 7, 42) {
+        for act in collect_actions(|out| {
+            a.post_send_into(
+                Time::from_micros(1),
+                0,
+                EndpointAddr::new(1, 0),
+                len,
+                7,
+                42,
+                out,
+            )
+        }) {
             if let DriverAction::Transmit(p) = act {
                 initial.push(p);
             }
@@ -260,17 +292,21 @@ fn a_batch_call_is_one_call_per_packet() {
             let ep = rng.range_u64(0, 2) as u8;
             let len = rng.range_u64(0, 100_000) as u32;
             for b in [&mut reference, &mut batched] {
-                b.post_recv(now, ep, i, !0, 1_000 + i);
+                collect_actions(|out| b.post_recv_into(now, ep, i, !0, 1_000 + i, out));
             }
-            let acts = a.post_send(now, ep, EndpointAddr::new(1, ep), len, i, i);
+            let acts = collect_actions(|out| {
+                a.post_send_into(now, ep, EndpointAddr::new(1, ep), len, i, i, out)
+            });
             to_b.extend(acts.into_iter().filter_map(transmitted));
         }
         for i in 0..rng.range_u64(0, 3) {
-            a.post_recv(now, 0, i, !0, 2_000 + i);
+            collect_actions(|out| a.post_recv_into(now, 0, i, !0, 2_000 + i, out));
             let len = rng.range_u64(0, 50_000) as u32;
             let mut acts = Vec::new();
             for b in [&mut reference, &mut batched] {
-                acts = b.post_send(now, 1, EndpointAddr::new(0, 0), len, i, i);
+                acts = collect_actions(|out| {
+                    b.post_send_into(now, 1, EndpointAddr::new(0, 0), len, i, i, out)
+                });
             }
             to_a.extend(acts.into_iter().filter_map(transmitted));
         }
@@ -283,9 +319,13 @@ fn a_batch_call_is_one_call_per_packet() {
                 if deadlines.iter().all(Option::is_none) {
                     break;
                 }
-                to_b.extend(a.on_timer(now).into_iter().filter_map(transmitted));
-                let want = reference.on_timer(now);
-                assert_eq!(batched.on_timer(now), want);
+                to_b.extend(
+                    collect_actions(|out| a.on_timer_into(now, out))
+                        .into_iter()
+                        .filter_map(transmitted),
+                );
+                let want = collect_actions(|out| reference.on_timer_into(now, out));
+                assert_eq!(collect_actions(|out| batched.on_timer_into(now, out)), want);
                 same_state(&reference, &batched);
                 to_a.extend(want.into_iter().filter_map(transmitted));
                 continue;
@@ -294,7 +334,7 @@ fn a_batch_call_is_one_call_per_packet() {
             // Node 0 takes what node 1 sent, in order.
             for pkt in to_a.drain(..) {
                 to_b.extend(
-                    a.handle_packet(now, pkt)
+                    collect_actions(|out| a.handle_packet_into(now, pkt, out))
                         .into_iter()
                         .filter_map(transmitted),
                 );

@@ -20,6 +20,10 @@ fn t(ns: u64) -> Time {
     Time::from_nanos(ns)
 }
 
+/// The key of the one simulation event every record here comes from, so
+/// records stay in the order they are made.
+const KEY: (Time, u64) = (Time::ZERO, 0);
+
 fn small_pkt(src: u16, dst: u16, msg: u64) -> Packet {
     Packet {
         hdr: OmxHeader {
@@ -41,12 +45,14 @@ fn small_pkt(src: u16, dst: u16, msg: u64) -> Packet {
 fn lifecycle(tr: &mut Tracer, src: u16, dst: u16, msg: u64, base: u64) {
     let pkt = small_pkt(src, dst, msg);
     tr.record(
+        KEY,
         t(base),
         src,
         TraceKind::Transmit,
         TraceData::Packet { pkt, desc: None },
     );
     tr.record(
+        KEY,
         t(base + 2_000),
         dst,
         TraceKind::FrameArrival,
@@ -56,12 +62,14 @@ fn lifecycle(tr: &mut Tracer, src: u16, dst: u16, msg: u64, base: u64) {
         },
     );
     tr.record(
+        KEY,
         t(base + 2_300),
         dst,
         TraceKind::DmaComplete,
         TraceData::Desc { desc: msg },
     );
     tr.record(
+        KEY,
         t(base + 10_000),
         dst,
         TraceKind::Interrupt,
@@ -72,6 +80,7 @@ fn lifecycle(tr: &mut Tracer, src: u16, dst: u16, msg: u64, base: u64) {
         },
     );
     tr.record(
+        KEY,
         t(base + 12_000),
         dst,
         TraceKind::BatchDone,
@@ -81,6 +90,7 @@ fn lifecycle(tr: &mut Tracer, src: u16, dst: u16, msg: u64, base: u64) {
         },
     );
     tr.record(
+        KEY,
         t(base + 12_400),
         dst,
         TraceKind::AppDelivery,
@@ -251,7 +261,7 @@ fn prop_phases_sum_to_total_on_adversarial_soup() {
                 ),
                 _ => (TraceKind::Drop, TraceData::Text("ring full")),
             };
-            tr.record(at, node, kind, data);
+            tr.record(KEY, at, node, kind, data);
         }
         let events: Vec<TraceEvent> = tr.events().copied().collect();
         for b in analyze(&events) {

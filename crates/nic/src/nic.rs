@@ -18,8 +18,10 @@
 //! act — raise, flush a latched raise, re-arm the safety timer — needs an
 //! event of its own; the entry point reports the first such one as
 //! [`NicOutcome::wake`]. A lazily settled completion that acts anyway is a
-//! bug, and panics. The caller arms the timer event itself, from
-//! [`Nic::timer_deadline`], after every call.
+//! bug, and panics. Every completion an entry point performs, settled or
+//! woken, is reported to the caller's `done` callback at its own key, so a
+//! trace can record it where it happened. The caller arms the timer event
+//! itself, from [`Nic::timer_deadline`], after every call.
 
 use crate::coalesce::{Coalescer, CoalescingStrategy, Decision, TimerAction};
 use crate::dma::{DmaConfig, DmaEngine, Transfer};
@@ -60,10 +62,12 @@ struct ReadyPacket {
     completed_at: Time,
 }
 
-/// A DMA completion that needs an event: schedule
-/// [`Nic::on_dma_complete`] for `desc` at the key `(at, seq)`.
+/// A DMA completion by its event key `(at, seq)`: one that needs an event
+/// ([`NicOutcome::wake`]: schedule [`Nic::on_dma_complete`] for `desc` at
+/// that key), one an entry point performed (its `done` callback), or the
+/// oldest one in flight ([`Nic::unsettled_dma`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DmaWake {
+pub struct DmaCompletion {
     /// Descriptor whose transfer completes.
     pub desc: DescId,
     /// Completion time.
@@ -80,7 +84,7 @@ pub struct NicOutcome {
     /// [`Nic::on_frame`] sets it.
     pub desc: Option<DescId>,
     /// Schedule a DMA-completion event at this reserved key.
-    pub wake: Option<DmaWake>,
+    pub wake: Option<DmaCompletion>,
     /// An interrupt was raised right now (already counted by the NIC);
     /// deliver it to a host core.
     pub interrupt: bool,
@@ -152,9 +156,6 @@ pub struct Nic {
     /// read it as the label of a timer firing; [`Nic::settle`] reads it to
     /// tell that a completion acted.
     timer_epoch: u64,
-    /// Give every DMA completion an event, so a packet trace records each
-    /// one where it happens.
-    wake_every_completion: bool,
     /// Recycled claim vectors: every snapshot taken by `try_raise` comes
     /// from here and returns via `deliver`, so steady-state claim/drain
     /// cycles allocate nothing.
@@ -178,20 +179,9 @@ impl Nic {
             irq_latched: false,
             timer_deadline: None,
             timer_epoch: 0,
-            wake_every_completion: false,
             spare_claims: Vec::new(),
             counters: NicCounters::default(),
         }
-    }
-
-    /// Give every DMA completion from now on an event of its own (a packet
-    /// trace records each). Returns the wake for the oldest transfer in
-    /// flight, if it has none yet.
-    pub fn wake_every_completion(&mut self) -> Option<DmaWake> {
-        self.wake_every_completion = true;
-        let mut out = NicOutcome::default();
-        self.schedule_wake(&mut out);
-        out.wake
     }
 
     /// Account one completion interrupt raised by the collective-offload
@@ -228,11 +218,11 @@ impl Nic {
         owed
     }
 
-    /// The oldest transfer not yet settled, as `(desc, completion time)`.
-    /// Once the event queue has drained there must be none: every
-    /// completion is settled by its own event or by a later entry point.
-    pub fn unsettled_dma(&self) -> Option<(DescId, Time)> {
-        self.dma.head().map(|t| (t.desc, t.at))
+    /// The oldest transfer not yet settled. Once the event queue has
+    /// drained there must be none: every completion is settled by its own
+    /// event or by a later entry point.
+    pub fn unsettled_dma(&self) -> Option<DmaCompletion> {
+        self.dma.head().map(completion)
     }
 
     /// When the coalescing timer is due, if it is armed. The caller keeps
@@ -249,13 +239,14 @@ impl Nic {
     // -- event entry points -------------------------------------------------
 
     /// Complete every transfer whose completion precedes the event key
-    /// `(now, seq)`, in FIFO order, each at its own completion time.
+    /// `(now, seq)`, in FIFO order, each at its own completion time, and
+    /// report each to `done`. Every entry point settles first.
     ///
     /// # Panics
     /// Panics if one of them acts (raises, flushes a latched raise or
     /// re-arms the timer) or already has an event: it should have been
     /// reported as a wake and completed by that event.
-    pub fn settle(&mut self, now: Time, seq: u64) {
+    pub fn settle(&mut self, now: Time, seq: u64, mut done: impl FnMut(DmaCompletion)) {
         while let Some(&t) = self.dma.head() {
             if t.key() >= (now, seq) {
                 break;
@@ -274,6 +265,7 @@ impl Nic {
                 t.desc,
                 t.at
             );
+            done(completion(&t));
         }
     }
 
@@ -286,8 +278,9 @@ impl Nic {
         seq: u64,
         meta: PacketMeta,
         reserve_seq: impl FnOnce() -> u64,
+        done: impl FnMut(DmaCompletion),
     ) -> NicOutcome {
-        self.settle(now, seq);
+        self.settle(now, seq, done);
         let mut out = NicOutcome::default();
         if self.pending_work() >= self.cfg.rx_ring_slots as usize {
             self.counters.ring_drops.incr();
@@ -321,9 +314,16 @@ impl Nic {
     }
 
     /// The woken DMA completion of `desc`: the event at `(now, seq)`, the
-    /// key its [`DmaWake`] named.
-    pub fn on_dma_complete(&mut self, now: Time, seq: u64, desc: DescId) -> NicOutcome {
-        self.settle(now, seq);
+    /// key its wake named. It is reported to `done` after the completions
+    /// settled before it.
+    pub fn on_dma_complete(
+        &mut self,
+        now: Time,
+        seq: u64,
+        desc: DescId,
+        mut done: impl FnMut(DmaCompletion),
+    ) -> NicOutcome {
+        self.settle(now, seq, &mut done);
         let head = self.dma.head().map(Transfer::key);
         assert_eq!(
             head,
@@ -332,6 +332,7 @@ impl Nic {
         );
         let mut out = NicOutcome::default();
         self.complete(desc, &mut out);
+        done(DmaCompletion { desc, at: now, seq });
         self.schedule_wake(&mut out);
         out
     }
@@ -339,8 +340,8 @@ impl Nic {
     /// A coalescing-timer event fired: the event at `(now, seq)`. It acts
     /// only if the armed deadline is due; otherwise it belongs to a
     /// superseded arming and is a no-op.
-    pub fn on_timer(&mut self, now: Time, seq: u64) -> NicOutcome {
-        self.settle(now, seq);
+    pub fn on_timer(&mut self, now: Time, seq: u64, done: impl FnMut(DmaCompletion)) -> NicOutcome {
+        self.settle(now, seq, done);
         let mut out = NicOutcome::default();
         if self.timer_deadline.is_some_and(|at| at <= now) {
             self.timer_deadline = None;
@@ -354,8 +355,13 @@ impl Nic {
     /// The host finished servicing the interrupt and re-enables IRQs: the
     /// event at `(now, seq)`. If further raise requests queued while
     /// masked, the next one is delivered immediately as its own interrupt.
-    pub fn enable_irq(&mut self, now: Time, seq: u64) -> NicOutcome {
-        self.settle(now, seq);
+    pub fn enable_irq(
+        &mut self,
+        now: Time,
+        seq: u64,
+        done: impl FnMut(DmaCompletion),
+    ) -> NicOutcome {
+        self.settle(now, seq, done);
         let mut out = NicOutcome::default();
         self.irq_enabled = true;
         if let Some(claim) = self.pending_claims.pop_front() {
@@ -457,8 +463,7 @@ impl Nic {
         if self.dma.pending() == 0 {
             return;
         }
-        let head_acts = self.wake_every_completion
-            || self.irq_latched
+        let head_acts = self.irq_latched
             || (self.timer_deadline.is_none()
                 && self.pending_claims.is_empty()
                 && self.strategy.fallback_delay().is_some());
@@ -480,11 +485,7 @@ impl Nic {
             .expect("the first acting transfer is in flight");
         if !t.evented {
             t.evented = true;
-            out.wake = Some(DmaWake {
-                desc: t.desc,
-                at: t.at,
-                seq: t.seq,
-            });
+            out.wake = Some(completion(t));
         }
     }
 
@@ -553,16 +554,27 @@ impl Nic {
     }
 }
 
+/// A transfer's completion, by its event key.
+fn completion(t: &Transfer) -> DmaCompletion {
+    DmaCompletion {
+        desc: t.desc,
+        at: t.at,
+        seq: t.seq,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// A NIC called the way the cluster calls it, one event at a time in
     /// time order: each call's event key takes the next sequence number,
-    /// and so does each accepted frame's DMA completion.
+    /// and so does each accepted frame's DMA completion. `done` collects
+    /// the completions the calls report.
     struct Driven {
         nic: Nic,
         seq: u64,
+        done: Vec<DmaCompletion>,
     }
 
     impl Driven {
@@ -573,25 +585,30 @@ mod tests {
 
         fn frame(&mut self, now: Time, meta: PacketMeta) -> NicOutcome {
             let key = self.key();
-            let seq = &mut self.seq;
-            self.nic.on_frame(now, key, meta, || {
+            let (seq, done) = (&mut self.seq, &mut self.done);
+            let reserve = || {
                 *seq += 1;
                 *seq
-            })
+            };
+            self.nic.on_frame(now, key, meta, reserve, |c| done.push(c))
         }
 
-        fn complete(&mut self, wake: DmaWake) -> NicOutcome {
-            self.nic.on_dma_complete(wake.at, wake.seq, wake.desc)
+        fn complete(&mut self, wake: DmaCompletion) -> NicOutcome {
+            let done = &mut self.done;
+            self.nic
+                .on_dma_complete(wake.at, wake.seq, wake.desc, |c| done.push(c))
         }
 
         fn timer(&mut self, now: Time) -> NicOutcome {
             let key = self.key();
-            self.nic.on_timer(now, key)
+            let done = &mut self.done;
+            self.nic.on_timer(now, key, |c| done.push(c))
         }
 
         fn enable(&mut self, now: Time) -> NicOutcome {
             let key = self.key();
-            self.nic.enable_irq(now, key)
+            let done = &mut self.done;
+            self.nic.enable_irq(now, key, |c| done.push(c))
         }
     }
 
@@ -619,6 +636,7 @@ mod tests {
                 strategy,
             }),
             seq: 0,
+            done: Vec::new(),
         }
     }
 
@@ -647,6 +665,25 @@ mod tests {
         assert!(!out.interrupt, "IRQ masked until host re-enables");
         let out = n.enable(t(1000));
         assert!(out.interrupt, "latched IRQ fires on re-enable");
+    }
+
+    #[test]
+    fn every_completion_is_reported_at_its_own_key() {
+        // Open-MX: the unmarked completion settles lazily inside the marked
+        // one's event, which is reported after it, at its own key.
+        let mut n = nic(CoalescingStrategy::OpenMx { delay_us: 75 });
+        n.frame(t(0), PacketMeta::omx(100, false));
+        let wake = n.frame(t(10), PacketMeta::omx(100, true)).wake.unwrap();
+        assert!(n.done.is_empty(), "nothing completes before its time");
+        n.complete(wake);
+        let settled = DmaCompletion {
+            desc: DescId(0),
+            at: t(200),
+            seq: 2,
+        };
+        assert_eq!(n.done, [settled, wake]);
+        n.timer(t(100_000));
+        assert_eq!(n.done.len(), 2, "each completion is reported once");
     }
 
     #[test]
@@ -866,7 +903,7 @@ mod tests {
         assert!(!out.interrupt, "masked: claim must queue");
         assert_eq!(out.wake, None, "the queued claim's re-enable comes first");
         // C's DMA completes while B's claim is queued.
-        let (_, c_at) = n.unsettled_dma().expect("C in flight");
+        let c_at = n.unsettled_dma().expect("C in flight").at;
         assert!(c_at > timer_b, "C must complete after the timer fired");
         // Host finishes batch A: enable settles C, then pops B's claim as
         // its own interrupt.

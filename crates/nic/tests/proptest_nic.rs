@@ -8,7 +8,9 @@
 //! Randomised with the simulator's deterministic [`SimRng`] (fixed seeds, so
 //! failures reproduce exactly) instead of an external property-test harness.
 
-use omx_nic::{CoalescingStrategy, DmaWake, Nic, NicConfig, NicCounters, NicOutcome, PacketMeta};
+use omx_nic::{
+    CoalescingStrategy, DmaCompletion, Nic, NicConfig, NicCounters, NicOutcome, PacketMeta,
+};
 use omx_sim::json::ToJson;
 use omx_sim::rng::SimRng;
 use omx_sim::Time;
@@ -17,7 +19,7 @@ use std::ops::Range;
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    Dma(DmaWake),
+    Dma(DmaCompletion),
     Timer,
     Enable,
 }
@@ -44,8 +46,14 @@ enum Obs {
 /// cluster arms it (one slot per NIC, a superseded timer event left queued
 /// to fire as a no-op), and the host re-enables interrupts after a service
 /// time taken in turn from `service_ns`.
+///
+/// With `every_completion` set the harness is the reference for lazy
+/// settling: before each event it calls [`Nic::on_dma_complete`] for every
+/// transfer in flight that precedes it, at the transfer's own key and in
+/// FIFO order, so the NIC never settles a completion itself.
 struct Sim {
     nic: Nic,
+    every_completion: bool,
     queue: BTreeMap<(u64, u64), Ev>,
     seq: u64,
     /// When the queued timer event that covers the NIC's deadline fires.
@@ -55,14 +63,17 @@ struct Sim {
     claimed: u64,
     irqs: u64,
     dma_events: u64,
+    /// Every completion the NIC reported performing, in report order.
+    completed: Vec<DmaCompletion>,
     log: Vec<Obs>,
     timer_seen: (Option<Time>, u64),
 }
 
 impl Sim {
-    fn new(cfg: NicConfig, service_ns: Vec<u64>) -> Self {
+    fn new(cfg: NicConfig, service_ns: Vec<u64>, every_completion: bool) -> Self {
         Sim {
             nic: Nic::new(cfg),
+            every_completion,
             queue: BTreeMap::new(),
             seq: 0,
             timer_slot: None,
@@ -70,6 +81,7 @@ impl Sim {
             claimed: 0,
             irqs: 0,
             dma_events: 0,
+            completed: Vec::new(),
             log: Vec::new(),
             timer_seen: (None, 0),
         }
@@ -131,7 +143,7 @@ impl Sim {
         }
         let now = Time::from_nanos(t);
         let deadline = self.nic.timer_deadline();
-        let out = self.nic.on_timer(now, seq);
+        let out = self.nic.on_timer(now, seq, |c| self.completed.push(c));
         if deadline.is_none_or(|d| d > now) {
             assert!(!out.interrupt, "early firing acted");
             assert_eq!(
@@ -143,20 +155,41 @@ impl Sim {
         out
     }
 
-    /// Dispatch every queued event up to `horizon`.
+    /// Run a DMA-completion event for `c` at its key.
+    fn complete(&mut self, c: DmaCompletion) -> NicOutcome {
+        self.dma_events += 1;
+        let done = |c| self.completed.push(c);
+        self.nic.on_dma_complete(c.at, c.seq, c.desc, done)
+    }
+
+    /// Dispatch every queued event up to `horizon`, and in the reference
+    /// every transfer completing by then, each at its own key.
     fn step_due(&mut self, horizon: u64) {
-        while let Some((&(t, s), _)) = self.queue.first_key_value() {
-            if t > horizon {
-                break;
+        loop {
+            let next = self.queue.first_key_value().map(|(&k, _)| k);
+            let next = next.filter(|&(t, _)| t <= horizon);
+            if self.every_completion {
+                // A woken transfer's event is queued at its key, so it
+                // never precedes `next`: it runs from the queue.
+                let head = self.nic.unsettled_dma();
+                if let Some(c) = head.filter(|c| {
+                    let key = (c.at.as_nanos(), c.seq);
+                    key.0 <= horizon && next.is_none_or(|n| key < n)
+                }) {
+                    let out = self.complete(c);
+                    self.apply(out, (c.at.as_nanos(), c.seq));
+                    continue;
+                }
             }
+            let Some((t, s)) = next else { break };
             let ev = self.queue.remove(&(t, s)).expect("exists");
             let out = match ev {
-                Ev::Dma(wake) => {
-                    self.dma_events += 1;
-                    self.nic.on_dma_complete(wake.at, wake.seq, wake.desc)
-                }
+                Ev::Dma(wake) => self.complete(wake),
                 Ev::Timer => self.fire_timer(t, s),
-                Ev::Enable => self.nic.enable_irq(Time::from_nanos(t), s),
+                Ev::Enable => {
+                    let done = |c| self.completed.push(c);
+                    self.nic.enable_irq(Time::from_nanos(t), s, done)
+                }
             };
             self.apply(out, (t, s));
         }
@@ -167,11 +200,16 @@ impl Sim {
     fn frame(&mut self, now: u64, meta: PacketMeta) -> bool {
         self.step_due(now);
         let key = self.reserve();
-        let seq = &mut self.seq;
-        let out = self.nic.on_frame(Time::from_nanos(now), key, meta, || {
+        let (seq, completed) = (&mut self.seq, &mut self.completed);
+        let reserve = || {
             *seq += 1;
             *seq
-        });
+        };
+        let out = self
+            .nic
+            .on_frame(Time::from_nanos(now), key, meta, reserve, |c| {
+                completed.push(c)
+            });
         self.apply(out, (now, key));
         out.desc.is_some()
     }
@@ -207,6 +245,7 @@ fn drive(
             ..NicConfig::default()
         },
         vec![service_ns],
+        false,
     );
     let mut now = 0u64;
     let mut accepted = 0u64;
@@ -303,22 +342,18 @@ enum Stimulus {
     StrayTimer,
 }
 
-/// Run `script` (gap before each stimulus, in ns) on one NIC; returns the
-/// run's observations, its counters and its DMA-completion events.
+/// What [`observe`] saw of one run: its observations, its counters, the
+/// completions the NIC reported and its DMA-completion events.
+type Observed = (Vec<Obs>, String, Vec<DmaCompletion>, u64);
+
+/// Run `script` (gap before each stimulus, in ns) on one NIC.
 fn observe(
     cfg: &NicConfig,
     script: &[(u64, Stimulus)],
     service_ns: &[u64],
     every_completion: bool,
-) -> (Vec<Obs>, String, u64) {
-    let mut sim = Sim::new(cfg.clone(), service_ns.to_vec());
-    if every_completion {
-        assert_eq!(
-            sim.nic.wake_every_completion(),
-            None,
-            "nothing in flight yet"
-        );
-    }
+) -> Observed {
+    let mut sim = Sim::new(cfg.clone(), service_ns.to_vec(), every_completion);
     let mut now = 0;
     for &(gap, stimulus) in script {
         now += gap;
@@ -331,15 +366,16 @@ fn observe(
     }
     sim.finish();
     let counters: &NicCounters = sim.nic.counters();
-    (sim.log, counters.to_json().render(), sim.dma_events)
+    let counters = counters.to_json().render();
+    (sim.log, counters, sim.completed, sim.dma_events)
 }
 
 /// Lazy settling is exact: a NIC that schedules an event only for the DMA
 /// completions that can act, and settles the rest at its next entry point,
 /// shows the same interrupt instants, claimed descriptors, timer arming
-/// (deadline and generation, after the same events) and counters, hold
-/// histogram included, as a reference that schedules an event for every
-/// completion at its own instant. The scripts mix marked and unmarked
+/// (deadline and generation, after the same events), counters, hold
+/// histogram included, and reported completions as a reference whose
+/// harness completes every transfer at its own key. The scripts mix marked and unmarked
 /// frames of 0–9000 B in bursts and sparse trains, coalescing-timer events
 /// that fire whether or not the timer is due, and host service times that
 /// decide when interrupts are re-enabled, under all five strategies with a
@@ -380,8 +416,10 @@ fn lazy_settling_matches_every_completion_evented() {
             .collect();
         let service_ns: Vec<u64> = (0..8).map(|_| rng.range_u64(100, 30_000)).collect();
 
-        let (lazy_log, lazy_counters, lazy_events) = observe(&cfg, &script, &service_ns, false);
-        let (eager_log, eager_counters, eager_events) = observe(&cfg, &script, &service_ns, true);
+        let (lazy_log, lazy_counters, lazy_done, lazy_events) =
+            observe(&cfg, &script, &service_ns, false);
+        let (eager_log, eager_counters, eager_done, eager_events) =
+            observe(&cfg, &script, &service_ns, true);
         if let Some(i) =
             (0..lazy_log.len().min(eager_log.len())).find(|&i| lazy_log[i] != eager_log[i])
         {
@@ -392,7 +430,10 @@ fn lazy_settling_matches_every_completion_evented() {
         }
         assert_eq!(lazy_log.len(), eager_log.len(), "case {case}, {strategy:?}");
         assert_eq!(lazy_counters, eager_counters, "case {case}, {strategy:?}");
+        assert_eq!(lazy_done, eager_done, "case {case}, {strategy:?}: reports");
         assert!(lazy_events <= eager_events);
+        // The reference completes every transfer in an event of its own.
+        assert_eq!(eager_events, eager_done.len() as u64, "case {case}");
         lazy_dma += lazy_events;
         eager_dma += eager_events;
     }
