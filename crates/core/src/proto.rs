@@ -29,9 +29,10 @@ use crate::wire::{
     frag_count, medium_frag_payload, pull_frame_count, pull_frame_payload, EndpointAddr, MsgId,
     OmxHeader, Packet, PacketKind, MEDIUM_MAX, PULL_BLOCK_FRAMES, PULL_PIPELINE, SMALL_MAX,
 };
+use omx_sim::hash::FastMap;
 use omx_sim::stats::Counter;
 use omx_sim::{Time, TimeDelta};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Protocol tunables.
 #[derive(Debug, Clone, Copy)]
@@ -137,6 +138,9 @@ omx_sim::impl_to_json!(DriverCounters {
 
 /// Key of the receiver-side per-message state (sender address + id).
 type MsgKey = (EndpointAddr, MsgId);
+
+/// A `conn_table` slot with no connection yet.
+const NO_CONN: u32 = u32::MAX;
 
 /// One piece of protocol state that has not reached its terminal state:
 /// which message (or connection) it belongs to and which phase it is stuck
@@ -304,9 +308,9 @@ impl PullRx {
 /// a reentrant take would see an empty, capacity-less Vec, never aliasing).
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Conns with an expired delayed-ack deadline, then those with an
-    /// overdue unacked head.
-    due: Vec<(u8, EndpointAddr, usize)>,
+    /// Conns whose `conn_deadline` is due, sorted by key: each may have
+    /// a due delayed ack, an overdue unacked head, or both.
+    due: Vec<usize>,
     /// Packet build buffer (pull requests / replies / re-requests).
     pkts: Vec<Packet>,
     /// Window-released queued sends inside `process_ack`.
@@ -318,16 +322,21 @@ struct Scratch {
 /// # Protocol state layout
 ///
 /// Each state family lives in the map that indexes it: a packet costs one
-/// `conn_index` probe plus at most one probe of `sends`, `mediums` or
+/// `conn_table` lookup plus at most one probe of `sends`, `mediums` or
 /// `pulls`, and the helpers work on the entry in hand. Connections are
-/// never removed, so they sit in a `Vec` addressed by the index stored in
-/// `conn_index`; `conn_deadline` is a dense column beside it holding each
-/// connection's earliest deadline, so [`NodeDriver::next_deadline`] never
-/// walks the `Conn`s. The maps the driver *iterates* — `conn_index` in the
-/// timer scans and the pending report, `pulls` in the stall scan and the
-/// pending report — are ordered (`BTreeMap`): iteration order feeds the
-/// emitted action order, and a randomized-seed `HashMap` would make runs
-/// differ across processes.
+/// never removed, so they sit in a `Vec` and an index stays valid for the
+/// driver's lifetime. Dense columns beside it hold each connection's key
+/// (`conn_keys`) and earliest deadline (`conn_deadline`), so
+/// [`NodeDriver::next_deadline`] never walks the `Conn`s. `conn_table`
+/// finds a key's index in two array reads, with no hashing and no
+/// comparisons.
+///
+/// Where iteration order reaches the emitted actions, the driver fixes
+/// it: the timer scans and the pending report sort the connections they
+/// visit by `(local endpoint, remote)`, and `pulls`, which the stall scan
+/// walks, is a `BTreeMap`. `sends` and `mediums` are only probed by key
+/// (the pending report sorts them), so they hash with the unseeded
+/// [`omx_sim::hash::FastHasher`].
 pub struct NodeDriver {
     local: u16,
     cfg: ProtoConfig,
@@ -341,9 +350,14 @@ pub struct NodeDriver {
     /// site that changes an `ack_deadline` or an unacked head calls
     /// [`NodeDriver::refresh_deadline`].
     conn_deadline: Vec<Option<Time>>,
-    conn_index: BTreeMap<(u8, EndpointAddr), usize>,
-    sends: HashMap<MsgId, LargeSend>,
-    mediums: HashMap<MsgKey, MediumRx>,
+    /// `(local endpoint, remote)` of each connection, indexed like `conns`.
+    conn_keys: Vec<(u8, EndpointAddr)>,
+    /// Connection lookup: `conn_table[remote node][remote endpoint *
+    /// endpoints + local endpoint]` is the connection's index into
+    /// `conns`, or [`NO_CONN`]. Rows grow on first contact.
+    conn_table: Vec<Vec<u32>>,
+    sends: FastMap<MsgId, LargeSend>,
+    mediums: FastMap<MsgKey, MediumRx>,
     pulls: BTreeMap<MsgKey, PullRx>,
     next_msg: u64,
     counters: DriverCounters,
@@ -375,9 +389,10 @@ impl NodeDriver {
                 .collect(),
             conns: Vec::new(),
             conn_deadline: Vec::new(),
-            conn_index: BTreeMap::new(),
-            sends: HashMap::new(),
-            mediums: HashMap::new(),
+            conn_keys: Vec::new(),
+            conn_table: Vec::new(),
+            sends: FastMap::default(),
+            mediums: FastMap::default(),
             pulls: BTreeMap::new(),
             next_msg: 0,
             counters: DriverCounters::default(),
@@ -413,15 +428,41 @@ impl NodeDriver {
     }
 
     /// Resolve (creating on first contact) the connection's index into
-    /// `conns`. A packet probes `conn_index` once; its helpers then index
-    /// the `Vec` directly.
+    /// `conns`. A packet looks its connection up once; its helpers then
+    /// index the `Vec` directly.
+    ///
+    /// # Panics
+    /// Panics if `ep` is not one of this node's endpoints: its slot would
+    /// alias another connection's.
     fn conn_idx(&mut self, ep: u8, remote: EndpointAddr) -> usize {
-        let (conns, deadlines) = (&mut self.conns, &mut self.conn_deadline);
-        *self.conn_index.entry((ep, remote)).or_insert_with(|| {
-            conns.push(Conn::default());
-            deadlines.push(None);
-            conns.len() - 1
-        })
+        let endpoints = self.endpoints.len();
+        assert!(
+            usize::from(ep) < endpoints,
+            "node {}: local endpoint {ep} out of range ({endpoints} endpoints)",
+            self.local
+        );
+        let node = usize::from(remote.node.0);
+        if node >= self.conn_table.len() {
+            self.conn_table.resize_with(node + 1, Vec::new);
+        }
+        let row = &mut self.conn_table[node];
+        let slot = usize::from(remote.endpoint) * endpoints + usize::from(ep);
+        if slot >= row.len() {
+            row.resize(slot + 1, NO_CONN);
+        }
+        if row[slot] == NO_CONN {
+            row[slot] = u32::try_from(self.conns.len()).expect("connection count fits u32");
+            self.conns.push(Conn::default());
+            self.conn_deadline.push(None);
+            self.conn_keys.push((ep, remote));
+        }
+        row[slot] as usize
+    }
+
+    /// Sort connection indices into `(local endpoint, remote)` order, the
+    /// order every scan that emits actions or report lines visits them in.
+    fn sort_conns(&self, cts: &mut [usize]) {
+        cts.sort_unstable_by_key(|&ct| self.conn_keys[ct]);
     }
 
     /// Recompute connection `ct`'s entry of `conn_deadline` after its
@@ -487,7 +528,7 @@ impl NodeDriver {
         debug_assert_eq!(pkt.hdr.dst.node.0, self.local, "misrouted packet");
         let local_ep = pkt.hdr.dst.endpoint;
         let remote = pkt.hdr.src;
-        // The packet's one `conn_index` probe; the helpers below index
+        // The packet's one connection lookup; the helpers below index
         // `conns` directly.
         let ct = self.conn_idx(local_ep, remote);
 
@@ -575,43 +616,51 @@ impl NodeDriver {
     /// The retransmit / delayed-ack timer fired, appending the actions it
     /// emits to `actions`.
     pub fn on_timer_into(&mut self, now: Time, actions: &mut Vec<DriverAction>) {
-        // Delayed acks. Iterate the ordered index — the scan order feeds
-        // the emitted action order, which the goldens pin.
+        // A due delayed ack or an overdue unacked head puts the
+        // connection's deadline at or before `now`, so the deadline column
+        // yields every connection either pass below acts on. Sorting them
+        // by key fixes the emitted action order, which the goldens pin.
         let mut due = std::mem::take(&mut self.scratch.due);
         due.clear();
-        due.extend(self.conn_index.iter().filter_map(|(&(ep, remote), &ct)| {
-            self.conns[ct]
-                .ack_deadline
-                .is_some_and(|d| d <= now)
-                .then_some((ep, remote, ct))
-        }));
-        for &(ep, remote, ct) in &due {
-            self.send_standalone_ack(ep, remote, ct, actions);
+        due.extend(
+            self.conn_deadline
+                .iter()
+                .enumerate()
+                .filter(|(_, d)| d.is_some_and(|d| d <= now))
+                .map(|(ct, _)| ct),
+        );
+        self.sort_conns(&mut due);
+
+        // Delayed acks.
+        for &ct in &due {
+            if self.conns[ct].ack_deadline.is_some_and(|d| d <= now) {
+                let (ep, remote) = self.conn_keys[ct];
+                self.send_standalone_ack(ep, remote, ct, actions);
+            }
         }
-        due.clear();
 
         // Eager retransmissions: go-back-N, triggered by the queue head and
         // limited to a short head burst. Cumulative acks for the resent head
         // then clock out the next burst, so recovery is paced at roughly one
-        // burst per round trip instead of one full window per RTO.
+        // burst per round trip instead of one full window per RTO. Sending
+        // an ack leaves `unacked` alone, so the candidates are still whole.
         let rto = self.rto;
         let burst = self.cfg.retx_burst.max(1) as usize;
-        due.extend(self.conn_index.iter().filter_map(|(&(ep, remote), &ct)| {
-            self.conns[ct]
-                .unacked
+        for &ct in &due {
+            let unacked = &mut self.conns[ct].unacked;
+            let overdue = unacked
                 .front()
-                .is_some_and(|(_, _, sent_at)| now.saturating_since(*sent_at) >= rto)
-                .then_some((ep, remote, ct))
-        }));
-        for &(_, _, ct) in &due {
-            for (_, pkt, sent_at) in self.conns[ct].unacked.iter_mut().take(burst) {
+                .is_some_and(|(_, _, sent_at)| now.saturating_since(*sent_at) >= rto);
+            if !overdue {
+                continue;
+            }
+            for (_, pkt, sent_at) in unacked.iter_mut().take(burst) {
                 *sent_at = now;
                 self.counters.eager_retransmits.incr();
                 actions.push(DriverAction::Transmit(*pkt));
             }
             self.refresh_deadline(ct);
         }
-        due.clear();
         self.scratch.due = due;
 
         // Stalled pulls: re-request incomplete in-flight blocks, in key
@@ -671,8 +720,8 @@ impl NodeDriver {
                 _ => t,
             });
         };
-        // A min-fold is order-independent, so neither walk needs the
-        // ordered index.
+        // A min-fold is order-independent, so neither walk needs key
+        // order.
         for &d in self.conn_deadline.iter().flatten() {
             consider(d);
         }
@@ -818,10 +867,7 @@ impl NodeDriver {
     /// (`pkt.hdr.src.endpoint`, `pkt.hdr.dst`) connection.
     fn finalize_and_push(&mut self, ct: usize, mut pkt: Packet, actions: &mut Vec<DriverAction>) {
         self.cfg.marking.apply(&mut pkt);
-        debug_assert_eq!(
-            self.conn_index.get(&(pkt.hdr.src.endpoint, pkt.hdr.dst)),
-            Some(&ct)
-        );
+        debug_assert_eq!(self.conn_keys[ct], (pkt.hdr.src.endpoint, pkt.hdr.dst));
         let conn = &mut self.conns[ct];
         // Piggyback the reverse-direction cumulative ack.
         pkt.hdr.ack = conn.cum_recv;
@@ -1299,7 +1345,10 @@ impl NodeDriver {
     /// with no posted receive) are *not* listed: the protocol has done its
     /// part and the driver holds them indefinitely by design.
     pub fn pending_report(&self, out: &mut Vec<PendingEntry>) {
-        for (&(ep, remote), &ct) in &self.conn_index {
+        let mut order: Vec<usize> = (0..self.conns.len()).collect();
+        self.sort_conns(&mut order);
+        for ct in order {
+            let (ep, remote) = self.conn_keys[ct];
             let conn = &self.conns[ct];
             for send in &conn.queued {
                 out.push(PendingEntry {
@@ -1376,6 +1425,7 @@ impl NodeDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     /// The actions one `_into` driver call emits.
     fn collect_actions(call: impl FnOnce(&mut Vec<DriverAction>)) -> Vec<DriverAction> {
@@ -2111,5 +2161,135 @@ mod tests {
         let mut out = Vec::new();
         d.pending_report(&mut out);
         out
+    }
+
+    /// A one-packet small message from `src` to `dst` with sequence `seq`.
+    fn small_pkt(src: EndpointAddr, dst: EndpointAddr, seq: u64) -> Packet {
+        Packet {
+            hdr: OmxHeader {
+                src,
+                dst,
+                latency_sensitive: false,
+                seq,
+                ack: 0,
+            },
+            kind: PacketKind::Small {
+                msg: MsgId(seq),
+                match_info: 0,
+                len: 8,
+            },
+        }
+    }
+
+    /// One timer firing emits every due delayed ack, then every overdue
+    /// head's resend, each in `(local endpoint, remote)` order, whatever
+    /// order the connections were first contacted in.
+    #[test]
+    fn timer_scans_emit_in_key_order() {
+        let mut a = NodeDriver::new(0, 2, ProtoConfig::default());
+        let local = |ep| EndpointAddr::new(0, ep);
+        // Remote endpoint 3 is above this node's endpoint count.
+        let (n5e0, n2e3, n2e1) = (
+            EndpointAddr::new(5, 0),
+            EndpointAddr::new(2, 3),
+            EndpointAddr::new(2, 1),
+        );
+        let t = t0();
+        // First contact out of key order: node 5 before node 2, local
+        // endpoint 1 before 0. Both node-5 connections get an unacked head
+        // sent at `t`.
+        collect_actions(|out| a.post_send_into(t, 1, n5e0, 16, 0, 1, out));
+        collect_actions(|out| a.handle_packet_into(t, small_pkt(n2e3, local(1), 1), out));
+        collect_actions(|out| a.post_send_into(t, 0, n5e0, 16, 0, 2, out));
+        collect_actions(|out| a.handle_packet_into(t, small_pkt(n2e1, local(0), 1), out));
+        assert_eq!(a.conn_keys, [(1, n5e0), (1, n2e3), (0, n5e0), (0, n2e1)]);
+
+        // Half an RTO later, (0, n2e1) sends a head that will not be
+        // overdue, and every connection receives a packet that arms its
+        // delayed ack (the send's piggyback cleared (0, n2e1)'s).
+        let rto = a.rto;
+        let mid = t + TimeDelta::from_nanos(rto.as_nanos() / 2);
+        collect_actions(|out| a.post_send_into(mid, 0, n2e1, 16, 0, 3, out));
+        for (src, ep, seq) in [(n5e0, 1, 1), (n5e0, 0, 1), (n2e1, 0, 2)] {
+            collect_actions(|out| a.handle_packet_into(mid, small_pkt(src, local(ep), seq), out));
+        }
+
+        let acts = collect_actions(|out| a.on_timer_into(t + rto, out));
+        let sent: Vec<(bool, u8, EndpointAddr)> = acts
+            .iter()
+            .map(|act| match act {
+                DriverAction::Transmit(p) => (
+                    matches!(p.kind, PacketKind::Ack { .. }),
+                    p.hdr.src.endpoint,
+                    p.hdr.dst,
+                ),
+                other => panic!("the timer emitted {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            sent,
+            [
+                (true, 0, n2e1),
+                (true, 0, n5e0),
+                (true, 1, n2e3),
+                (true, 1, n5e0),
+                (false, 0, n5e0),
+                (false, 1, n5e0),
+            ]
+        );
+        assert_eq!(a.counters().acks_sent.get(), 4);
+        assert_eq!(a.counters().eager_retransmits.get(), 2);
+    }
+
+    /// `conn_idx` against an ordered-map model, over seeded keys on sparse
+    /// remote nodes, on drivers with 1–4 endpoints.
+    #[test]
+    fn conn_lookup_is_stable_dense_and_reported_in_key_order() {
+        let mut rng = omx_sim::rng::SimRng::new(28);
+        for endpoints in 1..=4u8 {
+            let mut d = NodeDriver::new(0, usize::from(endpoints), ProtoConfig::default());
+            // Sixteen sparse nodes keep the key space small enough for
+            // 500 draws to repeat keys.
+            let nodes: Vec<u16> = (0..16).map(|_| rng.range_u64(0, 1024) as u16).collect();
+            let mut model: BTreeMap<(u8, EndpointAddr), usize> = BTreeMap::new();
+            for _ in 0..500 {
+                let ep = rng.range_u64(0, u64::from(endpoints)) as u8;
+                let node = nodes[rng.range_u64(0, 16) as usize];
+                let remote = EndpointAddr::new(node, rng.range_u64(0, 8) as u8);
+                let next = model.len();
+                let want = *model.entry((ep, remote)).or_insert(next);
+                assert_eq!(d.conn_idx(ep, remote), want, "key ({ep}, {remote:?})");
+            }
+            assert!(model.len() < 500, "no key repeated");
+            assert_eq!(d.conns.len(), model.len());
+            for (&key, &ct) in &model {
+                assert_eq!(d.conn_keys[ct], key);
+            }
+
+            // An unacked send on each connection, posted in index order,
+            // is reported in key order.
+            for (ct, (ep, remote)) in d.conn_keys.clone().into_iter().enumerate() {
+                collect_actions(|out| d.post_send_into(t0(), ep, remote, 16, 0, ct as u64, out));
+            }
+            assert_eq!(d.conns.len(), model.len(), "posting made no connection");
+            let report = report_of(&d);
+            assert_eq!(report.len(), model.len());
+            for (entry, (ep, remote)) in report.iter().zip(model.keys()) {
+                assert_eq!(entry.phase, "awaiting-ack");
+                let head = format!("node 0 ep {ep} -> {remote:?}:");
+                assert!(
+                    entry.detail.starts_with(&head),
+                    "{} !~ {head}",
+                    entry.detail
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "local endpoint 2 out of range (2 endpoints)")]
+    fn conn_lookup_rejects_an_unknown_local_endpoint() {
+        let mut d = NodeDriver::new(0, 2, ProtoConfig::default());
+        d.conn_idx(2, EndpointAddr::new(1, 0));
     }
 }

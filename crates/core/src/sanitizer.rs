@@ -23,7 +23,7 @@
 //! stops early or never posts legitimately strands bytes — so it is
 //! opt-in via [`SanitizerReport::all_violations`].
 
-use std::collections::HashSet;
+use omx_sim::hash::FastSet;
 
 /// Run-time recorder; one per cluster.
 #[derive(Debug, Default)]
@@ -35,8 +35,10 @@ pub struct Sanitizer {
     bytes_delivered: u64,
     /// `(src_node, msg_id)` of every delivered message — `MsgId` is a
     /// per-node monotone counter, so the pair is globally unique and a
-    /// repeat means the dup-suppression path delivered a copy twice.
-    seen: HashSet<(u16, u64)>,
+    /// repeat means the dup-suppression path delivered a copy twice. Only
+    /// probed, never iterated, so it hashes with the unseeded
+    /// [`omx_sim::hash::FastHasher`].
+    seen: FastSet<(u16, u64)>,
     /// `(src, dst, msg_id)` of each duplicate delivery. Recorded raw so the
     /// per-delivery hook never formats; rendering happens in [`report`](Sanitizer::report).
     duplicate_deliveries: Vec<(u16, u16, u64)>,

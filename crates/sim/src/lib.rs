@@ -16,6 +16,8 @@
 //!   `omx_core`'s `Cluster`, the one world this workspace simulates,
 //! * [`rng`] — seeded deterministic random-number helpers so that every
 //!   experiment is exactly reproducible,
+//! * [`hash`] — an unseeded multiply-rotate hasher ([`hash::FastMap`],
+//!   [`hash::FastSet`]) for hot-path maps with small keys,
 //! * [`stats`] — counters, histograms and online summary statistics used by
 //!   the measurement harness,
 //! * [`json`] — the self-contained JSON value model used by the result
@@ -35,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hash;
 pub mod json;
 pub mod pool;
 pub mod queue;
