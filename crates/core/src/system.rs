@@ -42,7 +42,6 @@ use omx_sim::rng::SimRng;
 use omx_sim::stats::TimeWeighted;
 use omx_sim::{EventQueue, QueueStats, StopCondition, Time, TimeDelta};
 use std::any::Any;
-use std::collections::VecDeque;
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -62,7 +61,8 @@ pub struct ClusterConfig {
     pub nic: NicConfig,
     /// Fabric model (links, switch, disturbance).
     pub fabric: FabricConfig,
-    /// Protocol tunables (MTU, acks, window, marking).
+    /// Protocol tunables (MTU, acks, window, marking). Its MTU must equal
+    /// the fabric's ([`ClusterBuilder::mtu`] sets both).
     pub proto: ProtoConfig,
     /// NIC collective-offload engine (firmware hop cost, RTO, payload cap).
     /// Passive — costs nothing — unless an actor posts an offloaded
@@ -497,14 +497,10 @@ impl WireFrame {
 
 struct NodeRt {
     driver: NodeDriver,
-    nic: Nic,
+    nic: Nic<WireFrame>,
     host: Host,
-    /// The frames of the RX ring's descriptors, from acceptance until an
-    /// IRQ service claims them, in descriptor order: each claim is the
-    /// oldest run of them (see [`Nic::take_claim`]).
-    rx_frames: VecDeque<WireFrame>,
-    /// Time-weighted RX-ring occupancy ([`Nic::pending_work`], the length
-    /// of `rx_frames`), set at every accept and every claim.
+    /// Time-weighted RX-ring occupancy ([`Nic::pending_work`]), set at
+    /// every accept and every claim.
     pending_dma: TimeWeighted,
     /// When the armed `DriverTimer` event fires (see [`arm_timer`]).
     driver_timer: Option<Time>,
@@ -686,7 +682,6 @@ impl Nodes {
                     hold_sum_ns: nc.coalesce_hold_ns.sum(),
                     hold_count: nc.coalesce_hold_ns.count(),
                     rx_ring: n.nic.pending_work() as u64,
-                    pending_dma: n.rx_frames.len() as u64,
                     retransmits: dc.eager_retransmits.get(),
                     rerequests: dc.pull_rerequests.get(),
                     reorder_depth: n.driver.reorder_depth(),
@@ -1185,7 +1180,7 @@ impl Nodes {
                 let meta = pkt.meta();
                 let (queue, done) = (&mut ctx.queue, trace_dma(&mut ctx.tracer, node));
                 let nic = &mut self.rt(node).nic;
-                let out = nic.on_frame(now, seq, meta, || queue.reserve_seq(), done);
+                let out = nic.on_frame(now, seq, pkt, meta, || queue.reserve_seq(), done);
                 let desc = out.desc;
                 ctx.trace(now, node, TraceKind::FrameArrival, || match pkt {
                     WireFrame::Omx(p) => TraceData::Packet {
@@ -1197,7 +1192,6 @@ impl Nodes {
                 });
                 if desc.is_some() {
                     let rt = self.rt(node);
-                    rt.rx_frames.push_back(pkt);
                     rt.pending_dma.set(now, rt.nic.pending_work() as f64);
                 } else {
                     ctx.trace(now, node, TraceKind::Drop, || TraceData::Text("ring full"));
@@ -1227,14 +1221,14 @@ impl Nodes {
             }
             Ev::IrqService { node, core } => {
                 // The handler reads the ring when it runs: it takes the frames
-                // its interrupt claimed off the front of the node's frame
-                // queue, straight into a recycled batch — steady-state
-                // dispatch allocates nothing.
+                // its interrupt claimed off the front of the NIC's RX ring,
+                // straight into a recycled batch — steady-state dispatch
+                // allocates nothing.
                 let mut batch = self.batch_pool.pop().unwrap_or_default();
                 let rt = self.rt(node);
                 let claim = rt.nic.take_claim();
-                let frames = (claim.end - claim.start) as usize;
-                batch.extend(rt.rx_frames.drain(..frames).filter_map(|f| match f {
+                let frames = claim.len();
+                batch.extend(claim.filter_map(|f| match f {
                     WireFrame::Omx(p) => Some(p),
                     WireFrame::Raw { .. } => None, // dropped by the stack
                     WireFrame::Coll(_) => unreachable!("offload frames never enter the RX ring"),
@@ -1385,8 +1379,19 @@ pub struct Cluster {
 
 impl Cluster {
     /// Build from a full config (see also [`ClusterBuilder`]).
+    ///
+    /// # Panics
+    /// Panics if the config has no node, or if `fabric.mtu` and
+    /// `proto.mtu` differ.
     pub fn new(cfg: ClusterConfig) -> Self {
         assert!(cfg.nodes >= 1, "cluster needs at least one node");
+        assert!(
+            cfg.fabric.mtu == cfg.proto.mtu,
+            "fabric MTU {} and protocol MTU {} differ: the driver would fragment \
+             for the wrong frame size (set both, as ClusterBuilder::mtu does)",
+            cfg.fabric.mtu,
+            cfg.proto.mtu
+        );
         let mut rng = SimRng::new(cfg.seed);
         let fabric = EthernetFabric::new(
             cfg.nodes,
@@ -1403,7 +1408,6 @@ impl Cluster {
                 driver: NodeDriver::new(i as u16, cfg.endpoints_per_node, cfg.proto),
                 nic: Nic::new(cfg.nic.clone()),
                 host: Host::new(cfg.host),
-                rx_frames: VecDeque::new(),
                 pending_dma: TimeWeighted::default(),
                 driver_timer: None,
                 coalesce_timer: None,
@@ -2438,6 +2442,16 @@ mod tests {
         assert_every_taken_frame_completed(&cluster);
     }
 
+    /// A fabric MTU set without the protocol's would have the driver
+    /// fragment at 1500 B over a 9000 B fabric; the cluster refuses it.
+    #[test]
+    #[should_panic(expected = "fabric MTU 9000 and protocol MTU 1500 differ")]
+    fn split_mtu_config_panics() {
+        let mut builder = ClusterBuilder::new();
+        builder.config_mut().fabric.mtu = 9000;
+        builder.build();
+    }
+
     /// A completion nothing will ever settle fails the run at quiescence,
     /// in release builds too, instead of leaving its packet out of the
     /// results.
@@ -2449,10 +2463,12 @@ mod tests {
         // the coalescing timer, but no timer event is scheduled, so no
         // entry point will ever settle the completion.
         let queue = &mut cluster.ctx.queue;
+        let frame = WireFrame::Raw { payload_len: 64 };
         let out = cluster.nodes.rts[1].nic.on_frame(
             Time::ZERO,
             queue.reserve_seq(),
-            PacketMeta::omx(64, true),
+            frame,
+            frame.meta(),
             || queue.reserve_seq(),
             |_| {},
         );
@@ -2573,25 +2589,31 @@ mod tests {
         );
     }
 
-    /// The host side's receive queue is the RX-ring occupancy: at every
-    /// window boundary of a Stream run, it holds exactly the frames the NIC
-    /// owes the host, DMA in flight or ready.
+    /// The exported `pending_dma` key is the RX-ring occupancy: on every
+    /// node line of a Stream run's JSONL timeline it equals `rx_ring`, and
+    /// some boundary falls on an occupied ring.
     #[test]
     fn pending_dma_reads_the_rx_ring_occupancy() {
+        use omx_sim::json::Json;
         let mut cluster = lossy_stream_cluster();
         cluster.enable_telemetry(TelemetryConfig {
             window_ns: 10_000,
             ..TelemetryConfig::default()
         });
         cluster.run(Time::MAX);
-        let tel = cluster.telemetry().expect("telemetry enabled");
-        let mut occupied = 0;
-        for node in 0..2 {
-            for w in tel.node_windows(node) {
-                assert_eq!(w.pending_dma, w.rx_ring, "node {node} at {}", w.end_ns);
-                occupied += usize::from(w.rx_ring > 0);
+        let jsonl = cluster.telemetry().expect("telemetry enabled").to_jsonl();
+        let (mut nodes, mut occupied) = (0, 0);
+        for line in jsonl.lines() {
+            let rec = Json::parse(line).expect("valid JSONL");
+            if rec.get("kind").and_then(Json::as_str) != Some("node") {
+                continue;
             }
+            let field = |key| rec.get(key).and_then(Json::as_u64).expect(key);
+            assert_eq!(field("pending_dma"), field("rx_ring"), "{line}");
+            nodes += 1;
+            occupied += usize::from(field("rx_ring") > 0);
         }
+        assert!(nodes > 0, "node lines exported");
         assert!(occupied > 0, "some boundary falls on an occupied ring");
     }
 

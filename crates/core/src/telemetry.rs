@@ -68,11 +68,6 @@ pub struct NodeTap {
     /// RX-ring slots occupied right now: frames from arrival until an IRQ
     /// service claims them ([`omx_nic::Nic::pending_work`]).
     pub rx_ring: u64,
-    /// Frames in the node's receive queue right now, from arrival until an
-    /// IRQ service claims them: the same occupancy as `rx_ring`, read from
-    /// the host side of the ring. Not only DMAs in flight; the name is kept
-    /// for the JSON shape.
-    pub pending_dma: u64,
     /// Cumulative eager retransmissions sent.
     pub retransmits: u64,
     /// Cumulative rendezvous pull re-requests sent.
@@ -107,9 +102,6 @@ pub struct NodeWindow {
     pub hold_count: u64,
     /// RX-ring occupancy at the window boundary.
     pub rx_ring: u64,
-    /// Receive-queue occupancy at the window boundary: equal to `rx_ring`
-    /// (see [`NodeTap::pending_dma`]), not DMAs in flight.
-    pub pending_dma: u64,
     /// Eager retransmissions during the window.
     pub retransmits: u64,
     /// Pull re-requests during the window.
@@ -271,7 +263,6 @@ impl Telemetry {
             hold_sum_ns: hold_delta,
             hold_count: tap.hold_count - s.prev.hold_count,
             rx_ring: tap.rx_ring,
-            pending_dma: tap.pending_dma,
             retransmits: tap.retransmits - s.prev.retransmits,
             rerequests: tap.rerequests - s.prev.rerequests,
             reorder_depth: tap.reorder_depth,
@@ -333,7 +324,9 @@ impl Telemetry {
                     ("hold_sum_ns", Json::U64(w.hold_sum_ns)),
                     ("hold_count", Json::U64(w.hold_count)),
                     ("rx_ring", Json::U64(w.rx_ring)),
-                    ("pending_dma", Json::U64(w.pending_dma)),
+                    // The RX-ring occupancy again: the key is kept for the
+                    // pinned JSON shape.
+                    ("pending_dma", Json::U64(w.rx_ring)),
                     ("retransmits", Json::U64(w.retransmits)),
                     ("rerequests", Json::U64(w.rerequests)),
                     ("reorder_depth", Json::U64(w.reorder_depth)),
@@ -385,7 +378,8 @@ impl Telemetry {
                 events.push(counter("tel/interrupts", pid, w.end_ns, w.interrupts));
                 events.push(counter("tel/hold_sum_ns", pid, w.end_ns, w.hold_sum_ns));
                 events.push(counter("tel/rx_ring", pid, w.end_ns, w.rx_ring));
-                events.push(counter("tel/pending_dma", pid, w.end_ns, w.pending_dma));
+                // The RX-ring occupancy again, kept for the pinned shape.
+                events.push(counter("tel/pending_dma", pid, w.end_ns, w.rx_ring));
                 events.push(counter("tel/retransmits", pid, w.end_ns, w.retransmits));
                 events.push(counter("tel/rerequests", pid, w.end_ns, w.rerequests));
                 events.push(counter("tel/reorder_depth", pid, w.end_ns, w.reorder_depth));

@@ -1,8 +1,8 @@
 //! The composite NIC state machine.
 //!
-//! [`Nic`] glues RX ring accounting, the [DMA engine](crate::dma) and a [`Coalescer`]
-//! into the passive component the cluster orchestrator drives. The split of
-//! responsibilities follows the hardware:
+//! [`Nic`] glues the RX ring, its write-DMA channel ([`DmaConfig`]) and a
+//! [`Coalescer`] into the passive component the cluster orchestrator
+//! drives. The split of responsibilities follows the hardware:
 //!
 //! * the **strategy** (firmware logic) decides *when it wants* an interrupt,
 //! * the **Nic** (hardware) enforces the physical gates — interrupts are
@@ -10,6 +10,16 @@
 //!   with nothing to report is latched until a packet is ready, and the
 //!   single coalescing timer fires only once its armed deadline is due, so
 //!   a timer event from a superseded arming is a no-op.
+//!
+//! The RX ring is one FIFO of descriptors, each holding the frame received
+//! into it, from arrival until the host takes it. A frame takes the next
+//! descriptor when it arrives, its write DMA completes in descriptor order,
+//! and every raise claims the whole run of completed descriptors not yet
+//! claimed. Cursors split the ring into its regions, oldest first: claimed
+//! by the in-flight interrupt, claimed by raises queued while interrupts
+//! were masked, ready, and DMA in flight. So a claim is always the oldest
+//! descriptors the NIC owes the host, and [`Nic::take_claim`] hands the
+//! host their frames off the ring's front.
 //!
 //! Every entry point takes the key `(now, seq)` of the event that calls it.
 //! DMA completions are *settled lazily*: each entry point first completes,
@@ -24,11 +34,11 @@
 //! itself, from [`Nic::timer_deadline`], after every call.
 
 use crate::coalesce::{Coalescer, CoalescingStrategy, Decision, TimerAction};
-use crate::dma::{DmaConfig, DmaEngine, Transfer};
+use crate::dma::DmaConfig;
 use crate::packet::{DescId, PacketClass, PacketMeta};
 use omx_sim::stats::{Counter, Histogram};
 use omx_sim::Time;
-use std::ops::Range;
+use std::collections::VecDeque;
 
 /// Static NIC configuration.
 #[derive(Debug, Clone)]
@@ -51,15 +61,17 @@ impl Default for NicConfig {
     }
 }
 
-/// A packet sitting in host memory, ready for the host receive handler.
-#[derive(Debug, Clone, Copy)]
-struct ReadyPacket {
-    /// Descriptor id.
-    desc: DescId,
-    /// Frame metadata.
+/// One RX-ring descriptor: the frame received into it and its write DMA.
+struct Slot<F> {
+    frame: F,
     meta: PacketMeta,
-    /// When its DMA completed (host-visible time).
-    completed_at: Time,
+    /// When the DMA completes (host-visible time).
+    at: Time,
+    /// Event sequence number reserved for the completion: with `at`, its
+    /// place in the event order.
+    seq: u64,
+    /// A completion event was scheduled at `(at, seq)`.
+    evented: bool,
 }
 
 /// A DMA completion by its event key `(at, seq)`: one that needs an event
@@ -124,27 +136,32 @@ omx_sim::impl_to_json!(NicCounters {
     coalesce_hold_ns,
 });
 
-/// The simulated NIC.
-pub struct Nic {
+/// The simulated NIC, carrying frames of type `F` from the wire to the
+/// host.
+pub struct Nic<F> {
     cfg: NicConfig,
     strategy: Coalescer,
-    /// Transfers in flight, FIFO, each with its frame's metadata and the
-    /// key of its completion.
-    dma: DmaEngine,
-    /// Packets in host memory awaiting an interrupt to claim them.
-    ready: Vec<ReadyPacket>,
-    /// Packets claimed by the in-flight interrupt (snapshot taken when the
-    /// interrupt was raised — the handler processes exactly these).
-    claimed: Vec<ReadyPacket>,
-    /// Raise requests that arrived while an interrupt was in flight: each
-    /// carries its own packet snapshot and is delivered as its own interrupt
-    /// when the host re-enables (per-packet interrupts persist under load,
-    /// as Table V of the paper measures for disabled coalescing).
-    pending_claims: std::collections::VecDeque<Vec<ReadyPacket>>,
+    /// The RX ring: one slot per descriptor the NIC owes the host,
+    /// `taken..next_desc`, oldest first. The cursors below split it into
+    /// `taken..claimed` (claimed by the in-flight interrupt), the queued
+    /// claims, `..completed` (ready) and `completed..next_desc` (DMA in
+    /// flight).
+    ring: VecDeque<Slot<F>>,
+    /// Descriptors the host has taken so far: the id of the ring's front.
+    taken: u64,
+    /// End of the in-flight interrupt's claim.
+    claimed: u64,
+    /// End of each claim raised while interrupts were masked, oldest
+    /// first: each is delivered as its own interrupt when the host
+    /// re-enables (per-packet interrupts persist under load, as Table V of
+    /// the paper measures for disabled coalescing).
+    queued: VecDeque<u64>,
+    /// Descriptors whose DMA has completed: the id of the oldest in flight.
+    completed: u64,
     /// Descriptors handed out so far: the next one's id.
     next_desc: u64,
-    /// Descriptors the host has taken so far: the next claim's first.
-    taken: u64,
+    /// Marked transfers in flight.
+    marked_in_flight: usize,
     /// Interrupts are auto-masked from raise until the host re-enables them.
     irq_enabled: bool,
     /// A raise was requested while masked (or with nothing ready): deliver
@@ -156,30 +173,26 @@ pub struct Nic {
     /// read it as the label of a timer firing; [`Nic::settle`] reads it to
     /// tell that a completion acted.
     timer_epoch: u64,
-    /// Recycled claim vectors: every snapshot taken by `try_raise` comes
-    /// from here and returns via `deliver`, so steady-state claim/drain
-    /// cycles allocate nothing.
-    spare_claims: Vec<Vec<ReadyPacket>>,
     counters: NicCounters,
 }
 
-impl Nic {
+impl<F> Nic<F> {
     /// Build a NIC from its configuration.
     pub fn new(cfg: NicConfig) -> Self {
         Nic {
             strategy: cfg.strategy.build(),
-            dma: DmaEngine::new(cfg.dma),
             cfg,
-            ready: Vec::new(),
-            claimed: Vec::new(),
-            pending_claims: std::collections::VecDeque::new(),
-            next_desc: 0,
+            ring: VecDeque::new(),
             taken: 0,
+            claimed: 0,
+            queued: VecDeque::new(),
+            completed: 0,
+            next_desc: 0,
+            marked_in_flight: 0,
             irq_enabled: true,
             irq_latched: false,
             timer_deadline: None,
             timer_epoch: 0,
-            spare_claims: Vec::new(),
             counters: NicCounters::default(),
         }
     }
@@ -202,27 +215,25 @@ impl Nic {
     /// Total packets the NIC still owes the host: DMAs in flight, ready
     /// packets awaiting an interrupt, and claims not yet taken. This is the
     /// RX-ring occupancy [`Nic::on_frame`] admits against `rx_ring_slots`;
-    /// settling a completion moves a packet from the first term to the
-    /// second, so it holds between events too. Non-zero at quiescence means
-    /// an interrupt-liveness violation — a coalescer held packets forever
+    /// settling a completion moves a packet between regions of the ring,
+    /// so it holds between events too. Non-zero at quiescence means an
+    /// interrupt-liveness violation — a coalescer held packets forever
     /// without raising.
     pub fn pending_work(&self) -> usize {
-        let owed = (self.next_desc - self.taken) as usize;
-        debug_assert_eq!(
-            owed,
-            self.dma.pending()
-                + self.ready.len()
-                + self.claimed.len()
-                + self.pending_claims.iter().map(Vec::len).sum::<usize>()
-        );
-        owed
+        self.ring.len()
     }
 
     /// The oldest transfer not yet settled. Once the event queue has
     /// drained there must be none: every completion is settled by its own
     /// event or by a later entry point.
     pub fn unsettled_dma(&self) -> Option<DmaCompletion> {
-        self.dma.head().map(completion)
+        self.ring
+            .get(self.index(self.completed))
+            .map(|s| DmaCompletion {
+                desc: DescId(self.completed),
+                at: s.at,
+                seq: s.seq,
+            })
     }
 
     /// When the coalescing timer is due, if it is armed. The caller keeps
@@ -247,35 +258,38 @@ impl Nic {
     /// re-arms the timer) or already has an event: it should have been
     /// reported as a wake and completed by that event.
     pub fn settle(&mut self, now: Time, seq: u64, mut done: impl FnMut(DmaCompletion)) {
-        while let Some(&t) = self.dma.head() {
-            if t.key() >= (now, seq) {
+        while let Some(head) = self.unsettled_dma() {
+            if (head.at, head.seq) >= (now, seq) {
                 break;
             }
             assert!(
-                !t.evented,
+                !self.ring[self.index(self.completed)].evented,
                 "DMA completion of {:?} at {} was woken but its event never ran",
-                t.desc, t.at
+                head.desc,
+                head.at
             );
             let mut out = NicOutcome::default();
             let epoch = self.timer_epoch;
-            self.complete(t.desc, &mut out);
+            self.complete(&mut out);
             assert!(
                 self.timer_epoch == epoch && !out.interrupt,
                 "lazily settled DMA completion of {:?} at {} acted: it needed a wake",
-                t.desc,
-                t.at
+                head.desc,
+                head.at
             );
-            done(completion(&t));
+            done(head);
         }
     }
 
-    /// A frame arrived off the wire: the event at `(now, seq)`.
-    /// `reserve_seq` is called once if the frame is accepted, for the
-    /// sequence number its DMA completion takes.
+    /// A frame arrived off the wire: the event at `(now, seq)`. `meta` is
+    /// what the firmware sees of `frame`. `reserve_seq` is called once if
+    /// the frame is accepted, for the sequence number its DMA completion
+    /// takes; a dropped frame is dropped here.
     pub fn on_frame(
         &mut self,
         now: Time,
         seq: u64,
+        frame: F,
         meta: PacketMeta,
         reserve_seq: impl FnOnce() -> u64,
         done: impl FnMut(DmaCompletion),
@@ -285,7 +299,7 @@ impl Nic {
         if self.pending_work() >= self.cfg.rx_ring_slots as usize {
             self.counters.ring_drops.incr();
         } else {
-            self.accept(now, meta, reserve_seq(), &mut out);
+            self.accept(now, frame, meta, reserve_seq(), &mut out);
         }
         self.schedule_wake(&mut out);
         out
@@ -293,7 +307,7 @@ impl Nic {
 
     /// Take an arriving frame into the next descriptor and start its DMA;
     /// `seq` is the sequence number reserved for the completion.
-    fn accept(&mut self, now: Time, meta: PacketMeta, seq: u64, out: &mut NicOutcome) {
+    fn accept(&mut self, now: Time, frame: F, meta: PacketMeta, seq: u64, out: &mut NicOutcome) {
         self.counters.packets.incr();
         match meta.class {
             PacketClass::OpenMx => self.counters.omx_packets.incr(),
@@ -304,10 +318,20 @@ impl Nic {
             self.counters.marked_packets.incr();
         }
 
-        let desc = DescId(self.next_desc);
+        // One FIFO DMA channel: a transfer starts when the previous one
+        // completes, or now if the channel is idle. An empty ring has
+        // nothing in flight.
+        let start = self.ring.back().map_or(now, |s| s.at.max(now));
+        self.ring.push_back(Slot {
+            frame,
+            meta,
+            at: start + self.cfg.dma.transfer_time(meta.len_bytes),
+            seq,
+            evented: false,
+        });
+        self.marked_in_flight += usize::from(meta.marked);
+        out.desc = Some(DescId(self.next_desc));
         self.next_desc += 1;
-        self.dma.submit(now, desc, meta, seq);
-        out.desc = Some(desc);
 
         let decision = self.strategy.on_packet_arrival(now);
         self.apply(now, decision, out);
@@ -324,15 +348,15 @@ impl Nic {
         mut done: impl FnMut(DmaCompletion),
     ) -> NicOutcome {
         self.settle(now, seq, &mut done);
-        let head = self.dma.head().map(Transfer::key);
+        let c = DmaCompletion { desc, at: now, seq };
         assert_eq!(
-            head,
-            Some((now, seq)),
+            self.unsettled_dma(),
+            Some(c),
             "completion event for {desc:?} is not the DMA head"
         );
         let mut out = NicOutcome::default();
-        self.complete(desc, &mut out);
-        done(DmaCompletion { desc, at: now, seq });
+        self.complete(&mut out);
+        done(c);
         self.schedule_wake(&mut out);
         out
     }
@@ -364,8 +388,8 @@ impl Nic {
         self.settle(now, seq, done);
         let mut out = NicOutcome::default();
         self.irq_enabled = true;
-        if let Some(claim) = self.pending_claims.pop_front() {
-            self.deliver(now, claim, &mut out);
+        if let Some(end) = self.queued.pop_front() {
+            self.deliver(now, end, &mut out);
         } else {
             self.flush_latched(now, &mut out);
         }
@@ -382,10 +406,10 @@ impl Nic {
     /// DMA completion and after every interrupt re-enable (a packet may
     /// complete while an earlier claim is still queued).
     fn safety_rearm(&mut self, now: Time, out: &mut NicOutcome) {
-        if !self.ready.is_empty()
+        if self.has_ready()
             && self.timer_deadline.is_none()
             && !out.interrupt
-            && self.pending_claims.is_empty()
+            && self.queued.is_empty()
         {
             if let Some(delay) = self.strategy.fallback_delay() {
                 self.timer_epoch += 1;
@@ -397,57 +421,63 @@ impl Nic {
     /// Flow id of the in-flight interrupt's first claimed packet (multiqueue
     /// steering input; 0 when nothing is claimed).
     pub fn claimed_flow(&self) -> u64 {
-        self.claimed.first().map(|p| p.meta.flow).unwrap_or(0)
+        match self.ring.front() {
+            Some(s) if self.claimed > self.taken => s.meta.flow,
+            _ => 0,
+        }
     }
 
-    /// The host receive handler takes the packets the in-flight interrupt
-    /// claimed when it was raised, as the range of descriptors they hold.
+    /// The host receive handler takes the frames the in-flight interrupt
+    /// claimed when it was raised, oldest first, off the front of the ring.
     /// Packets whose DMA completed afterwards wait for the next interrupt —
     /// the hardware interrupt carries a snapshot of the event ring, it does
-    /// not grow retroactively.
-    ///
-    /// A claim is always the contiguous run of the oldest descriptors the
-    /// NIC still owes the host: descriptors are handed out in accept order,
-    /// DMA completion and the ready ring are FIFO, each raise snapshots the
-    /// whole ready ring, and claims are delivered in raise order. So the
-    /// caller can keep the accepted frames in one FIFO and take the claim's
-    /// length off its front.
-    ///
-    /// # Panics
-    /// Panics if the claim is not that run of descriptors (one check per
-    /// claim, in release builds too).
-    pub fn take_claim(&mut self) -> Range<u64> {
-        let start = self.taken;
-        let end = start + self.claimed.len() as u64;
-        let (first, last) = (self.claimed.first(), self.claimed.last());
-        assert!(
-            first.is_none_or(|p| p.desc.0 == start) && last.is_none_or(|p| p.desc.0 + 1 == end),
-            "claim {:?}..={:?} is not the oldest owed descriptors {start}..{end}",
-            first.map(|p| p.desc),
-            last.map(|p| p.desc),
-        );
-        self.claimed.clear();
-        self.taken = end;
-        start..end
+    /// not grow retroactively. A claim is taken once; taking it again
+    /// yields nothing.
+    pub fn take_claim(&mut self) -> impl ExactSizeIterator<Item = F> + '_ {
+        let len = self.index(self.claimed);
+        self.taken = self.claimed;
+        self.ring.drain(..len).map(|s| s.frame)
     }
 
     // -- internals -----------------------------------------------------------
 
-    /// Complete the oldest transfer, which must be `desc`'s, at its own
-    /// completion time: the firmware's write-DMA completion routine.
-    fn complete(&mut self, desc: DescId, out: &mut NicOutcome) {
-        let (t, pending) = self.dma.complete(desc);
-        self.ready.push(ReadyPacket {
-            desc,
-            meta: t.meta,
-            completed_at: t.at,
-        });
-        let decision = self.strategy.on_dma_complete(t.meta.marked, pending);
-        self.apply(t.at, decision, out);
+    /// Position of descriptor `desc` in the ring.
+    fn index(&self, desc: u64) -> usize {
+        (desc - self.taken) as usize
+    }
+
+    /// Transfers in flight.
+    fn in_flight(&self) -> usize {
+        (self.next_desc - self.completed) as usize
+    }
+
+    /// Completed packets that no raise has claimed yet.
+    fn has_ready(&self) -> bool {
+        self.completed > self.queued.back().copied().unwrap_or(self.claimed)
+    }
+
+    /// FIFO index, among the transfers in flight, of the oldest marked one.
+    fn first_marked(&self) -> Option<usize> {
+        if self.marked_in_flight == 0 {
+            return None;
+        }
+        let head = self.index(self.completed);
+        self.ring.range(head..).position(|s| s.meta.marked)
+    }
+
+    /// Complete the oldest transfer in flight at its own completion time:
+    /// the firmware's write-DMA completion routine.
+    fn complete(&mut self, out: &mut NicOutcome) {
+        let head = &self.ring[self.index(self.completed)];
+        let (marked, at) = (head.meta.marked, head.at);
+        self.completed += 1;
+        self.marked_in_flight -= usize::from(marked);
+        let decision = self.strategy.on_dma_complete(marked, self.in_flight());
+        self.apply(at, decision, out);
         // A raise latched earlier (e.g. timer fired before any DMA finished)
         // can be delivered now that a packet is ready.
-        self.flush_latched(t.at, out);
-        self.safety_rearm(t.at, out);
+        self.flush_latched(at, out);
+        self.safety_rearm(at, out);
     }
 
     /// Report the first in-flight completion that can act, unless it
@@ -460,32 +490,36 @@ impl Nic {
     /// completions before the first that can act are settled exactly by
     /// whichever event comes first.
     fn schedule_wake(&mut self, out: &mut NicOutcome) {
-        if self.dma.pending() == 0 {
+        let pending = self.in_flight();
+        if pending == 0 {
             return;
         }
         let head_acts = self.irq_latched
             || (self.timer_deadline.is_none()
-                && self.pending_claims.is_empty()
+                && self.queued.is_empty()
                 && self.strategy.fallback_delay().is_some());
         let first = if head_acts {
             0
         } else {
-            let first_marked = self.dma.first_marked();
+            let first_marked = self.first_marked();
             match self
                 .strategy
-                .first_raising_completion(self.dma.pending(), first_marked)
+                .first_raising_completion(pending, first_marked)
             {
                 Some(i) => i,
                 None => return,
             }
         };
-        let t = self
-            .dma
-            .get_mut(first)
-            .expect("the first acting transfer is in flight");
-        if !t.evented {
-            t.evented = true;
-            out.wake = Some(completion(t));
+        let desc = self.completed + first as u64;
+        let i = self.index(desc);
+        let s = &mut self.ring[i];
+        if !s.evented {
+            s.evented = true;
+            out.wake = Some(DmaCompletion {
+                desc: DescId(desc),
+                at: s.at,
+                seq: s.seq,
+            });
         }
     }
 
@@ -507,59 +541,49 @@ impl Nic {
     }
 
     fn try_raise(&mut self, now: Time, out: &mut NicOutcome) {
-        if self.ready.is_empty() {
+        if !self.has_ready() {
             // Nothing in host memory yet: latch until a DMA completes.
             self.irq_latched = true;
             return;
         }
         self.irq_latched = false;
-        // Snapshot: this raise reports exactly the packets ready now. The
-        // replacement vector comes from the recycle pool, so the swap does
-        // not allocate in steady state.
-        let fresh = self.spare_claims.pop().unwrap_or_default();
-        let claim = std::mem::replace(&mut self.ready, fresh);
+        // Snapshot: this raise claims exactly the packets ready now.
+        let end = self.completed;
         self.strategy.on_interrupt();
         // The strategy considers its timer reset after an interrupt;
         // disarm the physical timer to match.
         self.timer_epoch += 1;
         self.timer_deadline = None;
         if self.irq_enabled {
-            self.deliver(now, claim, out);
+            self.deliver(now, end, out);
         } else {
             // Masked: queue; delivered as its own interrupt on re-enable.
-            self.pending_claims.push_back(claim);
+            self.queued.push_back(end);
         }
     }
 
-    fn deliver(&mut self, now: Time, claim: Vec<ReadyPacket>, out: &mut NicOutcome) {
+    /// Deliver the claim that runs from the ring's front to `end` as an
+    /// interrupt at `now`.
+    fn deliver(&mut self, now: Time, end: u64, out: &mut NicOutcome) {
         debug_assert!(self.irq_enabled);
-        debug_assert!(self.claimed.is_empty(), "previous claim not drained");
-        debug_assert!(!claim.is_empty());
+        debug_assert_eq!(self.taken, self.claimed, "previous claim not drained");
+        let len = self.index(end);
+        debug_assert!(len > 0);
         self.irq_enabled = false;
         self.counters.interrupts.incr();
-        self.counters.batch_sizes.record(claim.len() as u64);
-        for pkt in &claim {
-            let hold = now.as_nanos().saturating_sub(pkt.completed_at.as_nanos());
+        self.counters.batch_sizes.record(len as u64);
+        for s in self.ring.range(..len) {
+            let hold = now.as_nanos().saturating_sub(s.at.as_nanos());
             self.counters.coalesce_hold_ns.record(hold);
         }
-        let drained = std::mem::replace(&mut self.claimed, claim);
-        self.spare_claims.push(drained);
+        self.claimed = end;
         out.interrupt = true;
     }
 
     fn flush_latched(&mut self, now: Time, out: &mut NicOutcome) {
-        if self.irq_latched && !self.ready.is_empty() && !out.interrupt {
+        if self.irq_latched && self.has_ready() && !out.interrupt {
             self.try_raise(now, out);
         }
-    }
-}
-
-/// A transfer's completion, by its event key.
-fn completion(t: &Transfer) -> DmaCompletion {
-    DmaCompletion {
-        desc: t.desc,
-        at: t.at,
-        seq: t.seq,
     }
 }
 
@@ -569,11 +593,13 @@ mod tests {
 
     /// A NIC called the way the cluster calls it, one event at a time in
     /// time order: each call's event key takes the next sequence number,
-    /// and so does each accepted frame's DMA completion. `done` collects
-    /// the completions the calls report.
+    /// and so does each accepted frame's DMA completion. Each frame carries
+    /// its arrival index, counting dropped frames too. `done` collects the
+    /// completions the calls report.
     struct Driven {
-        nic: Nic,
+        nic: Nic<u64>,
         seq: u64,
+        arrivals: u64,
         done: Vec<DmaCompletion>,
     }
 
@@ -585,12 +611,15 @@ mod tests {
 
         fn frame(&mut self, now: Time, meta: PacketMeta) -> NicOutcome {
             let key = self.key();
+            let frame = self.arrivals;
+            self.arrivals += 1;
             let (seq, done) = (&mut self.seq, &mut self.done);
             let reserve = || {
                 *seq += 1;
                 *seq
             };
-            self.nic.on_frame(now, key, meta, reserve, |c| done.push(c))
+            self.nic
+                .on_frame(now, key, frame, meta, reserve, |c| done.push(c))
         }
 
         fn complete(&mut self, wake: DmaCompletion) -> NicOutcome {
@@ -610,17 +639,28 @@ mod tests {
             let done = &mut self.done;
             self.nic.enable_irq(now, key, |c| done.push(c))
         }
+
+        fn settle(&mut self, now: Time) {
+            let key = self.key();
+            let done = &mut self.done;
+            self.nic.settle(now, key, |c| done.push(c));
+        }
+
+        /// The frames of the in-flight interrupt's claim.
+        fn claim(&mut self) -> Vec<u64> {
+            self.nic.take_claim().collect()
+        }
     }
 
     impl std::ops::Deref for Driven {
-        type Target = Nic;
-        fn deref(&self) -> &Nic {
+        type Target = Nic<u64>;
+        fn deref(&self) -> &Nic<u64> {
             &self.nic
         }
     }
 
     impl std::ops::DerefMut for Driven {
-        fn deref_mut(&mut self) -> &mut Nic {
+        fn deref_mut(&mut self) -> &mut Nic<u64> {
             &mut self.nic
         }
     }
@@ -636,6 +676,7 @@ mod tests {
                 strategy,
             }),
             seq: 0,
+            arrivals: 0,
             done: Vec::new(),
         }
     }
@@ -656,8 +697,8 @@ mod tests {
         assert!(out.interrupt, "disabled coalescing raises per packet");
         assert_eq!(n.counters().interrupts.get(), 1);
 
-        assert_eq!(n.take_claim(), 0..1);
-        assert_eq!(n.take_claim(), 1..1, "a claim is taken once");
+        assert_eq!(n.claim(), [0]);
+        assert!(n.claim().is_empty(), "a claim is taken once");
 
         // While masked, a further completion latches instead of raising.
         let out = n.frame(t(300), PacketMeta::omx(100, false));
@@ -714,7 +755,7 @@ mod tests {
         let out = n.timer(timer_at);
         assert!(out.interrupt);
         assert_eq!(n.timer_deadline(), None, "a firing disarms");
-        n.take_claim();
+        n.claim();
         n.enable(t(80_000));
         let out = n.timer(timer_at);
         assert_eq!(out, NicOutcome::default(), "disarmed timer is a no-op");
@@ -728,7 +769,7 @@ mod tests {
         let mut n = nic(CoalescingStrategy::Timeout { delay_us: 75 });
         n.frame(t(0), PacketMeta::omx(100, false));
         assert!(n.timer(t(75_000)).interrupt);
-        n.take_claim();
+        n.claim();
         n.enable(t(80_000));
         let epoch = n.timer_epoch();
         n.frame(t(90_000), PacketMeta::omx(100, false));
@@ -783,11 +824,7 @@ mod tests {
         assert_eq!(o1.wake, None, "the unmarked completion cannot act");
         let out = n.complete(o2.wake.expect("the marked completion raises"));
         assert!(out.interrupt, "marked packet raises");
-        assert_eq!(
-            n.take_claim(),
-            0..2,
-            "the unmarked packet was settled first"
-        );
+        assert_eq!(n.claim(), [0, 1], "the unmarked packet was settled first");
         assert_eq!(n.timer_deadline(), None, "the interrupt disarms");
         assert_eq!(n.timer(armed), NicOutcome::default());
     }
@@ -844,7 +881,7 @@ mod tests {
         let out = n.complete(w2);
         assert!(out.interrupt, "raised when the queue drains");
         assert_eq!(n.counters().interrupts.get(), 1);
-        assert_eq!(n.take_claim(), 0..2, "both packets in one batch");
+        assert_eq!(n.claim(), [0, 1], "both packets in one batch");
     }
 
     #[test]
@@ -860,7 +897,11 @@ mod tests {
         assert_eq!(n.counters().ring_drops.get(), 2);
         let at = n.timer_deadline().unwrap();
         assert!(n.timer(at).interrupt);
-        assert_eq!(n.take_claim(), 0..8, "a dropped frame takes no descriptor");
+        assert_eq!(
+            n.claim(),
+            Vec::from_iter(0..8),
+            "the dropped frames are not in it"
+        );
     }
 
     #[test]
@@ -884,7 +925,7 @@ mod tests {
         n.frame(t(0), PacketMeta::omx(100, false));
         let timer_at = n.timer_deadline().unwrap();
         assert!(n.timer(timer_at).interrupt);
-        assert_eq!(n.take_claim(), 0..1, "host takes batch A");
+        assert_eq!(n.claim(), [0], "host takes batch A");
         // Host services it (IRQs masked). Packet B arrives and arms a
         // fresh timer (the interrupt disarmed A's), and completes.
         n.frame(t(80_000), PacketMeta::omx(100, false));
@@ -910,7 +951,7 @@ mod tests {
         let out = n.enable(t(157_000));
         assert!(c_at < t(157_000));
         assert!(out.interrupt, "queued claim delivers");
-        assert_eq!(n.take_claim(), 1..2, "B's claim, not C");
+        assert_eq!(n.claim(), [1], "B's claim, not C");
         // Host finishes batch B: enable with nothing pending. C must have a
         // live timer from one of the two hook points — otherwise it strands.
         n.enable(t(158_000));
@@ -919,7 +960,7 @@ mod tests {
             .expect("safety timer must be armed for packet C");
         let out = n.timer(at);
         assert!(out.interrupt, "packet C claimed via the safety timer");
-        assert_eq!(n.take_claim(), 2..3);
+        assert_eq!(n.claim(), [2]);
     }
 
     #[test]
@@ -959,5 +1000,93 @@ mod tests {
         assert!(out.wake.is_some());
         // The next event comes after the woken completion without it.
         n.timer(t(10_000));
+    }
+
+    #[test]
+    fn queued_claim_holds_until_its_delivery() {
+        // A's interrupt is in service when B's timer raises: B's claim
+        // queues. C arrives behind it. Re-enabling delivers B's claim as
+        // its own interrupt, whose hold runs to that delivery, and whose
+        // flow is B's, not the ring front's before it or C's after it.
+        let mut n = nic(CoalescingStrategy::Timeout { delay_us: 75 });
+        n.frame(t(0), PacketMeta::omx(100, false).with_flow(1));
+        assert!(n.timer(t(75_000)).interrupt);
+        assert_eq!(n.claimed_flow(), 1);
+        assert_eq!(n.claim(), [0]);
+        assert_eq!(n.claimed_flow(), 0, "nothing claimed once taken");
+        n.frame(t(80_000), PacketMeta::omx(100, false).with_flow(2));
+        let out = n.timer(t(155_000));
+        assert!(!out.interrupt, "masked: B's claim queues");
+        assert_eq!(n.claimed_flow(), 0, "a queued claim is not in flight");
+        n.frame(t(160_000), PacketMeta::omx(100, false).with_flow(3));
+        assert!(n.enable(t(200_000)).interrupt, "B's claim delivers");
+        assert_eq!(n.claimed_flow(), 2, "the claim's own first frame");
+        let hold = n.counters().coalesce_hold_ns.clone();
+        assert_eq!(hold.count(), 2);
+        assert_eq!(
+            hold.sum(),
+            ((75_000 - 200) + (200_000 - 80_200)) as f64,
+            "B sat ready until its delivery, not its raise"
+        );
+        assert_eq!(n.counters().batch_sizes.count(), 2);
+        assert_eq!(n.claim(), [1], "C waits for the next interrupt");
+        assert_eq!(n.pending_work(), 1);
+    }
+
+    #[test]
+    fn sparse_submissions_complete_independently() {
+        // An idle DMA channel starts each transfer on arrival.
+        let mut n = nic(CoalescingStrategy::Timeout { delay_us: 75 });
+        n.frame(t(0), PacketMeta::omx(100, false));
+        assert_eq!(n.unsettled_dma().unwrap().at, t(200));
+        n.frame(t(10_000), PacketMeta::omx(100, false));
+        let head = n.unsettled_dma().unwrap();
+        assert_eq!((head.desc, head.at), (DescId(1), t(10_200)));
+        assert_eq!(n.done.len(), 1, "the first settled on the second's arrival");
+    }
+
+    #[test]
+    fn burst_submissions_queue_fifo() {
+        // Three frames at once: each transfer waits for the one before.
+        // Odd arrivals are marked.
+        let mut n = nic(CoalescingStrategy::Timeout { delay_us: 75 });
+        for i in 0..3 {
+            n.frame(t(0), PacketMeta::omx(100, i % 2 == 1));
+        }
+        assert_eq!(n.in_flight(), 3);
+        assert_eq!(n.first_marked(), Some(1));
+        n.settle(t(300));
+        assert_eq!((n.in_flight(), n.first_marked()), (2, Some(0)));
+        n.settle(t(500));
+        assert_eq!((n.in_flight(), n.first_marked()), (1, None));
+        n.settle(t(700));
+        assert_eq!(n.unsettled_dma(), None);
+        let done: Vec<_> = n.done.iter().map(|c| (c.desc.0, c.at)).collect();
+        assert_eq!(done, [(0, t(200)), (1, t(400)), (2, t(600))]);
+        assert_eq!(n.pending_work(), 3, "completed, not yet claimed");
+    }
+
+    #[test]
+    #[should_panic(expected = "not the DMA head")]
+    fn out_of_order_completion_panics() {
+        let mut n = nic(CoalescingStrategy::Timeout { delay_us: 75 });
+        n.frame(t(0), PacketMeta::omx(10, false));
+        n.frame(t(0), PacketMeta::omx(10, false));
+        let head = n.unsettled_dma().unwrap();
+        n.complete(DmaCompletion {
+            desc: DescId(1),
+            ..head
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "not the DMA head")]
+    fn completion_without_submission_panics() {
+        let mut n = nic(CoalescingStrategy::Timeout { delay_us: 75 });
+        n.complete(DmaCompletion {
+            desc: DescId(0),
+            at: t(100),
+            seq: 1,
+        });
     }
 }

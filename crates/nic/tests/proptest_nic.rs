@@ -45,21 +45,26 @@ enum Obs {
 /// scheduled at the key the NIC reports, the timer is armed the way the
 /// cluster arms it (one slot per NIC, a superseded timer event left queued
 /// to fire as a no-op), and the host re-enables interrupts after a service
-/// time taken in turn from `service_ns`.
+/// time taken in turn from `service_ns`. Each frame the RX ring takes
+/// carries its index among the accepted frames, so every claim can be
+/// checked to hand over the oldest frames owed, in order.
 ///
 /// With `every_completion` set the harness is the reference for lazy
 /// settling: before each event it calls [`Nic::on_dma_complete`] for every
 /// transfer in flight that precedes it, at the transfer's own key and in
 /// FIFO order, so the NIC never settles a completion itself.
 struct Sim {
-    nic: Nic,
+    nic: Nic<u64>,
     every_completion: bool,
     queue: BTreeMap<(u64, u64), Ev>,
     seq: u64,
     /// When the queued timer event that covers the NIC's deadline fires.
     timer_slot: Option<u64>,
     service_ns: Vec<u64>,
-    /// Packets claimed so far: the descriptor the next claim starts at.
+    /// Frames the RX ring took so far: the arrival index the next one
+    /// carries as its frame.
+    accepted: u64,
+    /// Packets claimed so far: the arrival index the next claim starts at.
     claimed: u64,
     irqs: u64,
     dma_events: u64,
@@ -78,6 +83,7 @@ impl Sim {
             seq: 0,
             timer_slot: None,
             service_ns,
+            accepted: 0,
             claimed: 0,
             irqs: 0,
             dma_events: 0,
@@ -114,12 +120,16 @@ impl Sim {
             }
         }
         if out.interrupt {
-            // Claims are contiguous, non-empty and consecutive: each starts
-            // at the oldest descriptor the NIC still owes.
-            let claim = self.nic.take_claim();
-            assert_eq!(claim.start, self.claimed, "claims skip or repeat");
-            assert!(claim.end > claim.start, "an interrupt claims nothing");
-            self.claimed = claim.end;
+            // Claims are contiguous, non-empty and consecutive: each yields
+            // the arrival indices of the oldest frames the NIC still owes,
+            // in order.
+            let start = self.claimed;
+            for frame in self.nic.take_claim() {
+                assert_eq!(frame, self.claimed, "claims skip, repeat or reorder");
+                self.claimed += 1;
+            }
+            assert!(self.claimed > start, "an interrupt claims nothing");
+            let claim = start..self.claimed;
             let service = self.service_ns[self.irqs as usize % self.service_ns.len()];
             self.irqs += 1;
             self.log.push(Obs::Interrupt { at: now, claim });
@@ -205,11 +215,13 @@ impl Sim {
             *seq += 1;
             *seq
         };
+        let frame = self.accepted;
         let out = self
             .nic
-            .on_frame(Time::from_nanos(now), key, meta, reserve, |c| {
+            .on_frame(Time::from_nanos(now), key, frame, meta, reserve, |c| {
                 completed.push(c)
             });
+        self.accepted += u64::from(out.desc.is_some());
         self.apply(out, (now, key));
         out.desc.is_some()
     }
