@@ -24,11 +24,11 @@
 //!       "events_per_frame": 6.41304,
 //!       "by_kind": {"FrameArrival": 100000, "DmaComplete": 100000, …},
 //!       "queue": {
-//!         "heap_pushes": 560780,     // pushes straight into the heap
-//!         "promoted": 80528,         // wheel entries moved into the heap
+//!         "heap_pushes": 491666,     // pushes straight into the heap
+//!         "promoted": 49642,         // wheel entries moved into the heap
 //!         "cascaded": 40546,         // wheel entries moved to a lower level
 //!         "heap_len_at_pop_sum": …,  // heap length summed over every pop
-//!         "mean_heap_len_at_pop": …  // that sum per event
+//!         "mean_heap_len_at_pop": …  // that sum per event-queue pop
 //!       }
 //!     }
 //!   ]
@@ -38,7 +38,9 @@
 //! `by_kind` lists every event kind in declaration order
 //! ([`omx_core::system::Cluster::event_counts`]), zeros included. `queue`
 //! is [`omx_sim::QueueStats`]: every event popped once, so a layout change
-//! in the queue moves only these counts, never `by_kind`.
+//! in the queue moves only these counts, never `by_kind`. Frames in flight
+//! (`FrameArrival`, `ShmDeliver`) wait in per-node inbound queues and never
+//! enter the event queue, so `queue` does not count them.
 
 use omx_core::prelude::*;
 use omx_core::system::EventCounts;
@@ -82,7 +84,7 @@ fn entry(id: &str, frames: u64, by_kind: EventCounts, queue: QueueStats) -> Json
                 ("heap_len_at_pop_sum", Json::U64(queue.heap_len_at_pop_sum)),
                 (
                     "mean_heap_len_at_pop",
-                    Json::F64(queue.heap_len_at_pop_sum as f64 / events.max(1) as f64),
+                    Json::F64(queue.heap_len_at_pop_sum as f64 / queue.pops.max(1) as f64),
                 ),
             ]),
         ),

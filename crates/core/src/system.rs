@@ -16,10 +16,12 @@
 //! ```
 //!
 //! [`Cluster::run`] is the event loop: it pops one event at a time and
-//! dispatches it against the node it names. Every hardware and software
-//! latency is charged through the [`omx_host::CostModel`], so the paper's
-//! experiments are a matter of configuring strategy/routing/sleep knobs and
-//! reading [`crate::metrics::ClusterMetrics`] back.
+//! dispatches it against the node it names. Frames in flight wait in
+//! per-node inbound queues beside the event queue, keyed like events, and
+//! the loop dispatches whichever key comes first. Every hardware and
+//! software latency is charged through the [`omx_host::CostModel`], so the
+//! paper's experiments are a matter of configuring strategy/routing/sleep
+//! knobs and reading [`crate::metrics::ClusterMetrics`] back.
 //!
 //! Intra-node messages use the Open-MX shared-memory path (no NIC, no
 //! interrupts), matching the paper's NAS runs where 8 of every 16 ranks are
@@ -40,7 +42,7 @@ use omx_nic::offload::{
 use omx_nic::{CoalescingStrategy, DescId, DmaCompletion, Nic, NicConfig, NicOutcome, PacketMeta};
 use omx_sim::rng::SimRng;
 use omx_sim::stats::TimeWeighted;
-use omx_sim::{EventQueue, QueueStats, StopCondition, Time, TimeDelta};
+use omx_sim::{EventQueue, InboundQueues, QueueStats, Source, StopCondition, Time, TimeDelta};
 use std::any::Any;
 
 // ---------------------------------------------------------------------------
@@ -369,10 +371,11 @@ impl ActorCtx<'_> {
 // Events
 // ---------------------------------------------------------------------------
 
+/// An event of the event queue. Frames in flight are not events: they
+/// wait in per-node inbound queues as [`Arrival`]s, dispatched as the
+/// `FrameArrival` and `ShmDeliver` kinds.
 #[derive(Debug)]
 enum Ev {
-    /// A frame arrived at a node's NIC from the wire.
-    FrameArrival { node: u16, pkt: WireFrame },
     /// A NIC DMA transfer completed, and the NIC can act on it (see
     /// [`Nic::settle`]): scheduled at the key reserved when its frame
     /// arrived.
@@ -401,8 +404,6 @@ enum Ev {
     AppTimer { node: u16, ep: u8, token: u64 },
     /// Kick an actor's `on_start`.
     AppStart { node: u16, ep: u8 },
-    /// Intra-node shared-memory delivery.
-    ShmDeliver { node: u16, pkt: Packet },
     /// The NIC offload engine's retransmission timer.
     OffloadTimer { node: u16 },
     /// Deliver a NIC-offloaded collective completion to an actor (after
@@ -410,14 +411,16 @@ enum Ev {
     OffloadDone { node: u16, ep: u8, seq: u32 },
 }
 
-/// Number of [`Ev`] variants: the length of the per-kind dispatch counter.
+/// Number of dispatched kinds, the [`Ev`] variants and the two [`Arrival`]
+/// kinds: the length of the per-kind dispatch counter.
 const EV_KINDS: usize = 13;
 
 /// Events dispatched per kind, in event-kind declaration order and named
 /// after the kind (see [`Cluster::event_counts`]).
 pub type EventCounts = [(&'static str, u64); EV_KINDS];
 
-/// [`Ev`] variant names, in declaration order.
+/// Dispatched kind names: the [`Ev`] variants in declaration order, with
+/// the [`Arrival`] kinds at 0 and 10.
 const EV_KIND_NAMES: [&str; EV_KINDS] = [
     "FrameArrival",
     "DmaComplete",
@@ -438,7 +441,6 @@ impl Ev {
     /// Index of this variant in [`EV_KIND_NAMES`].
     fn kind(&self) -> usize {
         match self {
-            Ev::FrameArrival { .. } => 0,
             Ev::DmaComplete { .. } => 1,
             Ev::CoalesceTimer { .. } => 2,
             Ev::IrqService { .. } => 3,
@@ -448,9 +450,28 @@ impl Ev {
             Ev::AppSend { .. } => 7,
             Ev::AppTimer { .. } => 8,
             Ev::AppStart { .. } => 9,
-            Ev::ShmDeliver { .. } => 10,
             Ev::OffloadTimer { .. } => 11,
             Ev::OffloadDone { .. } => 12,
+        }
+    }
+}
+
+/// A frame in flight to a node, waiting in its inbound queue.
+#[derive(Debug)]
+enum Arrival {
+    /// A frame arrives at the node's NIC from the wire (or the NIC's own
+    /// offload loopback): the `FrameArrival` kind.
+    Wire(WireFrame),
+    /// Intra-node shared-memory delivery: the `ShmDeliver` kind.
+    Shm(Packet),
+}
+
+impl Arrival {
+    /// Index of this kind in [`EV_KIND_NAMES`].
+    fn kind(&self) -> usize {
+        match self {
+            Arrival::Wire(_) => 0,
+            Arrival::Shm(_) => 10,
         }
     }
 }
@@ -517,11 +538,14 @@ struct NodeRt {
 // ---------------------------------------------------------------------------
 
 /// The side effects a [`Nodes`] dispatch reaches the rest of the world
-/// through: the event queue and clock, the (shared) fabric, tracing, and
-/// the sanitizer. Kept apart from [`Nodes`] so a handler can mutate node
-/// state and apply effects at the same time.
+/// through: the event queue, the inbound queues and the clock, the
+/// (shared) fabric, tracing, and the sanitizer. Kept apart from [`Nodes`]
+/// so a handler can mutate node state and apply effects at the same time.
 struct Ctx {
     queue: EventQueue<Ev>,
+    /// Frames in flight, per destination node, keyed from `queue`'s
+    /// sequence numbers (see [`Ctx::send_inbound`]).
+    inbound: InboundQueues<Arrival>,
     /// Time of the last dispatched event (or of the horizon that cut a run).
     now: Time,
     /// Sequence number of the last dispatched event: with `now`, the key
@@ -567,6 +591,30 @@ impl Ctx {
         self.queue.push_at(wake.at, wake.seq, ev);
     }
 
+    /// Make `(now, seq)` the key of the event or frame being dispatched.
+    /// Keys only grow: each queue pops in key order, and the loop takes the
+    /// smaller of their heads.
+    fn enter(&mut self, now: Time, seq: u64) {
+        debug_assert!(
+            (now, seq) >= (self.now, self.seq),
+            "dispatch went back from {:?} to {:?}",
+            (self.now, self.seq),
+            (now, seq)
+        );
+        (self.now, self.seq) = (now, seq);
+    }
+
+    /// Queue `arrival` for `node` at `at`, at the key an event pushed now
+    /// would take.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past, as [`Ctx::schedule_at`] does.
+    fn send_inbound(&mut self, at: Time, node: u16, arrival: Arrival) {
+        let seq = self.queue.reserve_seq();
+        self.inbound
+            .push(self.now, at, seq, usize::from(node), arrival);
+    }
+
     /// Hand a frame from node `src` to the fabric at `t`; the caller has
     /// already paid the doorbell or firmware hop. A lost or tail-dropped
     /// frame schedules nothing and is traced as a `Drop` on `src`: the
@@ -581,13 +629,7 @@ impl Ctx {
         );
         let reason = match outcome {
             TransmitOutcome::Arrives(at) => {
-                self.schedule_at(
-                    at,
-                    Ev::FrameArrival {
-                        node: dst,
-                        pkt: frame,
-                    },
-                );
+                self.send_inbound(at, dst, Arrival::Wire(frame));
                 return;
             }
             TransmitOutcome::Lost => "wire loss",
@@ -767,10 +809,8 @@ impl Nodes {
             let bytes = pkt.payload_len() as u64;
             let delay =
                 self.cfg.shm_latency_ns + (bytes * 1_000).div_ceil(self.cfg.shm_bytes_per_us);
-            ctx.schedule_at(
-                now + TimeDelta::from_nanos(delay as i64),
-                Ev::ShmDeliver { node: dst, pkt },
-            );
+            let at = now + TimeDelta::from_nanos(delay as i64);
+            ctx.send_inbound(at, dst, Arrival::Shm(pkt));
             return;
         }
         let doorbell = self.cfg.host.costs.tx_doorbell_ns;
@@ -951,13 +991,7 @@ impl Nodes {
                     if frame.dst_node == node {
                         // NIC-internal loopback (co-located ranks): never
                         // touches the fabric, cannot be lost.
-                        ctx.schedule_at(
-                            at,
-                            Ev::FrameArrival {
-                                node,
-                                pkt: WireFrame::Coll(frame),
-                            },
-                        );
+                        ctx.send_inbound(at, node, Arrival::Wire(WireFrame::Coll(frame)));
                     } else {
                         ctx.transmit_wire(
                             at,
@@ -1158,46 +1192,59 @@ fn line_group(src: EndpointAddr, dst_ep: u8, eps: usize) -> usize {
 }
 
 impl Nodes {
+    /// Dispatch a frame that reached `node`, popped off its inbound queue
+    /// at the key `(now, seq)`.
+    fn arrive(&mut self, now: Time, seq: u64, node: u16, arrival: Arrival, ctx: &mut Ctx) {
+        self.event_counts[arrival.kind()] += 1;
+        let pkt = match arrival {
+            Arrival::Wire(frame) => frame,
+            Arrival::Shm(pkt) => {
+                self.drive(node, now, None, ctx, |d, a, _| {
+                    d.handle_packet_into(now, pkt, a)
+                });
+                return;
+            }
+        };
+        if let WireFrame::Coll(frame) = pkt {
+            // NIC-resident collective: consumed by the offload engine in
+            // firmware — no RX ring, no DMA, no coalescer, no per-hop
+            // interrupt.
+            ctx.trace(now, node, TraceKind::FrameArrival, || {
+                coll_trace_data(&frame)
+            });
+            self.rt(node).offload.on_frame(now, frame);
+            self.run_offload_emits(node, now, false, ctx);
+            return;
+        }
+        let meta = pkt.meta();
+        let (queue, done) = (&mut ctx.queue, trace_dma(&mut ctx.tracer, node));
+        let nic = &mut self.rt(node).nic;
+        let out = nic.on_frame(now, seq, pkt, meta, || queue.reserve_seq(), done);
+        let desc = out.desc;
+        ctx.trace(now, node, TraceKind::FrameArrival, || match pkt {
+            WireFrame::Omx(p) => TraceData::Packet {
+                pkt: p,
+                desc: desc.map(|d| d.0),
+            },
+            WireFrame::Raw { payload_len } => TraceData::RawFrame { len: payload_len },
+            WireFrame::Coll(_) => unreachable!("handled before RX-ring classification"),
+        });
+        if desc.is_some() {
+            let rt = self.rt(node);
+            rt.pending_dma.set(now, rt.nic.pending_work() as f64);
+        } else {
+            ctx.trace(now, node, TraceKind::Drop, || TraceData::Text("ring full"));
+        }
+        self.apply_nic_outcome(node, now, out, false, ctx);
+    }
+
     /// Dispatch one event, popped at the key `(now, seq)`, against its
     /// node's state. Every event is node-local (cross-node traffic only
-    /// exists as wire transmissions through the [`Ctx`]). The NIC entry
-    /// points take the key to settle the DMA completions before it.
+    /// exists as frames through the [`Ctx`]). The NIC entry points take the
+    /// key to settle the DMA completions before it.
     fn dispatch(&mut self, now: Time, seq: u64, event: Ev, ctx: &mut Ctx) {
         self.event_counts[event.kind()] += 1;
         match event {
-            Ev::FrameArrival { node, pkt } => {
-                if let WireFrame::Coll(frame) = pkt {
-                    // NIC-resident collective: consumed by the offload
-                    // engine in firmware — no RX ring, no DMA, no
-                    // coalescer, no per-hop interrupt.
-                    ctx.trace(now, node, TraceKind::FrameArrival, || {
-                        coll_trace_data(&frame)
-                    });
-                    self.rt(node).offload.on_frame(now, frame);
-                    self.run_offload_emits(node, now, false, ctx);
-                    return;
-                }
-                let meta = pkt.meta();
-                let (queue, done) = (&mut ctx.queue, trace_dma(&mut ctx.tracer, node));
-                let nic = &mut self.rt(node).nic;
-                let out = nic.on_frame(now, seq, pkt, meta, || queue.reserve_seq(), done);
-                let desc = out.desc;
-                ctx.trace(now, node, TraceKind::FrameArrival, || match pkt {
-                    WireFrame::Omx(p) => TraceData::Packet {
-                        pkt: p,
-                        desc: desc.map(|d| d.0),
-                    },
-                    WireFrame::Raw { payload_len } => TraceData::RawFrame { len: payload_len },
-                    WireFrame::Coll(_) => unreachable!("handled before RX-ring classification"),
-                });
-                if desc.is_some() {
-                    let rt = self.rt(node);
-                    rt.pending_dma.set(now, rt.nic.pending_work() as f64);
-                } else {
-                    ctx.trace(now, node, TraceKind::Drop, || TraceData::Text("ring full"));
-                }
-                self.apply_nic_outcome(node, now, out, false, ctx);
-            }
             Ev::DmaComplete { node, desc } => {
                 let done = trace_dma(&mut ctx.tracer, node);
                 let out = self.rt(node).nic.on_dma_complete(now, seq, desc, done);
@@ -1281,11 +1328,6 @@ impl Nodes {
                     ctx,
                     Ev::DriverTimer { node },
                 );
-            }
-            Ev::ShmDeliver { node, pkt } => {
-                self.drive(node, now, None, ctx, |d, a, _| {
-                    d.handle_packet_into(now, pkt, a)
-                });
             }
             Ev::AppStart { node, ep } => {
                 self.with_actor(node, ep, now, ctx, |a, actx| a.on_start(actx));
@@ -1435,6 +1477,7 @@ impl Cluster {
             },
             ctx: Ctx {
                 queue: EventQueue::new(),
+                inbound: InboundQueues::new(),
                 now: Time::ZERO,
                 seq: 0,
                 fabric,
@@ -1521,10 +1564,10 @@ impl Cluster {
 
     /// Run until quiescence, the horizon, or an actor-requested stop.
     ///
-    /// Events dispatch in `(time, scheduling order)`. A horizon cut leaves
-    /// in-flight events queued, settles every DMA completion due by the
-    /// horizon and sets [`Cluster::now`] to the horizon, so a follow-up
-    /// `run` resumes where this one stopped. A predicate stop settles every
+    /// Events and frames dispatch in `(time, scheduling order)`. A horizon
+    /// cut leaves in-flight events and frames queued, settles every DMA
+    /// completion due by the horizon and sets [`Cluster::now`] to the
+    /// horizon, so a follow-up `run` resumes where this one stopped. A predicate stop settles every
     /// DMA completion that precedes the stopping event. So no stop leaves a
     /// completion before it unsettled, or untraced.
     ///
@@ -1548,7 +1591,8 @@ impl Cluster {
         }
         let events_before = self.events_processed();
         let stop = loop {
-            let Some(next) = self.ctx.queue.peek_time() else {
+            let queued = self.ctx.queue.peek_key();
+            let Some((next, source)) = self.ctx.inbound.earliest(queued) else {
                 break StopCondition::QueueEmpty;
             };
             if next > horizon {
@@ -1562,11 +1606,19 @@ impl Cluster {
                 }
                 self.sample_telemetry(end);
             }
-            let (now, seq, event) = self.ctx.queue.pop().expect("peeked event vanished");
-            (self.ctx.now, self.ctx.seq) = (now, seq);
-            self.nodes.dispatch(now, seq, event, &mut self.ctx);
+            if source == Source::Inbound {
+                let (now, seq, node, arrival) =
+                    self.ctx.inbound.pop().expect("peeked frame vanished");
+                self.ctx.enter(now, seq);
+                self.nodes
+                    .arrive(now, seq, node as u16, arrival, &mut self.ctx);
+            } else {
+                let (now, seq, event) = self.ctx.queue.pop().expect("peeked event vanished");
+                self.ctx.enter(now, seq);
+                self.nodes.dispatch(now, seq, event, &mut self.ctx);
+            }
             if self.nodes.stop {
-                self.settle_nics(now, seq);
+                self.settle_nics(self.ctx.now, self.ctx.seq);
                 break StopCondition::PredicateSatisfied;
             }
         };
@@ -1589,9 +1641,11 @@ impl Cluster {
         }
         // A DMA completion is settled by its own event or by a later NIC
         // entry point; one still in flight at quiescence was never woken
-        // although nothing else was left to settle it. Checked in release
+        // although nothing else was left to settle it. Likewise a frame
+        // left in an inbound queue was never dispatched. Checked in release
         // builds too: the results would silently miss its packet.
         if stop == StopCondition::QueueEmpty {
+            self.ctx.inbound.assert_drained();
             for (i, rt) in self.nodes.rts.iter().enumerate() {
                 if let Some(DmaCompletion { desc, at, .. }) = rt.nic.unsettled_dma() {
                     panic!(
@@ -2262,10 +2316,17 @@ mod tests {
         assert_eq!(whole.run(Time::MAX), StopCondition::PredicateSatisfied);
         let end = whole.now().as_nanos();
         let mut cut = lossy_stream_cluster();
-        for k in 1..4 {
-            let horizon = Time::from_nanos(end * k / 4);
+        let mut left_inbound = 0;
+        // The first two cuts fall in the first window's burst of frames.
+        for horizon in [5_000, 40_000, end / 4, end / 2, end * 3 / 4].map(Time::from_nanos) {
             assert_eq!(cut.run(horizon), StopCondition::HorizonReached);
             assert_eq!(cut.now(), horizon);
+            let next = cut.ctx.inbound.peek_key();
+            assert!(
+                next.is_none_or(|(at, _)| at > horizon),
+                "a frame due by the horizon is still queued at {next:?}"
+            );
+            left_inbound += cut.ctx.inbound.len();
             for rt in &cut.nodes.rts {
                 let next = rt.nic.unsettled_dma();
                 assert!(
@@ -2274,8 +2335,56 @@ mod tests {
                 );
             }
         }
+        assert!(left_inbound > 0, "the cuts leave frames in flight");
         assert_eq!(cut.run(Time::MAX), StopCondition::PredicateSatisfied);
         assert_eq!(outcome(&cut), outcome(&whole));
+    }
+
+    /// In the lossy stream, disturbance delays of 5–60 µs let later-sent
+    /// frames overtake earlier ones bound for the same node. Every frame
+    /// still dispatches exactly once, in `(time, seq)` order (`Ctx::enter`
+    /// checks the order of every dispatch in debug builds), and the trace
+    /// stays in key order.
+    #[test]
+    fn overtaking_frames_dispatch_once_in_key_order() {
+        let mut cluster = lossy_stream_cluster();
+        cluster.enable_tracing(1 << 20);
+        cluster.run(Time::MAX);
+        let tracer = cluster.tracer().expect("tracing enabled");
+        assert_eq!(tracer.evicted(), 0);
+        let keys: Vec<_> = tracer.keys().collect();
+        assert!(keys.is_sorted(), "trace records out of key order");
+        // A frame's key holds the sequence number reserved when it was
+        // sent, so an arrival with a lower one than an earlier arrival at
+        // its node was overtaken.
+        let mut last_seq = [0u64; 2];
+        let (mut arrivals, mut overtaken) = (Vec::new(), 0);
+        for (key, e) in keys.iter().zip(tracer.events()) {
+            if e.kind == TraceKind::FrameArrival {
+                let node = usize::from(e.node);
+                overtaken += usize::from(key.1 < last_seq[node]);
+                last_seq[node] = last_seq[node].max(key.1);
+                arrivals.push(*key);
+            }
+        }
+        assert!(overtaken > 0, "no frame was overtaken");
+        assert!(
+            arrivals.windows(2).all(|w| w[0] < w[1]),
+            "each frame dispatches once, in key order"
+        );
+        let (kind, dispatched) = cluster.event_counts()[0];
+        assert_eq!(kind, "FrameArrival");
+        assert_eq!(dispatched, arrivals.len() as u64);
+        assert_eq!(dispatched, cluster.metrics().frames_carried);
+        assert!(cluster.ctx.inbound.is_empty());
+    }
+
+    /// Events that wait in the event queue stay small: frames in flight
+    /// wait in the inbound queues instead.
+    #[test]
+    fn queued_events_fit_in_40_bytes() {
+        let size = std::mem::size_of::<Ev>();
+        assert!(size <= 40, "`Ev` is {size} bytes");
     }
 
     /// 0-byte ping-pongs under the 75 µs timeout, not yet run: no DMA

@@ -377,6 +377,12 @@ impl Tracer {
         self.events.insert(pos, (key, event));
     }
 
+    /// The key of every recorded event, in record order (tests only).
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> impl Iterator<Item = (Time, u64)> + '_ {
+        self.events.iter().map(|&(key, _)| key)
+    }
+
     /// The recorded events, oldest key first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().map(|(_, e)| e)

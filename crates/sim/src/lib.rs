@@ -12,6 +12,10 @@
 //!   allocation on the hot path. Events leave only by being popped: a
 //!   superseded timer fires as a no-op. [`QueueStats`] counts where the
 //!   queue placed its entries,
+//! * [`InboundQueues`] — frames in flight, one key-ordered queue per
+//!   destination node under a 4-ary heap of packed head keys, keyed from
+//!   the event queue's sequence numbers so the event loop can merge the
+//!   two in exact `(time, seq)` order ([`InboundQueues::earliest`]),
 //! * [`StopCondition`] — why a run returned; the event loop itself lives in
 //!   `omx_core`'s `Cluster`, the one world this workspace simulates,
 //! * [`rng`] — seeded deterministic random-number helpers so that every
@@ -38,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod hash;
+pub mod inbound;
 pub mod json;
 pub mod pool;
 pub mod queue;
@@ -45,6 +50,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
+pub use inbound::{InboundQueues, Source};
 pub use queue::{EventQueue, QueueStats};
 pub use time::{Time, TimeDelta};
 

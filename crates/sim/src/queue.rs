@@ -10,8 +10,12 @@
 //! have popped had it been pushed when the number was taken. The NIC uses
 //! this to settle most DMA completions without an event, and to schedule
 //! one, at its original place, only for a completion that can act (DESIGN
-//! §5). [`EventQueue::pop`] returns each event's sequence number, so a
-//! handler knows which reserved keys precede it.
+//! §5). Frames in flight never enter the queue: each takes a reserved
+//! number and waits in its node's [`InboundQueues`](crate::InboundQueues),
+//! and the event loop dispatches whichever key is smaller, this queue's
+//! ([`EventQueue::peek_key`]) or the earliest frame's. So [`QueueStats`]
+//! counts no frame. [`EventQueue::pop`] returns each event's sequence
+//! number, so a handler knows which reserved keys precede it.
 //!
 //! # Design
 //!
@@ -38,7 +42,8 @@
 //!   *cascades*: each entry is re-filed, by the same placement rule as a
 //!   push, into a lower level or, outside every lower window, into the
 //!   heap. So the heap holds the imminent events, not the 20 ms retransmit
-//!   arms every packet leaves queued.
+//!   arms every packet leaves queued, and the wheel holds the node timers
+//!   and actor events, not the bursts of frames in flight.
 //! * **Cursors move only on pop.** Each level's window starts at the tick
 //!   of the last popped event. Promotion and cascade leave the cursors
 //!   alone, so the near events pushed next still find a wheel window.
@@ -48,7 +53,7 @@
 //! its root is `(time, seq)`-minimal among all queued events.** Pushes that
 //! would precede the heap root go straight to the heap; pops promote and
 //! cascade due wheel buckets until the root precedes the start of every
-//! non-empty bucket again. `peek_time`/`pop` therefore read the global
+//! non-empty bucket again. `peek_key` and `pop` therefore read the global
 //! minimum directly off the heap root, and dispatch order is byte-identical
 //! to a single ordered queue whatever the layout. [`QueueStats`] counts
 //! where entries went.
@@ -120,9 +125,11 @@ pub struct QueueStats {
     pub promoted: u64,
     /// Wheel entries moved down into a lower wheel level.
     pub cascaded: u64,
-    /// Heap length (root included) summed over every pop; divided by the
-    /// pops, the mean heap length at pop.
+    /// Heap length (root included) summed over every pop; divided by
+    /// [`Self::pops`], the mean heap length at pop.
     pub heap_len_at_pop_sum: u64,
+    /// Events popped.
+    pub pops: u64,
 }
 
 /// A deterministic priority queue of timestamped events.
@@ -241,13 +248,13 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Timestamp of the next event, if any.
+    /// Key `(time, seq)` of the next event, if any.
     ///
     /// O(1) and `&self`: the hybrid invariant keeps the global minimum at
     /// the heap root whenever the queue is non-empty.
     #[inline]
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.first().map(|e| e.time)
+    pub fn peek_key(&self) -> Option<(Time, u64)> {
+        self.heap.first().map(Entry::key)
     }
 
     /// Pop the earliest event, with its sequence number.
@@ -257,6 +264,7 @@ impl<E> EventQueue<E> {
         }
         debug_assert!(!self.heap.is_empty(), "hybrid invariant violated");
         self.stats.heap_len_at_pop_sum += self.heap.len() as u64;
+        self.stats.pops += 1;
         let root = self.heap_pop_root();
         let event = self.events[root.slot as usize]
             .take()
@@ -565,7 +573,7 @@ mod tests {
             q.push(t(now), ("pkt", i));
             q.push(t(now + 75_000), ("timer", i));
             // Drain events up to now (the engine keeps popping).
-            while q.peek_time().is_some_and(|pt| pt.as_nanos() <= now) {
+            while q.peek_key().is_some_and(|(pt, _)| pt.as_nanos() <= now) {
                 let (at, (kind, j)) = q.pop_event().expect("peeked");
                 if kind == "timer" {
                     assert_eq!(at, t(j * 1_200 + 75_000));

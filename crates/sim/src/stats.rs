@@ -142,6 +142,10 @@ pub struct Histogram {
     count: u64,
     sum: f64,
     overflow: u64,
+    /// The last bucket filled, as `(lo, hi, index)`: a value in `[lo, hi)`
+    /// goes to bucket `index` without [`Histogram::bucket_index`]. Per-packet
+    /// hold times and per-transmit service times repeat.
+    last: (u64, u64, usize),
 }
 
 const BUCKETS_PER_DECADE: usize = 32;
@@ -212,6 +216,7 @@ impl Histogram {
             count: 0,
             sum: 0.0,
             overflow: 0,
+            last: (0, 0, 0),
         }
     }
 
@@ -244,14 +249,21 @@ impl Histogram {
     /// all-zero series report bucket 0's nonzero midpoint — and is instead
     /// counted exactly so [`Histogram::quantile`] can return `Some(0)`.
     pub fn record(&mut self, value_ns: u64) {
+        let (lo, hi, last) = self.last;
         if value_ns == 0 {
             self.zeros += 1;
+        } else if lo <= value_ns && value_ns < hi {
+            self.buckets[last] += 1;
         } else {
             let idx = Self::bucket_index(value_ns);
             if idx >= NUM_BUCKETS {
                 self.overflow += 1;
             } else {
                 self.buckets[idx] += 1;
+                // Bucket 0 holds 1 (zeros are held out); the last bucket's
+                // bound `u64::MAX` is left to `bucket_index`.
+                let first = &BucketStarts::get().first;
+                self.last = (first[idx].max(1), first[idx + 1], idx);
             }
         }
         self.count += 1;
@@ -479,6 +491,52 @@ impl ToJson for TimeWeighted {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The last-bucket cache changes no count: values fed in an order that
+    /// keeps leaving and re-entering cached ranges end in the buckets, and
+    /// with the totals, of one `bucket_index` per value.
+    #[test]
+    fn cached_bucket_matches_indexing_every_value() {
+        let starts = BucketStarts::get();
+        let last_start = starts.first[NUM_BUCKETS - 1];
+        let mut values = vec![0, 1, 0, 1, 2, 1, 0];
+        for &start in &starts.first[1..NUM_BUCKETS] {
+            // Each start, its neighbours, and a revisit of the one below.
+            values.extend([start, start - 1, start + 1, start, start - 1]);
+        }
+        for i in 1..NUM_BUCKETS - 1 {
+            // Alternate between neighbouring buckets and within one.
+            let (a, b) = (starts.first[i], starts.first[i + 1]);
+            values.extend([a, b, a, b - 1, b, b + 1, a]);
+        }
+        values.extend([
+            last_start,
+            last_start + 1,
+            u64::MAX,
+            u64::MAX - 1,
+            last_start,
+        ]);
+        let mut rng = crate::rng::SimRng::new(0xB0C3);
+        for _ in 0..20_000 {
+            let scale = rng.range_u64(0, 64) as u32;
+            values.push(rng.next_u64() >> scale);
+        }
+        let mut h = Histogram::new();
+        let mut want = (vec![0u64; NUM_BUCKETS], 0u64, 0u64, 0f64);
+        for &v in &values {
+            h.record(v);
+            if v == 0 {
+                want.1 += 1;
+            } else {
+                want.0[Histogram::bucket_index(v)] += 1;
+            }
+            want.2 += 1;
+            want.3 += v as f64;
+        }
+        assert_eq!(h.buckets, want.0);
+        assert_eq!((h.zeros, h.overflow, h.count), (want.1, 0, want.2));
+        assert_eq!(h.sum.to_bits(), want.3.to_bits());
+    }
 
     /// The table lookup puts every value in the bucket the `log10`
     /// definition does: every value below 2^20, every bucket start and its

@@ -1,10 +1,11 @@
-//! Property tests for the event queue: ordering and FIFO ties.
+//! Property tests for the event queue (ordering and FIFO ties) and for its
+//! merge with the per-node inbound queues.
 //!
 //! Randomised with the crate's own deterministic [`SimRng`] (fixed seeds, so
 //! failures reproduce exactly) instead of an external property-test harness.
 
 use omx_sim::rng::SimRng;
-use omx_sim::{EventQueue, Time};
+use omx_sim::{EventQueue, InboundQueues, Source, Time};
 
 /// Events always pop in nondecreasing time order, with FIFO order among
 /// equal timestamps, regardless of push order.
@@ -134,7 +135,7 @@ fn queue_matches_sorted_vec_model() {
                 _ => {
                     let expect = model.first().map(|e| e.0);
                     assert_eq!(
-                        q.peek_time().map(|t| t.as_nanos()),
+                        q.peek_key().map(|(t, _)| t.as_nanos()),
                         expect,
                         "case {case}: peek mismatch"
                     );
@@ -180,4 +181,94 @@ fn interleaved_operations_stay_ordered() {
             }
         }
     }
+}
+
+/// The event loop's merge: events and inbound frames, keyed from one
+/// sequence counter, dispatch as one sorted `(time, seq)` model says.
+/// Frames bound for one node are queued at random times, so a later-sent
+/// frame often overtakes an earlier one, and times are drawn from a small
+/// grid, so frames on different nodes and events tie on their instant.
+#[test]
+fn inbound_merge_matches_sorted_model() {
+    /// Whether a model entry is an event or a frame, and for which node.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum Item {
+        Event,
+        Frame(usize),
+    }
+
+    let mut rng = SimRng::new(0x5EED_0005);
+    let (mut overtakes, mut cross_node_ties) = (0, 0);
+    for case in 0..256 {
+        let nodes = rng.range_u64(1, 6) as usize;
+        let ops = rng.range_u64(1, 400) as usize;
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut inbound: InboundQueues<u64> = InboundQueues::new();
+        let mut model: Vec<(u64, u64, Item)> = Vec::new();
+        let mut now = 0u64;
+        for _ in 0..ops {
+            // Times on a 100 ns grid near the clock: ties are common.
+            let at = now + 100 * rng.range_u64(0, 20);
+            match rng.range_u64(0, 10) {
+                0..=2 => {
+                    let seq = q.reserve_seq();
+                    q.push_at(Time::from_nanos(at), seq, seq);
+                    model.push((at, seq, Item::Event));
+                }
+                3..=5 => {
+                    let node = rng.range_u64(0, nodes as u64) as usize;
+                    let seq = q.reserve_seq();
+                    inbound.push(Time::from_nanos(now), Time::from_nanos(at), seq, node, seq);
+                    let queued_later = |&(t, s, item): &(u64, u64, Item)| {
+                        item == Item::Frame(node) && (t, s) > (at, seq)
+                    };
+                    overtakes += usize::from(model.iter().any(queued_later));
+                    model.push((at, seq, Item::Frame(node)));
+                }
+                _ => {
+                    model.sort_unstable();
+                    let got = match inbound.earliest(q.peek_key()) {
+                        None => None,
+                        Some((t, Source::Events)) => {
+                            let (at, seq, id) = q.pop().expect("peeked");
+                            assert_eq!((at, id), (t, seq));
+                            Some((at.as_nanos(), seq, Item::Event))
+                        }
+                        Some((t, Source::Inbound)) => {
+                            let (at, seq, node, id) = inbound.pop().expect("peeked");
+                            assert_eq!((at, id), (t, seq));
+                            Some((at.as_nanos(), seq, Item::Frame(node)))
+                        }
+                    };
+                    let want = (!model.is_empty()).then(|| model.remove(0));
+                    assert_eq!(got, want, "case {case}: merge order");
+                    if let (Some((t, _, Item::Frame(a))), Some(&(next, _, Item::Frame(b)))) =
+                        (got, model.first())
+                    {
+                        cross_node_ties += usize::from(t == next && a != b);
+                    }
+                    if let Some((t, ..)) = got {
+                        now = t;
+                    }
+                }
+            }
+            let frames = model.iter().filter(|e| e.2 != Item::Event).count();
+            assert_eq!(inbound.len(), frames, "case {case}: frames queued");
+            assert_eq!(q.len(), model.len() - frames, "case {case}: events queued");
+        }
+        model.sort_unstable();
+        for want in model {
+            let got = match inbound.earliest(q.peek_key()).expect("model non-empty") {
+                (_, Source::Events) => q.pop().map(|(t, s, _)| (t.as_nanos(), s, Item::Event)),
+                (_, Source::Inbound) => inbound
+                    .pop()
+                    .map(|(t, s, node, _)| (t.as_nanos(), s, Item::Frame(node))),
+            };
+            assert_eq!(got, Some(want), "case {case}: drain");
+        }
+        assert_eq!(inbound.earliest(q.peek_key()), None);
+        inbound.assert_drained();
+    }
+    assert!(overtakes > 0, "the cases exercise overtaking frames");
+    assert!(cross_node_ties > 0, "the cases exercise ties across nodes");
 }
