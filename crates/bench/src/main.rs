@@ -237,22 +237,35 @@ fn main() {
         "sensitivity" => run_sensitivity(quick),
         "perf" => run_perf(),
         "all" => {
-            run_fig4(quick);
-            run_overhead(quick);
-            run_pingpong(false, quick);
-            run_pingpong(true, quick);
-            run_table1();
-            run_table2(quick);
-            run_table3(quick);
-            run_adaptive(quick);
-            run_coexistence();
-            run_multiqueue();
-            run_jumbo(quick);
-            run_sensitivity(quick);
-            run_faults(quick, slo);
-            run_scale(quick, slo);
-            run_offload(quick);
-            run_nas(if quick { "is." } else { "" });
+            let campaigns: [(&str, &dyn Fn()); 16] = [
+                ("fig4", &|| run_fig4(quick)),
+                ("overhead", &|| run_overhead(quick)),
+                ("fig5", &|| run_pingpong(false, quick)),
+                ("fig6", &|| run_pingpong(true, quick)),
+                ("table1", &run_table1),
+                ("table2", &|| run_table2(quick)),
+                ("table3", &|| run_table3(quick)),
+                ("adaptive", &|| run_adaptive(quick)),
+                ("coexistence", &run_coexistence),
+                ("multiqueue", &run_multiqueue),
+                ("jumbo", &|| run_jumbo(quick)),
+                ("sensitivity", &|| run_sensitivity(quick)),
+                ("faults", &|| run_faults(quick, slo)),
+                ("scale", &|| run_scale(quick, slo)),
+                ("offload", &|| run_offload(quick)),
+                ("table4", &|| run_nas(if quick { "is." } else { "" })),
+            ];
+            // Wall time per campaign, printed together on stderr at the
+            // end: where regenerating the artifacts spends its time.
+            let mut walls = Vec::new();
+            for (name, run) in campaigns {
+                let t = std::time::Instant::now();
+                run();
+                walls.push((name, t.elapsed().as_secs_f64()));
+            }
+            for (name, secs) in walls {
+                eprintln!("{name:<12} wall time: {secs:.2}s");
+            }
         }
         other => {
             eprintln!("unknown experiment '{other}'; `omx-bench list` enumerates them");

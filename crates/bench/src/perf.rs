@@ -1,9 +1,9 @@
 //! Exact per-event-kind cost of the simulator.
 //!
-//! `omx-bench perf` drives four whole-simulation shapes to completion,
+//! `omx-bench perf` drives five whole-simulation shapes to completion,
 //! once each and serially, and writes how many events of each kind the
-//! engine dispatched, and where its event queue placed them, to
-//! `BENCH_sim.json` in the working directory. Every
+//! engine dispatched, and how its event and inbound queues handled them,
+//! to `BENCH_sim.json` in the working directory. Every
 //! shape runs with a fixed seed, so the report holds no times and two runs
 //! produce the same bytes at any `--jobs`. The committed root
 //! `BENCH_sim.json` is a golden: `crates/bench/tests/perf_golden.rs` fails
@@ -11,11 +11,11 @@
 //! at the repo root regenerates it. Wall-clock cost is perfbench's job
 //! (`perfbench/`, `BENCHMARK.json`).
 //!
-//! Report schema (`omx-bench-perf/8`):
+//! Report schema (`omx-bench-perf/9`):
 //!
 //! ```json
 //! {
-//!   "schema": "omx-bench-perf/8",
+//!   "schema": "omx-bench-perf/9",
 //!   "shapes": [
 //!     {
 //!       "id": "e2e/pingpong_small_50k",
@@ -24,11 +24,13 @@
 //!       "events_per_frame": 6.41304,
 //!       "by_kind": {"FrameArrival": 100000, "DmaComplete": 100000, …},
 //!       "queue": {
-//!         "heap_pushes": 491666,     // pushes straight into the heap
-//!         "promoted": 49642,         // wheel entries moved into the heap
-//!         "cascaded": 40546,         // wheel entries moved to a lower level
-//!         "heap_len_at_pop_sum": …,  // heap length summed over every pop
-//!         "mean_heap_len_at_pop": …  // that sum per event-queue pop
+//!         "filed": …,                // event-queue entries filed in a bucket
+//!         "register_pops": …,        // pops served by the minimum register
+//!         "redistributed": …,        // filed entries moved to a lower bucket
+//!         "pops": …,                 // events popped off the event queue
+//!         "inbound_pushes": 100000,  // wire frames queued inbound
+//!         "inbound_overtakes": 0,    // of those, inserted before the back
+//!         "inbound_shifted": 0       // queued frames those inserts moved
 //!       }
 //!     }
 //!   ]
@@ -37,16 +39,20 @@
 //!
 //! `by_kind` lists every event kind in declaration order
 //! ([`omx_core::system::Cluster::event_counts`]), zeros included. `queue`
-//! is [`omx_sim::QueueStats`]: every event popped once, so a layout change
-//! in the queue moves only these counts, never `by_kind`. Frames in flight
-//! (`FrameArrival`, `ShmDeliver`) wait in per-node inbound queues and never
-//! enter the event queue, so `queue` does not count them.
+//! is [`omx_sim::QueueStats`] followed by [`omx_sim::InboundStats`]: every
+//! event popped once, so a layout change in the queues moves only these
+//! counts, never `by_kind`. Wire frames in flight (`FrameArrival`) wait in
+//! per-node inbound queues and never enter the event queue; shared-memory
+//! deliveries (`ShmDeliver`) are events. The NAS shape pins that split: a
+//! shared-memory delivery routed through an inbound queue would show as
+//! `inbound_overtakes` in its `queue` object.
 
 use omx_core::prelude::*;
 use omx_core::system::EventCounts;
 use omx_mpi::{MpiWorld, Op, WorldSpec};
+use omx_nas::{run_nas, NasBenchmark, NasClass, NasSpec};
 use omx_sim::json::Json;
-use omx_sim::QueueStats;
+use omx_sim::{InboundStats, QueueStats};
 
 /// Event kinds grouped by the paper layer that schedules them, in the
 /// order [`print_summary`] lists them.
@@ -60,8 +66,14 @@ const LAYERS: &[(&str, &[&str])] = &[
 ];
 
 /// One report entry: the shape's frames, its events in total, per frame
-/// and per kind, and the event queue's placement counts.
-fn entry(id: &str, frames: u64, by_kind: EventCounts, queue: QueueStats) -> Json {
+/// and per kind, and the event and inbound queues' counts.
+fn entry(
+    id: &str,
+    frames: u64,
+    by_kind: EventCounts,
+    queue: QueueStats,
+    inbound: InboundStats,
+) -> Json {
     let events: u64 = by_kind.iter().map(|(_, n)| n).sum();
     Json::obj(vec![
         ("id", Json::Str(id.into())),
@@ -78,14 +90,13 @@ fn entry(id: &str, frames: u64, by_kind: EventCounts, queue: QueueStats) -> Json
         (
             "queue",
             Json::obj(vec![
-                ("heap_pushes", Json::U64(queue.heap_pushes)),
-                ("promoted", Json::U64(queue.promoted)),
-                ("cascaded", Json::U64(queue.cascaded)),
-                ("heap_len_at_pop_sum", Json::U64(queue.heap_len_at_pop_sum)),
-                (
-                    "mean_heap_len_at_pop",
-                    Json::F64(queue.heap_len_at_pop_sum as f64 / queue.pops.max(1) as f64),
-                ),
+                ("filed", Json::U64(queue.filed)),
+                ("register_pops", Json::U64(queue.register_pops)),
+                ("redistributed", Json::U64(queue.redistributed)),
+                ("pops", Json::U64(queue.pops)),
+                ("inbound_pushes", Json::U64(inbound.pushes)),
+                ("inbound_overtakes", Json::U64(inbound.overtakes)),
+                ("inbound_shifted", Json::U64(inbound.shifted)),
             ]),
         ),
     ])
@@ -98,6 +109,7 @@ fn cluster_entry(id: &str, cluster: &Cluster) -> Json {
         cluster.metrics().frames_carried,
         cluster.event_counts(),
         cluster.queue_stats(),
+        cluster.inbound_stats(),
     )
 }
 
@@ -149,6 +161,25 @@ fn scale_alltoall_16n() -> Json {
         report.metrics.frames_carried,
         report.events,
         report.queue,
+        report.inbound,
+    )
+}
+
+/// NAS IS class B, 16 ranks on 2 nodes, under the default strategy: the
+/// Table IV campaign's traffic, where shared-memory deliveries are about
+/// 44 % of the events and overtake each other constantly.
+fn nas_is_b() -> Json {
+    let spec = NasSpec {
+        benchmark: NasBenchmark::Is,
+        class: NasClass::B,
+    };
+    let report = run_nas(spec, ClusterConfig::default()).expect("is.B is runnable");
+    entry(
+        "e2e/nas_is_b",
+        report.metrics.frames_carried,
+        report.events,
+        report.queue,
+        report.inbound,
     )
 }
 
@@ -169,9 +200,10 @@ pub fn run() -> Json {
         ),
         table1_medium_cell(),
         scale_alltoall_16n(),
+        nas_is_b(),
     ];
     Json::obj(vec![
-        ("schema", Json::Str("omx-bench-perf/8".into())),
+        ("schema", Json::Str("omx-bench-perf/9".into())),
         ("shapes", Json::Arr(shapes)),
     ])
 }
@@ -182,7 +214,7 @@ pub fn write_report(report: &Json) -> std::io::Result<()> {
 }
 
 /// Print a report produced by [`run`], one block per shape, with the
-/// event kinds grouped by paper layer and the queue's placement counts.
+/// event kinds grouped by paper layer and the queues' counts.
 pub fn print_summary(report: &Json) {
     let Some(shapes) = report.get("shapes").and_then(|s| s.as_arr()) else {
         return;
@@ -216,16 +248,20 @@ pub fn print_summary(report: &Json) {
             println!("{}", line.trim_end());
         }
         if let Some(q) = s.get("queue") {
-            let mean = q
-                .get("mean_heap_len_at_pop")
-                .and_then(|v| v.as_f64())
-                .unwrap_or(0.0);
             println!(
-                "  {:<16} heap pushes {}, promoted {}, cascaded {}, mean heap length at pop {mean:.1}",
+                "  {:<16} pops {}, from the register {}, filed {}, redistributed {}",
                 "event queue",
-                u(q, "heap_pushes"),
-                u(q, "promoted"),
-                u(q, "cascaded"),
+                u(q, "pops"),
+                u(q, "register_pops"),
+                u(q, "filed"),
+                u(q, "redistributed"),
+            );
+            println!(
+                "  {:<16} pushes {}, overtaking {}, entries shifted {}",
+                "inbound queues",
+                u(q, "inbound_pushes"),
+                u(q, "inbound_overtakes"),
+                u(q, "inbound_shifted"),
             );
         }
     }

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! [`Cluster::run`] is the event loop: it pops one event at a time and
-//! dispatches it against the node it names. Frames in flight wait in
+//! dispatches it against the node it names. Wire frames in flight wait in
 //! per-node inbound queues beside the event queue, keyed like events, and
 //! the loop dispatches whichever key comes first. Every hardware and
 //! software latency is charged through the [`omx_host::CostModel`], so the
@@ -42,7 +42,9 @@ use omx_nic::offload::{
 use omx_nic::{CoalescingStrategy, DescId, DmaCompletion, Nic, NicConfig, NicOutcome, PacketMeta};
 use omx_sim::rng::SimRng;
 use omx_sim::stats::TimeWeighted;
-use omx_sim::{EventQueue, InboundQueues, QueueStats, Source, StopCondition, Time, TimeDelta};
+use omx_sim::{
+    EventQueue, InboundQueues, InboundStats, QueueStats, Source, StopCondition, Time, TimeDelta,
+};
 use std::any::Any;
 
 // ---------------------------------------------------------------------------
@@ -371,9 +373,9 @@ impl ActorCtx<'_> {
 // Events
 // ---------------------------------------------------------------------------
 
-/// An event of the event queue. Frames in flight are not events: they
-/// wait in per-node inbound queues as [`Arrival`]s, dispatched as the
-/// `FrameArrival` and `ShmDeliver` kinds.
+/// An event of the event queue. Wire frames in flight are not events:
+/// they wait in per-node inbound queues, dispatched as the `FrameArrival`
+/// kind.
 #[derive(Debug)]
 enum Ev {
     /// A NIC DMA transfer completed, and the NIC can act on it (see
@@ -404,6 +406,9 @@ enum Ev {
     AppTimer { node: u16, ep: u8, token: u64 },
     /// Kick an actor's `on_start`.
     AppStart { node: u16, ep: u8 },
+    /// Intra-node shared-memory delivery of the packet in
+    /// [`Ctx::shm_packets`]`[slot]`.
+    ShmDeliver { node: u16, slot: u32 },
     /// The NIC offload engine's retransmission timer.
     OffloadTimer { node: u16 },
     /// Deliver a NIC-offloaded collective completion to an actor (after
@@ -411,16 +416,16 @@ enum Ev {
     OffloadDone { node: u16, ep: u8, seq: u32 },
 }
 
-/// Number of dispatched kinds, the [`Ev`] variants and the two [`Arrival`]
-/// kinds: the length of the per-kind dispatch counter.
+/// Number of dispatched kinds, the [`Ev`] variants and the wire-frame
+/// arrival: the length of the per-kind dispatch counter.
 const EV_KINDS: usize = 13;
 
 /// Events dispatched per kind, in event-kind declaration order and named
 /// after the kind (see [`Cluster::event_counts`]).
 pub type EventCounts = [(&'static str, u64); EV_KINDS];
 
-/// Dispatched kind names: the [`Ev`] variants in declaration order, with
-/// the [`Arrival`] kinds at 0 and 10.
+/// Dispatched kind names: the [`Ev`] variants in declaration order, after
+/// the wire-frame arrival at 0.
 const EV_KIND_NAMES: [&str; EV_KINDS] = [
     "FrameArrival",
     "DmaComplete",
@@ -450,28 +455,9 @@ impl Ev {
             Ev::AppSend { .. } => 7,
             Ev::AppTimer { .. } => 8,
             Ev::AppStart { .. } => 9,
+            Ev::ShmDeliver { .. } => 10,
             Ev::OffloadTimer { .. } => 11,
             Ev::OffloadDone { .. } => 12,
-        }
-    }
-}
-
-/// A frame in flight to a node, waiting in its inbound queue.
-#[derive(Debug)]
-enum Arrival {
-    /// A frame arrives at the node's NIC from the wire (or the NIC's own
-    /// offload loopback): the `FrameArrival` kind.
-    Wire(WireFrame),
-    /// Intra-node shared-memory delivery: the `ShmDeliver` kind.
-    Shm(Packet),
-}
-
-impl Arrival {
-    /// Index of this kind in [`EV_KIND_NAMES`].
-    fn kind(&self) -> usize {
-        match self {
-            Arrival::Wire(_) => 0,
-            Arrival::Shm(_) => 10,
         }
     }
 }
@@ -543,9 +529,14 @@ struct NodeRt {
 /// so a handler can mutate node state and apply effects at the same time.
 struct Ctx {
     queue: EventQueue<Ev>,
-    /// Frames in flight, per destination node, keyed from `queue`'s
+    /// Wire frames in flight, per destination node, keyed from `queue`'s
     /// sequence numbers (see [`Ctx::send_inbound`]).
-    inbound: InboundQueues<Arrival>,
+    inbound: InboundQueues<WireFrame>,
+    /// Packets of queued `ShmDeliver` events, indexed by the event's slot,
+    /// so that `Ev` stays small (see [`Ctx::send_shm`]).
+    shm_packets: Vec<Packet>,
+    /// Slots of `shm_packets` no queued event holds.
+    shm_free: Vec<u32>,
     /// Time of the last dispatched event (or of the horizon that cut a run).
     now: Time,
     /// Sequence number of the last dispatched event: with `now`, the key
@@ -604,15 +595,37 @@ impl Ctx {
         (self.now, self.seq) = (now, seq);
     }
 
-    /// Queue `arrival` for `node` at `at`, at the key an event pushed now
+    /// Queue `frame` for `node` at `at`, at the key an event pushed now
     /// would take.
     ///
     /// # Panics
     /// Panics if `at` is in the past, as [`Ctx::schedule_at`] does.
-    fn send_inbound(&mut self, at: Time, node: u16, arrival: Arrival) {
+    fn send_inbound(&mut self, at: Time, node: u16, frame: WireFrame) {
         let seq = self.queue.reserve_seq();
         self.inbound
-            .push(self.now, at, seq, usize::from(node), arrival);
+            .push(self.now, at, seq, usize::from(node), frame);
+    }
+
+    /// Schedule the shared-memory delivery of `pkt` to `node` at `at`,
+    /// keeping the packet in a `shm_packets` slot until it dispatches.
+    fn send_shm(&mut self, at: Time, node: u16, pkt: Packet) {
+        let slot = match self.shm_free.pop() {
+            Some(slot) => {
+                self.shm_packets[slot as usize] = pkt;
+                slot
+            }
+            None => {
+                self.shm_packets.push(pkt);
+                (self.shm_packets.len() - 1) as u32
+            }
+        };
+        self.schedule_at(at, Ev::ShmDeliver { node, slot });
+    }
+
+    /// Take the packet of a dispatched `ShmDeliver` out of its slot.
+    fn take_shm(&mut self, slot: u32) -> Packet {
+        self.shm_free.push(slot);
+        self.shm_packets[slot as usize]
     }
 
     /// Hand a frame from node `src` to the fabric at `t`; the caller has
@@ -629,7 +642,7 @@ impl Ctx {
         );
         let reason = match outcome {
             TransmitOutcome::Arrives(at) => {
-                self.send_inbound(at, dst, Arrival::Wire(frame));
+                self.send_inbound(at, dst, frame);
                 return;
             }
             TransmitOutcome::Lost => "wire loss",
@@ -810,7 +823,7 @@ impl Nodes {
             let delay =
                 self.cfg.shm_latency_ns + (bytes * 1_000).div_ceil(self.cfg.shm_bytes_per_us);
             let at = now + TimeDelta::from_nanos(delay as i64);
-            ctx.send_inbound(at, dst, Arrival::Shm(pkt));
+            ctx.send_shm(at, dst, pkt);
             return;
         }
         let doorbell = self.cfg.host.costs.tx_doorbell_ns;
@@ -991,7 +1004,7 @@ impl Nodes {
                     if frame.dst_node == node {
                         // NIC-internal loopback (co-located ranks): never
                         // touches the fabric, cannot be lost.
-                        ctx.send_inbound(at, node, Arrival::Wire(WireFrame::Coll(frame)));
+                        ctx.send_inbound(at, node, WireFrame::Coll(frame));
                     } else {
                         ctx.transmit_wire(
                             at,
@@ -1192,19 +1205,10 @@ fn line_group(src: EndpointAddr, dst_ep: u8, eps: usize) -> usize {
 }
 
 impl Nodes {
-    /// Dispatch a frame that reached `node`, popped off its inbound queue
-    /// at the key `(now, seq)`.
-    fn arrive(&mut self, now: Time, seq: u64, node: u16, arrival: Arrival, ctx: &mut Ctx) {
-        self.event_counts[arrival.kind()] += 1;
-        let pkt = match arrival {
-            Arrival::Wire(frame) => frame,
-            Arrival::Shm(pkt) => {
-                self.drive(node, now, None, ctx, |d, a, _| {
-                    d.handle_packet_into(now, pkt, a)
-                });
-                return;
-            }
-        };
+    /// Dispatch a wire frame that reached `node`, popped off its inbound
+    /// queue at the key `(now, seq)`: the `FrameArrival` kind.
+    fn arrive(&mut self, now: Time, seq: u64, node: u16, pkt: WireFrame, ctx: &mut Ctx) {
+        self.event_counts[0] += 1;
         if let WireFrame::Coll(frame) = pkt {
             // NIC-resident collective: consumed by the offload engine in
             // firmware — no RX ring, no DMA, no coalescer, no per-hop
@@ -1331,6 +1335,12 @@ impl Nodes {
             }
             Ev::AppStart { node, ep } => {
                 self.with_actor(node, ep, now, ctx, |a, actx| a.on_start(actx));
+            }
+            Ev::ShmDeliver { node, slot } => {
+                let pkt = ctx.take_shm(slot);
+                self.drive(node, now, None, ctx, |d, a, _| {
+                    d.handle_packet_into(now, pkt, a)
+                });
             }
             Ev::AppRecv { node, ep, c } => {
                 ctx.sanitizer
@@ -1478,6 +1488,8 @@ impl Cluster {
             ctx: Ctx {
                 queue: EventQueue::new(),
                 inbound: InboundQueues::new(),
+                shm_packets: Vec::new(),
+                shm_free: Vec::new(),
                 now: Time::ZERO,
                 seq: 0,
                 fabric,
@@ -1607,11 +1619,11 @@ impl Cluster {
                 self.sample_telemetry(end);
             }
             if source == Source::Inbound {
-                let (now, seq, node, arrival) =
+                let (now, seq, node, frame) =
                     self.ctx.inbound.pop().expect("peeked frame vanished");
                 self.ctx.enter(now, seq);
                 self.nodes
-                    .arrive(now, seq, node as u16, arrival, &mut self.ctx);
+                    .arrive(now, seq, node as u16, frame, &mut self.ctx);
             } else {
                 let (now, seq, event) = self.ctx.queue.pop().expect("peeked event vanished");
                 self.ctx.enter(now, seq);
@@ -1756,10 +1768,16 @@ impl Cluster {
         std::array::from_fn(|i| (EV_KIND_NAMES[i], counts[i]))
     }
 
-    /// Where the event queue has placed its entries so far (heap pushes,
-    /// wheel promotions and cascades).
+    /// How the event queue has handled its entries so far (filed,
+    /// register pops, redistributed).
     pub fn queue_stats(&self) -> QueueStats {
         self.ctx.queue.stats()
+    }
+
+    /// How many wire frames the inbound queues took, and how many of them
+    /// overtook an earlier frame for their node.
+    pub fn inbound_stats(&self) -> InboundStats {
+        self.ctx.inbound.stats()
     }
 
     /// Borrow an actor back (downcast to its concrete type).
@@ -2379,8 +2397,66 @@ mod tests {
         assert!(cluster.ctx.inbound.is_empty());
     }
 
-    /// Events that wait in the event queue stay small: frames in flight
-    /// wait in the inbound queues instead.
+    /// A one-node stream of large messages between two co-located
+    /// endpoints, with windowed sends so pull blocks overlap: every packet
+    /// takes the shared-memory path.
+    fn shm_stream_cluster() -> Cluster {
+        use crate::workloads::stream::{StreamReceiver, StreamSender, StreamSpec};
+        let mut cluster = ClusterBuilder::new().nodes(1).endpoints_per_node(2).build();
+        let spec = StreamSpec {
+            msg_len: (200 << 10) + 123,
+            messages: 6,
+            window: 3,
+        };
+        let sender = StreamSender::new(EndpointAddr::new(0, 1), spec);
+        cluster.add_actor(0, 0, Box::new(sender));
+        cluster.add_actor(0, 1, Box::new(StreamReceiver::new(spec.messages)));
+        cluster
+    }
+
+    /// Shared-memory deliveries land `shm_latency_ns + bytes / bandwidth`
+    /// after their send, and a send on the shared-memory path has no IRQ
+    /// core, so each driver call's CPU cursor starts afresh: the replies of
+    /// overlapping pull blocks interleave, a later block's overtaking an
+    /// earlier one's. They are events of the event queue: each dispatches
+    /// exactly once, in `(time, seq)` order, and frees its packet slot.
+    #[test]
+    fn overtaking_shm_deliveries_dispatch_once_in_key_order() {
+        let mut cluster = shm_stream_cluster();
+        cluster.enable_tracing(1 << 20);
+        assert_eq!(cluster.run(Time::ZERO), StopCondition::HorizonReached);
+        let mut keys = Vec::new();
+        while let Some((now, seq, event)) = cluster.ctx.queue.pop() {
+            if let Ev::ShmDeliver { .. } = event {
+                keys.push((now, seq));
+            }
+            cluster.ctx.enter(now, seq);
+            cluster.nodes.dispatch(now, seq, event, &mut cluster.ctx);
+        }
+        assert!(cluster.ctx.inbound.is_empty(), "no packet went on the wire");
+        // A delivery with a lower sequence number than the one dispatched
+        // before it was sent earlier and overtaken.
+        let overtaken = keys.windows(2).filter(|w| w[1].1 < w[0].1).count();
+        assert!(overtaken > 0, "no shared-memory delivery overtook another");
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "deliveries dispatch in key order"
+        );
+        let transmits = cluster
+            .tracer()
+            .expect("tracing enabled")
+            .events()
+            .filter(|e| e.kind == TraceKind::Transmit)
+            .count();
+        assert_eq!(keys.len(), transmits, "each packet sent is delivered once");
+        assert_eq!(cluster.event_counts()[10], ("ShmDeliver", transmits as u64));
+        assert_eq!(cluster.ctx.shm_free.len(), cluster.ctx.shm_packets.len());
+        assert!(cluster.sanitize().violations.is_empty());
+    }
+
+    /// Events that wait in the event queue stay small: wire frames in
+    /// flight wait in the inbound queues instead, and a shared-memory
+    /// delivery's packet in `Ctx::shm_packets`.
     #[test]
     fn queued_events_fit_in_40_bytes() {
         let size = std::mem::size_of::<Ev>();

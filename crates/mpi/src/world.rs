@@ -7,7 +7,7 @@ use omx_core::system::{Cluster, ClusterConfig, EventCounts};
 use omx_core::telemetry::{Telemetry, TelemetryConfig};
 use omx_core::wire::EndpointAddr;
 use omx_sim::stats::Histogram;
-use omx_sim::{QueueStats, StopCondition, Time};
+use omx_sim::{InboundStats, QueueStats, StopCondition, Time};
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
@@ -99,8 +99,10 @@ pub struct MpiRunReport {
     pub offload: Vec<omx_core::offload::OffloadCounters>,
     /// Events dispatched per event kind ([`Cluster::event_counts`]).
     pub events: EventCounts,
-    /// Event-queue placement counts ([`Cluster::queue_stats`]).
+    /// How the event queue handled its entries ([`Cluster::queue_stats`]).
     pub queue: QueueStats,
+    /// Inbound-queue push counts ([`Cluster::inbound_stats`]).
+    pub inbound: InboundStats,
 }
 
 /// A configured MPI job.
@@ -259,6 +261,7 @@ impl MpiWorld {
             offload: self.cluster.offload_counters(),
             events: self.cluster.event_counts(),
             queue: self.cluster.queue_stats(),
+            inbound: self.cluster.inbound_stats(),
         };
         (report, sanitizer)
     }

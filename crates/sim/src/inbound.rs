@@ -1,12 +1,13 @@
-//! Per-node inbound queues: frames in flight wait here, not in the
+//! Per-node inbound queues: wire frames in flight wait here, not in the
 //! [`EventQueue`](crate::EventQueue).
 //!
 //! A node receives its frames through one switch egress port, in FIFO
 //! order, so the frames bound for one node arrive almost always in the
-//! order they were sent. Filing each as an event of its own would send a
-//! burst of them through the timer wheel and the heap; here each node keeps
-//! its frames in a `VecDeque` in key order, and a small 4-ary min-heap holds
-//! the key of every non-empty queue's head.
+//! order they were sent. Filing each as an event of its own would file a
+//! burst of them in the event queue's buckets; here each node keeps its
+//! frames in a `VecDeque` in key order, and a small 4-ary min-heap holds
+//! the key of every non-empty queue's head. Intra-node shared-memory
+//! deliveries do not keep send order, so they are events, not frames here.
 //!
 //! A frame is keyed exactly as an event pushed when it was sent: the
 //! sender reserves its sequence number with
@@ -19,7 +20,8 @@
 //! A frame usually joins the back of its node's queue. When a disturbance
 //! delay lets a later-sent frame overtake an earlier one, it is inserted
 //! from the back at its key's place, and if it becomes the head the heap
-//! entry of its node is lowered.
+//! entry of its node is lowered. [`InboundStats`] counts both kinds of
+//! push, so a traffic class that overtakes often shows as a golden diff.
 //!
 //! Keys are packed into one `u128`: the time in the high 64 bits, then
 //! 48 bits of sequence number and 16 bits of node, so a single integer
@@ -82,6 +84,20 @@ pub enum Source {
     Inbound,
 }
 
+/// Exact counts of the inbound queues' pushes: a deterministic function of
+/// the push and pop sequence, reported beside
+/// [`QueueStats`](crate::QueueStats).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InboundStats {
+    /// Frames queued.
+    pub pushes: u64,
+    /// Frames that overtook a frame already queued for their node, and so
+    /// were inserted before the back.
+    pub overtakes: u64,
+    /// Queued frames an overtaking insert moved back one place, summed.
+    pub shifted: u64,
+}
+
 /// Frames in flight, one key-ordered queue per destination node.
 #[derive(Debug)]
 pub struct InboundQueues<T> {
@@ -92,6 +108,7 @@ pub struct InboundQueues<T> {
     heads: Vec<u128>,
     /// Frames queued across all nodes.
     len: usize,
+    stats: InboundStats,
 }
 
 impl<T> Default for InboundQueues<T> {
@@ -107,7 +124,13 @@ impl<T> InboundQueues<T> {
             queues: Vec::new(),
             heads: Vec::new(),
             len: 0,
+            stats: InboundStats::default(),
         }
+    }
+
+    /// How many frames were queued, and how many overtook.
+    pub fn stats(&self) -> InboundStats {
+        self.stats
     }
 
     /// Frames queued across all nodes.
@@ -168,6 +191,8 @@ impl<T> InboundQueues<T> {
                     .iter()
                     .rposition(|&(k, _)| k < key)
                     .map_or(0, |p| p + 1);
+                self.stats.overtakes += 1;
+                self.stats.shifted += (queue.len() - pos) as u64;
                 queue.insert(pos, (key, item));
                 if pos == 0 {
                     // The new head: lower the heap entry of the old one.
@@ -183,6 +208,7 @@ impl<T> InboundQueues<T> {
             }
         }
         self.len += 1;
+        self.stats.pushes += 1;
     }
 
     /// Remove the earliest queued frame: its key, node and item.
@@ -290,6 +316,12 @@ mod tests {
         q.push(t(0), t(400), 3, 0, "tie on node 0");
         q.push(t(0), t(600), 4, 1, "last");
         assert_eq!(q.len(), 5);
+        let stats = InboundStats {
+            pushes: 5,
+            overtakes: 2,
+            shifted: 2,
+        };
+        assert_eq!(q.stats(), stats);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(
             order,

@@ -4,18 +4,19 @@
 //! reproduction. It provides:
 //!
 //! * [`Time`] — a nanosecond-resolution simulated clock value,
-//! * [`EventQueue`] — a 4-ary heap of `(time, seq, slot)` keys hybridised
-//!   with a three-level hierarchical timer wheel (~268 ms of span) that
-//!   cascades due buckets down a level, so the heap holds only imminent
-//!   events: stable FIFO ordering among simultaneous events, O(1) pushes
-//!   for timers up to the retransmit timeout, and no hashing or per-event
-//!   allocation on the hot path. Events leave only by being popped: a
-//!   superseded timer fires as a no-op. [`QueueStats`] counts where the
-//!   queue placed its entries,
-//! * [`InboundQueues`] — frames in flight, one key-ordered queue per
+//! * [`EventQueue`] — a radix heap over packed `(time, seq)` keys, with a
+//!   one-entry register that holds the queue minimum inline whenever a push
+//!   makes it the minimum: stable FIFO ordering among simultaneous events,
+//!   O(1) pushes, and no hashing or per-event allocation on the hot path.
+//!   Keys must follow the last pop, which a simulation's scheduling
+//!   guarantees. Events leave only by being popped: a superseded timer
+//!   fires as a no-op. [`QueueStats`] counts how the queue handled its
+//!   entries,
+//! * [`InboundQueues`] — wire frames in flight, one key-ordered queue per
 //!   destination node under a 4-ary heap of packed head keys, keyed from
 //!   the event queue's sequence numbers so the event loop can merge the
-//!   two in exact `(time, seq)` order ([`InboundQueues::earliest`]),
+//!   two in exact `(time, seq)` order ([`InboundQueues::earliest`]);
+//!   [`InboundStats`] counts its pushes and overtakes,
 //! * [`StopCondition`] — why a run returned; the event loop itself lives in
 //!   `omx_core`'s `Cluster`, the one world this workspace simulates,
 //! * [`rng`] — seeded deterministic random-number helpers so that every
@@ -50,7 +51,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use inbound::{InboundQueues, Source};
+pub use inbound::{InboundQueues, InboundStats, Source};
 pub use queue::{EventQueue, QueueStats};
 pub use time::{Time, TimeDelta};
 

@@ -10,139 +10,116 @@
 //! have popped had it been pushed when the number was taken. The NIC uses
 //! this to settle most DMA completions without an event, and to schedule
 //! one, at its original place, only for a completion that can act (DESIGN
-//! §5). Frames in flight never enter the queue: each takes a reserved
+//! §5). Wire frames in flight never enter the queue: each takes a reserved
 //! number and waits in its node's [`InboundQueues`](crate::InboundQueues),
 //! and the event loop dispatches whichever key is smaller, this queue's
 //! ([`EventQueue::peek_key`]) or the earliest frame's. So [`QueueStats`]
-//! counts no frame. [`EventQueue::pop`] returns each event's sequence
+//! counts no wire frame. [`EventQueue::pop`] returns each event's sequence
 //! number, so a handler knows which reserved keys precede it.
 //!
 //! # Design
 //!
-//! The hot operations of the simulation are *push* and *pop*; an event
-//! leaves the queue only by being popped. A superseded timer stays queued
-//! and fires as a no-op (see the node-timer rule in DESIGN §5), so the queue
-//! needs no handles into its own layout.
+//! A simulation only schedules forward: every key pushed follows the key
+//! last popped. That makes the queue *monotone*, and a monotone queue can be
+//! a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, 1990) instead of a
+//! comparison heap. An event leaves the queue only by being popped: a
+//! superseded timer stays queued and fires as a no-op (see the node-timer
+//! rule in DESIGN §5), so the queue needs no handles into its own layout.
 //!
-//! * **Event store.** Events live in a `Vec<Option<E>>` with a free list of
-//!   slot indices; heap and wheel entries are `(time, seq, slot)`, so sifts
-//!   move 24-byte keys and never the (much larger) events themselves.
-//! * **4-ary heap.** The primary structure is a 4-ary min-heap of
-//!   `(time, seq, slot)` entries. The 4-ary layout halves the tree depth
-//!   versus a binary heap and keeps sift-down comparisons within one cache
-//!   line.
-//! * **Timer-wheel fast path.** Events further out than the heap root are
-//!   filed in a three-level hierarchical timer wheel (64 buckets per level;
-//!   2^10, 2^16 and 2^22 ns ticks ≈ 65 µs, 4.2 ms and 268 ms of span). A
-//!   push files the event in the lowest level whose window holds its tick,
-//!   an O(1) bucket push; anything beyond level 2 goes to the heap. Buckets
-//!   are unordered. When simulated time reaches a level-0 bucket it is
-//!   *promoted* wholesale into the heap, where exact `(time, seq)` order is
-//!   restored. When it reaches a higher level's bucket, the bucket
-//!   *cascades*: each entry is re-filed, by the same placement rule as a
-//!   push, into a lower level or, outside every lower window, into the
-//!   heap. So the heap holds the imminent events, not the 20 ms retransmit
-//!   arms every packet leaves queued, and the wheel holds the node timers
-//!   and actor events, not the bursts of frames in flight.
-//! * **Cursors move only on pop.** Each level's window starts at the tick
-//!   of the last popped event. Promotion and cascade leave the cursors
-//!   alone, so the near events pushed next still find a wheel window.
+//! * **Keys.** `(time, seq)` is packed into one `u128`, time in the high
+//!   half, so one integer comparison orders two keys.
+//! * **Register.** A push that makes its event the queue minimum keeps the
+//!   event inline in a one-entry register; the minimum it displaces, if
+//!   any, is filed. A chain of events that each schedule the next, the
+//!   ping-pong's critical path, goes through the register alone.
+//! * **Buckets.** Every other event is *filed*: its payload goes to a slot
+//!   of the event store (a `Vec<Option<E>>` with a free list) and its key
+//!   and slot to bucket `b`, where `b` is the highest bit in which the key
+//!   differs from the last popped key. Every key in a lower bucket is
+//!   smaller than every key in a higher one, so the filed minimum is in the
+//!   lowest non-empty bucket, found from an occupancy bitmap. (A key equal
+//!   to the last popped one is always the minimum and never filed, so the
+//!   128 differing bits need no 129th bucket.) Buckets are unordered.
+//! * **Redistribution.** When a pop moves the last key forward, the entries
+//!   of the bucket the new key fell in are re-filed against it, each into a
+//!   strictly lower bucket; no other bucket's index changes. So an entry
+//!   moves at most 128 times however long it waits, and a far timer waits
+//!   in a high bucket without being touched.
+//! * **Filed minimum.** The queue keeps the smallest filed key. A filing
+//!   lowers it in O(1); a pop from the buckets finds the next one among the
+//!   entries it redistributes, or, if the popped entry was alone in its
+//!   bucket, by scanning the lowest bucket. [`EventQueue::peek_key`] reads
+//!   it, or the register, in O(1), and a push compares against it to decide
+//!   whether it takes the register.
 //!
-//! The structures are hybridised by one invariant, re-established after
-//! every mutation: **if the wheel holds any event, the heap is non-empty and
-//! its root is `(time, seq)`-minimal among all queued events.** Pushes that
-//! would precede the heap root go straight to the heap; pops promote and
-//! cascade due wheel buckets until the root precedes the start of every
-//! non-empty bucket again. `peek_key` and `pop` therefore read the global
-//! minimum directly off the heap root, and dispatch order is byte-identical
-//! to a single ordered queue whatever the layout. [`QueueStats`] counts
-//! where entries went.
-//!
-//! Steady-state operation performs no heap allocation: event slots, heap
-//! entries and bucket vectors are all recycled, and a new queue owns no
+//! A key before the last popped one would break the bucket order, so
+//! pushing one panics, in release builds too. [`QueueStats`] counts where
+//! entries went. Steady-state operation performs no heap allocation: event
+//! slots and bucket vectors are recycled, and a new queue owns no
 //! allocation at all.
 
 use crate::time::Time;
 
-/// A queued event's ordering key and the slot of its payload. Heap and
-/// wheel entries carry the key inline so sifts never chase the event store.
+/// Pack `(time, seq)` into one key that orders by time, then sequence.
+#[inline]
+fn pack(time: Time, seq: u64) -> u128 {
+    (u128::from(time.as_nanos()) << 64) | u128::from(seq)
+}
+
+/// The `(time, seq)` of a packed key.
+#[inline]
+fn unpack(key: u128) -> (Time, u64) {
+    (Time::from_nanos((key >> 64) as u64), key as u64)
+}
+
+/// Number of buckets: one per bit in which a filed key can differ from the
+/// last popped key.
+const BUCKETS: usize = 128;
+
+/// A filed event's packed key and the slot of its payload.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    time: Time,
-    seq: u64,
+    key: u128,
     slot: u32,
 }
 
-impl Entry {
-    #[inline]
-    fn key(&self) -> (Time, u64) {
-        (self.time, self.seq)
-    }
-}
-
-/// Wheel geometry: three levels of 64 buckets. Level 0 ticks are 2^10 ns
-/// (~1 µs, spanning ~65 µs), level 1 ticks 2^16 ns (~65 µs, spanning
-/// ~4.2 ms) and level 2 ticks 2^22 ns (~4.2 ms, spanning ~268 ms).
-/// NAPI-scale re-polls land in level 0, the NIC coalescing timeout (75 µs
-/// default) in level 1, and the driver's 20 ms retransmit timers in
-/// level 2. Anything further out goes to the heap, which is exact at any
-/// range.
-const LEVELS: usize = 3;
-const LEVEL_BITS: [u32; LEVELS] = [10, 16, 22];
-const WHEEL_SLOTS: usize = 64;
-const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
-
-struct Level {
-    /// Unordered entries per bucket; bucket index = tick & SLOT_MASK.
-    buckets: [Vec<Entry>; WHEEL_SLOTS],
-    /// Bit b set ⇔ bucket b is non-empty.
-    occupied: u64,
-    /// First tick this level may still hold; all resident ticks lie in
-    /// `[next_tick, next_tick + WHEEL_SLOTS)`. Only [`EventQueue::pop`]
-    /// moves it.
-    next_tick: u64,
-}
-
-impl Level {
-    fn new() -> Self {
-        Level {
-            buckets: std::array::from_fn(|_| Vec::new()),
-            occupied: 0,
-            next_tick: 0,
-        }
-    }
-}
-
-/// Exact counts of where the queue placed its entries: a deterministic
+/// Exact counts of how the queue handled its entries: a deterministic
 /// function of the push and pop sequence, so they serve as a golden of the
-/// queue's work (`BENCH_sim.json`). Every heap insert is a direct push or a
-/// promotion; every entry that leaves the wheel is promoted or cascaded.
+/// queue's work (`BENCH_sim.json`). Every pop is a register pop or takes
+/// the filed minimum.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Pushes that went straight into the heap.
-    pub heap_pushes: u64,
-    /// Wheel entries moved into the heap.
-    pub promoted: u64,
-    /// Wheel entries moved down into a lower wheel level.
-    pub cascaded: u64,
-    /// Heap length (root included) summed over every pop; divided by
-    /// [`Self::pops`], the mean heap length at pop.
-    pub heap_len_at_pop_sum: u64,
+    /// Entries filed into a bucket: pushes that did not become the queue
+    /// minimum, and minima displaced from the register by a smaller push.
+    pub filed: u64,
+    /// Pops served by the register, without touching a bucket.
+    pub register_pops: u64,
+    /// Filed entries moved to a lower bucket as the last popped key
+    /// advanced.
+    pub redistributed: u64,
     /// Events popped.
     pub pops: u64,
 }
 
 /// A deterministic priority queue of timestamped events.
 pub struct EventQueue<E> {
-    /// Payloads of queued events, indexed by [`Entry::slot`].
+    /// The queue minimum with its packed key, when a push made it the
+    /// minimum; every filed key is larger.
+    register: Option<(u128, E)>,
+    /// Payloads of filed events, indexed by [`Entry::slot`].
     events: Vec<Option<E>>,
-    /// Slots of `events` not holding a queued event.
+    /// Slots of `events` not holding a filed event.
     free: Vec<u32>,
-    heap: Vec<Entry>,
-    /// The wheel's `LEVELS` levels, allocated when the wheel first takes
-    /// an event: building a queue allocates nothing, and its owner moves
-    /// no ~4.7 KB of inline buckets while a cluster is built.
-    levels: Vec<Level>,
+    /// Bucket `b` holds the filed entries whose key differs from `last`
+    /// first in bit `b`. Allocated at the first filing: building a queue
+    /// allocates nothing.
+    buckets: Vec<Vec<Entry>>,
+    /// Bit `b` set ⇔ bucket `b` is non-empty.
+    occupied: u128,
+    /// The smallest filed key; meaningful while `occupied != 0`.
+    filed_min: u128,
+    /// Key of the last popped event: no queued or pushed key precedes it.
+    last: u128,
     next_seq: u64,
     len: usize,
     stats: QueueStats,
@@ -158,17 +135,20 @@ impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
+            register: None,
             events: Vec::new(),
             free: Vec::new(),
-            heap: Vec::new(),
-            levels: Vec::new(),
+            buckets: Vec::new(),
+            occupied: 0,
+            filed_min: 0,
+            last: 0,
             next_seq: 0,
             len: 0,
             stats: QueueStats::default(),
         }
     }
 
-    /// Where the queue has placed its entries so far.
+    /// How the queue has handled its entries so far.
     pub fn stats(&self) -> QueueStats {
         self.stats
     }
@@ -188,8 +168,8 @@ impl<E> EventQueue<E> {
     ///
     /// `#[inline]`: push is called once per scheduled event from another
     /// crate (the cluster's event loop); without the hint the call stays an
-    /// opaque cross-crate call and the wheel fast path cannot fold into the
-    /// caller's loop.
+    /// opaque cross-crate call and the register fast path cannot fold into
+    /// the caller's loop.
     #[inline]
     pub fn push(&mut self, time: Time, event: E) {
         let seq = self.reserve_seq();
@@ -207,14 +187,81 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule `event` at the key `(time, seq)`, where `seq` came from
-    /// [`Self::reserve_seq`]. The key must follow the last popped event's,
-    /// and each reserved number is pushed at most once.
+    /// [`Self::reserve_seq`]. Each reserved number is pushed at most once.
+    ///
+    /// # Panics
+    /// Panics if the key precedes the last popped event's.
     #[inline]
     pub fn push_at(&mut self, time: Time, seq: u64, event: E) {
         debug_assert!(
             seq < self.next_seq,
             "sequence number {seq} was never reserved"
         );
+        let key = pack(time, seq);
+        assert!(
+            key >= self.last,
+            "event key {:?} precedes the last popped key {:?}",
+            (time, seq),
+            unpack(self.last)
+        );
+        self.len += 1;
+        match &mut self.register {
+            Some((min, held)) if key < *min => {
+                let displaced = std::mem::replace(held, event);
+                let displaced_key = std::mem::replace(min, key);
+                self.file(displaced_key, displaced);
+            }
+            Some(_) => self.file(key, event),
+            None if self.occupied == 0 || key < self.filed_min => {
+                self.register = Some((key, event));
+            }
+            None => self.file(key, event),
+        }
+    }
+
+    /// Key `(time, seq)` of the next event, if any. O(1) and `&self`.
+    #[inline]
+    pub fn peek_key(&self) -> Option<(Time, u64)> {
+        match &self.register {
+            Some((key, _)) => Some(unpack(*key)),
+            None if self.occupied != 0 => Some(unpack(self.filed_min)),
+            None => None,
+        }
+    }
+
+    /// Pop the earliest event, with its sequence number.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(Time, u64, E)> {
+        let (key, event) = match self.register.take() {
+            Some((key, event)) => {
+                self.stats.register_pops += 1;
+                if self.occupied != 0 && key != self.last {
+                    // The register's key is below every filed key, so it
+                    // differs from `last` first in no higher bit than the
+                    // lowest bucket's keys do; if in the same bit, that
+                    // bucket's index moves with `last`.
+                    let lowest = self.occupied.trailing_zeros();
+                    let bit = bucket_of(key, self.last);
+                    debug_assert!(bit <= lowest, "the register precedes the buckets");
+                    if bit == lowest {
+                        self.last = key;
+                        self.redistribute(lowest as usize);
+                    }
+                }
+                (key, event)
+            }
+            None if self.occupied != 0 => self.pop_filed(),
+            None => return None,
+        };
+        self.last = key;
+        self.len -= 1;
+        self.stats.pops += 1;
+        let (time, seq) = unpack(key);
+        Some((time, seq, event))
+    }
+
+    /// File `event` at `key` in its bucket, relative to `last`.
+    fn file(&mut self, key: u128, event: E) {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.events[slot as usize] = Some(event);
@@ -225,200 +272,76 @@ impl<E> EventQueue<E> {
                 (self.events.len() - 1) as u32
             }
         };
-        let entry = Entry { time, seq, slot };
-        self.len += 1;
+        if self.buckets.is_empty() {
+            self.buckets = (0..BUCKETS).map(|_| Vec::new()).collect();
+        }
+        if self.occupied == 0 || key < self.filed_min {
+            self.filed_min = key;
+        }
+        self.stats.filed += 1;
+        let b = bucket_of(key, self.last);
+        self.buckets[b as usize].push(Entry { key, slot });
+        self.occupied |= 1 << b;
+    }
 
-        // The wheel may take the event only while the heap root stays the
-        // global minimum. A reserved seq can be smaller than the root's, so
-        // a tie on time compares the whole key.
-        let below = if self
-            .heap
-            .first()
-            .is_some_and(|root| root.key() < entry.key())
-        {
-            if self.levels.is_empty() {
-                self.levels = (0..LEVELS).map(|_| Level::new()).collect();
+    /// Re-file bucket `b`'s entries against the current `last`, which is
+    /// the key of one of them or below them all: each other entry lands in
+    /// a lower bucket. Returns the slot of the entry at `last`, if any, and
+    /// the smallest key re-filed (`u128::MAX` if none).
+    fn redistribute(&mut self, b: usize) -> (Option<u32>, u128) {
+        self.occupied &= !(1 << b);
+        let (lower, rest) = self.buckets.split_at_mut(b);
+        let (mut at_last, mut min, mut moved) = (None, u128::MAX, 0);
+        let last = self.last;
+        for entry in rest[0].drain(..) {
+            let key = entry.key;
+            if key == last {
+                at_last = Some(entry.slot);
+            } else {
+                moved += 1;
+                min = min.min(key);
+                let to = bucket_of(key, last);
+                lower[to as usize].push(entry);
+                self.occupied |= 1 << to;
             }
-            LEVELS
-        } else {
-            0
-        };
-        if !self.place(entry, below) {
-            self.stats.heap_pushes += 1;
         }
+        self.stats.redistributed += moved;
+        (at_last, min)
     }
 
-    /// Key `(time, seq)` of the next event, if any.
-    ///
-    /// O(1) and `&self`: the hybrid invariant keeps the global minimum at
-    /// the heap root whenever the queue is non-empty.
-    #[inline]
-    pub fn peek_key(&self) -> Option<(Time, u64)> {
-        self.heap.first().map(Entry::key)
-    }
-
-    /// Pop the earliest event, with its sequence number.
-    pub fn pop(&mut self) -> Option<(Time, u64, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        debug_assert!(!self.heap.is_empty(), "hybrid invariant violated");
-        self.stats.heap_len_at_pop_sum += self.heap.len() as u64;
-        self.stats.pops += 1;
-        let root = self.heap_pop_root();
-        let event = self.events[root.slot as usize]
+    /// Remove the filed minimum, with its payload; the register is empty.
+    /// `last` moves to it, and the rest of its bucket is redistributed:
+    /// they are below every other bucket, so the smallest of them is the
+    /// next filed minimum.
+    fn pop_filed(&mut self) -> (u128, E) {
+        let key = self.filed_min;
+        self.last = key;
+        let (slot, min) = self.redistribute(self.occupied.trailing_zeros() as usize);
+        let slot = slot.expect("the filed minimum is in the lowest bucket");
+        let event = self.events[slot as usize]
             .take()
-            .expect("heap entry has an event");
-        self.free.push(root.slot);
-        self.len -= 1;
-        // Every remaining event is at `root.time` or later, so wheel ticks
-        // strictly before it are empty forever: advance the level cursors so
-        // the push windows track simulated time.
-        let t = root.time.as_nanos();
-        for (l, level) in self.levels.iter_mut().enumerate() {
-            let tick = t >> LEVEL_BITS[l];
-            if tick > level.next_tick {
-                level.next_tick = tick;
-            }
+            .expect("a filed entry has an event");
+        self.free.push(slot);
+        if min != u128::MAX {
+            self.filed_min = min;
+        } else if self.occupied != 0 {
+            let lowest = self.occupied.trailing_zeros() as usize;
+            self.filed_min = self.buckets[lowest]
+                .iter()
+                .map(|e| e.key)
+                .min()
+                .expect("an occupied bucket has an entry");
         }
-        self.restore();
-        Some((root.time, root.seq, event))
+        (key, event)
     }
+}
 
-    // -- wheel ---------------------------------------------------------------
-
-    /// Earliest non-empty wheel bucket across levels, as `(level, tick,
-    /// start_ns)`; O(1) via the occupancy bitmaps.
-    fn earliest_bucket(&self) -> Option<(usize, u64, u64)> {
-        let mut best: Option<(usize, u64, u64)> = None;
-        for (l, level) in self.levels.iter().enumerate() {
-            if level.occupied == 0 {
-                continue;
-            }
-            let rot = level
-                .occupied
-                .rotate_right((level.next_tick & SLOT_MASK) as u32);
-            let tick = level.next_tick + u64::from(rot.trailing_zeros());
-            let start = tick.saturating_mul(1u64 << LEVEL_BITS[l]);
-            match best {
-                Some((_, _, s)) if start >= s => {}
-                _ => best = Some((l, tick, start)),
-            }
-        }
-        best
-    }
-
-    /// File `entry` in the lowest level below `below` whose window holds
-    /// its tick, else in the heap. Returns `true` if the wheel took it.
-    /// Push and cascade share this one placement rule.
-    #[inline]
-    fn place(&mut self, entry: Entry, below: usize) -> bool {
-        let t = entry.time.as_nanos();
-        for (l, level) in self.levels[..below].iter_mut().enumerate() {
-            let tick = t >> LEVEL_BITS[l];
-            if tick >= level.next_tick && tick - level.next_tick < WHEEL_SLOTS as u64 {
-                let b = (tick & SLOT_MASK) as usize;
-                level.buckets[b].push(entry);
-                level.occupied |= 1 << b;
-                return true;
-            }
-        }
-        self.heap_insert(entry);
-        false
-    }
-
-    /// Re-establish the hybrid invariant: empty due wheel buckets until the
-    /// heap root precedes every wheel-resident event (or the wheel is
-    /// empty). A due level-0 bucket is promoted into the heap; a due bucket
-    /// of a higher level *cascades*: each entry is re-filed by [`Self::place`]
-    /// into a lower level, or into the heap if no lower window holds it.
-    /// Entries only move down, so each is handled at most once per level.
-    /// The cursors stay put: raising a lower level's cursor here would push
-    /// the near events that follow into the heap.
-    fn restore(&mut self) {
-        while let Some((l, tick, start)) = self.earliest_bucket() {
-            if self
-                .heap
-                .first()
-                .is_some_and(|root| root.time.as_nanos() < start)
-            {
-                break;
-            }
-            let b = (tick & SLOT_MASK) as usize;
-            let mut bucket = std::mem::take(&mut self.levels[l].buckets[b]);
-            self.levels[l].occupied &= !(1u64 << b);
-            for entry in bucket.drain(..) {
-                if self.place(entry, l) {
-                    self.stats.cascaded += 1;
-                } else {
-                    self.stats.promoted += 1;
-                }
-            }
-            self.levels[l].buckets[b] = bucket; // keep the capacity
-        }
-    }
-
-    // -- 4-ary heap ----------------------------------------------------------
-
-    fn heap_insert(&mut self, entry: Entry) {
-        let pos = self.heap.len();
-        self.heap.push(entry);
-        self.sift_up(pos);
-    }
-
-    /// Remove and return the root, restoring the heap property.
-    fn heap_pop_root(&mut self) -> Entry {
-        let last = self.heap.pop().expect("heap_pop_root on non-empty heap");
-        if self.heap.is_empty() {
-            return last;
-        }
-        let root = std::mem::replace(&mut self.heap[0], last);
-        self.sift_down(0);
-        root
-    }
-
-    fn sift_up(&mut self, mut pos: usize) {
-        let entry = self.heap[pos];
-        let key = entry.key();
-        while pos > 0 {
-            let parent = (pos - 1) / 4;
-            let p = self.heap[parent];
-            if p.key() <= key {
-                break;
-            }
-            self.heap[pos] = p;
-            pos = parent;
-        }
-        self.heap[pos] = entry;
-    }
-
-    fn sift_down(&mut self, mut pos: usize) {
-        let entry = self.heap[pos];
-        let key = entry.key();
-        let len = self.heap.len();
-        loop {
-            let first = pos * 4 + 1;
-            if first >= len {
-                break;
-            }
-            let last = (first + 4).min(len);
-            let mut best = first;
-            let mut best_key = self.heap[first].key();
-            for c in first + 1..last {
-                let k = self.heap[c].key();
-                if k < best_key {
-                    best = c;
-                    best_key = k;
-                }
-            }
-            if key <= best_key {
-                break;
-            }
-            self.heap[pos] = self.heap[best];
-            pos = best;
-        }
-        self.heap[pos] = entry;
-    }
+/// The bucket of `key`, filed relative to the last popped key `last`: the
+/// highest bit in which they differ. `key` must be larger than `last`.
+#[inline]
+fn bucket_of(key: u128, last: u128) -> u32 {
+    debug_assert!(key > last, "a filed key follows the last popped key");
+    127 - (key ^ last).leading_zeros()
 }
 
 #[cfg(test)]
@@ -435,53 +358,52 @@ mod tests {
             self.pop().map(|(time, _, event)| (time, event))
         }
 
-        /// Events currently resident in the wheel (tests only).
-        fn wheel_len(&self) -> usize {
-            self.levels
-                .iter()
-                .flat_map(|l| l.buckets.iter())
-                .map(Vec::len)
-                .sum()
+        /// Events currently filed in the buckets (tests only).
+        fn filed_len(&self) -> usize {
+            self.buckets.iter().map(Vec::len).sum()
+        }
+
+        /// The register's key, if it holds an event (tests only).
+        fn register_key(&self) -> Option<(Time, u64)> {
+            self.register.as_ref().map(|(k, _)| unpack(*k))
         }
 
         /// Walk every internal structure and check consistency (tests only).
         fn check_invariants(&self) {
-            let heap_live = self.heap.len();
-            let wheel_live = self.wheel_len();
-            assert_eq!(self.len, heap_live + wheel_live, "len mismatch");
+            let filed = self.filed_len();
             assert_eq!(
-                self.len + self.free.len(),
-                self.events.len(),
-                "every slot is queued or free"
+                self.len,
+                filed + usize::from(self.register.is_some()),
+                "len mismatch"
             );
-            for (l, level) in self.levels.iter().enumerate() {
-                for (b, bucket) in level.buckets.iter().enumerate() {
+            assert_eq!(
+                filed + self.free.len(),
+                self.events.len(),
+                "every slot is filed or free"
+            );
+            let mut min = None::<u128>;
+            for (b, bucket) in self.buckets.iter().enumerate() {
+                assert_eq!(
+                    self.occupied >> b & 1 == 1,
+                    !bucket.is_empty(),
+                    "occupancy bit {b}"
+                );
+                for e in bucket {
+                    let key = e.key;
                     assert_eq!(
-                        level.occupied >> b & 1 == 1,
-                        !bucket.is_empty(),
-                        "level {l} occupancy bit {b}"
+                        bucket_of(key, self.last) as usize,
+                        b,
+                        "entry in wrong bucket"
                     );
-                    for e in bucket {
-                        let tick = e.time.as_nanos() >> LEVEL_BITS[l];
-                        assert_eq!((tick & SLOT_MASK) as usize, b, "entry in wrong bucket");
-                        assert!(
-                            tick >= level.next_tick && tick - level.next_tick < WHEEL_SLOTS as u64,
-                            "level {l} entry outside its window"
-                        );
-                        let root = self.heap.first().expect("wheel non-empty needs heap root");
-                        assert!(root.key() <= e.key(), "wheel event precedes heap root");
-                    }
+                    assert!(self.events[e.slot as usize].is_some(), "entry has no event");
+                    min = Some(min.map_or(key, |m| m.min(key)));
                 }
             }
-            for (i, e) in self.heap.iter().enumerate() {
-                if i > 0 {
-                    let p = self.heap[(i - 1) / 4];
-                    assert!(p.key() <= e.key(), "heap property violated at {i}");
-                }
-                assert!(
-                    self.events[e.slot as usize].is_some(),
-                    "heap entry has no event"
-                );
+            if let Some(min) = min {
+                assert_eq!(self.filed_min, min, "filed minimum is stale");
+            }
+            if let (Some((reg, _)), Some(min)) = (&self.register, min) {
+                assert!(*reg < min, "the register is not the minimum");
             }
         }
     }
@@ -492,6 +414,7 @@ mod tests {
         q.push(t(30), "c");
         q.push(t(10), "a");
         q.push(t(20), "b");
+        q.check_invariants();
         assert_eq!(q.pop_event(), Some((t(10), "a")));
         assert_eq!(q.pop_event(), Some((t(20), "b")));
         assert_eq!(q.pop_event(), Some((t(30), "c")));
@@ -506,6 +429,7 @@ mod tests {
         }
         for i in 0..100 {
             assert_eq!(q.pop_event(), Some((t(5), i)));
+            q.check_invariants();
         }
     }
 
@@ -513,8 +437,7 @@ mod tests {
     fn reserved_key_pops_in_its_original_place() {
         // A number reserved between two pushes at the same instant, pushed
         // after a later pop, pops between them: the key, not the push
-        // order, decides. With the root on that instant it must go to the
-        // heap, ahead of the root.
+        // order, decides.
         let mut q = EventQueue::new();
         q.push(t(0), "first");
         q.push(t(5_000), "a");
@@ -533,13 +456,13 @@ mod tests {
     }
 
     #[test]
-    fn short_horizon_timers_use_the_wheel() {
+    fn short_horizon_timers_are_filed() {
         let mut q = EventQueue::new();
-        // An imminent event pins the heap root …
+        // An imminent event holds the register …
         q.push(t(100), 0u64);
-        // … so a coalescing-style timer 75 µs out lands in the wheel.
+        // … so a coalescing-style timer 75 µs out is filed.
         q.push(t(75_000), 1u64);
-        assert_eq!(q.wheel_len(), 1, "75us timer should be wheel-resident");
+        assert_eq!(q.filed_len(), 1, "75us timer should be filed");
         q.check_invariants();
         assert_eq!(q.pop_event(), Some((t(100), 0)));
         assert_eq!(q.pop_event(), Some((t(75_000), 1)));
@@ -547,17 +470,22 @@ mod tests {
     }
 
     #[test]
-    fn wheel_events_promote_in_exact_order() {
+    fn filed_events_pop_in_exact_order() {
         let mut q = EventQueue::new();
         q.push(t(0), 0u64);
-        // A mix of same-tick events pushed out of time order.
+        // A mix of same-time events pushed out of time order.
         q.push(t(2_000), 3u64);
         q.push(t(1_500), 2u64);
         q.push(t(1_500), 4u64); // same time as previous, later seq
         q.push(t(900), 1u64);
-        assert!(q.wheel_len() > 0, "short-horizon events use the wheel");
+        assert!(q.filed_len() > 0, "events after the minimum are filed");
         q.check_invariants();
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop_event().map(|(_, v)| v)).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| {
+            let popped = q.pop_event().map(|(_, v)| v);
+            q.check_invariants();
+            popped
+        })
+        .collect();
         assert_eq!(order, vec![0, 1, 2, 4, 3]);
     }
 
@@ -591,12 +519,67 @@ mod tests {
     }
 
     #[test]
-    fn retransmit_arms_stay_out_of_the_heap() {
+    fn a_push_below_the_register_files_the_old_minimum() {
+        let mut q = EventQueue::new();
+        q.push(t(500), "old minimum");
+        assert_eq!(q.register_key(), Some((t(500), 0)));
+        q.push(t(100), "new minimum");
+        assert_eq!(q.register_key(), Some((t(100), 1)));
+        assert_eq!(q.filed_len(), 1, "the old minimum is filed");
+        assert_eq!(q.stats().filed, 1);
+        q.check_invariants();
+        assert_eq!(q.peek_key(), Some((t(100), 1)));
+        assert_eq!(q.pop_event(), Some((t(100), "new minimum")));
+        assert_eq!(q.peek_key(), Some((t(500), 0)));
+        assert_eq!(q.pop_event(), Some((t(500), "old minimum")));
+        assert_eq!(
+            q.stats(),
+            QueueStats {
+                filed: 1,
+                register_pops: 1,
+                redistributed: 0,
+                pops: 2,
+            }
+        );
+    }
+
+    #[test]
+    fn a_reserved_key_at_the_current_instant_lands_before_the_register() {
+        // The DMA-completion pattern: a number reserved when a frame
+        // arrived, pushed at the current instant once an event with a
+        // later number holds the register. The reserved key is the new
+        // minimum, so it takes the register.
+        let mut q = EventQueue::new();
+        q.push(t(0), "start");
+        let reserved = q.reserve_seq();
+        assert_eq!(q.pop_event(), Some((t(0), "start")));
+        q.push(t(1_000), "held");
+        q.push_at(t(1_000), reserved, "reserved");
+        assert_eq!(q.register_key(), Some((t(1_000), reserved)));
+        q.check_invariants();
+        assert_eq!(q.pop(), Some((t(1_000), reserved, "reserved")));
+        assert_eq!(q.pop_event(), Some((t(1_000), "held")));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "precedes the last popped key")]
+    fn a_key_before_the_last_pop_panics() {
+        // An `assert!`, so release builds panic too.
+        let mut q = EventQueue::new();
+        let early = q.reserve_seq();
+        q.push(t(1_000), ());
+        assert_eq!(q.pop_event(), Some((t(1_000), ())));
+        q.push_at(t(999), early, ());
+    }
+
+    #[test]
+    fn retransmit_arms_wait_in_high_buckets() {
         // The driver-timer pattern: a 20 ms retransmit arm every 100 µs,
         // each superseded arm left queued, under a packet every 1.2 µs
-        // with the next packet already in flight. The arms wait in level
-        // 2 and cascade down as time reaches them, so the heap holds only
-        // the imminent events; pop order is exactly `(time, seq)`.
+        // that schedules the next. The packets go through the register;
+        // the arms are filed and move down only as time reaches them. Pop
+        // order is exactly `(time, seq)`.
         const PKT_NS: u64 = 1_200;
         const ARM_EVERY_NS: u64 = 100_000;
         const RTO_NS: u64 = 20_000_000;
@@ -608,25 +591,34 @@ mod tests {
             pushed.push((at, seq));
         };
         push(&mut q, 0, true);
-        push(&mut q, PKT_NS, true);
-        let (mut next_arm, mut max_heap) = (0, 0);
+        let (mut next_arm, mut arms) = (0, 0);
         let mut popped = Vec::new();
         while let Some((at, (seq, packet))) = q.pop_event() {
             let now = at.as_nanos();
             popped.push((now, seq));
-            max_heap = max_heap.max(q.heap.len());
             // Packets run for 60 ms; the arms then drain on their own.
-            if packet && now + 2 * PKT_NS < 60_000_000 {
-                push(&mut q, now + 2 * PKT_NS, true);
+            if packet && now + PKT_NS < 60_000_000 {
                 if now >= next_arm {
                     push(&mut q, now + RTO_NS, false);
                     next_arm += ARM_EVERY_NS;
+                    arms += 1;
                 }
+                push(&mut q, now + PKT_NS, true);
             }
-            max_heap = max_heap.max(q.heap.len());
         }
-        assert!(q.stats().cascaded > 0, "the arms cascade through the wheel");
-        assert!(max_heap <= 8, "heap reached {max_heap} entries");
+        let stats = q.stats();
+        let packets = pushed.len() as u64 - arms;
+        assert_eq!(stats.pops, pushed.len() as u64);
+        assert!(
+            stats.register_pops * 10 > packets * 9,
+            "most packets go through the register: {stats:?}"
+        );
+        assert!(stats.filed >= arms, "the arms are filed: {stats:?}");
+        assert!(stats.redistributed > 0, "the arms move down: {stats:?}");
+        assert!(
+            stats.redistributed <= 128 * stats.filed,
+            "an entry moves at most once per bucket: {stats:?}"
+        );
         pushed.sort_unstable();
         assert_eq!(popped, pushed, "pop order is (time, seq)");
     }
@@ -635,24 +627,28 @@ mod tests {
     fn recycled_slots_hold_their_new_event() {
         let mut q = EventQueue::new();
         q.push(t(10), 1);
-        q.push(t(20), 2);
+        q.push(t(20), 2); // filed
+        q.push(t(30), 3); // filed
         assert_eq!(q.pop_event(), Some((t(10), 1)));
-        // The popped event's slot carries the next push.
-        q.push(t(15), 3);
+        assert_eq!(q.pop_event(), Some((t(20), 2)));
+        // The popped event's slot carries the next filed push.
+        q.push(t(25), 4); // the minimum: the register
+        q.push(t(40), 5); // filed into the freed slot
         assert_eq!(q.events.len(), 2, "the freed slot is reused");
         q.check_invariants();
-        assert_eq!(q.pop_event(), Some((t(15), 3)));
-        assert_eq!(q.pop_event(), Some((t(20), 2)));
+        assert_eq!(q.pop_event(), Some((t(25), 4)));
+        assert_eq!(q.pop_event(), Some((t(30), 3)));
+        assert_eq!(q.pop_event(), Some((t(40), 5)));
         assert!(q.is_empty());
     }
 
     #[test]
-    fn len_counts_heap_and_wheel_events() {
+    fn len_counts_the_register_and_filed_events() {
         let mut q = EventQueue::new();
-        q.push(t(100), 0u64); // heap root
-        q.push(t(5_000), 1u64); // wheel
-        q.push(Time::from_secs(1), 2u64); // beyond the wheel: heap
-        assert_eq!((q.heap.len(), q.wheel_len()), (2, 1));
+        q.push(t(100), 0u64); // register
+        q.push(t(5_000), 1u64); // filed
+        q.push(Time::from_secs(1), 2u64); // filed
+        assert_eq!((q.register_key(), q.filed_len()), (Some((t(100), 0)), 2));
         assert_eq!(q.len(), 3);
         assert_eq!(q.pop_event(), Some((t(100), 0)));
         assert_eq!(q.len(), 2);
@@ -660,14 +656,25 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_overflow_to_heap() {
+    fn far_future_events_pop_in_order() {
         let mut q = EventQueue::new();
         q.push(t(0), 0u64);
-        q.push(Time::from_secs(10), 1u64); // far beyond the wheel span
-        q.push(Time::MAX, 2u64);
-        assert_eq!(q.wheel_len(), 0);
+        q.push(Time::MAX, 1u64);
+        q.push(Time::from_secs(10), 2u64);
+        q.check_invariants();
         assert_eq!(q.pop_event(), Some((t(0), 0)));
-        assert_eq!(q.pop_event(), Some((Time::from_secs(10), 1)));
-        assert_eq!(q.pop_event(), Some((Time::MAX, 2)));
+        assert_eq!(q.pop_event(), Some((Time::from_secs(10), 2)));
+        q.check_invariants();
+        assert_eq!(q.pop_event(), Some((Time::MAX, 1)));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_new_queue_allocates_nothing() {
+        let q = EventQueue::<u64>::new();
+        assert_eq!(
+            (q.events.capacity(), q.free.capacity(), q.buckets.capacity()),
+            (0, 0, 0)
+        );
     }
 }

@@ -141,6 +141,8 @@ pub struct Histogram {
     zeros: u64,
     count: u64,
     sum: f64,
+    /// Values of [`GRID_TOP_NS`] or more: binned in the last bucket, like
+    /// every value past its start, and counted here too.
     overflow: u64,
     /// The last bucket filled, as `(lo, hi, index)`: a value in `[lo, hi)`
     /// goes to bucket `index` without [`Histogram::bucket_index`]. Per-packet
@@ -151,6 +153,9 @@ pub struct Histogram {
 const BUCKETS_PER_DECADE: usize = 32;
 const DECADES: usize = 12; // 1 ns .. 10^12 ns (~17 min)
 const NUM_BUCKETS: usize = BUCKETS_PER_DECADE * DECADES;
+/// The top of the log grid, `10^DECADES` ns: a value at or past it is an
+/// overflow.
+const GRID_TOP_NS: u64 = 1_000_000_000_000;
 /// Most buckets that start within one octave `[2^k, 2^(k+1))`:
 /// `32·log10(2) ≈ 9.6` rounded up.
 const OCTAVE_SPAN: usize = 10;
@@ -248,6 +253,8 @@ impl Histogram {
     /// would land in bucket 0 only by cast saturation, making quantiles of
     /// all-zero series report bucket 0's nonzero midpoint — and is instead
     /// counted exactly so [`Histogram::quantile`] can return `Some(0)`.
+    /// A value past the grid's top, [`GRID_TOP_NS`], goes to the last bucket
+    /// and is also counted as an overflow.
     pub fn record(&mut self, value_ns: u64) {
         let (lo, hi, last) = self.last;
         if value_ns == 0 {
@@ -256,16 +263,13 @@ impl Histogram {
             self.buckets[last] += 1;
         } else {
             let idx = Self::bucket_index(value_ns);
-            if idx >= NUM_BUCKETS {
-                self.overflow += 1;
-            } else {
-                self.buckets[idx] += 1;
-                // Bucket 0 holds 1 (zeros are held out); the last bucket's
-                // bound `u64::MAX` is left to `bucket_index`.
-                let first = &BucketStarts::get().first;
-                self.last = (first[idx].max(1), first[idx + 1], idx);
-            }
+            self.buckets[idx] += 1;
+            // Bucket 0 holds 1 (zeros are held out); the last bucket's
+            // bound `u64::MAX` is left to `bucket_index`.
+            let first = &BucketStarts::get().first;
+            self.last = (first[idx].max(1), first[idx + 1], idx);
         }
+        self.overflow += u64::from(value_ns >= GRID_TOP_NS);
         self.count += 1;
         self.sum += value_ns as f64;
     }
@@ -512,6 +516,8 @@ mod tests {
         values.extend([
             last_start,
             last_start + 1,
+            GRID_TOP_NS - 1,
+            GRID_TOP_NS,
             u64::MAX,
             u64::MAX - 1,
             last_start,
@@ -522,7 +528,7 @@ mod tests {
             values.push(rng.next_u64() >> scale);
         }
         let mut h = Histogram::new();
-        let mut want = (vec![0u64; NUM_BUCKETS], 0u64, 0u64, 0f64);
+        let mut want = (vec![0u64; NUM_BUCKETS], 0u64, 0u64, 0f64, 0u64);
         for &v in &values {
             h.record(v);
             if v == 0 {
@@ -532,9 +538,11 @@ mod tests {
             }
             want.2 += 1;
             want.3 += v as f64;
+            want.4 += u64::from(v >= GRID_TOP_NS);
         }
         assert_eq!(h.buckets, want.0);
-        assert_eq!((h.zeros, h.overflow, h.count), (want.1, 0, want.2));
+        assert!(want.4 > 2, "the values reach past the grid's top");
+        assert_eq!((h.zeros, h.overflow, h.count), (want.1, want.4, want.2));
         assert_eq!(h.sum.to_bits(), want.3.to_bits());
     }
 

@@ -41,8 +41,8 @@ fn pop_order_is_time_then_fifo() {
 /// of pushes at reserved keys, and assert every observable result is
 /// identical. The model is the executable spec of "ordered multiset keyed by
 /// (time, seq)", where a push takes the next seq and a reserved push the
-/// seq taken earlier: whatever layout the queue uses internally (heap,
-/// wheel, slab reuse), its behaviour must be indistinguishable from this.
+/// seq taken earlier: whatever layout the queue uses internally (register,
+/// buckets, slab reuse), its behaviour must be indistinguishable from this.
 #[test]
 fn queue_matches_sorted_vec_model() {
     /// Push at `t` into the queue and the model, which keeps `(time, seq)`
@@ -55,7 +55,7 @@ fn queue_matches_sorted_vec_model() {
     }
 
     let mut rng = SimRng::new(0x5EED_0004);
-    let (mut cascaded, mut reserved_pushes) = (0, 0);
+    let (mut redistributed, mut register_pops, mut reserved_pushes) = (0, 0, 0);
     for case in 0..256 {
         let ops = rng.range_u64(1, 400) as usize;
         let mut q = EventQueue::new();
@@ -68,16 +68,17 @@ fn queue_matches_sorted_vec_model() {
 
         for _ in 0..ops {
             match rng.range_u64(0, 100) {
-                // Push (45%), at a distance drawn from one band per wheel
-                // level, beyond the wheel, or tied with a queued event.
+                // Push (45%), at a distance drawn from one of several bands
+                // from 1 µs to far beyond 268 ms, or tied with a queued
+                // event.
                 0..=44 => {
                     let span = match rng.range_u64(0, 8) {
                         0 => 1,       // the instant of the last pop
                         1 => 1 << 10, // ≤ 1 µs
-                        2 => 1 << 16, // ≤ 65 µs: level 0
-                        3 => 1 << 22, // ≤ 4.2 ms: level 1
-                        4 => 1 << 28, // ≤ 268 ms: level 2
-                        5 => 1 << 40, // beyond the wheel
+                        2 => 1 << 16, // ≤ 65 µs
+                        3 => 1 << 22, // ≤ 4.2 ms
+                        4 => 1 << 28, // ≤ 268 ms
+                        5 => 1 << 40, // ≤ 18 min
                         6 => u64::MAX,
                         _ => 0, // a tie with a queued event
                     };
@@ -110,7 +111,7 @@ fn queue_matches_sorted_vec_model() {
                     }
                 }
                 // A burst of near events (5%): when only far events are
-                // queued, these go under a far heap root.
+                // queued, these go under a far filed minimum.
                 53..=57 => {
                     for _ in 0..rng.range_u64(1, 16) {
                         let t = floor.saturating_add(rng.range_u64(0, 1 << 12));
@@ -151,9 +152,11 @@ fn queue_matches_sorted_vec_model() {
             assert_eq!((at.as_nanos(), s), e, "case {case}: drain");
         }
         assert!(q.pop().is_none());
-        cascaded += q.stats().cascaded;
+        redistributed += q.stats().redistributed;
+        register_pops += q.stats().register_pops;
     }
-    assert!(cascaded > 0, "the cases exercise the cascade");
+    assert!(redistributed > 0, "the cases redistribute filed entries");
+    assert!(register_pops > 0, "the cases pop from the register");
     assert!(reserved_pushes > 0, "the cases push at reserved keys");
 }
 
