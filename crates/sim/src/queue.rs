@@ -44,7 +44,7 @@
 //!   of the bucket the new key fell in are re-filed against it, each into a
 //!   strictly lower bucket; no other bucket's index changes. So an entry
 //!   moves at most 128 times however long it waits, and a far timer waits
-//!   in a high bucket without being touched.
+//!   in a high bucket, moving down only as the last key nears it.
 //! * **Filed minimum.** The queue keeps the smallest filed key. A filing
 //!   lowers it in O(1); a pop from the buckets finds the next one among the
 //!   entries it redistributes, or, if the popped entry was alone in its
