@@ -25,7 +25,6 @@ use crate::report::Table;
 use omx_core::prelude::*;
 use omx_core::system::{Actor, ActorCtx, RecvCompletion};
 use omx_fabric::DisturbanceConfig;
-use omx_sim::json::{Json, ToJson};
 use omx_sim::stats::Histogram;
 use omx_sim::StopCondition;
 use std::any::Any;
@@ -409,6 +408,7 @@ pub fn table(result: &FaultsResult) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omx_sim::json::ToJson;
 
     /// One lossy cell end to end: delivers everything, retransmits
     /// something, and the sanitizer stays clean (the assertions inside
@@ -463,40 +463,21 @@ mod tests {
     }
 }
 
-// Hand-written (not `impl_to_json!`) so the optional `slo` field is omitted
-// entirely when absent: default `omx-bench faults` output stays
-// byte-identical to the pre-SLO golden reports.
-impl ToJson for FaultCell {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("scenario".to_string(), self.scenario.to_json()),
-            ("msg_len".to_string(), self.msg_len.to_json()),
-            ("loss".to_string(), self.loss.to_json()),
-            ("strategy".to_string(), self.strategy.to_json()),
-            ("messages".to_string(), self.messages.to_json()),
-            ("completion_ns".to_string(), self.completion_ns.to_json()),
-            ("msgs_per_sec".to_string(), self.msgs_per_sec.to_json()),
-            ("goodput_mbps".to_string(), self.goodput_mbps.to_json()),
-            ("recovery_ratio".to_string(), self.recovery_ratio.to_json()),
-            (
-                "eager_retransmits".to_string(),
-                self.eager_retransmits.to_json(),
-            ),
-            (
-                "pull_rerequests".to_string(),
-                self.pull_rerequests.to_json(),
-            ),
-            ("ring_drops".to_string(), self.ring_drops.to_json()),
-            ("frames_dropped".to_string(), self.frames_dropped.to_json()),
-            (
-                "sanitizer_violations".to_string(),
-                self.sanitizer_violations.to_json(),
-            ),
-        ];
-        if let Some(slo) = &self.slo {
-            fields.push(("slo".to_string(), slo.to_json()));
-        }
-        Json::Obj(fields)
-    }
-}
+omx_sim::impl_to_json!(FaultCell {
+    scenario,
+    msg_len,
+    loss,
+    strategy,
+    messages,
+    completion_ns,
+    msgs_per_sec,
+    goodput_mbps,
+    recovery_ratio,
+    eager_retransmits,
+    pull_rerequests,
+    ring_drops,
+    frames_dropped,
+    sanitizer_violations,
+    slo?,
+});
 omx_sim::impl_to_json!(FaultsResult { cells });

@@ -23,7 +23,6 @@ use super::all_strategies;
 use crate::report::Table;
 use omx_core::prelude::*;
 use omx_mpi::{MpiWorld, Op, WorldSpec};
-use omx_sim::json::{Json, ToJson};
 
 /// Node counts swept (quick mode stops at 16).
 pub const NODE_COUNTS: [usize; 5] = [4, 8, 16, 32, 64];
@@ -321,42 +320,20 @@ mod tests {
     }
 }
 
-// Hand-written (not `impl_to_json!`) so the optional `slo` field is omitted
-// entirely when absent: default `omx-bench scale` output — and the pinned
-// golden cell — stay byte-identical to the pre-SLO reports.
-impl ToJson for ScaleCell {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("collective".to_string(), self.collective.to_json()),
-            ("bytes".to_string(), self.bytes.to_json()),
-            ("nodes".to_string(), self.nodes.to_json()),
-            ("ranks".to_string(), self.ranks.to_json()),
-            ("strategy".to_string(), self.strategy.to_json()),
-            ("iterations".to_string(), self.iterations.to_json()),
-            ("completion_ns".to_string(), self.completion_ns.to_json()),
-            (
-                "total_interrupts".to_string(),
-                self.total_interrupts.to_json(),
-            ),
-            (
-                "interrupts_per_node".to_string(),
-                self.interrupts_per_node.to_json(),
-            ),
-            ("switch_drops".to_string(), self.switch_drops.to_json()),
-            (
-                "switch_occupancy_peak".to_string(),
-                self.switch_occupancy_peak.to_json(),
-            ),
-            ("retransmits".to_string(), self.retransmits.to_json()),
-            (
-                "sanitizer_violations".to_string(),
-                self.sanitizer_violations.to_json(),
-            ),
-        ];
-        if let Some(slo) = &self.slo {
-            fields.push(("slo".to_string(), slo.to_json()));
-        }
-        Json::Obj(fields)
-    }
-}
+omx_sim::impl_to_json!(ScaleCell {
+    collective,
+    bytes,
+    nodes,
+    ranks,
+    strategy,
+    iterations,
+    completion_ns,
+    total_interrupts,
+    interrupts_per_node,
+    switch_drops,
+    switch_occupancy_peak,
+    retransmits,
+    sanitizer_violations,
+    slo?,
+});
 omx_sim::impl_to_json!(ScaleResult { cells });

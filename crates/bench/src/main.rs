@@ -1,42 +1,24 @@
 //! Experiment CLI — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! omx-bench <experiment> [--quick] [--slo] [--jobs N] [--trace[=FILE]]
+//! omx-bench [<campaign>] [--quick] [--slo] [--jobs N]
+//! omx-bench table4 [prefix]
 //! omx-bench trace <experiment> [--quick]
 //! omx-bench timeline <experiment> [--quick] [--jobs N]
-//! omx-bench perf
-//!
-//! experiments:
-//!   fig4               message rate vs coalescing delay (Fig. 4)
-//!   overhead           per-packet interrupt overhead (§IV-B2)
-//!   fig5               ping-pong, timeout vs disabled (Fig. 5)
-//!   fig6               ping-pong + open-mx (Fig. 6)
-//!   table1             message rate by size × strategy (Table I)
-//!   table2             234 KiB anatomy + marker ablation (Table II, §IV-C3)
-//!   table3             packet mis-ordering vs stream coalescing (Table III)
-//!   table4 [prefix]    NAS execution times (Table IV); optional row filter
-//!   table5             NAS IS interrupt counts (Table V; implies the IS rows)
-//!   faults             fault-injection campaign: loss × strategy × size,
-//!                      ring overflow, sanitizer invariants (beyond paper)
-//!   scale              collectives on 4-64 switched nodes × strategy, with
-//!                      bounded switch egress buffers (beyond paper)
-//!   offload            NIC-resident collectives head-to-head vs the five
-//!                      host coalescing strategies (beyond paper)
-//!   adaptive           adaptive coalescing comparison (§VI)
-//!   coexistence        TCP/IP non-interference check (§IV/§VI)
-//!   multiqueue         flow-hashed IRQ steering (§VI future work)
-//!   jumbo              MTU 9000 sanity check (§IV-A)
-//!   sensitivity        cost-model perturbation study (robustness)
-//!   perf               exact event counts per kind → BENCH_sim.json
-//!   all                everything above (except perf)
+//! omx-bench list
 //! ```
+//!
+//! `omx-bench list` names every campaign with a one-line description, and
+//! says which ones `all`, the default, leaves out. `all` runs the others in
+//! list order and prints each campaign's wall time on stderr. `table4`
+//! takes an optional NAS row filter (a prefix such as `is.`); under
+//! `all --quick` it runs the IS rows only.
 //!
 //! `trace <experiment>` runs a small representative scenario with
 //! packet-level tracing enabled and writes Chrome trace-event JSON
 //! (Perfetto-loadable), JSONL and a text timeline under `results/`,
 //! then prints a per-phase latency attribution (supported: fig5, fig6,
-//! pingpong, table2). The global `--trace[=FILE]` flag does the same after
-//! a normal experiment run; `FILE` overrides the Chrome export path.
+//! pingpong, table2).
 //!
 //! `timeline <experiment>` re-runs a campaign's headline cell with the
 //! windowed telemetry subsystem enabled and writes the 100 µs counter
@@ -56,7 +38,7 @@
 //! independent simulations with fixed seeds and results commit in
 //! cell-index order (DESIGN §11) — so `--jobs` only changes wall-clock time.
 //!
-//! `perf` runs four fixed simulation shapes once each and writes how many
+//! `perf` runs five fixed simulation shapes once each and writes how many
 //! events of each kind they dispatched to `BENCH_sim.json` in the working
 //! directory. The counts are exact, so the committed root copy is a golden
 //! that `cargo test` checks; run `perf` at the repo root to regenerate it.
@@ -81,57 +63,45 @@ fn persist(what: &str, result: std::io::Result<()>) {
     }
 }
 
-/// `(subcommand, one-line description)` for `omx-bench list`.
-const EXPERIMENTS: &[(&str, &str)] = &[
-    ("fig4", "message rate vs coalescing delay (Fig. 4)"),
-    ("overhead", "per-packet interrupt overhead (§IV-B2)"),
-    ("fig5", "ping-pong, timeout vs disabled (Fig. 5)"),
-    ("fig6", "ping-pong + open-mx (Fig. 6)"),
-    ("table1", "message rate by size × strategy (Table I)"),
-    (
-        "table2",
-        "234 KiB anatomy + marker ablation (Table II, §IV-C3)",
-    ),
-    (
-        "table3",
-        "packet mis-ordering vs stream coalescing (Table III)",
-    ),
-    (
-        "table4",
-        "NAS execution times (Table IV); optional row filter",
-    ),
-    ("table5", "NAS IS interrupt counts (Table V)"),
-    (
-        "faults",
-        "fault-injection campaign: loss × strategy × size (beyond paper)",
-    ),
-    (
-        "scale",
-        "collectives on 4-64 switched nodes × strategy (beyond paper)",
-    ),
-    (
-        "offload",
-        "NIC-resident collectives vs host coalescing (beyond paper)",
-    ),
-    ("adaptive", "adaptive coalescing comparison (§VI)"),
-    ("coexistence", "TCP/IP non-interference check (§IV/§VI)"),
-    ("multiqueue", "flow-hashed IRQ steering (§VI future work)"),
-    ("jumbo", "MTU 9000 sanity check (§IV-A)"),
-    ("sensitivity", "cost-model perturbation study (robustness)"),
-    ("perf", "exact event counts per kind → BENCH_sim.json"),
-    (
-        "trace",
-        "trace capture: omx-bench trace <experiment> [--quick]",
-    ),
-    (
-        "timeline",
-        "windowed telemetry: omx-bench timeline <experiment> [--quick]",
-    ),
-    ("all", "every experiment above (except perf)"),
+/// The command line as a campaign reads it.
+struct Flags<'a> {
+    quick: bool,
+    slo: bool,
+    /// The positional argument after the campaign name, or "".
+    arg: &'a str,
+}
+
+/// One `omx-bench <name>` command: its name, whether `omx-bench all` runs
+/// it, its run function and its one line for `omx-bench list`.
+type Campaign = (&'static str, bool, fn(&Flags), &'static str);
+
+/// Every campaign, in the order `list` prints them and `all` runs them.
+#[rustfmt::skip]
+const CAMPAIGNS: &[Campaign] = &[
+    ("fig4",        true,  run_fig4,        "message rate vs coalescing delay (Fig. 4)"),
+    ("overhead",    true,  run_overhead,    "per-packet interrupt overhead (§IV-B2)"),
+    ("fig5",        true,  run_fig5,        "ping-pong, timeout vs disabled (Fig. 5)"),
+    ("fig6",        true,  run_fig6,        "ping-pong + open-mx (Fig. 6)"),
+    ("table1",      true,  run_table1,      "message rate by size × strategy (Table I)"),
+    ("table2",      true,  run_table2,      "234 KiB anatomy + marker ablation (Table II, §IV-C3)"),
+    ("table3",      true,  run_table3,      "packet mis-ordering vs stream coalescing (Table III)"),
+    ("adaptive",    true,  run_adaptive,    "adaptive coalescing comparison (§VI)"),
+    ("coexistence", true,  run_coexistence, "TCP/IP non-interference check (§IV/§VI)"),
+    ("multiqueue",  true,  run_multiqueue,  "flow-hashed IRQ steering (§VI future work)"),
+    ("jumbo",       true,  run_jumbo,       "MTU 9000 sanity check (§IV-A)"),
+    ("sensitivity", true,  run_sensitivity, "cost-model perturbation study (robustness)"),
+    ("faults",      true,  run_faults,      "fault-injection campaign: loss × strategy × size (beyond paper)"),
+    ("scale",       true,  run_scale,       "collectives on 4-64 switched nodes × strategy (beyond paper)"),
+    ("offload",     true,  run_offload,     "NIC-resident collectives vs host coalescing (beyond paper)"),
+    ("table4",      true,  run_table4,      "NAS execution times (Table IV); optional row filter"),
+    ("table5",      false, run_table5,      "NAS IS interrupt counts (Table V)"),
+    ("perf",        false, run_perf,        "exact event counts per kind → BENCH_sim.json"),
+    ("trace",       false, run_trace,       "trace capture: omx-bench trace <experiment> [--quick]"),
+    ("timeline",    false, run_timeline,    "windowed telemetry: omx-bench timeline <experiment> [--quick]"),
 ];
 
 /// Every flag `omx-bench` accepts, as listed in the unknown-flag error.
-const FLAGS: &str = "--quick, --slo, --jobs N, --trace[=FILE]";
+const FLAGS: &str = "--quick, --slo, --jobs N";
 
 /// Extract `--NAME N` / `--NAME=N` from `args`, returning the parsed value
 /// and removing the flag (and its detached value) so the positional scan
@@ -168,132 +138,70 @@ fn main() {
     if let Some(jobs) = take_numeric_flag(&mut args, "--jobs") {
         omx_sim::pool::set_jobs(jobs as usize);
     }
-    if let Some(flag) = args.iter().find(|a| {
-        a.starts_with("--")
-            && !matches!(a.as_str(), "--quick" | "--slo" | "--trace")
-            && !a.starts_with("--trace=")
-    }) {
+    if let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !matches!(a.as_str(), "--quick" | "--slo"))
+    {
         eprintln!("unknown flag '{flag}'; known flags: {FLAGS}");
         std::process::exit(2);
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let slo = args.iter().any(|a| a == "--slo");
-    // Global --trace[=FILE] flag: capture a trace after the experiment.
-    let trace_flag: Option<Option<String>> = args.iter().find_map(|a| {
-        if a == "--trace" {
-            Some(None)
-        } else {
-            a.strip_prefix("--trace=").map(|f| Some(f.to_string()))
-        }
-    });
     let mut positional = args.iter().filter(|a| !a.starts_with("--"));
     let which = positional.next().map(String::as_str).unwrap_or("all");
-    let filter = positional.next().cloned().unwrap_or_default();
-
-    if which == "list" {
-        for (name, what) in EXPERIMENTS {
-            println!("{name:<18} {what}");
-        }
-        return;
-    }
-
-    if which == "trace" {
-        let experiment = if filter.is_empty() { "fig5" } else { &filter };
-        let out = trace_flag.as_ref().and_then(|f| f.as_deref());
-        if let Err(e) = omx_bench::traced::run(experiment, quick, out) {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-        return;
-    }
-
-    if which == "timeline" {
-        let experiment = if filter.is_empty() { "scale" } else { &filter };
-        if let Err(e) = omx_bench::timeline::run(experiment, quick) {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-        return;
-    }
+    let flags = Flags {
+        quick: args.iter().any(|a| a == "--quick"),
+        slo: args.iter().any(|a| a == "--slo"),
+        arg: positional.next().map(String::as_str).unwrap_or(""),
+    };
 
     let t0 = std::time::Instant::now();
     match which {
-        "fig4" => run_fig4(quick),
-        "overhead" => run_overhead(quick),
-        "fig5" => run_pingpong(false, quick),
-        "fig6" => run_pingpong(true, quick),
-        "table1" => run_table1(),
-        "table2" => run_table2(quick),
-        "table3" => run_table3(quick),
-        "table4" => run_nas(&filter),
-        "table5" => run_nas("is."),
-        "faults" => run_faults(quick, slo),
-        "scale" => run_scale(quick, slo),
-        "offload" => run_offload(quick),
-        "adaptive" => run_adaptive(quick),
-        "coexistence" => run_coexistence(),
-        "multiqueue" => run_multiqueue(),
-        "jumbo" => run_jumbo(quick),
-        "sensitivity" => run_sensitivity(quick),
-        "perf" => run_perf(),
+        "list" => {
+            for &(name, _, _, what) in CAMPAIGNS {
+                println!("{name:<18} {what}");
+            }
+            let left_out: Vec<&str> = CAMPAIGNS
+                .iter()
+                .filter(|&&(_, in_all, ..)| !in_all)
+                .map(|&(name, ..)| name)
+                .collect();
+            let all = format!("every campaign above except {}", left_out.join(", "));
+            println!("{:<18} {all}", "all");
+            println!("{:<18} this list", "list");
+            return;
+        }
         "all" => {
-            let campaigns: [(&str, &dyn Fn()); 16] = [
-                ("fig4", &|| run_fig4(quick)),
-                ("overhead", &|| run_overhead(quick)),
-                ("fig5", &|| run_pingpong(false, quick)),
-                ("fig6", &|| run_pingpong(true, quick)),
-                ("table1", &run_table1),
-                ("table2", &|| run_table2(quick)),
-                ("table3", &|| run_table3(quick)),
-                ("adaptive", &|| run_adaptive(quick)),
-                ("coexistence", &run_coexistence),
-                ("multiqueue", &run_multiqueue),
-                ("jumbo", &|| run_jumbo(quick)),
-                ("sensitivity", &|| run_sensitivity(quick)),
-                ("faults", &|| run_faults(quick, slo)),
-                ("scale", &|| run_scale(quick, slo)),
-                ("offload", &|| run_offload(quick)),
-                ("table4", &|| run_nas(if quick { "is." } else { "" })),
-            ];
+            // `--quick` keeps table4 to the IS rows; no other campaign reads
+            // the positional argument.
+            let flags = Flags {
+                arg: if flags.quick { "is." } else { "" },
+                ..flags
+            };
             // Wall time per campaign, printed together on stderr at the
             // end: where regenerating the artifacts spends its time.
             let mut walls = Vec::new();
-            for (name, run) in campaigns {
+            for &(name, _, run, _) in CAMPAIGNS.iter().filter(|&&(_, in_all, ..)| in_all) {
                 let t = std::time::Instant::now();
-                run();
+                run(&flags);
                 walls.push((name, t.elapsed().as_secs_f64()));
             }
             for (name, secs) in walls {
                 eprintln!("{name:<12} wall time: {secs:.2}s");
             }
         }
-        other => {
-            eprintln!("unknown experiment '{other}'; `omx-bench list` enumerates them");
-            std::process::exit(2);
-        }
-    }
-    if let Some(out) = &trace_flag {
-        if omx_bench::traced::supported().contains(&which) {
-            // A failed trace export (e.g. --trace=FILE pointing at an
-            // unwritable path) fails the run: silently missing artifacts
-            // are indistinguishable from successful ones.
-            if let Err(e) = omx_bench::traced::run(which, quick, out.as_deref()) {
-                eprintln!("{e}");
-                std::process::exit(1);
+        name => match CAMPAIGNS.iter().find(|&&(n, ..)| n == name) {
+            Some(&(_, _, run, _)) => run(&flags),
+            None => {
+                eprintln!("unknown experiment '{name}'; `omx-bench list` enumerates them");
+                std::process::exit(2);
             }
-        } else {
-            eprintln!(
-                "--trace: no trace scenario for '{which}' (supported: {})",
-                omx_bench::traced::supported().join(", ")
-            );
-        }
+        },
     }
     eprintln!("total wall time: {:.1}s", t0.elapsed().as_secs_f64());
 }
 
-fn run_fig4(quick: bool) {
+fn run_fig4(f: &Flags) {
     println!("== Figure 4: message rate vs interrupt coalescing delay ==");
-    let result = fig4::run(if quick { 600 } else { 2_000 });
+    let result = fig4::run(if f.quick { 600 } else { 2_000 });
     println!("{}", fig4::table(&result).render());
     persist(
         "fig4_message_rate JSON",
@@ -332,15 +240,23 @@ fn run_fig4(quick: bool) {
     );
 }
 
-fn run_overhead(quick: bool) {
+fn run_overhead(f: &Flags) {
     println!("== §IV-B2: per-packet interrupt overhead ==");
-    let result = overhead::run(if quick { 5_000 } else { 20_000 });
+    let result = overhead::run(if f.quick { 5_000 } else { 20_000 });
     println!("{}", overhead::table(&result).render());
     println!(
         "paper anchors: disabled {} ns, coalesced {} ns\n",
         result.paper_disabled_ns, result.paper_coalesced_ns
     );
     persist("overhead JSON", write_json("overhead", &result));
+}
+
+fn run_fig5(f: &Flags) {
+    run_pingpong(false, f.quick);
+}
+
+fn run_fig6(f: &Flags) {
+    run_pingpong(true, f.quick);
 }
 
 fn run_pingpong(with_openmx: bool, quick: bool) {
@@ -382,7 +298,7 @@ fn run_pingpong(with_openmx: bool, quick: bool) {
     );
 }
 
-fn run_table1() {
+fn run_table1(_: &Flags) {
     println!("== Table I: message rate (msg/s) by size and strategy ==");
     let result = table1::run();
     println!("{}", table1::table(&result).render());
@@ -392,9 +308,9 @@ fn run_table1() {
     );
 }
 
-fn run_table2(quick: bool) {
+fn run_table2(f: &Flags) {
     println!("== Table II: 234 KiB transfer anatomy ==");
-    let result = table2::run(if quick { 10 } else { 30 });
+    let result = table2::run(if f.quick { 10 } else { 30 });
     let (main, ablation) = table2::table(&result);
     println!("{}", main.render());
     println!("-- §IV-C3 marker ablation (open-mx coalescing) --");
@@ -402,14 +318,22 @@ fn run_table2(quick: bool) {
     persist("table2_anatomy JSON", write_json("table2_anatomy", &result));
 }
 
-fn run_table3(quick: bool) {
+fn run_table3(f: &Flags) {
     println!("== Table III: packet mis-ordering (32 KiB medium messages) ==");
-    let result = table3::run(if quick { 40 } else { 200 });
+    let result = table3::run(if f.quick { 40 } else { 200 });
     println!("{}", table3::table(&result).render());
     persist(
         "table3_misordering JSON",
         write_json("table3_misordering", &result),
     );
+}
+
+fn run_table4(f: &Flags) {
+    run_nas(f.arg);
+}
+
+fn run_table5(_: &Flags) {
+    run_nas("is.");
 }
 
 fn run_nas(filter: &str) {
@@ -428,35 +352,35 @@ fn run_nas(filter: &str) {
     );
 }
 
-fn run_coexistence() {
+fn run_coexistence(_: &Flags) {
     println!("== §IV/§VI: TCP/IP coexistence (non-interference claim) ==");
     let result = coexistence::run();
     println!("{}", coexistence::table(&result).render());
     persist("coexistence JSON", write_json("coexistence", &result));
 }
 
-fn run_multiqueue() {
+fn run_multiqueue(_: &Flags) {
     println!("== §VI: multiqueue interrupt steering (future work) ==");
     let result = multiqueue::run(4, 1_000);
     println!("{}", multiqueue::table(&result).render());
     persist("multiqueue JSON", write_json("multiqueue", &result));
 }
 
-fn run_jumbo(quick: bool) {
+fn run_jumbo(f: &Flags) {
     println!("== §IV-A: jumbo frames (MTU 9000) ==");
-    let result = jumbo::run(if quick { 20 } else { 50 });
+    let result = jumbo::run(if f.quick { 20 } else { 50 });
     println!("{}", jumbo::table(&result).render());
     persist("jumbo JSON", write_json("jumbo", &result));
 }
 
-fn run_sensitivity(quick: bool) {
+fn run_sensitivity(f: &Flags) {
     println!("== Cost-model sensitivity: are the conclusions robust? ==");
-    let result = sensitivity::run(if quick { 500 } else { 1_200 });
+    let result = sensitivity::run(if f.quick { 500 } else { 1_200 });
     println!("{}", sensitivity::table(&result).render());
     persist("sensitivity JSON", write_json("sensitivity", &result));
 }
 
-fn run_perf() {
+fn run_perf(_: &Flags) {
     println!("== simulator cost: events dispatched per kind, queue placement ==");
     let report = omx_bench::perf::run();
     omx_bench::perf::print_summary(&report);
@@ -464,9 +388,9 @@ fn run_perf() {
     println!("wrote BENCH_sim.json");
 }
 
-fn run_scale(quick: bool, slo: bool) {
+fn run_scale(f: &Flags) {
     println!("== Scale-out collectives: nodes x strategy, bounded switch buffers ==");
-    let result = scale::run(quick, slo);
+    let result = scale::run(f.quick, f.slo);
     println!("{}", scale::table(&result).render());
     println!(
         "{} cells, {} switch drops, {} sanitizer violations",
@@ -481,9 +405,9 @@ fn run_scale(quick: bool, slo: bool) {
     persist("scale JSON", write_json("scale", &result));
 }
 
-fn run_offload(quick: bool) {
+fn run_offload(f: &Flags) {
     println!("== NIC-resident collectives vs host coalescing ==");
-    let result = offload::run(quick);
+    let result = offload::run(f.quick);
     println!("{}", offload::table(&result).render());
     let off = |f: fn(&offload::OffloadCell) -> u64| {
         result
@@ -507,16 +431,16 @@ fn run_offload(quick: bool) {
     persist("offload JSON", write_json("offload", &result));
 }
 
-fn run_adaptive(quick: bool) {
+fn run_adaptive(f: &Flags) {
     println!("== §VI: adaptive coalescing ==");
-    let result = adaptive::run(if quick { 20 } else { 60 }, quick);
+    let result = adaptive::run(if f.quick { 20 } else { 60 }, f.quick);
     println!("{}", adaptive::table(&result).render());
     persist("adaptive JSON", write_json("adaptive", &result));
 }
 
-fn run_faults(quick: bool, slo: bool) {
+fn run_faults(f: &Flags) {
     println!("== Fault injection: loss × strategy × size, ring overflow ==");
-    let result = faults::run(quick, slo);
+    let result = faults::run(f.quick, f.slo);
     println!("{}", faults::table(&result).render());
     println!(
         "{} cells, {} sanitizer violations",
@@ -528,4 +452,22 @@ fn run_faults(quick: bool, slo: bool) {
             .sum::<u64>()
     );
     persist("faults JSON", write_json("faults", &result));
+}
+
+fn run_trace(f: &Flags) {
+    let experiment = if f.arg.is_empty() { "fig5" } else { f.arg };
+    exit_on_err(omx_bench::traced::run(experiment, f.quick));
+}
+
+fn run_timeline(f: &Flags) {
+    let experiment = if f.arg.is_empty() { "scale" } else { f.arg };
+    exit_on_err(omx_bench::timeline::run(experiment, f.quick));
+}
+
+/// Exit with status 2 on a subcommand's usage error.
+fn exit_on_err(result: Result<(), String>) {
+    if let Err(e) = result {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
 }

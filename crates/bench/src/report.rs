@@ -74,7 +74,7 @@
 //! documented in [`crate::timeline`] and DESIGN §10.
 //!
 //! `BENCH_sim.json` (repo root, written by `omx-bench perf`) holds the exact
-//! per-event-kind dispatch and event-queue counts of four fixed shapes; its
+//! per-event-kind dispatch and event-queue counts of five fixed shapes; its
 //! schema is documented in [`crate::perf`].
 
 use std::fmt::Write as _;

@@ -38,24 +38,38 @@ pub struct TraceCapture {
     pub files: Vec<String>,
 }
 
+/// A traced strategy: file-name label and configuration.
+type Traced = (&'static str, CoalescingStrategy);
+
+const TIMEOUT: Traced = ("timeout-75us", CoalescingStrategy::Timeout { delay_us: 75 });
+const DISABLED: Traced = ("disabled", CoalescingStrategy::Disabled);
+const OPENMX: Traced = ("open-mx", CoalescingStrategy::OpenMx { delay_us: 75 });
+
+/// `(experiment, ping-pong message length, strategies traced)` for every
+/// experiment the trace subcommand understands.
+const SCENARIOS: &[(&str, u32, &[Traced])] = &[
+    // The paper's headline latency case: 0-byte ping-pong, where the
+    // 75 µs hold dominates end-to-end latency (Fig. 5 left edge).
+    ("fig5", 0, &[TIMEOUT, DISABLED]),
+    ("fig6", 0, &[TIMEOUT, DISABLED, OPENMX]),
+    ("pingpong", 0, &[TIMEOUT, DISABLED]),
+    // Table II's 234 KiB transfer anatomy.
+    ("table2", 234 * 1024, &[TIMEOUT, DISABLED, OPENMX]),
+];
+
 /// Experiments the trace subcommand understands.
-pub fn supported() -> &'static [&'static str] {
-    &["fig5", "fig6", "pingpong", "table2"]
+pub fn supported() -> Vec<&'static str> {
+    SCENARIOS
+        .iter()
+        .map(|&(experiment, ..)| experiment)
+        .collect()
 }
 
-fn scenario(experiment: &str) -> Option<(u32, Vec<(&'static str, CoalescingStrategy)>)> {
-    let timeout = ("timeout-75us", CoalescingStrategy::Timeout { delay_us: 75 });
-    let disabled = ("disabled", CoalescingStrategy::Disabled);
-    let openmx = ("open-mx", CoalescingStrategy::OpenMx { delay_us: 75 });
-    match experiment {
-        // The paper's headline latency case: 0-byte ping-pong, where the
-        // 75 µs hold dominates end-to-end latency (Fig. 5 left edge).
-        "fig5" | "pingpong" => Some((0, vec![timeout, disabled])),
-        "fig6" => Some((0, vec![timeout, disabled, openmx])),
-        // Table II's 234 KiB transfer anatomy.
-        "table2" => Some((234 * 1024, vec![timeout, disabled, openmx])),
-        _ => None,
-    }
+fn scenario(experiment: &str) -> Option<(u32, &'static [Traced])> {
+    SCENARIOS
+        .iter()
+        .find(|&&(name, ..)| name == experiment)
+        .map(|&(_, msg_len, strategies)| (msg_len, strategies))
 }
 
 fn capture_one(
@@ -64,7 +78,6 @@ fn capture_one(
     strategy: CoalescingStrategy,
     msg_len: u32,
     iterations: u32,
-    out_override: Option<&str>,
 ) -> std::io::Result<TraceCapture> {
     let mut cluster = ClusterBuilder::new().nodes(2).strategy(strategy).build();
     cluster.enable_tracing(TRACE_CAPACITY);
@@ -81,10 +94,7 @@ fn capture_one(
     let dir = Path::new("results");
     std::fs::create_dir_all(dir)?;
     let stem = format!("trace_{experiment}_{label}");
-    let chrome_path = match out_override {
-        Some(f) => std::path::PathBuf::from(f),
-        None => dir.join(format!("{stem}.chrome.json")),
-    };
+    let chrome_path = dir.join(format!("{stem}.chrome.json"));
     std::fs::write(&chrome_path, tracer.to_chrome_json().render_pretty())?;
     let jsonl_path = dir.join(format!("{stem}.jsonl"));
     std::fs::write(&jsonl_path, tracer.to_jsonl())?;
@@ -107,10 +117,8 @@ fn capture_one(
     })
 }
 
-/// Run the trace subcommand. `out_override` (the `--trace=FILE` value)
-/// redirects the *chrome* export of the first strategy; other artifacts
-/// keep their default paths.
-pub fn run(experiment: &str, quick: bool, out_override: Option<&str>) -> Result<(), String> {
+/// Run the trace subcommand.
+pub fn run(experiment: &str, quick: bool) -> Result<(), String> {
     let Some((msg_len, strategies)) = scenario(experiment) else {
         return Err(format!(
             "experiment '{experiment}' has no trace scenario (supported: {})",
@@ -123,16 +131,9 @@ pub fn run(experiment: &str, quick: bool, out_override: Option<&str>) -> Result<
         msg_len
     );
     let mut captures = Vec::new();
-    for (i, (label, strategy)) in strategies.into_iter().enumerate() {
-        let cap = capture_one(
-            experiment,
-            label,
-            strategy,
-            msg_len,
-            iterations,
-            if i == 0 { out_override } else { None },
-        )
-        .map_err(|e| format!("writing trace artifacts: {e}"))?;
+    for &(label, strategy) in strategies {
+        let cap = capture_one(experiment, label, strategy, msg_len, iterations)
+            .map_err(|e| format!("writing trace artifacts: {e}"))?;
         println!(
             "-- {} (half RTT {:.1} us) --",
             cap.strategy,
@@ -179,6 +180,7 @@ mod tests {
 
     #[test]
     fn every_supported_experiment_has_a_scenario() {
+        assert_eq!(supported(), ["fig5", "fig6", "pingpong", "table2"]);
         for exp in supported() {
             assert!(scenario(exp).is_some(), "{exp} must have a scenario");
         }

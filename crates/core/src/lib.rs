@@ -47,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
 pub mod latency;
 pub mod marking;
 pub mod matching;
@@ -60,18 +59,16 @@ pub mod trace;
 pub mod wire;
 pub mod workloads;
 
-pub use config::ClusterConfig;
 pub use omx_nic::offload;
-pub use system::{Cluster, ClusterBuilder};
+pub use system::{Cluster, ClusterBuilder, ClusterConfig};
 
 /// Convenience re-exports for examples and downstream users.
 pub mod prelude {
-    pub use crate::config::ClusterConfig;
     pub use crate::latency::{LatencyBreakdown, PhaseSummary};
     pub use crate::marking::MarkingPolicy;
     pub use crate::metrics::ClusterMetrics;
     pub use crate::sanitizer::SanitizerReport;
-    pub use crate::system::{Cluster, ClusterBuilder};
+    pub use crate::system::{Cluster, ClusterBuilder, ClusterConfig};
     pub use crate::telemetry::{SloSummary, Telemetry, TelemetryConfig};
     pub use crate::trace::{TraceEvent, TraceKind, Tracer};
     pub use crate::wire::{EndpointAddr, NodeId};

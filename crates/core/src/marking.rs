@@ -112,7 +112,7 @@ impl MarkingPolicy {
             PacketKind::PullRequest { .. } => self.pull_request,
             PacketKind::PullReply { last_of_block, .. } => self.pull_reply_last && last_of_block,
             PacketKind::Notify { .. } => self.notify,
-            PacketKind::Ack { .. } | PacketKind::TcpSegment { .. } => false,
+            PacketKind::Ack { .. } => false,
         }
     }
 
@@ -201,10 +201,9 @@ mod tests {
     }
 
     #[test]
-    fn acks_and_tcp_never_marked() {
+    fn acks_never_marked() {
         let p = MarkingPolicy::all();
         assert!(!p.should_mark(&PacketKind::Ack { cumulative_seq: 1 }));
-        assert!(!p.should_mark(&PacketKind::TcpSegment { len: 1460 }));
     }
 
     #[test]

@@ -589,9 +589,6 @@ impl NodeDriver {
             PacketKind::Ack { cumulative_seq } => {
                 self.process_ack(now, ct, cumulative_seq, actions);
             }
-            PacketKind::TcpSegment { .. } => {
-                // Not Open-MX; nothing to do at this layer.
-            }
         }
     }
 

@@ -187,12 +187,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Override the whole config (escape hatch).
-    pub fn config(mut self, cfg: ClusterConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
     /// Access the config being built.
     pub fn config_mut(&mut self) -> &mut ClusterConfig {
         &mut self.cfg
@@ -1161,10 +1155,9 @@ fn delivers_app_event(pkt: &Packet) -> bool {
             frag, frag_count, ..
         } => frag + 1 == frag_count,
         PacketKind::PullReply { last_of_block, .. } => last_of_block,
-        PacketKind::Rendezvous { .. }
-        | PacketKind::PullRequest { .. }
-        | PacketKind::Ack { .. }
-        | PacketKind::TcpSegment { .. } => false,
+        PacketKind::Rendezvous { .. } | PacketKind::PullRequest { .. } | PacketKind::Ack { .. } => {
+            false
+        }
     }
 }
 
@@ -2772,34 +2765,6 @@ mod tests {
             windows.windows(2).all(|w| w[0].0 < w[1].0),
             "window ends increase: {windows:?}"
         );
-    }
-
-    /// The exported `pending_dma` key is the RX-ring occupancy: on every
-    /// node line of a Stream run's JSONL timeline it equals `rx_ring`, and
-    /// some boundary falls on an occupied ring.
-    #[test]
-    fn pending_dma_reads_the_rx_ring_occupancy() {
-        use omx_sim::json::Json;
-        let mut cluster = lossy_stream_cluster();
-        cluster.enable_telemetry(TelemetryConfig {
-            window_ns: 10_000,
-            ..TelemetryConfig::default()
-        });
-        cluster.run(Time::MAX);
-        let jsonl = cluster.telemetry().expect("telemetry enabled").to_jsonl();
-        let (mut nodes, mut occupied) = (0, 0);
-        for line in jsonl.lines() {
-            let rec = Json::parse(line).expect("valid JSONL");
-            if rec.get("kind").and_then(Json::as_str) != Some("node") {
-                continue;
-            }
-            let field = |key| rec.get(key).and_then(Json::as_u64).expect(key);
-            assert_eq!(field("pending_dma"), field("rx_ring"), "{line}");
-            nodes += 1;
-            occupied += usize::from(field("rx_ring") > 0);
-        }
-        assert!(nodes > 0, "node lines exported");
-        assert!(occupied > 0, "some boundary falls on an occupied ring");
     }
 
     /// A frame left waiting on the coalescing timer is one interrupt

@@ -324,9 +324,6 @@ impl Telemetry {
                     ("hold_sum_ns", Json::U64(w.hold_sum_ns)),
                     ("hold_count", Json::U64(w.hold_count)),
                     ("rx_ring", Json::U64(w.rx_ring)),
-                    // The RX-ring occupancy again: the key is kept for the
-                    // pinned JSON shape.
-                    ("pending_dma", Json::U64(w.rx_ring)),
                     ("retransmits", Json::U64(w.retransmits)),
                     ("rerequests", Json::U64(w.rerequests)),
                     ("reorder_depth", Json::U64(w.reorder_depth)),
@@ -378,8 +375,6 @@ impl Telemetry {
                 events.push(counter("tel/interrupts", pid, w.end_ns, w.interrupts));
                 events.push(counter("tel/hold_sum_ns", pid, w.end_ns, w.hold_sum_ns));
                 events.push(counter("tel/rx_ring", pid, w.end_ns, w.rx_ring));
-                // The RX-ring occupancy again, kept for the pinned shape.
-                events.push(counter("tel/pending_dma", pid, w.end_ns, w.rx_ring));
                 events.push(counter("tel/retransmits", pid, w.end_ns, w.retransmits));
                 events.push(counter("tel/rerequests", pid, w.end_ns, w.rerequests));
                 events.push(counter("tel/reorder_depth", pid, w.end_ns, w.reorder_depth));

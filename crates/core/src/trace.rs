@@ -83,8 +83,6 @@ impl TraceKind {
 /// allocates, so tracing stays cheap enough to leave on for full runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceData {
-    /// No payload.
-    None,
     /// Static label (e.g. a drop reason).
     Text(&'static str),
     /// An Open-MX packet; `desc` is the RX DMA descriptor once allocated.
@@ -198,7 +196,6 @@ impl TraceEvent {
     /// Human-readable payload description (allocates; only for rendering).
     pub fn detail(&self) -> String {
         match self.data {
-            TraceData::None => String::new(),
             TraceData::Text(s) => s.to_string(),
             TraceData::Packet { pkt, desc } => match desc {
                 Some(d) => format!("{} desc={d}", packet_label(&pkt)),
@@ -240,7 +237,6 @@ impl TraceEvent {
         let mut args = Vec::new();
         let mut put = |k: &str, v: Json| args.push((k.to_string(), v));
         match self.data {
-            TraceData::None => {}
             TraceData::Text(s) => put("label", Json::Str(s.to_string())),
             TraceData::Packet { pkt, desc } => {
                 put("packet", Json::Str(packet_label(&pkt)));
@@ -524,7 +520,6 @@ pub fn packet_label(pkt: &Packet) -> String {
         ),
         PacketKind::Notify { msg } => format!("notify{mark} msg={}", msg.0),
         PacketKind::Ack { cumulative_seq } => format!("ack seq={cumulative_seq}"),
-        PacketKind::TcpSegment { len } => format!("tcp len={len}"),
     }
 }
 
@@ -654,7 +649,7 @@ mod tests {
             assert_eq!(tr.capacity(), cap);
             let mut tr = tr;
             for i in 0..(cap as u64 + 10) {
-                tr.record(KEY, t(i), 0, TraceKind::Transmit, TraceData::None);
+                tr.record(KEY, t(i), 0, TraceKind::Transmit, TraceData::Text("x"));
             }
             assert_eq!(tr.len(), cap, "ring holds exactly the requested capacity");
             assert_eq!(tr.evicted(), 10);

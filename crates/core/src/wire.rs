@@ -142,11 +142,6 @@ pub enum PacketKind {
         /// Highest eager sequence number received in order.
         cumulative_seq: u64,
     },
-    /// Background TCP-like traffic (not Open-MX; never marked).
-    TcpSegment {
-        /// Payload length.
-        len: u32,
-    },
 }
 
 /// A full packet: header + body.
@@ -165,7 +160,6 @@ impl Packet {
             PacketKind::Small { len, .. } => len,
             PacketKind::MediumFrag { frag_len, .. } => frag_len,
             PacketKind::PullReply { frame_len, .. } => frame_len,
-            PacketKind::TcpSegment { len } => len,
             PacketKind::Rendezvous { .. }
             | PacketKind::PullRequest { .. }
             | PacketKind::Notify { .. }
@@ -187,7 +181,7 @@ impl Packet {
             | PacketKind::PullRequest { msg, .. }
             | PacketKind::PullReply { msg, .. }
             | PacketKind::Notify { msg } => Some(msg),
-            PacketKind::Ack { .. } | PacketKind::TcpSegment { .. } => None,
+            PacketKind::Ack { .. } => None,
         }
     }
 }

@@ -11,7 +11,7 @@ use omx_core::wire::{
 use omx_sim::rng::SimRng;
 
 fn arb_kind(rng: &mut SimRng) -> PacketKind {
-    match rng.range_u64(0, 8) {
+    match rng.range_u64(0, 7) {
         0 => PacketKind::Small {
             msg: MsgId(rng.next_u64()),
             match_info: rng.next_u64(),
@@ -48,11 +48,8 @@ fn arb_kind(rng: &mut SimRng) -> PacketKind {
         5 => PacketKind::Notify {
             msg: MsgId(rng.next_u64()),
         },
-        6 => PacketKind::Ack {
+        _ => PacketKind::Ack {
             cumulative_seq: rng.next_u64(),
-        },
-        _ => PacketKind::TcpSegment {
-            len: rng.range_u64(0, 1500) as u32,
         },
     }
 }
@@ -98,8 +95,8 @@ fn marking_respects_policy() {
         let all = MarkingPolicy::all();
         let none = MarkingPolicy::none();
         assert!(!none.should_mark(&kind));
-        // Acks and TCP are never marked even by the full policy.
-        if matches!(kind, PacketKind::Ack { .. } | PacketKind::TcpSegment { .. }) {
+        // Acks are never marked even by the full policy.
+        if matches!(kind, PacketKind::Ack { .. }) {
             assert!(!all.should_mark(&kind));
         }
         // Determinism.

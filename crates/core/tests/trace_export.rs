@@ -103,25 +103,32 @@ fn lifecycle(tr: &mut Tracer, src: u16, dst: u16, msg: u64, base: u64) {
     );
 }
 
+const CHROME_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/chrome_trace.json"
+);
+
 /// The Chrome export of a fixed two-message trace must match the checked-in
-/// golden file byte for byte. When the format changes on purpose, rerun
-/// with `UPDATE_GOLDEN=1` to regenerate `tests/golden/chrome_trace.json`
-/// and review the diff.
+/// golden file byte for byte. When the format changes on purpose, bless
+/// with `OMX_BLESS=1 cargo test -p omx-core --test trace_export` and review
+/// the diff.
 #[test]
 fn chrome_export_matches_golden_file() {
     let mut tr = Tracer::new(64);
     lifecycle(&mut tr, 0, 1, 1, 1_000);
     lifecycle(&mut tr, 1, 0, 2, 20_000);
     let rendered = tr.to_chrome_json().render_pretty();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write("tests/golden/chrome_trace.json", &rendered).expect("golden file written");
+    if std::env::var_os("OMX_BLESS").is_some() {
+        std::fs::write(CHROME_GOLDEN, &rendered).expect("write golden");
+        return;
     }
-    let golden = include_str!("golden/chrome_trace.json");
+    let golden = std::fs::read_to_string(CHROME_GOLDEN).expect(
+        "golden missing; bless with OMX_BLESS=1 cargo test -p omx-core --test trace_export",
+    );
     assert_eq!(
-        rendered.trim(),
-        golden.trim(),
+        rendered, golden,
         "Chrome trace export drifted from tests/golden/chrome_trace.json; \
-         if the change is intentional, regenerate the golden file"
+         if the change is intentional, bless it with OMX_BLESS=1"
     );
 }
 

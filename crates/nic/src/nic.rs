@@ -312,7 +312,6 @@ impl<F> Nic<F> {
         match meta.class {
             PacketClass::OpenMx => self.counters.omx_packets.incr(),
             PacketClass::Ip => self.counters.ip_packets.incr(),
-            PacketClass::Other => {}
         }
         if meta.marked {
             self.counters.marked_packets.incr();

@@ -17,8 +17,6 @@ pub enum PacketClass {
     OpenMx,
     /// Plain IP / TCP traffic sharing the NIC.
     Ip,
-    /// Anything else (ARP, management, …).
-    Other,
 }
 
 /// What the firmware can see about one received frame.

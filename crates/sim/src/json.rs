@@ -523,29 +523,45 @@ impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     }
 }
 
-/// Implement [`ToJson`] for a plain struct by listing its fields.
+/// Implement [`ToJson`] for a plain struct by listing its fields. A field
+/// written `name?` must be an `Option`; it is omitted when `None` rather
+/// than rendered as `null`.
 ///
 /// ```
 /// use omx_sim::impl_to_json;
 /// use omx_sim::json::ToJson;
 ///
-/// struct Point { x: u32, y: u32 }
-/// impl_to_json!(Point { x, y });
+/// struct Point { x: u32, y: u32, label: Option<&'static str> }
+/// impl_to_json!(Point { x, y, label? });
 ///
-/// let json = Point { x: 1, y: 2 }.to_json().render();
+/// let json = Point { x: 1, y: 2, label: None }.to_json().render();
 /// assert_eq!(json, r#"{"x":1,"y":2}"#);
+/// let json = Point { x: 1, y: 2, label: Some("a") }.to_json().render();
+/// assert_eq!(json, r#"{"x":1,"y":2,"label":"a"}"#);
 /// ```
 #[macro_export]
 macro_rules! impl_to_json {
-    ($ty:ty { $($field:ident),* $(,)? }) => {
+    ($ty:ty { $($fields:tt)* }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
-                $crate::json::Json::Obj(vec![
-                    $((stringify!($field).to_string(),
-                       $crate::json::ToJson::to_json(&self.$field)),)*
-                ])
+                $crate::impl_to_json!(@entries self [] $($fields)*)
             }
         }
+    };
+    // Every field read into an `Option` entry; the `None`s drop out here.
+    (@entries $s:ident [$($entry:expr),*]) => {
+        $crate::json::Json::Obj([$($entry),*].into_iter().flatten().collect())
+    };
+    (@entries $s:ident [$($entry:expr),*] $field:ident ? $(, $($rest:tt)*)?) => {
+        $crate::impl_to_json!(@entries $s [$($entry,)* $s.$field.as_ref().map(|v| {
+            (stringify!($field).to_string(), $crate::json::ToJson::to_json(v))
+        })] $($($rest)*)?)
+    };
+    (@entries $s:ident [$($entry:expr),*] $field:ident $(, $($rest:tt)*)?) => {
+        $crate::impl_to_json!(@entries $s [$($entry,)* Some((
+            stringify!($field).to_string(),
+            $crate::json::ToJson::to_json(&$s.$field),
+        ))] $($($rest)*)?)
     };
 }
 

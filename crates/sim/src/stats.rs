@@ -253,7 +253,7 @@ impl Histogram {
     /// would land in bucket 0 only by cast saturation, making quantiles of
     /// all-zero series report bucket 0's nonzero midpoint — and is instead
     /// counted exactly so [`Histogram::quantile`] can return `Some(0)`.
-    /// A value past the grid's top, [`GRID_TOP_NS`], goes to the last bucket
+    /// A value past the grid's top, 10^12 ns, goes to the last bucket
     /// and is also counted as an overflow.
     pub fn record(&mut self, value_ns: u64) {
         let (lo, hi, last) = self.last;
