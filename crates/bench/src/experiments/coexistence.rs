@@ -52,7 +52,7 @@ impl Actor for IpSource {
         }
         self.remaining -= 1;
         ctx.send_raw_ethernet(self.dst, 1460);
-        ctx.set_timer(ctx.now() + TimeDelta::from_nanos(self.gap_ns as i64), 0);
+        ctx.set_timer(ctx.now() + TimeDelta::from_nanos(self.gap_ns), 0);
     }
     fn as_any(&self) -> &dyn Any {
         self

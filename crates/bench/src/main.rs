@@ -52,16 +52,7 @@ use omx_bench::experiments::{
     adaptive, coexistence, faults, fig4, jumbo, multiqueue, nas, offload, overhead, pingpong,
     scale, sensitivity, table1, table2, table3,
 };
-use omx_bench::write_json;
-
-/// Fail loudly if a results artifact could not be written: a benchmark whose
-/// output silently vanished is indistinguishable from one that succeeded.
-fn persist(what: &str, result: std::io::Result<()>) {
-    if let Err(e) = result {
-        eprintln!("failed to write {what}: {e}");
-        std::process::exit(1);
-    }
-}
+use omx_bench::report::{write_dat, write_gnuplot, write_json};
 
 /// The command line as a campaign reads it.
 struct Flags<'a> {
@@ -203,10 +194,7 @@ fn run_fig4(f: &Flags) {
     println!("== Figure 4: message rate vs interrupt coalescing delay ==");
     let result = fig4::run(if f.quick { 600 } else { 2_000 });
     println!("{}", fig4::table(&result).render());
-    persist(
-        "fig4_message_rate JSON",
-        write_json("fig4_message_rate", &result),
-    );
+    write_json("fig4_message_rate", &result);
     // gnuplot: one column block per curve (delay, rate).
     let mut configs: Vec<String> = result.points.iter().map(|p| p.config.clone()).collect();
     configs.dedup();
@@ -221,22 +209,16 @@ fn run_fig4(f: &Flags) {
         }
         rows.push(vec![String::new()]);
     }
-    persist(
-        "fig4 dat",
-        omx_bench::report::write_dat("fig4", "delay_us msgs_per_sec (blocks per config)", &rows),
-    );
-    persist(
-        "fig4 gnuplot script",
-        omx_bench::report::write_gnuplot(
-            "fig4",
-            "set xlabel 'Interrupt coalescing (microseconds)'\n\
+    write_dat("fig4", "delay_us msgs_per_sec (blocks per config)", &rows);
+    write_gnuplot(
+        "fig4",
+        "set xlabel 'Interrupt coalescing (microseconds)'\n\
          set ylabel 'Messages received / second'\n\
          set key bottom right\n\
          plot 'fig4.dat' index 0 w lp t 'single core, no sleep', \\\n\
               '' index 1 w lp t 'single core, sleep possible', \\\n\
               '' index 2 w lp t 'all cores, sleep possible (default)'\n\
          pause -1\n",
-        ),
     );
 }
 
@@ -248,7 +230,7 @@ fn run_overhead(f: &Flags) {
         "paper anchors: disabled {} ns, coalesced {} ns\n",
         result.paper_disabled_ns, result.paper_coalesced_ns
     );
-    persist("overhead JSON", write_json("overhead", &result));
+    write_json("overhead", &result);
 }
 
 fn run_fig5(f: &Flags) {
@@ -268,7 +250,7 @@ fn run_pingpong(with_openmx: bool, quick: bool) {
     println!("== {label}: ping-pong transfer time ==");
     let result = pingpong::run(with_openmx, if quick { 20 } else { 60 });
     println!("{}", pingpong::table(&result).render());
-    persist("name JSON", write_json(name, &result));
+    write_json(name, &result);
     // gnuplot: blocks per strategy (size, normalized transfer time).
     let mut strategies: Vec<String> = result.points.iter().map(|p| p.strategy.clone()).collect();
     strategies.dedup();
@@ -280,20 +262,14 @@ fn run_pingpong(with_openmx: bool, quick: bool) {
         }
         rows.push(vec![String::new()]);
     }
-    persist(
-        "name dat",
-        omx_bench::report::write_dat(name, "size_bytes normalized_transfer_time", &rows),
-    );
-    persist(
-        "name gnuplot script",
-        omx_bench::report::write_gnuplot(
-            name,
-            &format!(
-                "set logscale x 2\nset xlabel 'Message size (bytes)'\n\
+    write_dat(name, "size_bytes normalized_transfer_time", &rows);
+    write_gnuplot(
+        name,
+        &format!(
+            "set logscale x 2\nset xlabel 'Message size (bytes)'\n\
              set ylabel 'Normalized Transfer Time'\nset key top right\n\
              plot for [i=0:{}] '{name}.dat' index i w lp t columnheader(1)\npause -1\n",
-                strategies.len() - 1
-            ),
+            strategies.len() - 1
         ),
     );
 }
@@ -302,10 +278,7 @@ fn run_table1(_: &Flags) {
     println!("== Table I: message rate (msg/s) by size and strategy ==");
     let result = table1::run();
     println!("{}", table1::table(&result).render());
-    persist(
-        "table1_message_rate JSON",
-        write_json("table1_message_rate", &result),
-    );
+    write_json("table1_message_rate", &result);
 }
 
 fn run_table2(f: &Flags) {
@@ -315,17 +288,14 @@ fn run_table2(f: &Flags) {
     println!("{}", main.render());
     println!("-- §IV-C3 marker ablation (open-mx coalescing) --");
     println!("{}", ablation.render());
-    persist("table2_anatomy JSON", write_json("table2_anatomy", &result));
+    write_json("table2_anatomy", &result);
 }
 
 fn run_table3(f: &Flags) {
     println!("== Table III: packet mis-ordering (32 KiB medium messages) ==");
     let result = table3::run(if f.quick { 40 } else { 200 });
     println!("{}", table3::table(&result).render());
-    persist(
-        "table3_misordering JSON",
-        write_json("table3_misordering", &result),
-    );
+    write_json("table3_misordering", &result);
 }
 
 fn run_table4(f: &Flags) {
@@ -346,46 +316,42 @@ fn run_nas(filter: &str) {
     println!("{}", nas::table_iv(&result).render());
     println!("-- Table V: interrupts --");
     println!("{}", nas::table_v(&result).render());
-    persist(
-        "table4_table5_nas JSON",
-        write_json("table4_table5_nas", &result),
-    );
+    write_json("table4_table5_nas", &result);
 }
 
 fn run_coexistence(_: &Flags) {
     println!("== §IV/§VI: TCP/IP coexistence (non-interference claim) ==");
     let result = coexistence::run();
     println!("{}", coexistence::table(&result).render());
-    persist("coexistence JSON", write_json("coexistence", &result));
+    write_json("coexistence", &result);
 }
 
 fn run_multiqueue(_: &Flags) {
     println!("== §VI: multiqueue interrupt steering (future work) ==");
     let result = multiqueue::run(4, 1_000);
     println!("{}", multiqueue::table(&result).render());
-    persist("multiqueue JSON", write_json("multiqueue", &result));
+    write_json("multiqueue", &result);
 }
 
 fn run_jumbo(f: &Flags) {
     println!("== §IV-A: jumbo frames (MTU 9000) ==");
     let result = jumbo::run(if f.quick { 20 } else { 50 });
     println!("{}", jumbo::table(&result).render());
-    persist("jumbo JSON", write_json("jumbo", &result));
+    write_json("jumbo", &result);
 }
 
 fn run_sensitivity(f: &Flags) {
     println!("== Cost-model sensitivity: are the conclusions robust? ==");
     let result = sensitivity::run(if f.quick { 500 } else { 1_200 });
     println!("{}", sensitivity::table(&result).render());
-    persist("sensitivity JSON", write_json("sensitivity", &result));
+    write_json("sensitivity", &result);
 }
 
 fn run_perf(_: &Flags) {
     println!("== simulator cost: events dispatched per kind, queue placement ==");
     let report = omx_bench::perf::run();
     omx_bench::perf::print_summary(&report);
-    persist("BENCH_sim.json", omx_bench::perf::write_report(&report));
-    println!("wrote BENCH_sim.json");
+    omx_bench::perf::write_report(&report);
 }
 
 fn run_scale(f: &Flags) {
@@ -402,7 +368,7 @@ fn run_scale(f: &Flags) {
             .map(|c| c.sanitizer_violations)
             .sum::<u64>()
     );
-    persist("scale JSON", write_json("scale", &result));
+    write_json("scale", &result);
 }
 
 fn run_offload(f: &Flags) {
@@ -428,14 +394,14 @@ fn run_offload(f: &Flags) {
             .map(|c| c.sanitizer_violations)
             .sum::<u64>()
     );
-    persist("offload JSON", write_json("offload", &result));
+    write_json("offload", &result);
 }
 
 fn run_adaptive(f: &Flags) {
     println!("== §VI: adaptive coalescing ==");
     let result = adaptive::run(if f.quick { 20 } else { 60 }, f.quick);
     println!("{}", adaptive::table(&result).render());
-    persist("adaptive JSON", write_json("adaptive", &result));
+    write_json("adaptive", &result);
 }
 
 fn run_faults(f: &Flags) {
@@ -451,7 +417,7 @@ fn run_faults(f: &Flags) {
             .map(|c| c.sanitizer_violations)
             .sum::<u64>()
     );
-    persist("faults JSON", write_json("faults", &result));
+    write_json("faults", &result);
 }
 
 fn run_trace(f: &Flags) {

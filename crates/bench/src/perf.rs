@@ -53,6 +53,7 @@ use omx_mpi::{MpiWorld, Op, WorldSpec};
 use omx_nas::{run_nas, NasBenchmark, NasClass, NasSpec};
 use omx_sim::json::Json;
 use omx_sim::{InboundStats, QueueStats};
+use std::path::Path;
 
 /// Event kinds grouped by the paper layer that schedules them, in the
 /// order [`print_summary`] lists them.
@@ -209,8 +210,8 @@ pub fn run() -> Json {
 }
 
 /// Render `report` to `BENCH_sim.json` in the working directory.
-pub fn write_report(report: &Json) -> std::io::Result<()> {
-    std::fs::write("BENCH_sim.json", report.render_pretty())
+pub fn write_report(report: &Json) {
+    crate::report::write_artifact(Path::new("BENCH_sim.json"), &report.render_pretty());
 }
 
 /// Print a report produced by [`run`], one block per shape, with the

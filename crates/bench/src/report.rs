@@ -138,38 +138,44 @@ impl Table {
     }
 }
 
+/// Write one artifact to `path`, creating its directory, and print
+/// `wrote <path>` on stderr. A failed write prints `failed to write <path>:
+/// <error>` and exits with status 1: a benchmark whose output silently
+/// vanished is indistinguishable from one that succeeded.
+pub fn write_artifact(path: &Path, contents: &str) {
+    let written = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, contents));
+    if let Err(e) = written {
+        eprintln!("failed to write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+    eprintln!("wrote {}", path.display());
+}
+
 /// Write whitespace-separated data rows under `results/<name>.dat` for
 /// gnuplot (one comment header line, then one row per entry).
-pub fn write_dat(name: &str, header: &str, rows: &[Vec<String>]) -> std::io::Result<()> {
-    let dir = Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.dat"));
+pub fn write_dat(name: &str, header: &str, rows: &[Vec<String>]) {
     let mut out = format!("# {header}\n");
     for row in rows {
         out.push_str(&row.join(" "));
         out.push('\n');
     }
-    std::fs::write(&path, out)?;
-    Ok(())
+    write_artifact(&Path::new("results").join(format!("{name}.dat")), &out);
 }
 
 /// Write a gnuplot script under `results/<name>.gp`.
-pub fn write_gnuplot(name: &str, script: &str) -> std::io::Result<()> {
-    let dir = Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join(format!("{name}.gp")), script)?;
-    Ok(())
+pub fn write_gnuplot(name: &str, script: &str) {
+    write_artifact(&Path::new("results").join(format!("{name}.gp")), script);
 }
 
 /// Write a result struct as pretty JSON under `results/<name>.json`.
-pub fn write_json<T: ToJson>(name: &str, value: &T) -> std::io::Result<()> {
-    let dir = Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.json"));
-    let json = value.to_json().render_pretty();
-    std::fs::write(&path, json)?;
-    eprintln!("wrote {}", path.display());
-    Ok(())
+pub fn write_json<T: ToJson>(name: &str, value: &T) {
+    write_artifact(
+        &Path::new("results").join(format!("{name}.json")),
+        &value.to_json().render_pretty(),
+    );
 }
 
 #[cfg(test)]

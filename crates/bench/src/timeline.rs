@@ -25,6 +25,7 @@
 //! `crates/bench/tests/timeline_golden.rs` pins a small cell.
 
 use crate::experiments::scale::{RANKS_PER_NODE, SWITCH_BUFFER_FRAMES};
+use crate::report::write_artifact;
 use omx_core::prelude::*;
 use omx_mpi::{MpiWorld, Op, WorldSpec};
 use std::path::Path;
@@ -111,12 +112,9 @@ pub fn capture(nodes: usize, iterations: u32) -> TimelineData {
     }
 }
 
-/// Run the timeline subcommand: capture, persist, summarize.
-///
-/// Artifact paths are checked on write: an unwritable `results/` (or a
-/// full disk) surfaces as `Err`, which the CLI turns into a non-zero
-/// exit — a timeline whose artifacts silently vanished is
-/// indistinguishable from a successful run otherwise.
+/// Run the timeline subcommand: capture, persist, summarize. An
+/// unsupported experiment is an `Err`; a failed write exits with status 1
+/// (see [`write_artifact`]).
 pub fn run(experiment: &str, quick: bool) -> Result<(), String> {
     if !supported().contains(&experiment) {
         return Err(format!(
@@ -132,19 +130,9 @@ pub fn run(experiment: &str, quick: bool) -> Result<(), String> {
         nodes * RANKS_PER_NODE
     );
     let data = capture(nodes, iterations);
-    let dir = Path::new("results");
-    let stem = format!("timeline_alltoall_{nodes}n");
-    let write = |name: String, contents: &str| -> Result<String, String> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("timeline: cannot create {}: {e}", dir.display()))?;
-        let path = dir.join(name);
-        std::fs::write(&path, contents)
-            .map_err(|e| format!("timeline: cannot write {}: {e}", path.display()))?;
-        eprintln!("wrote {}", path.display());
-        Ok(path.display().to_string())
-    };
-    write(format!("{stem}.jsonl"), &data.jsonl)?;
-    write(format!("{stem}.chrome.json"), &data.chrome)?;
+    let path = |ext: &str| Path::new("results").join(format!("timeline_alltoall_{nodes}n.{ext}"));
+    write_artifact(&path("jsonl"), &data.jsonl);
+    write_artifact(&path("chrome.json"), &data.chrome);
     println!(
         "elapsed {:.2} ms, {} windows; switch drops {}, peak egress queue {} frames, \
          retransmits {} (peak {} in one 100 us window)",

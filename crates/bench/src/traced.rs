@@ -20,6 +20,8 @@ use omx_core::prelude::*;
 use omx_core::trace::TraceEvent;
 use std::path::Path;
 
+use crate::report::write_artifact;
+
 /// Trace buffer capacity: large enough that a capture scenario never
 /// evicts (a ping-pong iteration is ~7 events per direction).
 const TRACE_CAPACITY: usize = 1 << 16;
@@ -34,8 +36,6 @@ pub struct TraceCapture {
     pub breakdowns: Vec<LatencyBreakdown>,
     /// Aggregate of `breakdowns`.
     pub summary: PhaseSummary,
-    /// Paths written (chrome, jsonl, txt).
-    pub files: Vec<String>,
 }
 
 /// A traced strategy: file-name label and configuration.
@@ -78,7 +78,7 @@ fn capture_one(
     strategy: CoalescingStrategy,
     msg_len: u32,
     iterations: u32,
-) -> std::io::Result<TraceCapture> {
+) -> TraceCapture {
     let mut cluster = ClusterBuilder::new().nodes(2).strategy(strategy).build();
     cluster.enable_tracing(TRACE_CAPACITY);
     let report = cluster.run_pingpong(PingPongSpec {
@@ -91,30 +91,19 @@ fn capture_one(
     let breakdowns = latency::analyze(&events);
     let summary = PhaseSummary::of(&breakdowns);
 
-    let dir = Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let stem = format!("trace_{experiment}_{label}");
-    let chrome_path = dir.join(format!("{stem}.chrome.json"));
-    std::fs::write(&chrome_path, tracer.to_chrome_json().render_pretty())?;
-    let jsonl_path = dir.join(format!("{stem}.jsonl"));
-    std::fs::write(&jsonl_path, tracer.to_jsonl())?;
-    let txt_path = dir.join(format!("{stem}.txt"));
-    std::fs::write(&txt_path, tracer.render())?;
-    let files = vec![
-        chrome_path.display().to_string(),
-        jsonl_path.display().to_string(),
-        txt_path.display().to_string(),
-    ];
-    for f in &files {
-        eprintln!("wrote {f}");
-    }
-    Ok(TraceCapture {
+    let path = |ext: &str| Path::new("results").join(format!("trace_{experiment}_{label}.{ext}"));
+    write_artifact(
+        &path("chrome.json"),
+        &tracer.to_chrome_json().render_pretty(),
+    );
+    write_artifact(&path("jsonl"), &tracer.to_jsonl());
+    write_artifact(&path("txt"), &tracer.render());
+    TraceCapture {
         strategy: label.to_string(),
         half_rtt_ns: report.half_rtt_ns,
         breakdowns,
         summary,
-        files,
-    })
+    }
 }
 
 /// Run the trace subcommand.
@@ -132,8 +121,7 @@ pub fn run(experiment: &str, quick: bool) -> Result<(), String> {
     );
     let mut captures = Vec::new();
     for &(label, strategy) in strategies {
-        let cap = capture_one(experiment, label, strategy, msg_len, iterations)
-            .map_err(|e| format!("writing trace artifacts: {e}"))?;
+        let cap = capture_one(experiment, label, strategy, msg_len, iterations);
         println!(
             "-- {} (half RTT {:.1} us) --",
             cap.strategy,

@@ -191,3 +191,38 @@ fn perf_report_write_failure_exits_nonzero() {
         "missing diagnostic: {stderr}"
     );
 }
+
+/// Run `omx-bench <args>` in a scratch working directory where a directory
+/// squats on the artifact path `squatted`, and check that the run exits 1
+/// naming that path.
+fn assert_write_failure_names_path(tag: &str, args: &[&str], squatted: &str) {
+    let dir = std::env::temp_dir().join(format!("omx_unwritable_{}_{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join(squatted)).expect("create scratch dir");
+    let output = Command::new(PathBuf::from(env!("CARGO_BIN_EXE_omx-bench")))
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("spawn omx-bench");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(&format!("failed to write {squatted}: ")),
+        "{args:?}: missing diagnostic: {stderr}"
+    );
+}
+
+#[test]
+fn campaign_write_failure_names_the_artifact() {
+    assert_write_failure_names_path("fig5", &["fig5", "--quick"], "results/fig5_pingpong.json");
+}
+
+#[test]
+fn trace_write_failure_names_the_artifact() {
+    assert_write_failure_names_path(
+        "trace",
+        &["trace", "fig5", "--quick"],
+        "results/trace_fig5_timeout-75us.chrome.json",
+    );
+}

@@ -157,19 +157,20 @@ pub struct PendingEntry {
     pub detail: String,
 }
 
-/// Convert a `u64` nanosecond config knob into a signed [`TimeDelta`],
-/// panicking with a clear message on overflow instead of silently wrapping
-/// negative (which would make every unacked packet retransmit on each timer
-/// tick).
-fn checked_delta(ns: u64, what: &str) -> TimeDelta {
-    let signed = i64::try_from(ns).unwrap_or_else(|_| {
-        panic!(
-            "ProtoConfig::{what} = {ns} ns overflows the signed nanosecond \
-             delta (max {} ns)",
-            i64::MAX
-        )
-    });
-    TimeDelta::from_nanos(signed)
+/// Convert a `u64` nanosecond timeout knob into a [`TimeDelta`]. A timeout
+/// may take at most `Time::MAX / 2` ns, so a deadline `now + timeout` cannot
+/// wrap before 2^63 ns (292 years) of simulated time. A larger one panics
+/// here with a clear message: deadline arithmetic is unchecked in release
+/// builds, and a wrapped deadline lands just before `now`, so the timer
+/// would fire at once (an ack sent immediately, a retransmit on every tick).
+fn timeout_delta(ns: u64, what: &str) -> TimeDelta {
+    let max = Time::MAX.as_nanos() / 2;
+    assert!(
+        ns <= max,
+        "ProtoConfig::{what} = {ns} ns exceeds the largest timeout ({max} ns) \
+         whose deadline cannot wrap"
+    );
+    TimeDelta::from_nanos(ns)
 }
 
 #[derive(Debug)]
@@ -369,9 +370,9 @@ impl NodeDriver {
     ///
     /// # Panics
     /// Panics if `cfg.rto_ns` is zero, or if it or `cfg.delayed_ack_ns`
-    /// overflows a signed delta. A zero timeout re-stamps a retransmitted
-    /// packet at the instant of the timer firing, so the driver timer could
-    /// never move past it.
+    /// exceeds `Time::MAX / 2` ns (see `timeout_delta`). A zero timeout
+    /// re-stamps a retransmitted packet at the instant of the timer firing,
+    /// so the driver timer could never move past it.
     pub fn new(local: u16, endpoints: usize, cfg: ProtoConfig) -> Self {
         assert!(
             cfg.rto_ns > 0,
@@ -380,8 +381,8 @@ impl NodeDriver {
         NodeDriver {
             local,
             cfg,
-            rto: checked_delta(cfg.rto_ns, "rto_ns"),
-            delayed_ack: checked_delta(cfg.delayed_ack_ns, "delayed_ack_ns"),
+            rto: timeout_delta(cfg.rto_ns, "rto_ns"),
+            delayed_ack: timeout_delta(cfg.delayed_ack_ns, "delayed_ack_ns"),
             endpoints: (0..endpoints)
                 .map(|_| Endpoint {
                     matcher: MatchEngine::new(),
@@ -2032,7 +2033,7 @@ mod tests {
         for i in 0..20 {
             collect_actions(|out| a.post_send_into(t0(), 0, dst, 64, i, i, out));
         }
-        let rto = TimeDelta::from_nanos(cfg.rto_ns as i64);
+        let rto = TimeDelta::from_nanos(cfg.rto_ns);
         let fire = t0() + rto;
         let (resent, _) = split_transmits(collect_actions(|out| a.on_timer_into(fire, out)));
         assert_eq!(resent.len(), 4, "burst capped at retx_burst");
@@ -2064,7 +2065,7 @@ mod tests {
         for i in 0..8 {
             collect_actions(|out| a.post_send_into(t0(), 0, dst, 64, i, i, out));
         }
-        let rto = TimeDelta::from_nanos(cfg.rto_ns as i64);
+        let rto = TimeDelta::from_nanos(cfg.rto_ns);
         let fire = t0() + rto;
         let (resent, _) = split_transmits(collect_actions(|out| a.on_timer_into(fire, out)));
         assert_eq!(resent.len(), 4);
@@ -2098,7 +2099,7 @@ mod tests {
             rto_ns: u64::MAX,
             ..ProtoConfig::default()
         };
-        // Building the driver converts rto_ns; u64::MAX overflows i64.
+        // Building the driver bounds rto_ns; u64::MAX exceeds the bound.
         let _ = NodeDriver::new(0, 1, cfg);
     }
 

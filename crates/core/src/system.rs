@@ -816,12 +816,12 @@ impl Nodes {
             let bytes = pkt.payload_len() as u64;
             let delay =
                 self.cfg.shm_latency_ns + (bytes * 1_000).div_ceil(self.cfg.shm_bytes_per_us);
-            let at = now + TimeDelta::from_nanos(delay as i64);
+            let at = now + TimeDelta::from_nanos(delay);
             ctx.send_shm(at, dst, pkt);
             return;
         }
         let doorbell = self.cfg.host.costs.tx_doorbell_ns;
-        let t = now + TimeDelta::from_nanos(doorbell as i64);
+        let t = now + TimeDelta::from_nanos(doorbell);
         ctx.transmit_wire(t, src, dst, WireFrame::Omx(pkt));
     }
 
@@ -919,7 +919,7 @@ impl Nodes {
                     if let Some(core) = irq_core {
                         cursor = self.rt(node).host.occupy_irq(core, cursor, cost);
                     } else {
-                        cursor += TimeDelta::from_nanos(cost as i64);
+                        cursor += TimeDelta::from_nanos(cost);
                     }
                     self.transmit_omx(cursor, pkt, ctx);
                 }
@@ -931,8 +931,7 @@ impl Nodes {
                     match_info,
                     len,
                 } => {
-                    let visible =
-                        cursor + TimeDelta::from_nanos(self.cfg.host.costs.app_event_ns as i64);
+                    let visible = cursor + TimeDelta::from_nanos(self.cfg.host.costs.app_event_ns);
                     ctx.schedule_at(
                         visible,
                         Ev::AppRecv {
@@ -949,8 +948,7 @@ impl Nodes {
                     );
                 }
                 DriverAction::SendComplete { ep, handle } => {
-                    let visible =
-                        cursor + TimeDelta::from_nanos(self.cfg.host.costs.app_event_ns as i64);
+                    let visible = cursor + TimeDelta::from_nanos(self.cfg.host.costs.app_event_ns);
                     ctx.schedule_at(visible, Ev::AppSend { node, ep, handle });
                 }
             }
@@ -1032,7 +1030,7 @@ impl Nodes {
                     });
                     let dur = costs.irq_dispatch_ns + costs.omx_handler_ns + costs.event_ring_ns;
                     let end = self.rt(node).host.occupy_irq(svc.core, svc.start, dur);
-                    let visible = end + TimeDelta::from_nanos(costs.app_event_ns as i64);
+                    let visible = end + TimeDelta::from_nanos(costs.app_event_ns);
                     ctx.trace(now, node, TraceKind::OffloadComplete, || {
                         TraceData::CollDone { ep, seq, rank }
                     });
@@ -1105,7 +1103,7 @@ impl Nodes {
                     let cpu = costs.send_post_ns
                         + costs.send_frag_ns * frags.min(4)
                         + costs.tx_copy_ns(eager_len);
-                    cursor += TimeDelta::from_nanos(cpu as i64);
+                    cursor += TimeDelta::from_nanos(cpu);
                     self.drive(node, cursor, None, ctx, |d, a, _| {
                         d.post_send_into(cursor, ep, dst, len, match_info, handle, a)
                     });
@@ -1124,14 +1122,14 @@ impl Nodes {
                     ctx.schedule_at(at.max(cursor), Ev::AppTimer { node, ep, token });
                 }
                 ActorCmd::RawEthernet { dst, payload_len } => {
-                    cursor += TimeDelta::from_nanos(costs.send_post_ns as i64);
+                    cursor += TimeDelta::from_nanos(costs.send_post_ns);
                     ctx.transmit_wire(cursor, node, dst.0, WireFrame::Raw { payload_len });
                 }
                 ActorCmd::OffloadColl { desc } => {
                     // Host cost is one command-queue write plus the
                     // doorbell; the schedule itself runs in firmware.
                     let cpu = costs.send_post_ns + costs.tx_doorbell_ns;
-                    cursor += TimeDelta::from_nanos(cpu as i64);
+                    cursor += TimeDelta::from_nanos(cpu);
                     self.rt(node).offload.post(cursor, ep, &desc);
                     self.run_offload_emits(node, cursor, false, ctx);
                 }

@@ -72,7 +72,7 @@ impl OverheadSource {
         }
         ctx.send_raw_ethernet(self.dst, self.spec.len);
         self.sent += 1;
-        let next = ctx.now() + TimeDelta::from_nanos(self.spec.gap_ns as i64);
+        let next = ctx.now() + TimeDelta::from_nanos(self.spec.gap_ns);
         ctx.set_timer(next, 0);
     }
 }

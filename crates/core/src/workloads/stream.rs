@@ -185,7 +185,7 @@ impl Cluster {
             .actor::<StreamReceiver>(1, 0)
             .expect("receiver present");
         let (first, last) = recv.span().expect("completed");
-        let span_ns = (last - first).as_nanos().max(1) as u64;
+        let span_ns = (last - first).as_nanos().max(1);
         // Rate over the measured completions after the first (span covers
         // messages-1 inter-arrival gaps).
         let rate = (spec.messages.saturating_sub(1)) as f64 / (span_ns as f64 / 1e9);

@@ -94,10 +94,7 @@ impl Actor for TransferSender {
         if self.iter >= self.spec.repeats {
             ctx.stop();
         } else {
-            ctx.set_timer(
-                ctx.now() + TimeDelta::from_nanos(self.spec.gap_ns as i64),
-                0,
-            );
+            ctx.set_timer(ctx.now() + TimeDelta::from_nanos(self.spec.gap_ns), 0);
         }
     }
 
@@ -181,7 +178,7 @@ impl Cluster {
             .post_times()
             .iter()
             .zip(receiver.completion_times())
-            .map(|(post, done)| (*done - *post).as_nanos().max(0) as u64)
+            .map(|(post, done)| (*done - *post).as_nanos())
             .collect();
         assert_eq!(times.len(), spec.repeats as usize);
         let mean = times.iter().sum::<u64>() as f64 / times.len() as f64;

@@ -330,7 +330,7 @@ fn a_batch_call_is_one_call_per_packet() {
                 to_a.extend(want.into_iter().filter_map(transmitted));
                 continue;
             }
-            now += TimeDelta::from_micros(rng.range_u64(0, 20) as i64);
+            now += TimeDelta::from_micros(rng.range_u64(0, 20));
             // Node 0 takes what node 1 sent, in order.
             for pkt in to_a.drain(..) {
                 to_b.extend(

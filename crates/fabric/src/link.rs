@@ -37,12 +37,12 @@ impl LinkConfig {
         let bits = (frame_bytes as u64 + self.wire_overhead_bytes as u64) * 8;
         // Round up so zero-cost frames are impossible on a finite-rate link.
         let ns = (bits * 1_000_000_000).div_ceil(self.bandwidth_bps);
-        TimeDelta::from_nanos(ns as i64)
+        TimeDelta::from_nanos(ns)
     }
 
     /// One-way propagation delay.
     pub fn propagation(&self) -> TimeDelta {
-        TimeDelta::from_nanos(self.propagation_ns as i64)
+        TimeDelta::from_nanos(self.propagation_ns)
     }
 }
 

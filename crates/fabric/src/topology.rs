@@ -175,7 +175,7 @@ impl EthernetFabric {
         let at_switch = host_ser_end + link.propagation();
 
         // Switch store-and-forward processing.
-        let forward_ready = at_switch + TimeDelta::from_nanos(self.cfg.switch_latency_ns as i64);
+        let forward_ready = at_switch + TimeDelta::from_nanos(self.cfg.switch_latency_ns);
 
         // Hop 2: bounded egress FIFO toward dst. Frames that finished
         // serialising by `forward_ready` have left the buffer; if what
@@ -198,8 +198,9 @@ impl EthernetFabric {
 
         self.frames_carried += 1;
         self.bytes_carried += frame_bytes as u64;
-        let arrival = arrival.saturating_add(TimeDelta::from_nanos(extra_ns));
-        // Disturbed frames may not arrive before they were sent.
+        // Jitter is the model's one signed quantity and may pull an arrival
+        // earlier, but a disturbed frame may not arrive before it was sent.
+        let arrival = Time::from_nanos(arrival.as_nanos().saturating_add_signed(extra_ns));
         let arrival = arrival.max(now);
         TransmitOutcome::Arrives(arrival)
     }
@@ -210,7 +211,7 @@ impl EthernetFabric {
         let link = self.cfg.link;
         link.serialization(frame_bytes)
             + link.propagation()
-            + TimeDelta::from_nanos(self.cfg.switch_latency_ns as i64)
+            + TimeDelta::from_nanos(self.cfg.switch_latency_ns)
             + link.serialization(frame_bytes)
             + link.propagation()
     }
@@ -373,6 +374,32 @@ mod tests {
         );
         assert_eq!(f.frames_dropped(), 1);
         assert_eq!(f.frames_carried(), 0);
+    }
+
+    #[test]
+    fn jitter_beyond_unloaded_latency_never_arrives_before_send() {
+        // Jitter wider than the wire latency pulls some arrivals earlier
+        // than the unjittered one and would put some before their own send
+        // time; those are clamped to it. Frames 1 ms apart never queue.
+        let unloaded = fabric(2).unloaded_latency(100);
+        let cfg = FabricConfig {
+            disturbance: DisturbanceConfig {
+                jitter_ns: 2 * unloaded.as_nanos(),
+                ..DisturbanceConfig::none()
+            },
+            ..FabricConfig::default()
+        };
+        let mut f = EthernetFabric::new(2, cfg, SimRng::new(5));
+        let (mut early, mut clamped) = (0, 0);
+        for i in 1..=200 {
+            let sent = Time::from_millis(i);
+            let at = arrives(f.transmit(sent, PortId(0), PortId(1), 100));
+            assert!(at >= sent, "frame sent at {sent} arrived at {at}");
+            early += usize::from(at < sent + unloaded);
+            clamped += usize::from(at == sent);
+        }
+        assert!(early > 0, "no arrival was pulled before the unjittered one");
+        assert!(clamped > 0, "no arrival was clamped to its send time");
     }
 
     #[test]

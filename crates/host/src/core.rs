@@ -72,9 +72,6 @@ pub struct IrqService {
     pub start: Time,
     /// The target core had to be woken from C1E.
     pub was_sleeping: bool,
-    /// An application was running on the target core (the handler preempts
-    /// it and pays the context-disturbance cost).
-    pub preempts_app: bool,
 }
 
 /// Monotonic host counters.
@@ -150,7 +147,7 @@ impl Host {
         }
         let idle_since = c.last_activity.max(c.irq_busy_until);
         now.saturating_since(idle_since)
-            > TimeDelta::from_nanos(self.cfg.costs.idle_sleep_threshold_ns as i64)
+            > TimeDelta::from_nanos(self.cfg.costs.idle_sleep_threshold_ns)
     }
 
     /// Route and account one interrupt arriving at `now` for flow `flow`.
@@ -176,14 +173,13 @@ impl Host {
             core,
             start,
             was_sleeping,
-            preempts_app: self.cores[core].app_active,
         }
     }
 
     /// Occupy `core` with interrupt work for `dur_ns` starting at `start`.
     /// Returns the completion time.
     pub fn occupy_irq(&mut self, core: CoreId, start: Time, dur_ns: u64) -> Time {
-        let end = start + TimeDelta::from_nanos(dur_ns as i64);
+        let end = start + TimeDelta::from_nanos(dur_ns);
         let c = &mut self.cores[core];
         c.irq_busy_until = c.irq_busy_until.max(end);
         c.irq_busy_total_ns += dur_ns;
@@ -203,12 +199,6 @@ impl Host {
     /// Whether an application rank is active on `core`.
     pub fn app_active(&self, core: CoreId) -> bool {
         self.cores[core].app_active
-    }
-
-    /// Record application activity on `core` at `now` (keeps it awake).
-    pub fn touch(&mut self, core: CoreId, now: Time) {
-        let c = &mut self.cores[core];
-        c.last_activity = c.last_activity.max(now);
     }
 
     /// Cumulative interrupt busy time on `core`, nanoseconds — application

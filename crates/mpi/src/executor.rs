@@ -197,7 +197,7 @@ impl RankActor {
                     self.compute_cpu_ns = ns;
                     self.stolen_base = ctx.core_irq_busy_ns();
                     self.wait = Wait::Compute;
-                    ctx.set_timer(ctx.now() + TimeDelta::from_nanos(ns as i64), 0);
+                    ctx.set_timer(ctx.now() + TimeDelta::from_nanos(ns), 0);
                     return;
                 }
                 Op::Send { peer, bytes, tag } => {
@@ -351,7 +351,7 @@ impl RankActor {
         // A collective advances round-by-round; point-to-point and compute
         // advance the program counter directly.
         self.op_latency_ns
-            .push(now.saturating_since(self.op_start).as_nanos().max(0) as u64);
+            .push(now.saturating_since(self.op_start).as_nanos());
         self.op_start = now;
         self.pc += 1;
         self.round = 0;
@@ -450,13 +450,13 @@ impl Actor for RankActor {
         // The phase needs `compute_cpu_ns` of CPU; interrupts stole some of
         // the window. Extend until the window is large enough.
         let stolen = ctx.core_irq_busy_ns() - self.stolen_base;
-        let needed = TimeDelta::from_nanos((self.compute_cpu_ns + stolen) as i64);
+        let needed = TimeDelta::from_nanos(self.compute_cpu_ns + stolen);
         let elapsed = ctx.now() - self.compute_start;
         if elapsed < needed {
             ctx.set_timer(self.compute_start + needed, 0);
             return;
         }
-        self.compute_wall_ns += elapsed.as_nanos().max(0) as u64;
+        self.compute_wall_ns += elapsed.as_nanos();
         self.stolen_ns += stolen;
         self.wait = Wait::None;
         self.step_done(ctx.now());

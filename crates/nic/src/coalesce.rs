@@ -127,7 +127,7 @@ impl CoalescingStrategy {
         };
         Coalescer {
             strategy: self,
-            delay: TimeDelta::from_micros(delay_us as i64),
+            delay: TimeDelta::from_micros(delay_us),
             timer_armed: false,
             deferred: false,
             window_start: Time::ZERO,
@@ -309,9 +309,9 @@ impl Coalescer {
         let rate = self.window_packets as f64 / elapsed.as_secs_f64();
         let frac =
             ((rate - ADAPTIVE_LOW_PPS) / (ADAPTIVE_HIGH_PPS - ADAPTIVE_LOW_PPS)).clamp(0.0, 1.0);
-        let min = TimeDelta::from_micros(min_delay_us as i64).as_nanos() as f64;
-        let max = TimeDelta::from_micros(max_delay_us as i64).as_nanos() as f64;
-        self.delay = TimeDelta::from_nanos((min + frac * (max - min)) as i64);
+        let min = TimeDelta::from_micros(min_delay_us).as_nanos() as f64;
+        let max = TimeDelta::from_micros(max_delay_us).as_nanos() as f64;
+        self.delay = TimeDelta::from_nanos((min + frac * (max - min)) as u64);
         self.window_start = now;
         self.window_packets = 0;
     }

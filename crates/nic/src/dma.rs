@@ -41,7 +41,7 @@ impl DmaConfig {
     /// Pure transfer time for `len` bytes (setup + copy).
     pub fn transfer_time(&self, len: u32) -> TimeDelta {
         let copy_ns = (len as u64 * 1_000).div_ceil(self.bytes_per_us);
-        TimeDelta::from_nanos((self.setup_ns + copy_ns) as i64)
+        TimeDelta::from_nanos(self.setup_ns + copy_ns)
     }
 }
 

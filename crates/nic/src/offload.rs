@@ -542,7 +542,7 @@ impl OffloadEngine {
                 };
                 self.counters.acks_tx += 1;
                 self.emits.push(OffloadEmit::Wire {
-                    at: now + TimeDelta::from_nanos(self.cfg.hop_ns as i64),
+                    at: now + TimeDelta::from_nanos(self.cfg.hop_ns),
                     frame: ack,
                     fresh: false,
                 });
@@ -598,8 +598,8 @@ impl OffloadEngine {
     /// The per-node retransmission timer fired: re-send every frame whose
     /// RTO deadline has passed.
     pub fn on_timer(&mut self, now: Time) {
-        let hop = TimeDelta::from_nanos(self.cfg.hop_ns as i64);
-        let rto = TimeDelta::from_nanos(self.cfg.rto_ns as i64);
+        let hop = TimeDelta::from_nanos(self.cfg.hop_ns);
+        let rto = TimeDelta::from_nanos(self.cfg.rto_ns);
         let due: Vec<PendingKey> = self
             .pending
             .iter()
@@ -685,14 +685,14 @@ impl OffloadEngine {
                 payload,
             },
         };
-        let at = now + TimeDelta::from_nanos(self.cfg.hop_ns as i64);
+        let at = now + TimeDelta::from_nanos(self.cfg.hop_ns);
         self.counters.data_tx += 1;
         self.emits.push(OffloadEmit::Wire {
             at,
             frame,
             fresh: true,
         });
-        let next_at = at + TimeDelta::from_nanos(self.cfg.rto_ns as i64);
+        let next_at = at + TimeDelta::from_nanos(self.cfg.rto_ns);
         let prev = self
             .pending
             .insert((src_rank, seq, round, dst_rank), Retx { frame, next_at });

@@ -324,12 +324,7 @@ impl Histogram {
         self.quantile_bucket(q).map(Self::bucket_value)
     }
 
-    /// Median shortcut.
-    pub fn median(&self) -> Option<u64> {
-        self.quantile(0.5)
-    }
-
-    /// p50 shortcut (alias for [`Histogram::median`]).
+    /// p50 (median) shortcut.
     pub fn p50(&self) -> Option<u64> {
         self.quantile(0.5)
     }
@@ -631,7 +626,7 @@ mod tests {
         for v in 1..=10_000u64 {
             h.record(v);
         }
-        let med = h.median().unwrap() as f64;
+        let med = h.p50().unwrap() as f64;
         assert!(
             (med - 5_000.0).abs() / 5_000.0 < 0.08,
             "median {med} too far from 5000"

@@ -1,22 +1,22 @@
 //! Simulated time.
 //!
 //! [`Time`] is an absolute instant measured in integer nanoseconds since the
-//! start of the simulation; [`TimeDelta`] is a signed difference between two
-//! instants. Integer nanoseconds keep the simulation exactly associative and
-//! platform-independent (no floating-point drift), while still being fine
-//! enough to express sub-100 ns cache effects and coarse enough that a u64
-//! covers ~584 years of simulated time.
+//! start of the simulation; [`TimeDelta`] is a non-negative duration, also in
+//! nanoseconds. Integer nanoseconds keep the simulation exactly associative
+//! and platform-independent (no floating-point drift), while still being
+//! fine enough to express sub-100 ns cache effects and coarse enough that a
+//! u64 covers ~584 years of simulated time.
 
 use core::fmt;
-use core::ops::{Add, AddAssign, Sub, SubAssign};
+use core::ops::{Add, AddAssign, Sub};
 
 /// An absolute simulated instant, in nanoseconds since simulation start.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(pub u64);
 
-/// A signed duration between two [`Time`] instants, in nanoseconds.
+/// A duration between two [`Time`] instants, in nanoseconds.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct TimeDelta(pub i64);
+pub struct TimeDelta(pub u64);
 
 impl Time {
     /// The simulation origin.
@@ -72,24 +72,10 @@ impl Time {
         self.0 as f64 / 1_000_000_000.0
     }
 
-    /// Saturating addition of a duration (negative deltas clamp at zero).
-    #[inline]
-    pub fn saturating_add(self, delta: TimeDelta) -> Time {
-        if delta.0 >= 0 {
-            Time(self.0.saturating_add(delta.0 as u64))
-        } else {
-            Time(self.0.saturating_sub(delta.0.unsigned_abs()))
-        }
-    }
-
     /// Elapsed time since `earlier`, saturating to zero if `earlier` is later.
     #[inline]
     pub fn saturating_since(self, earlier: Time) -> TimeDelta {
-        if self.0 >= earlier.0 {
-            TimeDelta((self.0 - earlier.0).min(i64::MAX as u64) as i64)
-        } else {
-            TimeDelta(0)
-        }
+        TimeDelta(self.0.saturating_sub(earlier.0))
     }
 }
 
@@ -99,31 +85,25 @@ impl TimeDelta {
 
     /// Construct from nanoseconds.
     #[inline]
-    pub const fn from_nanos(ns: i64) -> Self {
+    pub const fn from_nanos(ns: u64) -> Self {
         TimeDelta(ns)
     }
 
     /// Construct from microseconds.
     #[inline]
-    pub const fn from_micros(us: i64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         TimeDelta(us * 1_000)
     }
 
     /// Construct from milliseconds.
     #[inline]
-    pub const fn from_millis(ms: i64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         TimeDelta(ms * 1_000_000)
     }
 
-    /// Construct from whole seconds.
+    /// The raw nanosecond count.
     #[inline]
-    pub const fn from_secs(s: i64) -> Self {
-        TimeDelta(s * 1_000_000_000)
-    }
-
-    /// The raw (signed) nanosecond count.
-    #[inline]
-    pub const fn as_nanos(self) -> i64 {
+    pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
@@ -138,23 +118,13 @@ impl TimeDelta {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }
-
-    /// True when the delta is negative.
-    #[inline]
-    pub const fn is_negative(self) -> bool {
-        self.0 < 0
-    }
 }
 
 impl Add<TimeDelta> for Time {
     type Output = Time;
     #[inline]
     fn add(self, rhs: TimeDelta) -> Time {
-        if rhs.0 >= 0 {
-            Time(self.0 + rhs.0 as u64)
-        } else {
-            Time(self.0 - rhs.0.unsigned_abs())
-        }
+        Time(self.0 + rhs.0)
     }
 }
 
@@ -169,7 +139,7 @@ impl Sub<TimeDelta> for Time {
     type Output = Time;
     #[inline]
     fn sub(self, rhs: TimeDelta) -> Time {
-        self + TimeDelta(-rhs.0)
+        Time(self.0 - rhs.0)
     }
 }
 
@@ -177,7 +147,7 @@ impl Sub<Time> for Time {
     type Output = TimeDelta;
     #[inline]
     fn sub(self, rhs: Time) -> TimeDelta {
-        TimeDelta(self.0 as i64 - rhs.0 as i64)
+        TimeDelta(self.0 - rhs.0)
     }
 }
 
@@ -186,44 +156,6 @@ impl Add for TimeDelta {
     #[inline]
     fn add(self, rhs: TimeDelta) -> TimeDelta {
         TimeDelta(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for TimeDelta {
-    #[inline]
-    fn add_assign(&mut self, rhs: TimeDelta) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub for TimeDelta {
-    type Output = TimeDelta;
-    #[inline]
-    fn sub(self, rhs: TimeDelta) -> TimeDelta {
-        TimeDelta(self.0 - rhs.0)
-    }
-}
-
-impl SubAssign for TimeDelta {
-    #[inline]
-    fn sub_assign(&mut self, rhs: TimeDelta) {
-        self.0 -= rhs.0;
-    }
-}
-
-impl core::ops::Mul<u64> for TimeDelta {
-    type Output = TimeDelta;
-    #[inline]
-    fn mul(self, rhs: u64) -> TimeDelta {
-        TimeDelta(self.0 * rhs as i64)
-    }
-}
-
-impl core::ops::Div<u64> for TimeDelta {
-    type Output = TimeDelta;
-    #[inline]
-    fn div(self, rhs: u64) -> TimeDelta {
-        TimeDelta(self.0 / rhs as i64)
     }
 }
 
@@ -255,17 +187,7 @@ impl fmt::Debug for TimeDelta {
 
 impl fmt::Display for TimeDelta {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let abs = self.0.unsigned_abs();
-        let sign = if self.0 < 0 { "-" } else { "" };
-        if abs >= 1_000_000_000 {
-            write!(f, "{sign}{:.3}s", abs as f64 / 1e9)
-        } else if abs >= 1_000_000 {
-            write!(f, "{sign}{:.3}ms", abs as f64 / 1e6)
-        } else if abs >= 1_000 {
-            write!(f, "{sign}{:.3}us", abs as f64 / 1e3)
-        } else {
-            write!(f, "{sign}{abs}ns")
-        }
+        fmt::Display::fmt(&Time(self.0), f)
     }
 }
 
@@ -277,7 +199,7 @@ impl crate::json::ToJson for Time {
 
 impl crate::json::ToJson for TimeDelta {
     fn to_json(&self) -> crate::json::Json {
-        crate::json::Json::I64(self.0)
+        crate::json::Json::U64(self.0)
     }
 }
 
@@ -290,10 +212,7 @@ mod tests {
         assert_eq!(Time::from_secs(1), Time::from_millis(1_000));
         assert_eq!(Time::from_millis(1), Time::from_micros(1_000));
         assert_eq!(Time::from_micros(1), Time::from_nanos(1_000));
-        assert_eq!(
-            TimeDelta::from_secs(2),
-            TimeDelta::from_nanos(2_000_000_000)
-        );
+        assert_eq!(TimeDelta::from_millis(2), TimeDelta::from_nanos(2_000_000));
     }
 
     #[test]
@@ -305,17 +224,7 @@ mod tests {
     }
 
     #[test]
-    fn negative_delta_subtracts() {
-        let t = Time::from_nanos(1_000);
-        assert_eq!(t + TimeDelta::from_nanos(-400), Time::from_nanos(600));
-    }
-
-    #[test]
     fn saturating_ops_clamp() {
-        assert_eq!(
-            Time::from_nanos(5).saturating_add(TimeDelta::from_nanos(-10)),
-            Time::ZERO
-        );
         assert_eq!(
             Time::from_nanos(5).saturating_since(Time::from_nanos(10)),
             TimeDelta::ZERO
@@ -327,18 +236,12 @@ mod tests {
     }
 
     #[test]
-    fn delta_scaling() {
-        assert_eq!(TimeDelta::from_nanos(10) * 3, TimeDelta::from_nanos(30));
-        assert_eq!(TimeDelta::from_nanos(30) / 3, TimeDelta::from_nanos(10));
-    }
-
-    #[test]
     fn display_picks_unit() {
         assert_eq!(Time::from_nanos(12).to_string(), "12ns");
         assert_eq!(Time::from_micros(12).to_string(), "12.000us");
         assert_eq!(Time::from_millis(12).to_string(), "12.000ms");
         assert_eq!(Time::from_secs(12).to_string(), "12.000s");
-        assert_eq!(TimeDelta::from_micros(-3).to_string(), "-3.000us");
+        assert_eq!(TimeDelta::from_micros(3).to_string(), "3.000us");
     }
 
     #[test]
