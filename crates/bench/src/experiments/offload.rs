@@ -16,31 +16,22 @@
 //! Every cell drains to quiescence via `MpiWorld::run_drained`, asserting
 //! the sim-sanitizer invariants (offload frames included: posted =
 //! delivered = completed byte conservation, no stranded schedule state).
-//! Per-cell seeds are fixed, cells fan out through [`omx_sim::pool::map`]
-//! and commit in cell-index order, so `results/offload.json` is
-//! byte-identical across processes and `--jobs` values.
+//! The worlds are the scale campaign's (`scale::Cell`: same ranks per
+//! node, switch buffers and node counts), so the host-mode cells equal the
+//! matching `results/scale.json` cells where the two sweeps overlap. No
+//! cell draws a random number on the quiet fabric, and cells fan out
+//! through `scale::sweep` and commit in cell-index order, so
+//! `results/offload.json` is byte-identical across processes and `--jobs`
+//! values.
 //! Completion-latency SLOs (p50/p99/p999 over per-rank per-iteration
 //! samples) are always collected: latency is the axis the offload trades
 //! against, not an optional extra.
 
-use super::all_strategies;
+use super::scale::{self, Cell, Mode};
 use crate::report::Table;
 use omx_core::offload::OffloadCounters;
 use omx_core::prelude::*;
-use omx_mpi::{CollectiveExec, MpiWorld, Op, WorldSpec};
-
-/// Node counts swept (quick mode stops at 16).
-pub const NODE_COUNTS: [usize; 5] = [4, 8, 16, 32, 64];
-
-/// Ranks per node; matches the scale campaign so host-path numbers are
-/// comparable across reports.
-pub const RANKS_PER_NODE: usize = 2;
-
-/// Switch egress buffer bound (frames), same as the scale campaign. The
-/// offloaded collectives are token/small-payload traffic that never comes
-/// close to filling it; the host-path cells keep the bound so their
-/// numbers match `omx-bench scale` where the sweeps overlap.
-pub const SWITCH_BUFFER_FRAMES: u32 = 32;
+use omx_mpi::{MpiRunReport, Op};
 
 /// The label the report uses for the NIC-resident execution mode.
 pub const OFFLOAD_MODE: &str = "nic-offload";
@@ -52,7 +43,7 @@ pub struct OffloadCell {
     pub collective: String,
     /// Per-rank payload bytes (0 for barrier).
     pub bytes: u32,
-    /// Simulated nodes ([`RANKS_PER_NODE`] ranks each).
+    /// Simulated nodes ([`scale::RANKS_PER_NODE`] ranks each).
     pub nodes: u32,
     /// Total MPI ranks (`nodes × RANKS_PER_NODE`).
     pub ranks: u32,
@@ -92,95 +83,51 @@ pub struct OffloadResult {
     pub cells: Vec<OffloadCell>,
 }
 
-/// The swept collectives as `(name, bytes, op, iterations, quick_iters)`.
-/// All three fit the firmware payload cap, so in offload mode nothing
-/// falls back to the host path.
-fn collectives(quick: bool) -> Vec<(&'static str, u32, Op, u32)> {
-    let it = |full: u32, q: u32| if quick { q } else { full };
-    vec![
-        ("barrier", 0, Op::Barrier, it(10, 4)),
-        (
-            "bcast",
-            256,
-            Op::Bcast {
-                root: 0,
-                bytes: 256,
-            },
-            it(10, 4),
-        ),
-        ("allreduce", 8, Op::Allreduce { bytes: 8 }, it(10, 4)),
-    ]
-}
-
-/// An execution mode: host collectives under one coalescing strategy, or
-/// NIC-resident collectives.
-#[derive(Debug, Clone, Copy)]
-enum Mode {
-    Host(CoalescingStrategy),
-    NicOffload,
-}
+/// The swept collectives as `(op, iterations, quick iterations)`. All
+/// three fit the firmware payload cap, so in offload mode nothing falls
+/// back to the host path.
+const COLLECTIVES: &[(Op, u32, u32)] = &[
+    (Op::Barrier, 10, 4),
+    (
+        Op::Bcast {
+            root: 0,
+            bytes: 256,
+        },
+        10,
+        4,
+    ),
+    (Op::Allreduce { bytes: 8 }, 10, 4),
+];
 
 /// The six modes in column order: the five host strategies, then
 /// [`OFFLOAD_MODE`].
 fn modes() -> Vec<(&'static str, Mode)> {
-    let mut m: Vec<(&'static str, Mode)> = all_strategies()
-        .into_iter()
-        .map(|(label, s)| (label, Mode::Host(s)))
-        .collect();
+    let mut m = scale::host_modes();
     m.push((OFFLOAD_MODE, Mode::NicOffload));
     m
 }
 
-struct Job {
-    collective: &'static str,
-    bytes: u32,
-    op: Op,
-    nodes: usize,
-    mode: Mode,
-    label: &'static str,
-    iterations: u32,
-    seed: u64,
-}
-
-fn run_cell(job: &Job) -> OffloadCell {
-    let mut cfg = ClusterConfig::default();
-    cfg.fabric.switch_buffer_frames = SWITCH_BUFFER_FRAMES;
-    cfg.seed = job.seed;
-    let exec = match job.mode {
-        Mode::Host(strategy) => {
-            cfg.nic.strategy = strategy;
-            CollectiveExec::Host
-        }
-        Mode::NicOffload => CollectiveExec::NicOffload,
-    };
-    let spec = WorldSpec {
-        ranks: job.nodes * RANKS_PER_NODE,
-        ranks_per_node: RANKS_PER_NODE,
-    };
-    let op = job.op.clone();
-    let iters = job.iterations as usize;
-    let (report, sanitizer) = MpiWorld::new(spec, cfg)
-        .with_collective_exec(exec)
-        .run_drained(|_| std::iter::repeat_with(|| op.clone()).take(iters).collect());
-    let violations = sanitizer.all_violations();
+/// The campaign's report cell for `cell`.
+fn offload_cell(cell: &Cell, report: &MpiRunReport, sanitizer: &SanitizerReport) -> OffloadCell {
+    let (collective, bytes) = cell.collective();
     let m = &report.metrics;
     let mut offload = OffloadCounters::default();
     for c in &report.offload {
         offload.merge(c);
     }
     OffloadCell {
-        collective: job.collective.to_string(),
-        bytes: job.bytes,
-        nodes: job.nodes as u32,
-        ranks: (job.nodes * RANKS_PER_NODE) as u32,
-        mode: job.label.to_string(),
-        iterations: job.iterations,
-        completion_ns: report.elapsed_ns / u64::from(job.iterations.max(1)),
+        collective: collective.to_string(),
+        bytes,
+        nodes: cell.nodes as u32,
+        ranks: cell.ranks() as u32,
+        mode: cell.label.to_string(),
+        iterations: cell.iterations,
+        completion_ns: cell.completion_ns(report),
         total_interrupts: m.total_interrupts(),
-        interrupts_per_node: m.total_interrupts() as f64 / job.nodes as f64,
+        interrupts_per_node: m.total_interrupts() as f64 / cell.nodes as f64,
         retransmits: m.total_retransmits(),
         offload,
-        sanitizer_violations: violations.len() as u64,
+        sanitizer_violations: sanitizer.all_violations().len() as u64,
         // Offload programs are pure collective sequences, so each rank's
         // per-step latency IS one collective's completion time.
         slo: SloSummary::from_histogram(&report.op_latency)
@@ -188,53 +135,32 @@ fn run_cell(job: &Job) -> OffloadCell {
     }
 }
 
+/// An 8 B allreduce on `nodes` nodes in `nic-offload` mode.
+fn offload_allreduce(nodes: usize, iterations: u32) -> Cell {
+    Cell {
+        op: Op::Allreduce { bytes: 8 },
+        nodes,
+        label: OFFLOAD_MODE,
+        mode: Mode::NicOffload,
+        iterations,
+    }
+}
+
 /// The representative cell pinned by the golden file
 /// (`crates/bench/tests/golden/offload_cell.json`): 16-node (32-rank)
-/// 8 B allreduce in `nic-offload` mode, with the same seed the campaign
-/// assigns that cell and the quick-mode iteration count.
+/// 8 B allreduce in `nic-offload` mode, at the quick-mode iteration count.
 pub fn golden_cell() -> OffloadCell {
-    run_cell(&Job {
-        collective: "allreduce",
-        bytes: 8,
-        op: Op::Allreduce { bytes: 8 },
-        nodes: 16,
-        mode: Mode::NicOffload,
-        label: OFFLOAD_MODE,
-        iterations: 4,
-        seed: 0x0FF10AD + 2 * 10_000 + 16 * 10 + 5,
-    })
+    let cell = offload_allreduce(16, 4);
+    let (report, sanitizer) = cell.run();
+    offload_cell(&cell, &report, &sanitizer)
 }
 
 /// Run the campaign. `quick` caps the sweep at 16 nodes and shrinks
-/// iteration counts for CI smoke runs; cell structure and seeds for the
-/// shared cells are identical in both modes.
+/// iteration counts for CI smoke runs.
 pub fn run(quick: bool) -> OffloadResult {
-    let node_counts: &[usize] = if quick {
-        &NODE_COUNTS[..3]
-    } else {
-        &NODE_COUNTS
-    };
-    let mut jobs = Vec::new();
-    for (ci, (collective, bytes, op, iterations)) in collectives(quick).into_iter().enumerate() {
-        for &nodes in node_counts {
-            for (si, (label, mode)) in modes().into_iter().enumerate() {
-                jobs.push(Job {
-                    collective,
-                    bytes,
-                    op: op.clone(),
-                    nodes,
-                    mode,
-                    label,
-                    iterations,
-                    // Deterministic per-cell seed ⇒ byte-identical report
-                    // across processes and machines.
-                    seed: 0x0FF10AD + (ci as u64) * 10_000 + (nodes as u64) * 10 + si as u64,
-                });
-            }
-        }
+    OffloadResult {
+        cells: scale::sweep(COLLECTIVES, &modes(), quick, offload_cell),
     }
-    let cells = omx_sim::pool::map(jobs, |job| run_cell(&job));
-    OffloadResult { cells }
 }
 
 /// Render the head-to-head: completion time and per-node interrupt load
@@ -287,16 +213,9 @@ mod tests {
     /// every posted op, and pays exactly one IRQ per op per rank.
     #[test]
     fn offload_cell_pays_one_irq_per_op_per_rank() {
-        let cell = run_cell(&Job {
-            collective: "allreduce",
-            bytes: 8,
-            op: Op::Allreduce { bytes: 8 },
-            nodes: 8,
-            mode: Mode::NicOffload,
-            label: OFFLOAD_MODE,
-            iterations: 4,
-            seed: 0x0FF10AD,
-        });
+        let cell = offload_allreduce(8, 4);
+        let (report, sanitizer) = cell.run();
+        let cell = offload_cell(&cell, &report, &sanitizer);
         assert_eq!(cell.sanitizer_violations, 0);
         assert_eq!(cell.offload.ops_posted, 16 * 4);
         assert_eq!(cell.offload.ops_completed, cell.offload.ops_posted);
@@ -308,16 +227,9 @@ mod tests {
     /// and costs strictly more interrupts per node.
     #[test]
     fn host_cell_keeps_offload_engine_idle() {
-        let host = run_cell(&Job {
-            collective: "allreduce",
-            bytes: 8,
-            op: Op::Allreduce { bytes: 8 },
-            nodes: 8,
-            mode: Mode::Host(CoalescingStrategy::Timeout { delay_us: 75 }),
-            label: "default",
-            iterations: 4,
-            seed: 0x0FF10AD,
-        });
+        let cell = Cell::default_strategy(Op::Allreduce { bytes: 8 }, 8, 4);
+        let (report, sanitizer) = cell.run();
+        let host = offload_cell(&cell, &report, &sanitizer);
         assert_eq!(host.sanitizer_violations, 0);
         assert_eq!(host.offload.ops_posted, 0);
         assert_eq!(host.offload.data_tx, 0);

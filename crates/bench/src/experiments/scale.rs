@@ -13,16 +13,23 @@
 //! asserts the sim-sanitizer invariants (exact byte conservation,
 //! duplicate detection, no stranded protocol state) — so a green
 //! `omx-bench scale` certifies the collectives and the bounded-buffer
-//! recovery path together. Per-cell seeds are fixed: the report is
-//! byte-identical across runs and machines — including across `--jobs`
-//! values, since cells are independent simulations fanned out through
-//! [`omx_sim::pool::map`] and committed in cell-index order (DESIGN §11;
-//! enforced by `tests/parallel_determinism.rs`).
+//! recovery path together. No cell draws a random number: the only
+//! consumer of the cluster's random stream is the fabric's loss and jitter
+//! injector, and these fabrics are quiet. So the report is byte-identical across runs and
+//! machines, and across `--jobs` values too, since cells are independent
+//! simulations fanned out through [`omx_sim::pool::map`] and committed in
+//! cell-index order (DESIGN §11; enforced by
+//! `tests/parallel_determinism.rs`).
+//!
+//! This module owns the collective world: `Cell` builds it and runs it,
+//! and `sweep` runs collectives × node counts × modes. The offload
+//! campaign, `omx-bench timeline` and perf's `e2e/scale_alltoall_16n`
+//! shape run their worlds through it too.
 
 use super::all_strategies;
 use crate::report::Table;
 use omx_core::prelude::*;
-use omx_mpi::{MpiWorld, Op, WorldSpec};
+use omx_mpi::{CollectiveExec, MpiRunReport, MpiWorld, Op, WorldSpec};
 
 /// Node counts swept (quick mode stops at 16).
 pub const NODE_COUNTS: [usize; 5] = [4, 8, 16, 32, 64];
@@ -85,75 +92,184 @@ pub struct ScaleResult {
     pub cells: Vec<ScaleCell>,
 }
 
-/// The swept collectives as `(name, op, iterations, quick_iterations)`.
-fn collectives(quick: bool) -> Vec<(&'static str, u32, Op, u32)> {
-    let it = |full: u32, q: u32| if quick { q } else { full };
-    vec![
-        ("barrier", 0, Op::Barrier, it(10, 4)),
-        ("allreduce", 8, Op::Allreduce { bytes: 8 }, it(10, 4)),
-        (
-            "allreduce",
-            64 << 10,
-            Op::Allreduce { bytes: 64 << 10 },
-            it(4, 2),
-        ),
-        (
-            "alltoall",
-            16 << 10,
-            Op::Alltoall { bytes: 16 << 10 },
-            it(2, 1),
-        ),
-    ]
+/// The swept collectives as `(op, iterations, quick iterations)`.
+const COLLECTIVES: &[(Op, u32, u32)] = &[
+    (Op::Barrier, 10, 4),
+    (Op::Allreduce { bytes: 8 }, 10, 4),
+    (Op::Allreduce { bytes: 64 << 10 }, 4, 2),
+    (Op::Alltoall { bytes: 16 << 10 }, 2, 1),
+];
+
+/// Where a cell's collectives run: on the hosts under one coalescing
+/// strategy, or on the NICs (the offload campaign's extra mode).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Mode {
+    /// Host collectives over Open-MX point-to-point rounds.
+    Host(CoalescingStrategy),
+    /// NIC-resident collectives ([`CollectiveExec::NicOffload`]).
+    NicOffload,
 }
 
-struct Job {
-    collective: &'static str,
-    bytes: u32,
-    op: Op,
-    nodes: usize,
-    strategy: CoalescingStrategy,
-    label: &'static str,
-    iterations: u32,
-    seed: u64,
-    /// Summarize per-rank collective latency into [`ScaleCell::slo`].
-    slo: bool,
+/// The five host strategies as modes, labelled and ordered as
+/// [`all_strategies`].
+pub(crate) fn host_modes() -> Vec<(&'static str, Mode)> {
+    all_strategies()
+        .into_iter()
+        .map(|(label, s)| (label, Mode::Host(s)))
+        .collect()
 }
 
-fn run_cell(job: &Job) -> ScaleCell {
-    let mut cfg = ClusterConfig::default();
-    cfg.nic.strategy = job.strategy;
-    cfg.fabric.switch_buffer_frames = SWITCH_BUFFER_FRAMES;
-    cfg.seed = job.seed;
-    let spec = WorldSpec {
-        ranks: job.nodes * RANKS_PER_NODE,
-        ranks_per_node: RANKS_PER_NODE,
+/// One collective world: `op` run `iterations` times back to back by
+/// [`RANKS_PER_NODE`] ranks on each of `nodes` nodes, behind switch
+/// egress buffers of [`SWITCH_BUFFER_FRAMES`] frames.
+#[derive(Debug)]
+pub(crate) struct Cell {
+    /// The collective every rank runs.
+    pub op: Op,
+    /// Simulated nodes.
+    pub nodes: usize,
+    /// The mode's label in reports.
+    pub label: &'static str,
+    /// Where the collectives run.
+    pub mode: Mode,
+    /// Back-to-back iterations of `op`.
+    pub iterations: u32,
+}
+
+impl Cell {
+    /// `op` on `nodes` nodes under the paper's default strategy, the
+    /// 75 µs timeout.
+    pub fn default_strategy(op: Op, nodes: usize, iterations: u32) -> Cell {
+        Cell {
+            op,
+            nodes,
+            label: "default",
+            mode: Mode::Host(CoalescingStrategy::Timeout { delay_us: 75 }),
+            iterations,
+        }
+    }
+
+    /// The collective's report name and per-rank payload bytes (0 for
+    /// barrier).
+    ///
+    /// # Panics
+    /// Panics on an op no sweep runs.
+    pub fn collective(&self) -> (&'static str, u32) {
+        match self.op {
+            Op::Barrier => ("barrier", 0),
+            Op::Bcast { bytes, .. } => ("bcast", bytes),
+            Op::Allreduce { bytes } => ("allreduce", bytes),
+            Op::Alltoall { bytes } => ("alltoall", bytes),
+            ref op => panic!("{op:?} is not a swept collective"),
+        }
+    }
+
+    /// Total MPI ranks.
+    pub fn ranks(&self) -> usize {
+        self.nodes * RANKS_PER_NODE
+    }
+
+    /// Mean completion time of one collective in `report`, ns.
+    pub fn completion_ns(&self, report: &MpiRunReport) -> u64 {
+        report.elapsed_ns / u64::from(self.iterations.max(1))
+    }
+
+    /// The cell's world, before any rank runs.
+    pub fn world(&self) -> MpiWorld {
+        let mut cfg = ClusterConfig::default();
+        cfg.fabric.switch_buffer_frames = SWITCH_BUFFER_FRAMES;
+        let exec = match self.mode {
+            Mode::Host(strategy) => {
+                cfg.nic.strategy = strategy;
+                CollectiveExec::Host
+            }
+            Mode::NicOffload => CollectiveExec::NicOffload,
+        };
+        let spec = WorldSpec {
+            ranks: self.ranks(),
+            ranks_per_node: RANKS_PER_NODE,
+        };
+        MpiWorld::new(spec, cfg).with_collective_exec(exec)
+    }
+
+    /// Run the cell in `world` (from [`Cell::world`]) to quiescence.
+    /// `run_drained` panics unless every sanitizer invariant holds there:
+    /// byte conservation survives switch drops, because retransmission
+    /// recovers them.
+    pub fn run_in(&self, world: MpiWorld) -> (MpiRunReport, SanitizerReport) {
+        world.run_drained(|_| vec![self.op.clone(); self.iterations as usize])
+    }
+
+    /// Run the cell in its own world.
+    pub fn run(&self) -> (MpiRunReport, SanitizerReport) {
+        self.run_in(self.world())
+    }
+}
+
+/// Run every cell of `collectives × node counts × modes`, collective-major,
+/// and turn each into a report cell with `to_cell`. `collectives` holds
+/// `(op, iterations, quick iterations)`; `quick` stops at 16 nodes and
+/// takes the quick counts. Cells are independent simulations fanned out
+/// through [`omx_sim::pool::map`] and returned in cell-index order, so
+/// the result is the same at any `--jobs` (DESIGN §11).
+pub(crate) fn sweep<T: Send>(
+    collectives: &[(Op, u32, u32)],
+    modes: &[(&'static str, Mode)],
+    quick: bool,
+    to_cell: impl Fn(&Cell, &MpiRunReport, &SanitizerReport) -> T + Sync,
+) -> Vec<T> {
+    let node_counts = if quick {
+        &NODE_COUNTS[..3]
+    } else {
+        &NODE_COUNTS[..]
     };
-    let op = job.op.clone();
-    let iters = job.iterations as usize;
-    // run_drained panics unless the run reaches QueueEmpty with every
-    // sanitizer invariant intact — byte conservation holds even when the
-    // bounded switch buffers dropped frames (retransmission recovers).
-    let (report, sanitizer) = MpiWorld::new(spec, cfg)
-        .run_drained(|_| std::iter::repeat_with(|| op.clone()).take(iters).collect());
-    let violations = sanitizer.all_violations();
+    let mut cells = Vec::new();
+    for (op, full, quick_iterations) in collectives {
+        let iterations = if quick { *quick_iterations } else { *full };
+        for &nodes in node_counts {
+            for &(label, mode) in modes {
+                cells.push(Cell {
+                    op: op.clone(),
+                    nodes,
+                    label,
+                    mode,
+                    iterations,
+                });
+            }
+        }
+    }
+    omx_sim::pool::map(cells, |cell| {
+        let (report, sanitizer) = cell.run();
+        to_cell(&cell, &report, &sanitizer)
+    })
+}
+
+/// The campaign's report cell for `cell`. `slo` fills
+/// [`ScaleCell::slo`]: scale programs are pure collective sequences, so
+/// each rank's per-step latency is one collective's completion time.
+fn scale_cell(
+    cell: &Cell,
+    report: &MpiRunReport,
+    sanitizer: &SanitizerReport,
+    slo: bool,
+) -> ScaleCell {
+    let (collective, bytes) = cell.collective();
     let m = &report.metrics;
     ScaleCell {
-        collective: job.collective.to_string(),
-        bytes: job.bytes,
-        nodes: job.nodes as u32,
-        ranks: (job.nodes * RANKS_PER_NODE) as u32,
-        strategy: job.label.to_string(),
-        iterations: job.iterations,
-        completion_ns: report.elapsed_ns / u64::from(job.iterations.max(1)),
+        collective: collective.to_string(),
+        bytes,
+        nodes: cell.nodes as u32,
+        ranks: cell.ranks() as u32,
+        strategy: cell.label.to_string(),
+        iterations: cell.iterations,
+        completion_ns: cell.completion_ns(report),
         total_interrupts: m.total_interrupts(),
-        interrupts_per_node: m.total_interrupts() as f64 / job.nodes as f64,
+        interrupts_per_node: m.total_interrupts() as f64 / cell.nodes as f64,
         switch_drops: m.switch_drops,
         switch_occupancy_peak: m.switch_occupancy_peak,
         retransmits: m.total_retransmits(),
-        sanitizer_violations: violations.len() as u64,
-        // Scale programs are pure collective sequences, so each rank's
-        // per-step latency IS one collective's completion time.
-        slo: if job.slo {
+        sanitizer_violations: sanitizer.all_violations().len() as u64,
+        slo: if slo {
             SloSummary::from_histogram(&report.op_latency)
         } else {
             None
@@ -163,55 +279,25 @@ fn run_cell(job: &Job) -> ScaleCell {
 
 /// The representative cell pinned by the golden file
 /// (`crates/bench/tests/golden/scale_cell.json`): 16-node (32-rank)
-/// 64 KiB allreduce under the default strategy, with the same seed the
-/// campaign assigns that cell and the quick-mode iteration count.
+/// 64 KiB allreduce under the default strategy, at the quick-mode
+/// iteration count.
 pub fn golden_cell() -> ScaleCell {
-    run_cell(&Job {
-        collective: "allreduce",
-        bytes: 64 << 10,
-        op: Op::Allreduce { bytes: 64 << 10 },
-        nodes: 16,
-        strategy: CoalescingStrategy::Timeout { delay_us: 75 },
-        label: "default",
-        iterations: 2,
-        seed: 0x5CA1E + 2 * 10_000 + 16 * 10,
-        slo: false,
-    })
+    let cell = Cell::default_strategy(Op::Allreduce { bytes: 64 << 10 }, 16, 2);
+    let (report, sanitizer) = cell.run();
+    scale_cell(&cell, &report, &sanitizer, false)
 }
 
 /// Run the campaign. `quick` caps the sweep at 16 nodes and shrinks
-/// iteration counts for CI smoke runs; cell structure and seeds for the
-/// shared cells are identical in both modes. `slo` additionally summarizes
-/// per-rank collective-completion latency into each cell (harvested from
-/// actor timestamps the run already tracks — the simulation itself is
-/// unchanged).
+/// iteration counts for CI smoke runs. `slo` additionally summarizes per-rank collective-completion
+/// latency into each cell (harvested from actor timestamps the run
+/// already tracks — the simulation itself is unchanged).
 pub fn run(quick: bool, slo: bool) -> ScaleResult {
-    let node_counts: &[usize] = if quick {
-        &NODE_COUNTS[..3]
-    } else {
-        &NODE_COUNTS
-    };
-    let mut jobs = Vec::new();
-    for (ci, (collective, bytes, op, iterations)) in collectives(quick).into_iter().enumerate() {
-        for &nodes in node_counts {
-            for (si, (label, strategy)) in all_strategies().into_iter().enumerate() {
-                jobs.push(Job {
-                    collective,
-                    bytes,
-                    op: op.clone(),
-                    nodes,
-                    strategy,
-                    label,
-                    iterations,
-                    // Deterministic per-cell seed ⇒ byte-identical report
-                    // across processes and machines.
-                    seed: 0x5CA1E + (ci as u64) * 10_000 + (nodes as u64) * 10 + si as u64,
-                    slo,
-                });
-            }
-        }
-    }
-    let cells = omx_sim::pool::map(jobs, |job| run_cell(&job));
+    let cells = sweep(
+        COLLECTIVES,
+        &host_modes(),
+        quick,
+        |cell, report, sanitizer| scale_cell(cell, report, sanitizer, slo),
+    );
     ScaleResult { cells }
 }
 
@@ -277,17 +363,9 @@ mod tests {
     /// actually works the switch (nonzero occupancy).
     #[test]
     fn sixteen_node_allreduce_cell_is_clean() {
-        let cell = run_cell(&Job {
-            collective: "allreduce",
-            bytes: 64 << 10,
-            op: Op::Allreduce { bytes: 64 << 10 },
-            nodes: 16,
-            strategy: CoalescingStrategy::Timeout { delay_us: 75 },
-            label: "default",
-            iterations: 2,
-            seed: 0x5CA1E,
-            slo: true,
-        });
+        let cell = Cell::default_strategy(Op::Allreduce { bytes: 64 << 10 }, 16, 2);
+        let (report, sanitizer) = cell.run();
+        let cell = scale_cell(&cell, &report, &sanitizer, true);
         assert_eq!(cell.sanitizer_violations, 0);
         assert!(cell.completion_ns > 0);
         assert!(
@@ -303,17 +381,15 @@ mod tests {
     /// A non-power-of-two world drains clean through the campaign path.
     #[test]
     fn odd_world_cell_is_clean() {
-        let cell = run_cell(&Job {
-            collective: "alltoall",
-            bytes: 4 << 10,
+        let cell = Cell {
             op: Op::Alltoall { bytes: 4 << 10 },
             nodes: 6,
-            strategy: CoalescingStrategy::Disabled,
             label: "disabled",
+            mode: Mode::Host(CoalescingStrategy::Disabled),
             iterations: 1,
-            seed: 0x0DD,
-            slo: false,
-        });
+        };
+        let (report, sanitizer) = cell.run();
+        let cell = scale_cell(&cell, &report, &sanitizer, false);
         assert_eq!(cell.sanitizer_violations, 0);
         assert_eq!(cell.nodes, 6);
         assert!(cell.slo.is_none(), "slo not requested");

@@ -12,7 +12,9 @@
 //! says which ones `all`, the default, leaves out. `all` runs the others in
 //! list order and prints each campaign's wall time on stderr. `table4`
 //! takes an optional NAS row filter (a prefix such as `is.`); under
-//! `all --quick` it runs the IS rows only.
+//! `all --quick` it runs the IS rows only. Only an unfiltered run writes
+//! `results/table4_table5_nas.json`, so `table5`, a filtered `table4` and
+//! `all --quick` leave the committed tables as they were.
 //!
 //! `trace <experiment>` runs a small representative scenario with
 //! packet-level tracing enabled and writes Chrome trace-event JSON
@@ -35,7 +37,7 @@
 //! `--jobs N` sets how many campaign cells run concurrently
 //! (`omx_sim::pool::map`). The default is all cores; `--jobs 1` is the
 //! serial path. Any value produces byte-identical artifacts — cells are
-//! independent simulations with fixed seeds and results commit in
+//! independent deterministic simulations and results commit in
 //! cell-index order (DESIGN §11) — so `--jobs` only changes wall-clock time.
 //!
 //! `perf` runs five fixed simulation shapes once each and writes how many
@@ -309,14 +311,18 @@ fn run_table5(_: &Flags) {
 fn run_nas(filter: &str) {
     println!("== Tables IV & V: NAS Parallel Benchmarks (16 ranks, 2 nodes) ==");
     if !filter.is_empty() {
-        println!("(row filter: {filter})");
+        println!("(row filter: {filter}; results/table4_table5_nas.json is left as it was)");
     }
     let result = nas::run(filter);
     println!("-- Table IV: execution time (s) --");
     println!("{}", nas::table_iv(&result).render());
     println!("-- Table V: interrupts --");
     println!("{}", nas::table_v(&result).render());
-    write_json("table4_table5_nas", &result);
+    // A filtered run holds only some rows: it must not replace the full
+    // tables on disk.
+    if filter.is_empty() {
+        write_json("table4_table5_nas", &result);
+    }
 }
 
 fn run_coexistence(_: &Flags) {

@@ -3,9 +3,9 @@
 //! `omx-bench perf` drives five whole-simulation shapes to completion,
 //! once each and serially, and writes how many events of each kind the
 //! engine dispatched, and how its event and inbound queues handled them,
-//! to `BENCH_sim.json` in the working directory. Every
-//! shape runs with a fixed seed, so the report holds no times and two runs
-//! produce the same bytes at any `--jobs`. The committed root
+//! to `BENCH_sim.json` in the working directory. No shape disturbs its
+//! fabric, so none draws a random number; the report holds no times, and
+//! two runs produce the same bytes at any `--jobs`. The committed root
 //! `BENCH_sim.json` is a golden: `crates/bench/tests/perf_golden.rs` fails
 //! on any count that moves, and `cargo run --release -p omx-bench -- perf`
 //! at the repo root regenerates it. Wall-clock cost is perfbench's job
@@ -47,9 +47,10 @@
 //! shared-memory delivery routed through an inbound queue would show as
 //! `inbound_overtakes` in its `queue` object.
 
+use crate::experiments::scale::Cell;
 use omx_core::prelude::*;
 use omx_core::system::EventCounts;
-use omx_mpi::{MpiWorld, Op, WorldSpec};
+use omx_mpi::Op;
 use omx_nas::{run_nas, NasBenchmark, NasClass, NasSpec};
 use omx_sim::json::Json;
 use omx_sim::{InboundStats, QueueStats};
@@ -147,16 +148,8 @@ fn table1_medium_cell() -> Json {
 /// the scale campaign's heaviest shape: rendezvous pulls, convergent
 /// traffic, and the full MPI stack above the protocol layer.
 fn scale_alltoall_16n() -> Json {
-    let mut cfg = ClusterConfig::default();
-    cfg.nic.strategy = CoalescingStrategy::Timeout { delay_us: 75 };
-    cfg.fabric.switch_buffer_frames = 32;
-    cfg.seed = 0xE2E;
-    let spec = WorldSpec {
-        ranks: 32,
-        ranks_per_node: 2,
-    };
     let (report, _sanitizer) =
-        MpiWorld::new(spec, cfg).run_drained(|_| vec![Op::Alltoall { bytes: 16 << 10 }]);
+        Cell::default_strategy(Op::Alltoall { bytes: 16 << 10 }, 16, 1).run();
     entry(
         "e2e/scale_alltoall_16n",
         report.metrics.frames_carried,

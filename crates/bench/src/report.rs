@@ -3,9 +3,10 @@
 //! Every experiment persists its result struct as pretty-printed JSON
 //! under `results/<name>.json` via [`write_json`]. The JSON shape is the
 //! struct's field list, verbatim (see `omx_sim::impl_to_json!`); renderings
-//! are deterministic — fixed seeds give byte-identical files, which the
-//! golden tests in `crates/bench/tests/` rely on. The schemas by
-//! experiment family:
+//! are deterministic, which the golden tests in `crates/bench/tests/` rely
+//! on: a run on a quiet fabric draws no random number, and the runs that
+//! disturb the fabric (`faults`' loss, `table3`'s jitter) draw from fixed
+//! per-cell seeds. The schemas by experiment family:
 //!
 //! ## Message-rate family
 //!

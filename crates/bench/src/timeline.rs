@@ -12,22 +12,23 @@
 //!
 //! The `scale` scenario is the scale campaign's headline cell: a 64-node
 //! (128-rank) 16 KiB alltoall through 32-frame switch egress buffers,
-//! under the default 75 µs timeout strategy, with the exact per-cell seed
-//! the campaign assigns — so the timeline lines up with the matching row
-//! of `results/scale.json`. Incast overflows the bounded buffers and the
+//! under the default 75 µs timeout strategy, in the campaign's own world
+//! (`scale::Cell`) — so the timeline lines up with the matching row of
+//! `results/scale.json`. Incast overflows the bounded buffers and the
 //! drops phase-lock into the 20 ms retransmission timeout; the timeline
 //! makes that stall visible as saturated `switch_queue_len`, goodput
 //! collapsing to zero for ~20 ms, then a retransmit burst draining the
 //! stragglers (see EXPERIMENTS.md for a worked reading).
 //!
-//! `--quick` shrinks the world to 8 nodes (CI smoke mode). Every artifact
-//! is byte-identical across runs and machines for a given node count —
+//! `--quick` shrinks the world to 8 nodes (CI smoke mode). The fabric is
+//! quiet, so the run draws no random number and every artifact is
+//! byte-identical across runs and machines for a given node count —
 //! `crates/bench/tests/timeline_golden.rs` pins a small cell.
 
-use crate::experiments::scale::{RANKS_PER_NODE, SWITCH_BUFFER_FRAMES};
+use crate::experiments::scale::{Cell, RANKS_PER_NODE};
 use crate::report::write_artifact;
 use omx_core::prelude::*;
-use omx_mpi::{MpiWorld, Op, WorldSpec};
+use omx_mpi::Op;
 use std::path::Path;
 
 /// Experiments the timeline subcommand understands.
@@ -68,25 +69,10 @@ pub struct TimelineData {
 /// counters the run already maintains and cannot schedule events, so the
 /// simulated outcome is identical with or without the capture.
 pub fn capture(nodes: usize, iterations: u32) -> TimelineData {
-    let mut cfg = ClusterConfig::default();
-    cfg.nic.strategy = CoalescingStrategy::Timeout { delay_us: 75 };
-    cfg.fabric.switch_buffer_frames = SWITCH_BUFFER_FRAMES;
-    // The scale campaign's per-cell seed for (alltoall = collective index
-    // 3, default strategy = index 0) on this node count.
-    cfg.seed = 0x5CA1E + 3 * 10_000 + (nodes as u64) * 10;
-    let mut world = MpiWorld::new(
-        WorldSpec {
-            ranks: nodes * RANKS_PER_NODE,
-            ranks_per_node: RANKS_PER_NODE,
-        },
-        cfg,
-    );
+    let cell = Cell::default_strategy(Op::Alltoall { bytes: 16 << 10 }, nodes, iterations);
+    let mut world = cell.world();
     world.enable_telemetry(TelemetryConfig::default());
-    let (report, _sanitizer) = world.run_drained(|_| {
-        std::iter::repeat_with(|| Op::Alltoall { bytes: 16 << 10 })
-            .take(iterations as usize)
-            .collect()
-    });
+    let (report, _sanitizer) = cell.run_in(world);
     let tel = report.telemetry.expect("telemetry enabled");
     let peak_queue = (0..tel.port_count())
         .flat_map(|p| tel.port_windows(p))

@@ -104,3 +104,43 @@ fn offload_quick_report_is_byte_identical_across_runs() {
     let b = offload::run(true).to_json().render_pretty();
     assert!(a == b, "offload quick report differs between two runs");
 }
+
+/// The offload campaign's host-mode cells run the scale campaign's worlds,
+/// so wherever the two quick sweeps overlap (barrier and 8 B allreduce on
+/// 4-16 nodes under every strategy) the two reports agree.
+#[test]
+fn offload_host_cells_equal_the_overlapping_scale_cells() {
+    let scale = scale::run(true, false);
+    let offload = offload::run(true);
+    let mut overlap = 0;
+    for o in offload
+        .cells
+        .iter()
+        .filter(|c| c.mode != offload::OFFLOAD_MODE)
+    {
+        let Some(s) = scale.cells.iter().find(|s| {
+            (&s.collective, s.bytes, s.nodes, &s.strategy)
+                == (&o.collective, o.bytes, o.nodes, &o.mode)
+        }) else {
+            continue;
+        };
+        let what = format!(
+            "{} {} B, {} nodes, {}",
+            o.collective, o.bytes, o.nodes, o.mode
+        );
+        assert_eq!(s.completion_ns, o.completion_ns, "completion_ns: {what}");
+        assert_eq!(
+            s.total_interrupts, o.total_interrupts,
+            "total_interrupts: {what}"
+        );
+        assert_eq!(
+            s.interrupts_per_node, o.interrupts_per_node,
+            "interrupts_per_node: {what}"
+        );
+        assert_eq!(s.retransmits, o.retransmits, "retransmits: {what}");
+        assert_eq!(s.iterations, o.iterations, "iterations: {what}");
+        overlap += 1;
+    }
+    // Barrier and 8 B allreduce × 3 node counts × 5 strategies.
+    assert_eq!(overlap, 30, "the quick sweeps overlap in 30 cells");
+}

@@ -1,28 +1,28 @@
 //! Cross-process determinism of the parallel campaign executor, the CLI's
-//! rejection of malformed or unknown flags, and its exit status when a
-//! report cannot be written.
+//! rejection of malformed or unknown flags, its exit status when a report
+//! cannot be written, and which runs write the NAS tables at all.
 //!
 //! The determinism contract (DESIGN §11): **parallelism may reorder
 //! execution, but never observable output**. Campaign cells are
-//! independent fixed-seed simulations and results commit in cell-index
-//! order, so `results/faults.json`, `results/scale.json`, and every golden
-//! must regenerate *byte-identical* at any `--jobs` value. These tests
+//! independent simulations and results commit in cell-index order, so
+//! `results/faults.json`, `results/scale.json`, and every golden must
+//! regenerate *byte-identical* at any `--jobs` value. These tests
 //! spawn the real `omx-bench` binary — separate processes, separate
 //! working directories — at `--jobs 1` (the serial path), `--jobs 2`, and
 //! `--jobs 8` (more workers than this machine has cores, so stealing and
 //! oversubscription are both in play), and compare artifact bytes.
 //!
-//! In-process companions pin the full-resolution goldens (Table I runs at
-//! full message counts — no quick mode exists for it — and the pinned
-//! scale cell) through the pooled path against the committed golden files.
+//! An in-process companion pins the full-resolution Table I golden (full
+//! message counts — no quick mode exists for it) through the pooled path
+//! against the committed golden file.
 
 use omx_sim::pool;
 use std::path::PathBuf;
 use std::process::Command;
 
-/// Run `omx-bench <args>` in a fresh scratch directory and return the
-/// bytes of `results/<artifact>` it wrote there.
-fn run_in_scratch(tag: &str, args: &[&str], artifact: &str) -> Vec<u8> {
+/// Run `omx-bench <args>` successfully in a fresh scratch directory and
+/// return that directory; the caller removes it.
+fn run_in_fresh_dir(tag: &str, args: &[&str]) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("omx_parallel_det_{}_{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
@@ -38,11 +38,28 @@ fn run_in_scratch(tag: &str, args: &[&str], artifact: &str) -> Vec<u8> {
         output.status,
         String::from_utf8_lossy(&output.stderr)
     );
+    dir
+}
+
+/// Run `omx-bench <args>` in a fresh scratch directory and return the
+/// bytes of `results/<artifact>` it wrote there.
+fn run_in_scratch(tag: &str, args: &[&str], artifact: &str) -> Vec<u8> {
+    let dir = run_in_fresh_dir(tag, args);
     let bytes = std::fs::read(dir.join("results").join(artifact))
         .unwrap_or_else(|e| panic!("read {artifact} after omx-bench {args:?}: {e}"));
     let _ = std::fs::remove_dir_all(&dir);
     assert!(!bytes.is_empty(), "{artifact} is empty");
     bytes
+}
+
+/// A row-filtered NAS run holds a partial table, so it must not write
+/// `results/table4_table5_nas.json` over the full one.
+#[test]
+fn filtered_table4_leaves_the_nas_tables_alone() {
+    let dir = run_in_fresh_dir("table4_ep", &["table4", "ep."]);
+    let written = dir.join("results/table4_table5_nas.json").exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!written, "a filtered table4 run wrote the NAS tables");
 }
 
 /// `results/faults.json` regenerates byte-identical at --jobs 1, 2, and 8.
@@ -98,20 +115,6 @@ fn full_table1_golden_is_jobs_invariant() {
     assert!(
         serial == pooled,
         "serial and pooled table1 renderings differ"
-    );
-}
-
-/// The pinned scale campaign cell reproduces its committed golden through
-/// the pooled path.
-#[test]
-fn scale_golden_cell_is_jobs_invariant() {
-    use omx_bench::experiments::scale;
-    use omx_sim::json::ToJson;
-    let golden = include_str!("golden/scale_cell.json");
-    let pooled = pool::with_jobs(8, || scale::golden_cell().to_json().render_pretty());
-    assert!(
-        pooled == golden,
-        "pooled golden cell diverged from the committed golden"
     );
 }
 

@@ -1,8 +1,8 @@
 //! The committed root `BENCH_sim.json` is a golden of the simulator's
 //! exact per-event-kind dispatch counts and event-queue placement counts.
 //!
-//! Every `omx-bench perf` shape runs with a fixed seed, so any change to
-//! its counts is a change to what the simulator does. This test fails on
+//! No `omx-bench perf` shape draws a random number, so any change to its
+//! counts is a change to what the simulator does. This test fails on
 //! any difference from the committed file, listing each moved count as
 //! `committed → now`.
 //! If the change is intended, regenerate the golden with

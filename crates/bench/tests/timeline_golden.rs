@@ -1,10 +1,10 @@
-//! Golden byte-identity test for the telemetry timeline (ISSUE 6,
-//! satellite 3).
+//! Golden byte-identity test for the telemetry timeline.
 //!
-//! The timeline subcommand's whole value is that a fixed seed reproduces
+//! The timeline subcommand's whole value is that one scenario reproduces
 //! the same windowed counter series everywhere — otherwise two engineers
 //! comparing Perfetto screenshots are debugging their machines, not the
-//! protocol. This pins a small fixed-seed capture (4-node 16 KiB
+//! protocol. The fabric is quiet, so a capture draws no random number.
+//! This pins a small capture (4-node 16 KiB
 //! alltoall, the same scenario `omx-bench timeline scale` scales up to 64
 //! nodes) byte-for-byte against a committed JSONL golden, and checks two
 //! in-process captures render identically (JSONL *and* the Perfetto
@@ -35,7 +35,7 @@ fn timeline_jsonl_is_byte_identical_to_golden() {
     );
     assert!(
         rendered == golden,
-        "the fixed-seed timeline diverged from the golden JSONL.\n\
+        "the 4-node timeline diverged from the golden JSONL.\n\
          If the telemetry schema or sampling changed intentionally,\n\
          regenerate crates/bench/tests/golden/timeline_4n.jsonl (see module\n\
          docs). Otherwise windowed sampling is no longer deterministic.\n\

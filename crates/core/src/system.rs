@@ -165,14 +165,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Bound each switch egress buffer to `frames` (tail-drop on overflow).
-    /// The default is effectively unbounded; see
-    /// [`omx_fabric::FabricConfig::switch_buffer_frames`].
-    pub fn switch_buffer_frames(mut self, frames: u32) -> Self {
-        self.cfg.fabric.switch_buffer_frames = frames;
-        self
-    }
-
     /// Set the fabric MTU (fragmentation follows; §IV-A notes jumbo frames
     /// exhibit the same behaviour at proportionally larger sizes).
     pub fn mtu(mut self, mtu: u32) -> Self {
@@ -1948,10 +1940,7 @@ mod tests {
         let (slow, _) = one_shot(64, CoalescingStrategy::Timeout { delay_us: 75 });
         let delta = slow - fast;
         // §IV-B3: latency inflates by roughly the coalescing delay.
-        assert!(
-            delta.as_micros_f64() > 50.0,
-            "coalescing only added {delta}"
-        );
+        assert!(delta.as_nanos() > 50_000, "coalescing only added {delta}");
     }
 
     #[test]
@@ -2501,8 +2490,8 @@ mod tests {
         let mut builder = ClusterBuilder::new()
             .nodes(NODES as usize)
             .endpoints_per_node(EPS as usize)
-            .strategy(CoalescingStrategy::OpenMx { delay_us: 75 })
-            .switch_buffer_frames(32);
+            .strategy(CoalescingStrategy::OpenMx { delay_us: 75 });
+        builder.config_mut().fabric.switch_buffer_frames = 32;
         builder.config_mut().host.cores = EPS as usize;
         let mut cluster = builder.build();
         for node in 0..NODES {

@@ -107,12 +107,6 @@ impl TimeDelta {
         self.0
     }
 
-    /// The duration in fractional microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// The duration in fractional seconds.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
